@@ -13,8 +13,9 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import mpmath
 
@@ -236,31 +237,31 @@ def _json_cell(col: str, v):
 def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
-    violations: list[str] = []
-    try:
-        dr = verify_divisor(args.c, args.m, args.n)
-    except InvariantViolation as exc:
-        dr = exc.report
-        violations.append(str(exc))
-    try:
-        br = bound_report(args.c, args.m, args.n)
-    except InvariantViolation as exc:
-        br = exc.report
-        violations.append(str(exc))
-    checks = combinatorial_checks(args.c, args.m, args.n)
-    if not checks.binom_ok:
-        violations.append("L < m * C(n, m)")
-    if checks.two_n_ok is False:
-        violations.append("L < 2^n")
-    doc = {
-        "divisor": divisor_to_json(dr) if dr is not None else None,
-        "bounds": bounds_to_json(br) if br is not None else None,
-        "checks": {"binom_ok": checks.binom_ok, "two_n_ok": checks.two_n_ok},
-        "ok": not violations,
-    }
-    if violations:
-        doc["violations"] = violations
     with _open_out(args.out) as out:
+        violations: list[str] = []
+        try:
+            dr = verify_divisor(args.c, args.m, args.n)
+        except InvariantViolation as exc:
+            dr = exc.report
+            violations.append(str(exc))
+        try:
+            br = bound_report(args.c, args.m, args.n)
+        except InvariantViolation as exc:
+            br = exc.report
+            violations.append(str(exc))
+        checks = combinatorial_checks(args.c, args.m, args.n)
+        if not checks.binom_ok:
+            violations.append("L < m * C(n, m)")
+        if checks.two_n_ok is False:
+            violations.append("L < 2^n")
+        doc = {
+            "divisor": divisor_to_json(dr) if dr is not None else None,
+            "bounds": bounds_to_json(br) if br is not None else None,
+            "checks": {"binom_ok": checks.binom_ok, "two_n_ok": checks.two_n_ok},
+            "ok": not violations,
+        }
+        if violations:
+            doc["violations"] = violations
         out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -286,9 +287,8 @@ def cmd_sweep(args) -> int:
 def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
-    cert = bezout_certificate(args.c, args.k)
-    cert.verify()  # re-verified immediately before emission
     with _open_out(args.out) as out:
+        cert = bezout_certificate(args.c, args.k)
         out.write(json.dumps(certificate_to_json(cert), indent=2) + "\n")
     return EXIT_OK
 
@@ -328,22 +328,14 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-class _open_out:
-    """Context manager for --out <path|stdout> that never closes stdout."""
-
-    def __init__(self, target: Optional[str]):
-        self.target = target
-        self.handle: Optional[TextIO] = None
-
-    def __enter__(self) -> TextIO:
-        if self.target in (None, "stdout", "-"):
-            return sys.stdout
-        self.handle = open(self.target, "w", newline="")
-        return self.handle
-
-    def __exit__(self, *exc) -> None:
-        if self.handle is not None:
-            self.handle.close()
+@contextmanager
+def _open_out(target: Optional[str]) -> Iterator[TextIO]:
+    """--out <path|stdout>; never closes stdout."""
+    if target in (None, "stdout", "-"):
+        yield sys.stdout
+    else:
+        with open(target, "w", newline="") as handle:
+            yield handle
 
 
 def build_parser() -> _Parser:
@@ -388,12 +380,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # exact integers are emitted in full; lifted after parsing, which it still guards
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except UsageError as exc:
         msg = str(exc)
         if "usage:" not in msg:
             msg = f"{parser.prog}: error: {msg}\n{parser.format_usage()}"
         print(msg, file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

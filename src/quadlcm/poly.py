@@ -1,23 +1,29 @@
-"""Exact polynomial arithmetic over Q(sqrt(-c)).
+"""Exact polynomial arithmetic over Q(sqrt(-c)), fraction-free.
 
-Builds the monic shift-product polynomials whose values are the products
-(n-k + sqrt(-c)) ... (n + sqrt(-c)), the forward-difference calculus on
-them, and the unique degree-<=k Bezout cofactor alpha with
+A QuadPoly is (A + B*sqrt(-c)) / den: A and B are IntPoly numerators and
+den > 0 is one common denominator with gcd(den, A_i, B_i) = 1, so equality
+is structural and the zero polynomial is ((), (), 1).  Arithmetic runs as
+integer loops in IntPoly, the module's one integer coefficient-list kernel.
 
-    alpha * P + conj(alpha) * conj(P) = 1.
-
-Two independent constructions of alpha are kept side by side (a closed
-product formula for the Newton coefficients, and the alternating-sum
-definition); their exact agreement is the module's main correctness check.
+Builds the monic shift-product polynomials P whose values are the products
+(n-k + sqrt(-c)) ... (n + sqrt(-c)), forward differences, and the unique
+degree-<=k Bezout cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.
+Three independent routes to alpha are kept, and their exact agreement is
+the module's main correctness check: the closed product formula for its
+Newton coefficients, the alternating-sum definition of those coefficients,
+and the extended Euclidean algorithm on P and conj(P).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm
+from typing import Sequence
 
-from .ring import QuadRat, RingMismatchError
+from .bounds import content_multiple
+from .ring import QuadRat, RingMismatchError, _check_same_ring
 
 Scalar = int | Fraction | QuadRat
 
@@ -43,124 +49,16 @@ def _const_rat(c: int, value: int | Fraction) -> QuadRat:
 
 
 @dataclass(frozen=True)
-class QuadPoly:
-    """Dense polynomial with QuadRat coefficients, ascending degree, trimmed."""
-
-    c: int
-    coeffs: tuple[QuadRat, ...]
-
-    def __post_init__(self) -> None:
-        for co in self.coeffs:
-            if co.c != self.c:
-                raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {self.c}")
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1].is_zero():
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> QuadRat:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: QuadPoly) -> QuadPoly:
-        if self.c != other.c:
-            raise RingMismatchError(f"ring parameters differ: {self.c} != {other.c}")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, co in enumerate(b):
-            out[i] = out[i] + co
-        return QuadPoly(self.c, tuple(out))
-
-    def __neg__(self) -> QuadPoly:
-        return QuadPoly(self.c, tuple(-co for co in self.coeffs))
-
-    def __sub__(self, other: QuadPoly) -> QuadPoly:
-        return self + (-other)
-
-    def __mul__(self, other: QuadPoly) -> QuadPoly:
-        if self.c != other.c:
-            raise RingMismatchError(f"ring parameters differ: {self.c} != {other.c}")
-        if self.is_zero() or other.is_zero():
-            return QuadPoly(self.c, ())
-        out = [_zero_rat(self.c) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return QuadPoly(self.c, tuple(out))
-
-    def scale(self, s: Scalar) -> QuadPoly:
-        if not isinstance(s, QuadRat):
-            s = _const_rat(self.c, s)
-        return QuadPoly(self.c, tuple(co * s for co in self.coeffs))
-
-    def conj(self) -> QuadPoly:
-        """Conjugate every coefficient; a ring morphism on polynomials."""
-        return QuadPoly(self.c, tuple(co.conj() for co in self.coeffs))
-
-    def eval(self, z: QuadRat) -> QuadRat:
-        """Horner evaluation, exact."""
-        acc = _zero_rat(self.c)
-        for co in reversed(self.coeffs):
-            acc = acc * z + co
-        return acc
-
-    def eval_int(self, n: int) -> QuadRat:
-        return self.eval(_const_rat(self.c, n))
-
-    def shift(self, h: int) -> QuadPoly:
-        """Compose with X + h."""
-        x_plus_h = QuadPoly(self.c, (_const_rat(self.c, h), _const_rat(self.c, 1)))
-        acc = QuadPoly(self.c, ())
-        for co in reversed(self.coeffs):
-            acc = acc * x_plus_h + QuadPoly(self.c, (co,))
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({co})X^{i}" for i, co in enumerate(self.coeffs))
-
-
-def zero_poly(c: int) -> QuadPoly:
-    return QuadPoly(c, ())
-
-
-def one_poly(c: int) -> QuadPoly:
-    return QuadPoly(c, (_const_rat(c, 1),))
-
-
-def const_poly(c: int, value: int | Fraction | QuadRat) -> QuadPoly:
-    if not isinstance(value, QuadRat):
-        value = _const_rat(c, value)
-    return QuadPoly(c, (value,))
-
-
-def x_poly(c: int) -> QuadPoly:
-    return QuadPoly(c, (_zero_rat(c), _const_rat(c, 1)))
-
-
-@dataclass(frozen=True)
 class IntPoly:
     """Dense polynomial with integer coefficients, ascending degree, trimmed."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        co = list(self.coeffs)
+        while co and not co[-1]:
+            co.pop()
+        object.__setattr__(self, "coeffs", tuple(co))
 
     @property
     def degree(self) -> int:
@@ -170,41 +68,159 @@ class IntPoly:
         return not self.coeffs
 
     def __add__(self, other: IntPoly) -> IntPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, co in enumerate(b):
-            out[i] += co
-        return IntPoly(tuple(out))
+        return IntPoly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-co for co in self.coeffs))
+        return self.scale(-1)
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return IntPoly(tuple(out))
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return IntPoly(out)
 
     def scale(self, s: int) -> IntPoly:
-        return IntPoly(tuple(co * s for co in self.coeffs))
+        return IntPoly([x * s for x in self.coeffs])
 
-    def eval_int(self, n: int) -> int:
-        acc = 0
-        for co in reversed(self.coeffs):
-            acc = acc * n + co
-        return acc
+    def shift(self, h: int) -> IntPoly:
+        """Compose with X + h, by repeated synthetic division."""
+        out = list(self.coeffs)
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += h * out[j + 1]
+        return IntPoly(out)
 
     @classmethod
     def const(cls, value: int) -> IntPoly:
         return cls((value,))
+
+
+def _quad(c: int, a: IntPoly, b: IntPoly = IntPoly(()), den: int = 1) -> QuadPoly:
+    """(a + b*sqrt(-c)) / den for den > 0, in normal form, set past the frozen __setattr__."""
+    g = gcd(den, *a.coeffs, *b.coeffs)
+    if g > 1:
+        a, b = IntPoly([x // g for x in a.coeffs]), IntPoly([x // g for x in b.coeffs])
+        den //= g
+    poly = object.__new__(QuadPoly)
+    vars(poly).update(c=c, A=a, B=b, den=den)
+    return poly
+
+
+@dataclass(frozen=True, init=False)
+class QuadPoly:
+    """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), normalised.
+
+    QuadPoly(c, coeffs) builds it from QuadRat coefficients in ascending
+    degree; `coeffs` reads them back, each in lowest terms.
+    """
+
+    c: int
+    A: IntPoly
+    B: IntPoly
+    den: int
+
+    def __init__(self, c: int, coeffs: Sequence[QuadRat] = ()) -> None:
+        for co in coeffs:
+            if co.c != c:
+                raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
+        den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
+        vars(self).update(vars(_quad(c, IntPoly([int(co.a * den) for co in coeffs]),
+                                     IntPoly([int(co.b * den) for co in coeffs]), den)))
+
+    @property
+    def coeffs(self) -> tuple[QuadRat, ...]:
+        return tuple(QuadRat(Fraction(a, self.den), Fraction(b, self.den), self.c)
+                     for a, b in zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial at -1."""
+        return max(self.A.degree, self.B.degree)
+
+    def is_zero(self) -> bool:
+        return self.A.is_zero() and self.B.is_zero()
+
+    def leading(self) -> QuadRat:
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __add__(self, other: QuadPoly) -> QuadPoly:
+        _check_same_ring(self, other)
+        den = lcm(self.den, other.den)
+        x, y = den // self.den, den // other.den
+        return _quad(self.c, self.A.scale(x) + other.A.scale(y),
+                     self.B.scale(x) + other.B.scale(y), den)
+
+    def __neg__(self) -> QuadPoly:
+        return _quad(self.c, -self.A, -self.B, self.den)
+
+    def __sub__(self, other: QuadPoly) -> QuadPoly:
+        return self + (-other)
+
+    def __mul__(self, other: QuadPoly) -> QuadPoly:
+        # sqrt(-c) * sqrt(-c) = -c
+        _check_same_ring(self, other)
+        a1, b1, a2, b2 = self.A, self.B, other.A, other.B
+        return _quad(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
+                     self.den * other.den)
+
+    def scale(self, s: Scalar) -> QuadPoly:
+        if not isinstance(s, QuadRat):
+            s = _const_rat(self.c, s)
+        return self * QuadPoly(self.c, (s,))
+
+    def conj(self) -> QuadPoly:
+        """Conjugate every coefficient; a ring morphism on polynomials."""
+        return _quad(self.c, self.A, -self.B, self.den)
+
+    def eval(self, z: QuadRat) -> QuadRat:
+        """Exact Horner evaluation in integers: e^deg * p(w/e) for z = w/e, then one division."""
+        _check_same_ring(self, z)
+        e = lcm(z.a.denominator, z.b.denominator)
+        p, q, c = int(z.a * e), int(z.b * e), self.c
+        acc_a = acc_b = 0
+        power = 1
+        for a, b in reversed(list(zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))):
+            acc_a, acc_b = acc_a * p - c * acc_b * q + a * power, acc_a * q + acc_b * p + b * power
+            power *= e
+        den = self.den * power
+        return QuadRat(Fraction(acc_a * e, den), Fraction(acc_b * e, den), c)
+
+    def eval_int(self, n: int) -> QuadRat:
+        return self.eval(_const_rat(self.c, n))
+
+    def shift(self, h: int) -> QuadPoly:
+        """Compose with X + h."""
+        return _quad(self.c, self.A.shift(h), self.B.shift(h), self.den)
+
+    def __str__(self) -> str:
+        return " + ".join(f"({co})X^{i}" for i, co in enumerate(self.coeffs)) or "0"
+
+
+def zero_poly(c: int) -> QuadPoly:
+    return QuadPoly(c)
+
+
+def one_poly(c: int) -> QuadPoly:
+    return _quad(c, IntPoly((1,)))
+
+
+def const_poly(c: int, value: int | Fraction | QuadRat) -> QuadPoly:
+    return QuadPoly(c, (value if isinstance(value, QuadRat) else _const_rat(c, value),))
+
+
+def x_poly(c: int) -> QuadPoly:
+    return _quad(c, IntPoly((0, 1)))
+
+
+def _linear(c: int, a: int, b: int) -> QuadPoly:
+    """X + a + b*sqrt(-c)."""
+    return _quad(c, IntPoly((a, 1)), IntPoly((b,)))
 
 
 def shift_product_poly(c: int, k: int) -> QuadPoly:
@@ -217,32 +233,20 @@ def shift_product_poly(c: int, k: int) -> QuadPoly:
         raise ValueError(f"need k >= 0, got {k}")
     acc = one_poly(c)
     for j in range(k + 1):
-        factor = QuadPoly(c, (QuadRat(Fraction(-j), Fraction(1), c), _const_rat(c, 1)))
-        acc = acc * factor
+        acc = acc * _linear(c, -j, 1)
     return acc
 
 
 def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
     """Split p with Z[sqrt(-c)] coefficients as (A, B) with p = A + B*sqrt(-c)."""
-    a_parts = []
-    b_parts = []
-    for i, co in enumerate(p.coeffs):
-        if not co.is_integral():
-            raise ValueError(f"coefficient of X^{i} is not in Z[sqrt(-c)]: {co}")
-        a_parts.append(int(co.a))
-        b_parts.append(int(co.b))
-    return IntPoly(tuple(a_parts)), IntPoly(tuple(b_parts))
+    if p.den != 1:
+        raise ValueError(f"coefficients are not in Z[sqrt(-c)]: common denominator {p.den}")
+    return p.A, p.B
 
 
 def recombine_parts(c: int, a: IntPoly, b: IntPoly) -> QuadPoly:
     """Inverse of split_parts: A + B*sqrt(-c) as a QuadPoly."""
-    size = max(len(a.coeffs), len(b.coeffs))
-    coeffs = []
-    for i in range(size):
-        ai = a.coeffs[i] if i < len(a.coeffs) else 0
-        bi = b.coeffs[i] if i < len(b.coeffs) else 0
-        coeffs.append(QuadRat(Fraction(ai), Fraction(bi), c))
-    return QuadPoly(c, tuple(coeffs))
+    return _quad(c, a, b)
 
 
 def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
@@ -260,8 +264,7 @@ def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
         repeated = repeated.shift(1) - repeated
     binomial = zero_poly(p.c)
     for m in range(order + 1):
-        sign = -1 if (order - m) % 2 else 1
-        binomial = binomial + p.shift(m).scale(sign * comb(order, m))
+        binomial = binomial + p.shift(m).scale((-1) ** (order - m) * comb(order, m))
     if repeated != binomial:
         raise AssertionError("forward-difference routes disagree; arithmetic bug")
     return repeated
@@ -271,8 +274,7 @@ def newton_basis(c: int, ell: int) -> QuadPoly:
     """(X - s)(X - s - 1)...(X - s - ell + 1) with s = sqrt(-c); 1 when ell = 0."""
     acc = one_poly(c)
     for j in range(ell):
-        factor = QuadPoly(c, (QuadRat(Fraction(-j), Fraction(-1), c), _const_rat(c, 1)))
-        acc = acc * factor
+        acc = acc * _linear(c, -j, -1)
     return acc
 
 
@@ -282,6 +284,26 @@ def falling(x: QuadRat, n: int) -> QuadRat:
     for t in range(n):
         acc = acc * QuadRat(x.a - t, x.b, x.c)
     return acc
+
+
+def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
+    """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)) for each ell in ells.
+
+    Each value of P is evaluated once, with an exact zero test (PoleError) before inversion.
+    """
+    inverses = []
+    for j in range(max(ells) + 1):
+        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
+        if val.is_zero():
+            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
+        inverses.append(val.inverse())
+    out = []
+    for ell in ells:
+        total = _zero_rat(c)
+        for j in range(ell + 1):
+            total = total + inverses[j] * _const_rat(c, (-1) ** (ell - j) * comb(ell, j))
+        out.append(total * _const_rat(c, Fraction(1, factorial(ell))))
+    return out
 
 
 def reciprocal_difference(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
@@ -295,16 +317,7 @@ def reciprocal_difference(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if z.c != c:
         raise RingMismatchError(f"z lives in ring {z.c}, expected {c}")
-    p = shift_product_poly(c, k)
-    total = _zero_rat(c)
-    for j in range(ell + 1):
-        w = QuadRat(z.a + j, z.b + 1, c)
-        val = p.eval(w)
-        if val.is_zero():
-            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
-        sign = -1 if (ell - j) % 2 else 1
-        total = total + val.inverse() * _const_rat(c, sign * comb(ell, j))
-    return total * _const_rat(c, Fraction(1, factorial(ell)))
+    return _alternating_sums(c, shift_product_poly(c, k), z, [ell])[0]
 
 
 def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
@@ -328,8 +341,7 @@ def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRa
         if f.is_zero():
             raise PoleError(f"denominator factor vanishes at z = {z}")
         den = den * f
-    sign = -1 if (k + ell) % 2 else 1
-    return den.inverse() * _const_rat(c, sign * comb(k + ell, ell))
+    return den.inverse() * _const_rat(c, (-1) ** (k + ell) * comb(k + ell, ell))
 
 
 def newton_coeff(c: int, k: int, ell: int) -> QuadRat:
@@ -342,16 +354,22 @@ def newton_coeff_closed(c: int, k: int, ell: int) -> QuadRat:
     return reciprocal_difference_closed(c, k, ell, _zero_rat(c))
 
 
+def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
+    """sum_ell coeffs[ell] * newton_basis(c, ell), one basis factor multiplied in per ell."""
+    acc, basis = zero_poly(c), one_poly(c)
+    for ell, coeff in enumerate(coeffs):
+        acc = acc + basis.scale(coeff)
+        basis = basis * _linear(c, -ell, -1)
+    return acc
+
+
 def bezout_poly(c: int, k: int) -> QuadPoly:
     """The unique degree-<=k cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.
 
     Assembled in the shifted falling-factorial basis from the closed-form
     Newton coefficients.
     """
-    acc = zero_poly(c)
-    for ell in range(k + 1):
-        acc = acc + newton_basis(c, ell).scale(newton_coeff_closed(c, k, ell))
-    return acc
+    return _newton_series(c, [newton_coeff_closed(c, k, ell) for ell in range(k + 1)])
 
 
 def bezout_poly_interp(c: int, k: int) -> QuadPoly:
@@ -360,30 +378,23 @@ def bezout_poly_interp(c: int, k: int) -> QuadPoly:
     Exact agreement with bezout_poly is the finite identity behind the
     closed form, so the pair doubles as a cross check.
     """
-    acc = zero_poly(c)
-    for ell in range(k + 1):
-        acc = acc + newton_basis(c, ell).scale(newton_coeff(c, k, ell))
-    return acc
+    p = shift_product_poly(c, k)
+    return _newton_series(c, _alternating_sums(c, p, _zero_rat(c), range(k + 1)))
 
 
 def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     """Euclidean division in Q(sqrt(-c))[X]: num = q*den + r, deg r < deg den."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if num.c != den.c:
-        raise RingMismatchError(f"ring parameters differ: {num.c} != {den.c}")
-    c = num.c
-    q = [_zero_rat(c)] * max(0, num.degree - den.degree + 1)
-    rem = list(num.coeffs)
+    _check_same_ring(num, den)
+    q, rem = zero_poly(num.c), num
     inv_lead = den.leading().inverse()
-    for i in range(len(rem) - 1, den.degree - 1, -1):
-        if rem[i].is_zero():
-            continue
-        factor = rem[i] * inv_lead
-        q[i - den.degree] = factor
-        for j, dco in enumerate(den.coeffs):
-            rem[i - den.degree + j] = rem[i - den.degree + j] - factor * dco
-    return QuadPoly(c, tuple(q)), QuadPoly(c, tuple(rem[: max(den.degree, 0)]))
+    while rem.degree >= den.degree:
+        # the leading term of rem, divided by den's; subtracting it times den cancels it
+        lead = rem.leading() * inv_lead
+        term = QuadPoly(num.c, (_zero_rat(num.c),) * (rem.degree - den.degree) + (lead,))
+        q, rem = q + term, rem - term * den
+    return q, rem
 
 
 def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
@@ -406,16 +417,12 @@ def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
         v0, v1 = v1, v0 - quo * v1
         if not r1.is_zero():
             inv_lead = r1.leading().inverse()
-            r1 = r1.scale(inv_lead)
-            u1 = u1.scale(inv_lead)
-            v1 = v1.scale(inv_lead)
+            r1, u1, v1 = r1.scale(inv_lead), u1.scale(inv_lead), v1.scale(inv_lead)
     if r0.degree >= 1:
         raise NonCoprimeError(f"common factor of degree {r0.degree}: {r0}")
     unit = r0.leading().inverse()
-    u0 = u0.scale(unit)
-    v0 = v0.scale(unit)
-    _, u_red = divmod_poly(u0, q)
-    _, v_red = divmod_poly(v0, p)
+    _, u_red = divmod_poly(u0.scale(unit), q)
+    _, v_red = divmod_poly(v0.scale(unit), p)
     if p * u_red + q * v_red != one_poly(c):
         raise AssertionError("Bezout reduction lost exactness; arithmetic bug")
     return u_red, v_red
@@ -440,18 +447,22 @@ class BezoutCertificate:
     d: int
 
     def verify(self) -> None:
-        """Re-check every certificate invariant exactly; raise CertificateError."""
+        """Re-check every certificate invariant exactly; raise CertificateError.
+
+        P = A + B*sqrt(-c) is checked against its definition: monic of degree
+        k+1 with the k+1 distinct roots j - sqrt(-c), j = 0..k, which pins it
+        down in the field Q(sqrt(-c)).
+        """
         c, k = self.c, self.k
         if self.alpha.degree > k:
             raise CertificateError(f"deg alpha = {self.alpha.degree} exceeds k = {k}")
-        p = shift_product_poly(c, k)
-        if split_parts(p) != (self.A, self.B):
+        p = recombine_parts(c, self.A, self.B)
+        if (p.degree != k + 1 or p.leading() != _const_rat(c, 1)
+                or not all(p.eval(QuadRat(j, -1, c)).is_zero() for j in range(k + 1))):
             raise CertificateError("A, B do not split the shift product polynomial")
         if self.alpha * p + self.alpha.conj() * p.conj() != one_poly(c):
             raise CertificateError("alpha*P + conj(alpha)*conj(P) != 1")
-        d = c
-        for ell in range(1, k + 1):
-            d *= ell * ell + 4 * c
+        d = content_multiple(c, k)
         if d != self.d:
             raise CertificateError(f"d = {self.d} != c * prod(l^2 + 4c) = {d}")
         try:
@@ -465,21 +476,21 @@ class BezoutCertificate:
 
 
 def bezout_certificate(c: int, k: int) -> BezoutCertificate:
-    """Build and fully verify the certificate for parameters (c, k).
+    """Build the certificate for parameters (c, k) and verify it once.
 
-    The cofactor is assembled along both construction routes, which must
-    agree exactly; this is the standing defense against sign conventions
+    P is built once.  The Newton coefficients of alpha come from the closed
+    product formula and, independently, from alternating sums over the k+1
+    values P(j + sqrt(-c)); the two vectors must agree exactly before alpha
+    is assembled.  This is the standing defense against sign conventions
     drifting between conjugation and the closed product formula.
     """
-    alpha = bezout_poly(c, k)
-    if alpha != bezout_poly_interp(c, k):
-        raise CertificateError("closed-form and sum-form cofactors disagree")
     p = shift_product_poly(c, k)
-    a_part, b_part = split_parts(p)
-    d = c
-    for ell in range(1, k + 1):
-        d *= ell * ell + 4 * c
+    closed = [newton_coeff_closed(c, k, ell) for ell in range(k + 1)]
+    if closed != _alternating_sums(c, p, _zero_rat(c), range(k + 1)):
+        raise CertificateError("closed-form and sum-form Newton coefficients disagree")
+    alpha = _newton_series(c, closed)
+    d = content_multiple(c, k)
     r, s = split_parts(alpha.scale(2 * d))
-    cert = BezoutCertificate(c=c, k=k, alpha=alpha, A=a_part, B=b_part, r=r, s=s, d=d)
+    cert = BezoutCertificate(c=c, k=k, alpha=alpha, A=p.A, B=p.B, r=r, s=s, d=d)
     cert.verify()
     return cert

@@ -135,15 +135,6 @@ class QuadRat:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_integral(self) -> bool:
-        """True when both components lie in Z."""
-        return self.a.denominator == 1 and self.b.denominator == 1
-
-    def to_int(self) -> QuadInt:
-        if not self.is_integral():
-            raise InexactDivisionError(f"{self} has non-integral components")
-        return QuadInt(int(self.a), int(self.b), self.c)
-
     def __str__(self) -> str:
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}√-{self.c}"
 

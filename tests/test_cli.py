@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,44 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 def load_schema(name):
     with open(SCHEMA_DIR / name) as fh:
         return json.load(fh)
+
+
+# sha256 of `quadlcm bezout --c C --k K` stdout, captured before the polynomial
+# core went fraction-free; (3, 10), (3, 15) and (3, 25) are also the
+# bezout_ladder output hashes in perfbench/baseline.json
+BEZOUT_SHA256 = {
+    (1, 0): "45bdaf98d63c1be8fc883e922fd0a3ff58a1ba5f38a72a516a9832b06859618b",
+    (1, 1): "88f0d160e4d9b46efa25809b753622d4bae83b21954a3b330ee8c50fd0cac820",
+    (1, 2): "6c58fddab42b4034eb3c3a09b2d739f4483c9774bdaa61f6cea1e661f53f6126",
+    (1, 7): "5409edd3691db45b207a3a2afb2149e9eeb5e6e12b2389a9b02bcb22a86a1977",
+    (1, 15): "ae02273d1e122ec9f41f54c408af1a96982e3d2c7d9f8928a5cbce32cd8169b1",
+    (1, 25): "02c4c549e46cd52e5ebeb3a326bdfdaa95d54ddbef6ee9750c7972c544b90abf",
+    (2, 0): "0ef3682a2c067f064d3f2de9a1eb229268f98304bcc9eb393da6d42d726c72c7",
+    (2, 1): "1e3095fdc48c0fda9f20dae9b5672b0099826bb86dd437831a0acae583f939b0",
+    (2, 2): "50573d321b400ae1861a7b16da67d37bb1e10b93698e87bf751a6412453a2b1a",
+    (2, 7): "a60ee425f9b03dc9011d755bd5593fe8364bf5887e62a2eb8d94d35893564e4f",
+    (2, 15): "7cc9f190243a80a40474650a613efd5bc7641413d9ed31ea46e84bd3790c5f08",
+    (2, 25): "2ebfe1dad1d2f9c85eb754c8972b68f0da3090efab363afb4f2227a1bacda58a",
+    (3, 0): "616ccb0c0c736f09d7cc9ebd77a8a6037798ec44523b3c8d5b910ac20a2971ed",
+    (3, 1): "3fc6f86b486f52c3087f06d8392464a5d4c5f9a0933152270e3f59afb3ec8b59",
+    (3, 2): "dedbfb636572e383967b495ba35b1712735872d3e13ba71327b420b29d150b39",
+    (3, 7): "2ca3f2febcbda3c7f521a005307723fbb4b3e7533d53ebb3e3c4e61537b3745b",
+    (3, 10): "9313c054003afe3994b2b3987ebb8e1fd0d5dea4d555238cbf3507a0bfeb1b23",
+    (3, 15): "9a9e1d015ff04a8ff935e90585d1465702ed0d298b42dffe53fc045be11d677c",
+    (3, 25): "8dc2c9b7c35f96a6b9d2ddccffe56574c3e4fb0c9332ffd40d12bdff89eb30a7",
+    (4, 0): "5627442eae9b943872ae6261f75b68e59a5e606659ab25d7fca25918562dabcf",
+    (4, 1): "adc4abee9e8f9408e6f22aa2cb76a0373bb6afa86866e320deba3905efa72564",
+    (4, 2): "f424951f6244b688cf066c8595e2e7368480118035bdc73a149f4240738f3e40",
+    (4, 7): "844eaa417ac693209775ce8fe9685e0a9467491249d1a7e8da9628626894c884",
+    (4, 15): "44703208d563fb6c7b067e0aa5acaff1b13e5b58faed84ba7909749275a45081",
+    (4, 25): "25042218adc0bdf5d1a6826c203e815afee87c0fb8e6cccc6c23be58df8ab1c1",
+    (5, 0): "21709ebf24e93d33aee7d7770b0f171976918215d2876475f311f98add7db8d8",
+    (5, 1): "e04ffc847ea105cee9b0594bcecc4d6a067c3107ff9790537514bc4f3c267d09",
+    (5, 2): "f3370b4b93f7bf7fbce30f88df1118487f93e5274aa4e46e36b8f1559b1e09fe",
+    (5, 7): "4abf405fc9cf7a985b1f3610c2fff1158e62c9f79f96c459f4f06cc56e4c48db",
+    (5, 15): "5f64195ba5eeb3bc49fcfa277ce672e66cefd45de928d25b8e26ea7755f1c700",
+    (5, 25): "7aebf24ecee2b673c84f2c32cbb113ac045b2a3b99e790e7fba98f83cb5d9c30",
+}
 
 
 def run(argv, capsys):
@@ -214,6 +253,44 @@ class TestBezout:
         assert "usage:" in err
         code, _, _ = run(["bezout", "--c", "1", "--k", "-1"], capsys)
         assert code == 1
+
+
+    @pytest.mark.parametrize("c, k", sorted(BEZOUT_SHA256))
+    def test_golden_bytes(self, c, k, capsys):
+        code, out, _ = run(["bezout", "--c", str(c), "--k", str(k)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BEZOUT_SHA256[(c, k)]
+
+
+class TestOutputErrors:
+    # each command's first piece of work raises if reached: the output must
+    # be opened before any work starts
+    @pytest.mark.parametrize("argv, work", [
+        (["verify", "--c", "1", "--m", "1", "--n", "3"], "verify_divisor"),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "verify_divisor"),
+        (["bezout", "--c", "1", "--k", "2"], "bezout_certificate"),
+        (["table", "--c", "1", "--n-max", "3"], "bound_report"),
+    ])
+    def test_missing_directory(self, argv, work, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("work started before the output was opened")
+
+        monkeypatch.setattr(cli, work, unreachable)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(argv + ["--out", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert str(target) in err
+
+    def test_verify_beyond_int_str_limit(self, capsys):
+        # the divisor record holds integers beyond Python's default
+        # 4300-digit limit on int-to-str conversion at this triple
+        code, out, _ = run(["verify", "--c", "1", "--m", "700", "--n", "1400"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+        assert max(len(str(v)) for v in doc["divisor"].values()) > 4300
 
 
 class TestTable:

@@ -1,6 +1,8 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from quadlcm import (
     PoleError,
     QuadPoly,
     QuadRat,
+    RingMismatchError,
     bezout_certificate,
     bezout_pair,
     bezout_poly,
@@ -28,6 +31,7 @@ from quadlcm import (
     shifted_product,
     split_parts,
 )
+import quadlcm.poly as poly_module
 from quadlcm.poly import const_poly, divmod_poly, one_poly, x_poly, zero_poly
 
 
@@ -91,6 +95,86 @@ class TestArithmetic:
         assert p.conj().conj() == p
 
 
+def ref_add(p, q):
+    """QuadRat reference for p + q, coefficient by coefficient."""
+    pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=qr(p.c, 0))
+    return QuadPoly(p.c, tuple(x + y for x, y in pairs))
+
+
+def ref_mul(p, q):
+    """QuadRat reference for p * q, by convolution."""
+    out = [qr(p.c, 0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return QuadPoly(p.c, tuple(out))
+
+
+def ref_eval(p, z):
+    """QuadRat reference for p(z), by Horner's rule."""
+    acc = qr(p.c, 0)
+    for co in reversed(p.coeffs):
+        acc = acc * z + co
+    return acc
+
+
+def assert_normal_form(p):
+    a, b = p.A.coeffs, p.B.coeffs
+    assert p.den > 0
+    assert gcd(p.den, *a, *b) == 1
+    assert not a or a[-1] != 0
+    assert not b or b[-1] != 0
+
+
+class TestRepresentation:
+    @given(quad_polys(), quad_polys(), st.integers(-5, 5))
+    def test_matches_quadrat_reference(self, p, q, h):
+        if p.c != q.c:
+            return
+        z = qr(p.c, Fraction(h, 3), Fraction(h + 1, 2))
+        assert p + q == ref_add(p, q)
+        assert p * q == ref_mul(p, q)
+        assert p.eval(z) == ref_eval(p, z)
+        x_plus_h = QuadPoly(p.c, (qr(p.c, h), qr(p.c, 1)))
+        shifted = QuadPoly(p.c, ())
+        for co in reversed(p.coeffs):
+            shifted = ref_add(ref_mul(shifted, x_plus_h), QuadPoly(p.c, (co,)))
+        assert p.shift(h) == shifted
+
+    @given(quad_polys(), quad_polys(), st.integers(-5, 5))
+    def test_normal_form_kept(self, p, q, h):
+        if p.c != q.c:
+            return
+        s = qr(p.c, Fraction(h, 4), Fraction(3, 2))
+        for r in (p, p + q, p - q, p * q, p.scale(s), p.scale(Fraction(h, 6)), p.shift(h), p.conj()):
+            assert_normal_form(r)
+
+    def test_zero_is_canonical(self):
+        p = poly(2, (Fraction(1, 3), 5), (7, Fraction(-2, 9)))
+        for zero in (p - p, p.scale(0), zero_poly(2), QuadPoly(2, (qr(2, 0), qr(2, 0))), QuadPoly(2, ())):
+            assert (zero.A, zero.B, zero.den) == (IntPoly(()), IntPoly(()), 1)
+            assert zero == zero_poly(2)
+            assert zero.degree == -1
+
+    def test_built_from_quadrat_equals_fraction_free(self):
+        for c, k in [(1, 0), (2, 3), (5, 7)]:
+            for p in (shift_product_poly(c, k), bezout_poly(c, k)):
+                rebuilt = QuadPoly(c, p.coeffs)
+                assert rebuilt == p
+                assert hash(rebuilt) == hash(p)
+        p = poly(1, (Fraction(1, 2), Fraction(-1, 6)), (Fraction(2, 3), 0))
+        assert (p.A, p.B, p.den) == (IntPoly((3, 4)), IntPoly((-1,)), 6)
+        assert p.coeffs == (qr(1, Fraction(1, 2), Fraction(-1, 6)), qr(1, Fraction(2, 3)))
+
+    def test_coefficient_ring_checked(self):
+        with pytest.raises(RingMismatchError):
+            QuadPoly(1, (qr(2, 1),))
+        with pytest.raises(RingMismatchError):
+            one_poly(1) * one_poly(2)
+        with pytest.raises(RingMismatchError):
+            one_poly(1).eval(qr(3, 1))
+
+
 class TestConjEval:
     def test_conj_of_shift_product(self):
         # conjugate of (X+s)(X-1+s) is (X-s)(X-1-s), expanded
@@ -149,6 +233,12 @@ class TestSplitParts:
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError):
             split_parts(poly(1, (Fraction(1, 2), 0)))
+
+    def test_common_denominator_rejected(self):
+        for p in (poly(3, (4, 1), (0, Fraction(5, 3))), bezout_poly(1, 1)):
+            assert p.den > 1
+            with pytest.raises(ValueError):
+                split_parts(p)
 
     def test_roundtrip(self):
         rng = random.Random(5)
@@ -241,6 +331,15 @@ class TestReciprocalDifference:
             ell = rng.randint(0, k)
             z = qr(c, Fraction(rng.randint(-20, 20), rng.randint(1, 8)))
             assert reciprocal_difference(c, k, ell, z) == reciprocal_difference_closed(c, k, ell, z)
+
+    def test_pole_in_certificate_sum_route(self, monkeypatch):
+        # a stand-in P that vanishes at 1 + sqrt(-c), the j = 1 point of the
+        # evaluations the certificate's sum route caches
+        c = 2
+        vanishing = poly(c, (-1, -1), (1, 0)) * shift_product_poly(c, 1)
+        monkeypatch.setattr(poly_module, "shift_product_poly", lambda c_, k_: vanishing)
+        with pytest.raises(PoleError):
+            bezout_certificate(c, 2)
 
     def test_pole_detection(self):
         # z = -2*sqrt(-c) annihilates P at the j = 0 shift and the closed
@@ -361,3 +460,30 @@ class TestCertificate:
         bad = dataclasses.replace(cert, r=cert.r + IntPoly((1,)))
         with pytest.raises(CertificateError):
             bad.verify()
+
+    def test_tampered_parts_detected(self):
+        cert = bezout_certificate(1, 2)
+        other = bezout_certificate(1, 1)
+        for tampered in (
+            dataclasses.replace(cert, B=cert.B + IntPoly((1,))),
+            dataclasses.replace(cert, A=cert.A + IntPoly((0, 0, 0, 1))),
+            dataclasses.replace(cert, A=other.A, B=other.B),
+            dataclasses.replace(cert, alpha=cert.alpha + one_poly(1)),
+        ):
+            with pytest.raises(CertificateError):
+                tampered.verify()
+
+    def test_consistent_forgery_detected(self):
+        # certificates for -P and for P(X+1) satisfy every identity except
+        # that A + B*sqrt(-c) is the shift product, so only that check fails
+        cert = bezout_certificate(2, 3)
+        negated = dataclasses.replace(
+            cert, alpha=-cert.alpha, A=-cert.A, B=-cert.B, r=-cert.r, s=-cert.s
+        )
+        shifted = dataclasses.replace(
+            cert, alpha=cert.alpha.shift(1), A=cert.A.shift(1), B=cert.B.shift(1),
+            r=cert.r.shift(1), s=cert.s.shift(1),
+        )
+        for forged in (negated, shifted):
+            with pytest.raises(CertificateError, match="A, B do not split"):
+                forged.verify()
