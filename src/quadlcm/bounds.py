@@ -2,15 +2,20 @@
 
 Divisibility claims are settled in exact integer and rational arithmetic
 only.  Bounds involving e and pi are evaluated in log space with 128-bit
-mpmath intermediates; their stated relative tolerance of 1e-9 absorbs
-constant rounding and never decides truth (the inequalities hold with
-enormous margins at these ranges).
+mpmath intermediates and accepted up to a relative tolerance of 1e-9.
+That tolerance can decide a claim: `oon_2n` holds with slack exactly 0 at
+(c, m, n) = (1, 1, 1), where L = 2, and `binom` has only 0.51 nats of slack
+at (1, 2, 3).  ROADMAP item 4 replaces it with certified enclosures.
+
+Quantities that depend on c alone or on n alone (the log prefactors, the c5
+frontier terms) are memoised once per process; no mpmath work runs at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Optional
 
@@ -47,16 +52,18 @@ def lcm_range(c: int, m: int, n: int) -> int:
     return lcm(*(k * k + c for k in range(m, n + 1)))
 
 
-def rational_divisor(c: int, m: int, n: int) -> Fraction:
-    """The exact rational prod(k^2+c) / (c * (n-m)! * prod(k^2+4c))."""
-    _require_range(c, m, n)
+def _divisor_parts(c: int, m: int, n: int) -> tuple[int, int]:
+    """Unreduced numerator prod(k^2+c) and denominator (n-m)! * content_multiple(c, n-m)."""
     num = 1
     for k in range(m, n + 1):
         num *= k * k + c
-    den = c * factorial(n - m)
-    for k in range(1, n - m + 1):
-        den *= k * k + 4 * c
-    return Fraction(num, den)
+    return num, factorial(n - m) * content_multiple(c, n - m)
+
+
+def rational_divisor(c: int, m: int, n: int) -> Fraction:
+    """The exact rational prod(k^2+c) / (c * (n-m)! * prod(k^2+4c))."""
+    _require_range(c, m, n)
+    return Fraction(*_divisor_parts(c, m, n))
 
 
 def product_content(c: int, m: int, n: int) -> int:
@@ -113,20 +120,16 @@ def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
     """
     _require_range(c, m, n)
     big_l = lcm_range(c, m, n)
-    divisor = rational_divisor(c, m, n)
+    num, den = _divisor_parts(c, m, n)
+    divisor = Fraction(num, den)
     quotient = Fraction(big_l) / divisor
     if quotient.denominator != 1:
         raise InvariantViolation(f"L/D is not an integer at (c={c}, m={m}, n={n})")
     product = shifted_product(c, m, n)
     hc_value = content(product)
-    hc_bound = content_multiple(c, n - m)
-    star = divide_exact(QuadInt(big_l * factorial(n - m), 0, c), product)
-    num = 1
-    for k in range(m, n + 1):
-        num *= k * k + c
-    den = c * factorial(n - m)
-    for k in range(1, n - m + 1):
-        den *= k * k + 4 * c
+    fact = factorial(n - m)
+    hc_bound = den // fact  # content_multiple(c, n - m)
+    star = divide_exact(QuadInt(big_l * fact, 0, c), product)
     report = DivisorReport(
         c=c,
         m=m,
@@ -187,12 +190,13 @@ def log_factorial(k: int) -> mpf:
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    with mpmath.workprec(PRECISION_BITS):
-        while len(_LOG_FACT_CACHE) <= k:
-            if not _LOG_FACT_CACHE:
-                _LOG_FACT_CACHE.append(mpf(0))
-            j = len(_LOG_FACT_CACHE)
-            _LOG_FACT_CACHE.append(_LOG_FACT_CACHE[-1] + mpmath.log(j))
+    if len(_LOG_FACT_CACHE) <= k:
+        with mpmath.workprec(PRECISION_BITS):
+            while len(_LOG_FACT_CACHE) <= k:
+                if not _LOG_FACT_CACHE:
+                    _LOG_FACT_CACHE.append(mpf(0))
+                j = len(_LOG_FACT_CACHE)
+                _LOG_FACT_CACHE.append(_LOG_FACT_CACHE[-1] + mpmath.log(j))
     return _LOG_FACT_CACHE[k]
 
 
@@ -239,6 +243,31 @@ def frontier_bound_const(c: int) -> mpf:
         return mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpf(5) / 12) / (mpmath.pi ** mpf("1.5") * c)
 
 
+@lru_cache(maxsize=None)
+def _fixed_consts() -> tuple[mpf, mpf, mpf, mpf, mpf]:
+    """log 2, 2/3, 1.5, log 0.32 and log 1.442 at the working precision."""
+    with mpmath.workprec(PRECISION_BITS):
+        return (mpmath.log(2), mpf(2) / 3, mpf("1.5"),
+                mpmath.log(mpf("0.32")), mpmath.log(mpf("1.442")))
+
+
+@lru_cache(maxsize=None)
+def _log_consts(c: int) -> tuple[mpf, mpf, mpf]:
+    """Logs of the factorial, exponential and frontier prefactors for one c."""
+    with mpmath.workprec(PRECISION_BITS):
+        return (mpmath.log(factorial_bound_const(c)), mpmath.log(exp_bound_const(c)),
+                mpmath.log(frontier_bound_const(c)))
+
+
+@lru_cache(maxsize=None)
+def _c5_terms(n: int) -> tuple[mpf, mpf]:
+    """log(n - n^(2/3)/2) and floor(n^(2/3)/2) * (log 2 + 3), the n-only terms of c5."""
+    log2, two_thirds = _fixed_consts()[:2]
+    with mpmath.workprec(PRECISION_BITS):
+        frontier = mpf(n) - mpmath.power(n, two_thirds) / 2
+        return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
+
+
 @dataclass(frozen=True)
 class BoundValue:
     applicable: bool
@@ -282,13 +311,15 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
     """
     _require_range(c, m, n)
     big_l = lcm_range(c, m, n)
+    log2, _, three_halves, log_farhi_const, log_farhi_base = _fixed_consts()
+    log_fact_const, log_exp_const, log_frontier_const = _log_consts(c)
     with mpmath.workprec(PRECISION_BITS):
         log_l = mpmath.log(big_l)
         d = n - m
         bounds: dict[str, BoundValue] = {}
 
         if m <= (n + 1) // 2:
-            bounds["oon_2n"] = BoundValue(True, n * mpmath.log(2))
+            bounds["oon_2n"] = BoundValue(True, n * log2)
         else:
             bounds["oon_2n"] = BoundValue(False, None)
 
@@ -296,7 +327,7 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
 
         bounds["t7"] = BoundValue(
             True,
-            mpmath.log(factorial_bound_const(c))
+            log_fact_const
             + 2 * _log_int(m)
             + 2 * log_factorial(n)
             - 2 * log_factorial(m)
@@ -306,10 +337,10 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
         if m < n:
             bounds["t9"] = BoundValue(
                 True,
-                mpmath.log(exp_bound_const(c))
+                log_exp_const
                 + _log_int(n)
                 + _log_int(m)
-                - mpf("1.5") * _log_int(d)
+                - three_halves * _log_int(d)
                 + d * (2 * _log_int(m) - 3 * _log_int(d))
                 + 3 * d,
             )
@@ -318,26 +349,19 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
 
         # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
         if 8 * d**3 >= n * n:
-            frontier = mpf(n) - mpmath.power(n, mpf(2) / 3) / 2
-            bounds["c5"] = BoundValue(
-                True,
-                mpmath.log(frontier_bound_const(c))
-                + mpmath.log(frontier)
-                + floor_half_frontier(n) * (mpmath.log(2) + 3),
-            )
+            log_frontier, frontier_term = _c5_terms(n)
+            bounds["c5"] = BoundValue(True, log_frontier_const + log_frontier + frontier_term)
         else:
             bounds["c5"] = BoundValue(False, None)
 
         # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
         if 8 * d**3 <= n * n:
-            bounds["final"] = BoundValue(
-                True, mpmath.log(exp_bound_const(c)) + _log_int(n) + 3 * d
-            )
+            bounds["final"] = BoundValue(True, log_exp_const + _log_int(n) + 3 * d)
         else:
             bounds["final"] = BoundValue(False, None)
 
         if c == 1 and m == 1:
-            bounds["farhi"] = BoundValue(True, mpmath.log(mpf("0.32")) + n * mpmath.log(mpf("1.442")))
+            bounds["farhi"] = BoundValue(True, log_farhi_const + n * log_farhi_base)
         else:
             bounds["farhi"] = BoundValue(False, None)
 

@@ -312,13 +312,10 @@ def cmd_table(args) -> int:
                         writer.writerow([args.c, n, m] + ["NA"] * (1 + len(BOUND_NAMES)))
                         continue
                 cells = [args.c, n, m, fmt_log(br.logL)]
-                for name in BOUND_NAMES:
-                    bv = br.bounds[name]
-                    if bv.applicable:
-                        with mpmath.workprec(_bounds.PRECISION_BITS):
-                            cells.append(fmt_log(bv.log_value / br.logL))
-                    else:
-                        cells.append("NA")
+                with mpmath.workprec(_bounds.PRECISION_BITS):
+                    for name in BOUND_NAMES:
+                        bv = br.bounds[name]
+                        cells.append(fmt_log(bv.log_value / br.logL) if bv.applicable else "NA")
                 writer.writerow(cells)
     return code
 

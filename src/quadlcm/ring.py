@@ -183,10 +183,11 @@ def shifted_product(c: int, m: int, n: int) -> QuadInt:
     """The product (m + sqrt(-c)) (m+1 + sqrt(-c)) ... (n + sqrt(-c))."""
     if m > n:
         raise ValueError(f"need m <= n, got m={m}, n={n}")
-    acc = QuadInt(1, 0, c)
+    a, b = 1, 0
     for k in range(m, n + 1):
-        acc = acc * QuadInt(k, 1, c)
-    return acc
+        # (a + b*sqrt(-c)) * (k + sqrt(-c))
+        a, b = a * k - c * b, a + b * k
+    return QuadInt(a, b, c)
 
 
 def product_divides_ab(u: Sequence[QuadInt], a: QuadInt, b: QuadInt) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from quadlcm import bounds
 from quadlcm import (
     QuadInt,
     bound_report,
@@ -239,6 +240,47 @@ class TestBoundReport:
         assert r.failures() == []
         bad = dataclasses.replace(r, logL=mpmath.mpf(-100))
         assert bad.failures()
+
+
+def _clear_log_caches():
+    for memo in (bounds._fixed_consts, bounds._log_consts, bounds._c5_terms):
+        memo.cache_clear()
+    bounds._LOG_INT_CACHE.clear()
+    bounds._LOG_FACT_CACHE.clear()
+
+
+class TestLogCaches:
+    def test_prefactor_logs_match_fresh(self):
+        _clear_log_caches()
+        for c in range(1, 6):
+            cached = bounds._log_consts(c)
+            with mpmath.workprec(PRECISION_BITS):
+                fresh = (
+                    mpmath.log(factorial_bound_const(c)),
+                    mpmath.log(exp_bound_const(c)),
+                    mpmath.log(frontier_bound_const(c)),
+                )
+            assert cached == fresh
+
+    @pytest.mark.parametrize("c, m, n", [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 5, 9), (3, 60, 64), (1, 1, 200)])
+    def test_first_call_precision_does_not_leak(self, c, m, n):
+        reports = []
+        for prec in (53, 256):
+            _clear_log_caches()
+            with mpmath.workprec(prec):
+                reports.append(bound_report(c, m, n))
+        low, high = reports
+        assert low.logL == high.logL
+        assert low.bounds == high.bounds
+        assert any(bv.applicable for bv in low.bounds.values())
+
+    def test_log_factorial_first_call_precision_does_not_leak(self):
+        values = []
+        for prec in (53, 256):
+            _clear_log_caches()
+            with mpmath.workprec(prec):
+                values.append(log_factorial(60))
+        assert values[0] == values[1]
 
 
 class TestStirling:

@@ -54,6 +54,20 @@ BEZOUT_SHA256 = {
 }
 
 
+# sha256 of `quadlcm table` / `quadlcm sweep` stdout, captured before the
+# bound prefactors were memoised; table c=1 and the `all` and `half_ceil`
+# sweeps are also output hashes in perfbench/baseline.json
+TABLE_SHA256 = {
+    1: "0c1bc87b0de97e493b88240c18a2fdc8bfcc1d5d169b547c2a5cc71ff1db5c2f",
+    2: "3ab6cb6005d88740d2f22db10c1eca14d6c042e98273cc697a6bb57ac7157db5",
+    3: "266fd5299910a97fe853e62566ee1a2a176b9fe4523381eee22bb09413418037",
+}
+SWEEP_SHA256 = {
+    ("all", 40, "csv"): "4b33f98b5820501248e5e3845c9df6df681145716feedfbd516b110b5211dc1f",
+    ("half_ceil", 260, "json"): "ab509a2cfe3dd77a54c453d2ff422aeb5cb56e09615771f565652b07fb611408",
+    ("frontier", 220, "csv"): "87615b1babe6846140edfbee9fb2a50712248b00ed34dc4da82da259e2bbbd49",
+}
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -209,6 +223,21 @@ class TestSweep:
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("policy, n_max, fmt, workers", [
+        ("all", 40, "csv", 1),
+        ("all", 40, "csv", 2),
+        ("half_ceil", 260, "json", 1),
+        ("frontier", 220, "csv", 1),
+    ])
+    def test_golden_bytes(self, policy, n_max, fmt, workers, capsys):
+        code, out, _ = run(
+            ["sweep", "--c-min", "1", "--c-max", "5", "--n-min", "1", "--n-max", str(n_max),
+             "--m-policy", policy, "--format", fmt, "--parallelism", str(workers)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(policy, n_max, fmt)]
+
     def test_violation_exit_2(self, capsys, monkeypatch):
         def boom(c, m, n):
             raise InvariantViolation("forged sweep failure", None)
@@ -323,3 +352,9 @@ class TestTable:
         _, out1, _ = run(["table", "--c", "1", "--n-max", "7"], capsys)
         _, out2, _ = run(["table", "--c", "1", "--n-max", "7"], capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("c", sorted(TABLE_SHA256))
+    def test_golden_bytes(self, c, capsys):
+        code, out, _ = run(["table", "--c", str(c), "--n-max", "70"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[c]

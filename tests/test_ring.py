@@ -197,6 +197,22 @@ class TestShiftedProduct:
                 expected = expected * QuadInt(k, 1, c)
             assert shifted_product(c, 3, 8) == expected
 
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=-10, max_value=15),
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_matches_quadint_products(self, c, m, width):
+        expected = QuadInt(1, 0, c)
+        for k in range(m, m + width + 1):
+            expected = expected * QuadInt(k, 1, c)
+        assert shifted_product(c, m, m + width) == expected
+
+    @given(st.integers(min_value=-3, max_value=0), st.integers(min_value=-3, max_value=3))
+    def test_c_below_one_rejected(self, c, m):
+        with pytest.raises(ValueError):
+            shifted_product(c, m, m + 2)
+
 
 class TestProductDividesAB:
     def test_two_element_example(self):
