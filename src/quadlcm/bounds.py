@@ -7,13 +7,18 @@ That tolerance can decide a claim: `oon_2n` holds with slack exactly 0 at
 (c, m, n) = (1, 1, 1), where L = 2, and `binom` has only 0.51 nats of slack
 at (1, 2, 3).  ROADMAP item 4 replaces it with certified enclosures.
 
+The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
+applicability gate and a log value.  `triple_report` computes L once per
+triple and builds every claim from it; `verify_divisor`, `bound_report` and
+`combinatorial_checks` each build one part of that record from their own L.
+
 Quantities that depend on c alone or on n alone (the log prefactors, the c5
 frontier terms) are memoised once per process; no mpmath work runs at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -27,8 +32,6 @@ from .ring import QuadInt, content, divide_exact, shifted_product
 PRECISION_BITS = 128  # comfortably above the 80-bit floor the reports promise
 
 LOG_TOLERANCE = mpmath.mpf("1e-9")  # relative, on natural logs
-
-BOUND_NAMES = ("oon_2n", "binom", "t7", "t9", "c5", "final", "farhi")
 
 
 class InvariantViolation(RuntimeError):
@@ -97,6 +100,8 @@ class DivisorReport:
     hc_bound: int
     star_x: int
     star_y: int
+    # (m + sqrt(-c)) ... (n + sqrt(-c)), kept for the star check; not serialized
+    product: QuadInt = field(repr=False, compare=False)
 
     def failures(self) -> list[str]:
         """All violated invariants, empty when the record is consistent."""
@@ -107,19 +112,13 @@ class DivisorReport:
             out.append("hc_value does not divide hc_bound")
         fact = factorial(self.n - self.m)
         star = QuadInt(self.star_x, self.star_y, self.c)
-        if star * shifted_product(self.c, self.m, self.n) != QuadInt(self.L * fact, 0, self.c):
+        if star * self.product != QuadInt(self.L * fact, 0, self.c):
             out.append("(star_x + star_y*sqrt(-c)) * product != L * (n-m)!")
         return out
 
 
-def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
-    """Compute and exactly check the full divisor record for one triple.
-
-    Raises InvariantViolation if any claim fails; the proofs guarantee that
-    never happens, so a raise means an arithmetic bug.
-    """
-    _require_range(c, m, n)
-    big_l = lcm_range(c, m, n)
+def _divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
+    """The divisor record of one triple whose lcm is big_l; raises on any failed claim."""
     num, den = _divisor_parts(c, m, n)
     divisor = Fraction(num, den)
     quotient = Fraction(big_l) / divisor
@@ -143,11 +142,21 @@ def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
         hc_bound=hc_bound,
         star_x=star.a,
         star_y=star.b,
+        product=product,
     )
     bad = report.failures()
     if bad:
         raise InvariantViolation(f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}", report)
     return report
+
+
+def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
+    """Compute and exactly check the full divisor record for one triple.
+
+    Raises InvariantViolation if any claim fails; the proofs guarantee that
+    never happens, so a raise means an arithmetic bug.
+    """
+    return _divisor_report(c, m, n, lcm_range(c, m, n))
 
 
 @dataclass(frozen=True)
@@ -158,12 +167,14 @@ class CombinatorialChecks:
     two_n_ok: Optional[bool]  # None when m > ceil(n/2)
 
 
-def combinatorial_checks(c: int, m: int, n: int) -> CombinatorialChecks:
-    _require_range(c, m, n)
-    big_l = lcm_range(c, m, n)
+def _combinatorial_checks(m: int, n: int, big_l: int) -> CombinatorialChecks:
     binom_ok = big_l >= m * comb(n, m)
     two_n_ok = big_l >= 2**n if m <= (n + 1) // 2 else None
     return CombinatorialChecks(binom_ok=binom_ok, two_n_ok=two_n_ok)
+
+
+def combinatorial_checks(c: int, m: int, n: int) -> CombinatorialChecks:
+    return _combinatorial_checks(m, n, lcm_range(c, m, n))
 
 
 # --- log-space machinery ---------------------------------------------------
@@ -268,10 +279,52 @@ def _c5_terms(n: int) -> tuple[mpf, mpf]:
         return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
 
 
+# One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d))
+# with d = n - m.  Gates are exact integer comparisons (8*(n-m)^3 vs n^2 for
+# the frontier split) so no triple is misclassified by rounding; a log value
+# is evaluated only where its gate holds, inside the 128-bit working precision.
+_BOUNDS = (
+    ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
+     lambda c, m, n, d: n * _fixed_consts()[0]),
+    ("binom", lambda c, m, n, d: True,
+     lambda c, m, n, d: mpmath.log(m * comb(n, m))),
+    ("t7", lambda c, m, n, d: True,
+     lambda c, m, n, d: (
+         _log_consts(c)[0]
+         + 2 * _log_int(m)
+         + 2 * log_factorial(n)
+         - 2 * log_factorial(m)
+         - 3 * log_factorial(d)
+     )),
+    ("t9", lambda c, m, n, d: m < n,
+     lambda c, m, n, d: (
+         _log_consts(c)[1]
+         + _log_int(n)
+         + _log_int(m)
+         - _fixed_consts()[2] * _log_int(d)
+         + d * (2 * _log_int(m) - 3 * _log_int(d))
+         + 3 * d
+     )),
+    # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
+    ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
+     lambda c, m, n, d: _log_consts(c)[2] + _c5_terms(n)[0] + _c5_terms(n)[1]),
+    # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
+    ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
+     lambda c, m, n, d: _log_consts(c)[1] + _log_int(n) + 3 * d),
+    ("farhi", lambda c, m, n, d: c == 1 and m == 1,
+     lambda c, m, n, d: _fixed_consts()[3] + n * _fixed_consts()[4]),
+)
+
+BOUND_NAMES = tuple(name for name, _, _ in _BOUNDS)
+
+
 @dataclass(frozen=True)
 class BoundValue:
     applicable: bool
     log_value: Optional[mpf]  # None when not applicable
+
+
+_NOT_APPLICABLE = BoundValue(False, None)
 
 
 @dataclass(frozen=True)
@@ -293,83 +346,73 @@ class BoundReport:
 
     def failures(self) -> list[str]:
         out = []
-        for name, bv in self.bounds.items():
-            if not bv.applicable:
-                continue
-            slack = LOG_TOLERANCE * abs(bv.log_value)
-            if self.logL < bv.log_value - slack:
-                out.append(f"bound {name}: log_value {bv.log_value} exceeds logL {self.logL}")
+        # at the caller's precision (53 bits by default) the subtraction could round a violation away
+        with mpmath.workprec(PRECISION_BITS):
+            for name, bv in self.bounds.items():
+                if bv.applicable and self.logL < bv.log_value - LOG_TOLERANCE * abs(bv.log_value):
+                    out.append(f"bound {name}: log_value {bv.log_value} exceeds logL {self.logL}")
         return out
 
 
-def bound_report(c: int, m: int, n: int) -> BoundReport:
-    """Evaluate every applicable lower bound for one triple, in log space.
-
-    Applicability gates use exact integer comparisons (8*(n-m)^3 vs n^2 for
-    the frontier split) so no triple is misclassified by rounding.  Raises
-    InvariantViolation when an applicable bound exceeds the exact logL.
-    """
-    _require_range(c, m, n)
-    big_l = lcm_range(c, m, n)
-    log2, _, three_halves, log_farhi_const, log_farhi_base = _fixed_consts()
-    log_fact_const, log_exp_const, log_frontier_const = _log_consts(c)
+def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
+    """Every bound of `_BOUNDS` at one triple whose lcm is big_l; raises on a violated one."""
+    d = n - m
     with mpmath.workprec(PRECISION_BITS):
         log_l = mpmath.log(big_l)
-        d = n - m
-        bounds: dict[str, BoundValue] = {}
-
-        if m <= (n + 1) // 2:
-            bounds["oon_2n"] = BoundValue(True, n * log2)
-        else:
-            bounds["oon_2n"] = BoundValue(False, None)
-
-        bounds["binom"] = BoundValue(True, mpmath.log(m * comb(n, m)))
-
-        bounds["t7"] = BoundValue(
-            True,
-            log_fact_const
-            + 2 * _log_int(m)
-            + 2 * log_factorial(n)
-            - 2 * log_factorial(m)
-            - 3 * log_factorial(d),
-        )
-
-        if m < n:
-            bounds["t9"] = BoundValue(
-                True,
-                log_exp_const
-                + _log_int(n)
-                + _log_int(m)
-                - three_halves * _log_int(d)
-                + d * (2 * _log_int(m) - 3 * _log_int(d))
-                + 3 * d,
-            )
-        else:
-            bounds["t9"] = BoundValue(False, None)
-
-        # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
-        if 8 * d**3 >= n * n:
-            log_frontier, frontier_term = _c5_terms(n)
-            bounds["c5"] = BoundValue(True, log_frontier_const + log_frontier + frontier_term)
-        else:
-            bounds["c5"] = BoundValue(False, None)
-
-        # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
-        if 8 * d**3 <= n * n:
-            bounds["final"] = BoundValue(True, log_exp_const + _log_int(n) + 3 * d)
-        else:
-            bounds["final"] = BoundValue(False, None)
-
-        if c == 1 and m == 1:
-            bounds["farhi"] = BoundValue(True, log_farhi_const + n * log_farhi_base)
-        else:
-            bounds["farhi"] = BoundValue(False, None)
-
+        bounds = {
+            name: BoundValue(True, log_value(c, m, n, d)) if applies(c, m, n, d) else _NOT_APPLICABLE
+            for name, applies, log_value in _BOUNDS
+        }
     report = BoundReport(c=c, m=m, n=n, logL=log_l, bounds=bounds)
     bad = report.failures()
     if bad:
         raise InvariantViolation(f"bound invariants failed at (c={c}, m={m}, n={n}): {bad}", report)
     return report
+
+
+def bound_report(c: int, m: int, n: int) -> BoundReport:
+    """Evaluate every applicable lower bound for one triple, in log space.
+
+    Raises InvariantViolation when an applicable bound exceeds the exact logL.
+    """
+    return _bound_report(c, m, n, lcm_range(c, m, n))
+
+
+@dataclass(frozen=True)
+class TripleReport:
+    """Every claim checked at one (c, m, n), all from one computation of L."""
+
+    divisor: Optional[DivisorReport]  # None when L/D is not integral
+    bounds: BoundReport
+    checks: CombinatorialChecks
+    violations: tuple[str, ...]  # empty when every claim holds
+
+
+def triple_report(c: int, m: int, n: int) -> TripleReport:
+    """The divisor record, bound report and combinatorial checks of one triple.
+
+    Never raises InvariantViolation: a failed claim keeps the report that
+    exposed it (None for the divisor when L/D is not integral) and adds
+    its message to `violations`.
+    """
+    big_l = lcm_range(c, m, n)
+    violations: list[str] = []
+
+    def checked(build):
+        try:
+            return build(c, m, n, big_l)
+        except InvariantViolation as exc:
+            violations.append(str(exc))
+            return exc.report
+
+    divisor = checked(_divisor_report)
+    bounds = checked(_bound_report)
+    checks = _combinatorial_checks(m, n, big_l)
+    if not checks.binom_ok:
+        violations.append("L < m * C(n, m)")
+    if checks.two_n_ok is False:
+        violations.append("L < 2^n")
+    return TripleReport(divisor=divisor, bounds=bounds, checks=checks, violations=tuple(violations))
 
 
 def stirling_check(k: int) -> bool:

@@ -25,10 +25,10 @@ from .bounds import (
     BoundReport,
     DivisorReport,
     InvariantViolation,
+    TripleReport,
     bound_report,
-    combinatorial_checks,
     floor_half_frontier,
-    verify_divisor,
+    triple_report,
 )
 from .poly import BezoutCertificate, bezout_certificate
 
@@ -98,6 +98,19 @@ def bounds_to_json(r: BoundReport) -> dict:
             for name, bv in r.bounds.items()
         },
     }
+
+
+def report_to_json(r: TripleReport) -> dict:
+    """The `verify` document; a sweep row is its projection onto SWEEP_COLUMNS."""
+    doc = {
+        "divisor": divisor_to_json(r.divisor) if r.divisor is not None else None,
+        "bounds": bounds_to_json(r.bounds),
+        "checks": {"binom_ok": r.checks.binom_ok, "two_n_ok": r.checks.two_n_ok},
+        "ok": not r.violations,
+    }
+    if r.violations:
+        doc["violations"] = list(r.violations)
+    return doc
 
 
 def certificate_to_json(cert: BezoutCertificate) -> dict:
@@ -172,35 +185,16 @@ class SweepConfig:
         return out
 
 
-def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, list[str]]:
-    """One sweep work item; must stay top-level picklable for process pools."""
-    c, m, n = triple
-    violations: list[str] = []
-    try:
-        dr = verify_divisor(c, m, n)
-    except InvariantViolation as exc:
-        dr = exc.report
-        violations.append(str(exc))
-    try:
-        br = bound_report(c, m, n)
-    except InvariantViolation as exc:
-        br = exc.report
-        violations.append(str(exc))
-    row = {"c": c, "m": m, "n": n}
-    if dr is not None:
-        row.update(
-            L=dr.L, D_num=dr.D.numerator, D_den=dr.D.denominator,
-            quotient=dr.quotient_check, hc=dr.hc_value, hc_bound=dr.hc_bound,
-            star_x=dr.star_x, star_y=dr.star_y,
-        )
-    if br is not None:
-        row["logL"] = fmt_log(br.logL)
-        for name, bv in br.bounds.items():
-            row[name] = fmt_log(bv.log_value) if bv.applicable else None
-    return row, violations
+def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, tuple[str, ...]]:
+    """One sweep work item: the `verify` document projected onto SWEEP_COLUMNS; top-level to pickle."""
+    report = triple_report(*triple)
+    doc = report_to_json(report)
+    cells = {**doc["bounds"], **(doc["divisor"] or {})}
+    cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
+    return {col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations
 
 
-def _emit_sweep(rows: Iterable[tuple[dict, list[str]]], cfg: SweepConfig, out: TextIO) -> int:
+def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], cfg: SweepConfig, out: TextIO) -> int:
     code = EXIT_OK
     writer = None
     if cfg.output_format == "csv":
@@ -209,61 +203,23 @@ def _emit_sweep(rows: Iterable[tuple[dict, list[str]]], cfg: SweepConfig, out: T
     for row, violations in rows:
         if violations:
             code = EXIT_VIOLATION
-            triple = (row.get("c"), row.get("m"), row.get("n"))
+            triple = (row["c"], row["m"], row["n"])
             for v in violations:
                 print(f"VIOLATION at (c,m,n)={triple}: {v}", file=sys.stderr)
         if cfg.output_format == "csv":
-            cells = []
-            for col in SWEEP_COLUMNS:
-                v = row.get(col)
-                cells.append("NA" if v is None else str(v))
-            writer.writerow(cells)
+            writer.writerow(["NA" if v is None else str(v) for v in row.values()])
         else:
-            obj = {col: _json_cell(col, row.get(col)) for col in SWEEP_COLUMNS}
-            out.write(json.dumps(obj) + "\n")
+            out.write(json.dumps(row) + "\n")
     return code
-
-
-def _json_cell(col: str, v):
-    if v is None:
-        return None
-    if col in ("c", "m", "n"):
-        return v
-    if isinstance(v, int):
-        return js_int(v)
-    return v  # logL and bound columns are preformatted strings
 
 
 def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     with _open_out(args.out) as out:
-        violations: list[str] = []
-        try:
-            dr = verify_divisor(args.c, args.m, args.n)
-        except InvariantViolation as exc:
-            dr = exc.report
-            violations.append(str(exc))
-        try:
-            br = bound_report(args.c, args.m, args.n)
-        except InvariantViolation as exc:
-            br = exc.report
-            violations.append(str(exc))
-        checks = combinatorial_checks(args.c, args.m, args.n)
-        if not checks.binom_ok:
-            violations.append("L < m * C(n, m)")
-        if checks.two_n_ok is False:
-            violations.append("L < 2^n")
-        doc = {
-            "divisor": divisor_to_json(dr) if dr is not None else None,
-            "bounds": bounds_to_json(br) if br is not None else None,
-            "checks": {"binom_ok": checks.binom_ok, "two_n_ok": checks.two_n_ok},
-            "ok": not violations,
-        }
-        if violations:
-            doc["violations"] = violations
-        out.write(json.dumps(doc, indent=2) + "\n")
-    return EXIT_VIOLATION if violations else EXIT_OK
+        report = triple_report(args.c, args.m, args.n)
+        out.write(json.dumps(report_to_json(report), indent=2) + "\n")
+    return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -308,9 +264,6 @@ def cmd_table(args) -> int:
                     br = exc.report
                     code = EXIT_VIOLATION
                     print(f"VIOLATION at (c,m,n)=({args.c},{m},{n}): {exc}", file=sys.stderr)
-                    if br is None:
-                        writer.writerow([args.c, n, m] + ["NA"] * (1 + len(BOUND_NAMES)))
-                        continue
                 cells = [args.c, n, m, fmt_log(br.logL)]
                 with mpmath.workprec(_bounds.PRECISION_BITS):
                     for name in BOUND_NAMES:

@@ -15,9 +15,11 @@ from quadlcm import (
     product_content,
     rational_divisor,
     stirling_check,
+    triple_report,
     verify_divisor,
 )
 from quadlcm.bounds import (
+    LOG_TOLERANCE,
     PRECISION_BITS,
     exp_bound_const,
     factorial_bound_const,
@@ -240,6 +242,53 @@ class TestBoundReport:
         assert r.failures() == []
         bad = dataclasses.replace(r, logL=mpmath.mpf(-100))
         assert bad.failures()
+
+    def test_failures_compare_at_working_precision(self):
+        # logL falls short of the tolerance by a relative 2^-110: visible at
+        # 128 bits, rounded away at mpmath's default 53
+        r = bound_report(1, 1, 2)
+        v = r.bounds["oon_2n"].log_value
+        with mpmath.workprec(PRECISION_BITS):
+            forged = (v - LOG_TOLERANCE * abs(v)) * (1 - mpmath.mpf(2) ** -110)
+        assert mpmath.mp.prec == 53
+        assert dataclasses.replace(r, logL=forged).failures()
+
+
+class TestTripleReport:
+    def test_one_lcm_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(c, m, n):
+            calls.append((c, m, n))
+            return lcm_range_unpatched(c, m, n)
+
+        lcm_range_unpatched = bounds.lcm_range
+        monkeypatch.setattr(bounds, "lcm_range", counted)
+        triples = [(1, 1, 1), (1, 2, 3), (3, 4, 9), (2, 1, 30)]
+        for triple in triples:
+            triple_report(*triple)
+        assert calls == triples
+
+    def test_parts_match_separate_builders(self):
+        for c in (1, 2, 5):
+            for n in range(1, 13):
+                for m in range(1, n + 1):
+                    r = triple_report(c, m, n)
+                    assert r.divisor == verify_divisor(c, m, n)
+                    assert r.bounds == bound_report(c, m, n)
+                    assert r.checks == combinatorial_checks(c, m, n)
+                    assert r.violations == ()
+
+    def test_failed_claims_are_collected_not_raised(self, monkeypatch):
+        # L = 1 breaks every claim: L/D is not integral, every bound exceeds
+        # log L = 0, and L < m*C(n, m), L < 2^n
+        monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 1)
+        r = triple_report(1, 1, 3)
+        assert r.divisor is None
+        assert not r.checks.binom_ok and r.checks.two_n_ok is False
+        assert r.violations[0] == "L/D is not an integer at (c=1, m=1, n=3)"
+        assert r.violations[1].startswith("bound invariants failed at (c=1, m=1, n=3)")
+        assert r.violations[2:] == ("L < m * C(n, m)", "L < 2^n")
 
 
 def _clear_log_caches():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,6 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm.bounds import InvariantViolation
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -67,6 +67,17 @@ SWEEP_SHA256 = {
     ("half_ceil", 260, "json"): "ab509a2cfe3dd77a54c453d2ff422aeb5cb56e09615771f565652b07fb611408",
     ("frontier", 220, "csv"): "87615b1babe6846140edfbee9fb2a50712248b00ed34dc4da82da259e2bbbd49",
 }
+# sha256 of `quadlcm verify --c C --m M --n N` stdout, captured before the
+# three parts of a triple's record were built from one L
+VERIFY_SHA256 = {
+    (1, 1, 1): "9c6831d1ed8f9bbb71270e32312fe26a1ab180cf89c5c8eb8e663807486d7c4a",
+    (1, 1, 3): "f1c159c8da2c97fcc85ee63112980282a76f471ba2e8c1aa10be3b025d9bba54",
+    (1, 2, 3): "e01b5765405498e91fbb5807bdcbdb4c528780e702fa5fb73edad1c5844a4783",
+    (4, 7, 7): "d4d5b1ee1dcdc85fa5dfd665cf058a3636f67d9b78d1142f3c7724de08c1747e",
+    (3, 5, 60): "8c0becbc9a45c93ef57222489b14736b08767f24474863b7e99bb9e3c25a33b6",
+    (2, 1, 150): "dc9e630580b3c7dfed8c86e2ada8fe0bb7addf16724dc984eb5ff077ac897671",
+    (5, 100, 200): "a7d70f8affb9f798fc64e400c53e8603d31964ccce736043f1d7345bdb15c3aa",
+}
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -109,16 +120,23 @@ class TestVerify:
         assert "usage:" in err
 
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def boom(c, m, n):
-            raise InvariantViolation("forged failure", None)
+        def forged(c, m, n):
+            return dataclasses.replace(real(c, m, n), divisor=None, violations=("forged failure",))
 
-        monkeypatch.setattr(cli, "verify_divisor", boom)
+        real = cli.triple_report
+        monkeypatch.setattr(cli, "triple_report", forged)
         code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "3"], capsys)
         assert code == 2
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["divisor"] is None
         assert any("forged" in v for v in doc["violations"])
+
+    @pytest.mark.parametrize("c, m, n", sorted(VERIFY_SHA256))
+    def test_golden_bytes(self, c, m, n, capsys):
+        code, out, _ = run(["verify", "--c", str(c), "--m", str(m), "--n", str(n)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(c, m, n)]
 
 
 class TestSweep:
@@ -239,10 +257,11 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(policy, n_max, fmt)]
 
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def boom(c, m, n):
-            raise InvariantViolation("forged sweep failure", None)
+        def forged(c, m, n):
+            return dataclasses.replace(real(c, m, n), divisor=None, violations=("forged sweep failure",))
 
-        monkeypatch.setattr(cli, "verify_divisor", boom)
+        real = cli.triple_report
+        monkeypatch.setattr(cli, "triple_report", forged)
         code, out, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"],
             capsys,
@@ -295,8 +314,8 @@ class TestOutputErrors:
     # each command's first piece of work raises if reached: the output must
     # be opened before any work starts
     @pytest.mark.parametrize("argv, work", [
-        (["verify", "--c", "1", "--m", "1", "--n", "3"], "verify_divisor"),
-        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "verify_divisor"),
+        (["verify", "--c", "1", "--m", "1", "--n", "3"], "triple_report"),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "triple_report"),
         (["bezout", "--c", "1", "--k", "2"], "bezout_certificate"),
         (["table", "--c", "1", "--n-max", "3"], "bound_report"),
     ])
