@@ -13,7 +13,10 @@ triple and builds every claim from it; `verify_divisor`, `bound_report` and
 `combinatorial_checks` each build one part of that record from their own L.
 
 Quantities that depend on c alone or on n alone (the log prefactors, the c5
-frontier terms) are memoised once per process; no mpmath work runs at import.
+frontier terms) are memoised once per process.  mpmath is bound lazily and
+nothing at module level reads an mpmath attribute (the tolerance is a plain
+float), so mpmath loads on the first log evaluated, not at import.  The
+exact quantity content_multiple lives in `ring`; it is imported here too.
 """
 
 from __future__ import annotations
@@ -22,16 +25,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import mpmath
-from mpmath import mpf
+from ._lazy import lazy_import
+from .ring import QuadInt, content, content_multiple, divide_exact, shifted_product
 
-from .ring import QuadInt, content, divide_exact, shifted_product
+if TYPE_CHECKING:
+    from mpmath import mpf
+
+mpmath = lazy_import("mpmath")  # loads on first use, not at import
 
 PRECISION_BITS = 128  # comfortably above the 80-bit floor the reports promise
 
-LOG_TOLERANCE = mpmath.mpf("1e-9")  # relative, on natural logs
+# relative, on natural logs; the double nearest 1e-9, the same binary value
+# as mpmath.mpf("1e-9") at mpmath's default 53 bits
+LOG_TOLERANCE = 1e-9
 
 
 class InvariantViolation(RuntimeError):
@@ -72,16 +80,6 @@ def rational_divisor(c: int, m: int, n: int) -> Fraction:
 def product_content(c: int, m: int, n: int) -> int:
     """gcd of the two components of (m + sqrt(-c)) ... (n + sqrt(-c))."""
     return content(shifted_product(c, m, n))
-
-
-def content_multiple(c: int, k: int) -> int:
-    """c * prod_{l=1..k} (l^2 + 4c); a universal multiple of product_content."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    out = c
-    for ell in range(1, k + 1):
-        out *= ell * ell + 4 * c
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def log_factorial(k: int) -> mpf:
         with mpmath.workprec(PRECISION_BITS):
             while len(_LOG_FACT_CACHE) <= k:
                 if not _LOG_FACT_CACHE:
-                    _LOG_FACT_CACHE.append(mpf(0))
+                    _LOG_FACT_CACHE.append(mpmath.mpf(0))
                 j = len(_LOG_FACT_CACHE)
                 _LOG_FACT_CACHE.append(_LOG_FACT_CACHE[-1] + mpmath.log(j))
     return _LOG_FACT_CACHE[k]
@@ -245,21 +243,23 @@ def factorial_bound_const(c: int) -> mpf:
 def exp_bound_const(c: int) -> mpf:
     """Prefactor e^(-2*pi^2*c/3 - 5/12) / ((2*pi)^(3/2) * c)."""
     with mpmath.workprec(PRECISION_BITS):
-        return mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpf(5) / 12) / ((2 * mpmath.pi) ** mpf("1.5") * c)
+        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
+                / ((2 * mpmath.pi) ** mpmath.mpf("1.5") * c))
 
 
 def frontier_bound_const(c: int) -> mpf:
     """Prefactor e^(-2*pi^2*c/3 - 5/12) / (pi^(3/2) * c); 2^(3/2) times exp_bound_const."""
     with mpmath.workprec(PRECISION_BITS):
-        return mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpf(5) / 12) / (mpmath.pi ** mpf("1.5") * c)
+        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
+                / (mpmath.pi ** mpmath.mpf("1.5") * c))
 
 
 @lru_cache(maxsize=None)
 def _fixed_consts() -> tuple[mpf, mpf, mpf, mpf, mpf]:
     """log 2, 2/3, 1.5, log 0.32 and log 1.442 at the working precision."""
     with mpmath.workprec(PRECISION_BITS):
-        return (mpmath.log(2), mpf(2) / 3, mpf("1.5"),
-                mpmath.log(mpf("0.32")), mpmath.log(mpf("1.442")))
+        return (mpmath.log(2), mpmath.mpf(2) / 3, mpmath.mpf("1.5"),
+                mpmath.log(mpmath.mpf("0.32")), mpmath.log(mpmath.mpf("1.442")))
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +275,7 @@ def _c5_terms(n: int) -> tuple[mpf, mpf]:
     """log(n - n^(2/3)/2) and floor(n^(2/3)/2) * (log 2 + 3), the n-only terms of c5."""
     log2, two_thirds = _fixed_consts()[:2]
     with mpmath.workprec(PRECISION_BITS):
-        frontier = mpf(n) - mpmath.power(n, two_thirds) / 2
+        frontier = mpmath.mpf(n) - mpmath.power(n, two_thirds) / 2
         return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
 
 
@@ -426,5 +426,5 @@ def stirling_check(k: int) -> bool:
     with mpmath.workprec(PRECISION_BITS):
         exact = log_factorial(k)
         lower = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
-        upper = lower + mpf(1) / (12 * k)
+        upper = lower + mpmath.mpf(1) / (12 * k)
         return bool(lower <= exact <= upper)

@@ -1,9 +1,10 @@
 """Command-line front end: verify, sweep, bezout, table.
 
-Exit codes: 0 all checks pass, 1 usage or configuration error, 2 a
-mathematical invariant failed.  Sweep output is byte-identical for a given
-configuration at any parallelism level: work items go to a pool, results
-are buffered and emitted in (c, n, m) lexicographic order.
+Exit codes: 0 all checks pass, 1 usage or configuration error (or a sweep
+pool worker that raised or died), 2 a mathematical invariant failed.  Sweep
+output is byte-identical for a given configuration at any parallelism
+level: work items go to a pool, results are buffered and emitted in
+(c, n, m) lexicographic order.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-import mpmath
-
 from . import bounds as _bounds
+from ._lazy import lazy_import
 from .bounds import (
     BOUND_NAMES,
     BoundReport,
@@ -31,6 +30,8 @@ from .bounds import (
     triple_report,
 )
 from .poly import BezoutCertificate, bezout_certificate
+
+mpmath = lazy_import("mpmath")  # `bezout` never loads it
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +48,10 @@ SWEEP_COLUMNS = (
 
 class UsageError(Exception):
     pass
+
+
+class WorkerError(Exception):
+    """A sweep pool worker raised or died; reported in one line with exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,6 +199,15 @@ def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, tuple[str, ...]]:
     return {col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations
 
 
+def _pool_results(results: Iterator) -> Iterator:
+    """The pool's results in order; a worker's exception, or a dead worker, becomes WorkerError."""
+    try:
+        yield from results
+    except Exception as exc:
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+        raise WorkerError(f"sweep worker failed: {reason}") from exc
+
+
 def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], cfg: SweepConfig, out: TextIO) -> int:
     code = EXIT_OK
     writer = None
@@ -233,10 +247,12 @@ def cmd_sweep(args) -> int:
     triples = cfg.triples()
     with _open_out(args.out) as out:
         if cfg.parallelism > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
                 # map preserves input order, so emission stays canonical
                 results = pool.map(_sweep_row, triples, chunksize=8)
-                return _emit_sweep(results, cfg, out)
+                return _emit_sweep(_pool_results(results), cfg, out)
         return _emit_sweep(map(_sweep_row, triples), cfg, out)
 
 
@@ -340,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             msg = f"{parser.prog}: error: {msg}\n{parser.format_usage()}"
         print(msg, file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, WorkerError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,11 @@ degree-<=k Bezout cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.
 Three independent routes to alpha are kept, and their exact agreement is
 the module's main correctness check: the closed product formula for its
 Newton coefficients, the alternating-sum definition of those coefficients,
-and the extended Euclidean algorithm on P and conj(P).
+and the extended Euclidean algorithm on P and conj(P).  The closed-form
+vector is built in one pass, one new denominator factor per coefficient.
+
+The module depends on `ring` only: the certificate's d = content_multiple
+is an exact ring quantity defined there.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .bounds import content_multiple
-from .ring import QuadRat, RingMismatchError, _check_same_ring
+from .ring import QuadRat, RingMismatchError, _check_same_ring, content_multiple
 
 Scalar = int | Fraction | QuadRat
 
@@ -320,6 +323,32 @@ def reciprocal_difference(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
     return _alternating_sums(c, shift_product_poly(c, k), z, [ell])[0]
 
 
+def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
+    """reciprocal_difference_closed(c, k, ell, z) for each ell in ells, ascending, in one pass.
+
+    The denominator is built once: (z + 2s) (k - 2s - z)^falling_k, then the
+    falling factorial (1 + 2s + z) ... (ell + 2s + z) gains one factor per
+    ell.  Each factor gets an exact zero test (PoleError) before it is
+    multiplied in.
+    """
+    def factor(a: Fraction, b: Fraction) -> QuadRat:
+        f = QuadRat(a, b, c)
+        if f.is_zero():
+            raise PoleError(f"denominator factor vanishes at z = {z}")
+        return f
+
+    den = factor(z.a, z.b + 2)
+    for t in range(k):
+        den = den * factor(k - t - z.a, -2 - z.b)
+    out, ell = [], 0
+    for target in ells:
+        while ell < target:
+            ell += 1
+            den = den * factor(ell + z.a, 2 + z.b)
+        out.append(den.inverse() * _const_rat(c, (-1) ** (k + ell) * comb(k + ell, ell)))
+    return out
+
+
 def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
     """Closed product form of reciprocal_difference; equal on the common domain.
 
@@ -331,17 +360,7 @@ def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRa
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if z.c != c:
         raise RingMismatchError(f"z lives in ring {z.c}, expected {c}")
-    factors = [QuadRat(z.a, z.b + 2, c)]
-    for t in range(k):
-        factors.append(QuadRat(Fraction(k - t) - z.a, Fraction(-2) - z.b, c))
-    for t in range(ell):
-        factors.append(QuadRat(Fraction(ell - t) + z.a, Fraction(2) + z.b, c))
-    den = _const_rat(c, 1)
-    for f in factors:
-        if f.is_zero():
-            raise PoleError(f"denominator factor vanishes at z = {z}")
-        den = den * f
-    return den.inverse() * _const_rat(c, (-1) ** (k + ell) * comb(k + ell, ell))
+    return _closed_forms(c, k, z, [ell])[0]
 
 
 def newton_coeff(c: int, k: int, ell: int) -> QuadRat:
@@ -369,7 +388,7 @@ def bezout_poly(c: int, k: int) -> QuadPoly:
     Assembled in the shifted falling-factorial basis from the closed-form
     Newton coefficients.
     """
-    return _newton_series(c, [newton_coeff_closed(c, k, ell) for ell in range(k + 1)])
+    return _newton_series(c, _closed_forms(c, k, _zero_rat(c), range(k + 1)))
 
 
 def bezout_poly_interp(c: int, k: int) -> QuadPoly:
@@ -485,7 +504,7 @@ def bezout_certificate(c: int, k: int) -> BezoutCertificate:
     drifting between conjugation and the closed product formula.
     """
     p = shift_product_poly(c, k)
-    closed = [newton_coeff_closed(c, k, ell) for ell in range(k + 1)]
+    closed = _closed_forms(c, k, _zero_rat(c), range(k + 1))
     if closed != _alternating_sums(c, p, _zero_rat(c), range(k + 1)):
         raise CertificateError("closed-form and sum-form Newton coefficients disagree")
     alpha = _newton_series(c, closed)

@@ -190,6 +190,20 @@ def shifted_product(c: int, m: int, n: int) -> QuadInt:
     return QuadInt(a, b, c)
 
 
+def content_multiple(c: int, k: int) -> int:
+    """c * prod_{l=1..k} (l^2 + 4c).
+
+    A multiple of the content of every product of k+1 consecutive factors
+    (n + sqrt(-c)); the Bezout certificate of poly is the proof.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    out = c
+    for ell in range(1, k + 1):
+        out *= ell * ell + 4 * c
+    return out
+
+
 def product_divides_ab(u: Sequence[QuadInt], a: QuadInt, b: QuadInt) -> bool:
     """Check that u_0 * u_1 * ... * u_n divides a*b in Z[sqrt(-c)].
 

@@ -109,6 +109,13 @@ class TestContentHelpers:
             for m in (1, 6, 13):
                 assert product_content(c, m, m) == 1
 
+    def test_content_multiple_is_the_ring_quantity(self):
+        from quadlcm import poly, ring
+
+        assert content_multiple is ring.content_multiple is bounds.content_multiple
+        # poly takes nothing from bounds
+        assert all(getattr(v, "__module__", None) != bounds.__name__ for v in vars(poly).values())
+
     def test_content_multiple_examples(self):
         assert content_multiple(1, 2) == 40
         assert content_multiple(1, 1) == 5
@@ -242,6 +249,12 @@ class TestBoundReport:
         assert r.failures() == []
         bad = dataclasses.replace(r, logL=mpmath.mpf(-100))
         assert bad.failures()
+
+    def test_tolerance_is_the_53_bit_mpf(self):
+        # a plain float, so nothing at import reads an mpmath attribute
+        assert isinstance(LOG_TOLERANCE, float)
+        with mpmath.workprec(53):
+            assert mpmath.mpf(LOG_TOLERANCE) == mpmath.mpf("1e-9")
 
     def test_failures_compare_at_working_precision(self):
         # logL falls short of the tolerance by a relative 2^-110: visible at

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +12,7 @@ import pytest
 import quadlcm.cli as cli
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_schema(name):
@@ -377,3 +381,63 @@ class TestTable:
         code, out, _ = run(["table", "--c", str(c), "--n-max", "70"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[c]
+
+
+# sweep rows for the pool's workers; module level so they pickle by reference
+def _raising_row(triple):
+    raise RuntimeError(f"forged worker failure at {triple}")
+
+
+def _dying_row(triple):
+    os._exit(3)
+
+
+class TestSweepWorkerFailure:
+    @pytest.mark.parametrize("row, reason", [
+        (_raising_row, "RuntimeError: forged worker failure at (1, 1, 1)"),
+        (_dying_row, "BrokenProcessPool: "),
+    ])
+    def test_exit_1_with_one_line(self, row, reason, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_row", row)
+        code, _, err = run(
+            ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
+             "--parallelism", "2"],
+            capsys,
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("quadlcm: error: sweep worker failed: ")
+        assert reason in err
+
+
+# runs one command in a fresh interpreter and prints every module it loaded
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import quadlcm.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def loaded_modules(argv):
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    doc = json.loads(done.stdout)
+    assert doc["code"] == 0
+    return set(doc["modules"])
+
+
+class TestColdStart:
+    def test_bezout_loads_neither_mpmath_nor_the_pool(self):
+        modules = loaded_modules(["bezout", "--c", "3", "--k", "5"])
+        assert "mpmath.ctx_mp" not in modules
+        assert not [name for name in modules if name.startswith("mpmath.")]
+        assert "concurrent.futures.process" not in modules
+
+    def test_serial_sweep_loads_mpmath_but_not_the_pool(self):
+        modules = loaded_modules(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1",
+                                  "--n-max", "3", "--parallelism", "1"])
+        assert "mpmath.ctx_mp" in modules
+        assert "concurrent.futures.process" not in modules

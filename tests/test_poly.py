@@ -2,7 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +304,42 @@ class TestNewtonCoeffs:
             newton_coeff(1, 2, 3)
         with pytest.raises(ValueError):
             newton_coeff_closed(2, 0, 1)
+
+
+def ref_closed(c, k, ell):
+    """The closed-form Newton coefficient with every denominator factor multiplied from scratch."""
+    den = qr(c, 0, 2)
+    for j in range(1, k + 1):
+        den = den * qr(c, j, -2)
+    for j in range(1, ell + 1):
+        den = den * qr(c, j, 2)
+    return den.inverse() * qr(c, (-1) ** (k + ell) * comb(k + ell, ell))
+
+
+class TestClosedFormVector:
+    def test_one_pass_matches_per_coefficient(self):
+        for c in range(1, 6):
+            for k in range(26):
+                vector = poly_module._closed_forms(c, k, qr(c, 0), range(k + 1))
+                assert vector == [newton_coeff_closed(c, k, ell) for ell in range(k + 1)]
+                assert vector == [ref_closed(c, k, ell) for ell in range(k + 1)]
+
+    def test_certificate_uses_the_one_pass_vector(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poly_module, "newton_coeff_closed", lambda *a: calls.append(a))
+        bezout_certificate(2, 6)
+        assert calls == []
+
+    def test_pole_reached_only_by_its_own_factor(self):
+        # z = -3 - 2s annihilates the factor (3 + 2s + z) of the ell >= 3 coefficients
+        c, k = 2, 5
+        z = qr(c, -3, -2)
+        with pytest.raises(PoleError):
+            poly_module._closed_forms(c, k, z, range(k + 1))
+        assert poly_module._closed_forms(c, k, z, range(3)) == [
+            reciprocal_difference_closed(c, k, ell, z) for ell in range(3)]
+        with pytest.raises(PoleError):
+            reciprocal_difference_closed(c, k, 3, z)
 
 
 class TestReciprocalDifference:
