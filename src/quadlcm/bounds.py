@@ -1,16 +1,18 @@
 """Exact lcm of the sequence m^2+c ... n^2+c, its rational divisor, and lower bounds.
 
 Divisibility claims are settled in exact integer and rational arithmetic
-only.  Bounds involving e and pi are evaluated in log space with 128-bit
-mpmath intermediates and accepted up to a relative tolerance of 1e-9.
-That tolerance can decide a claim: `oon_2n` holds with slack exactly 0 at
-(c, m, n) = (1, 1, 1), where L = 2, and `binom` has only 0.51 nats of slack
-at (1, 2, 3).  ROADMAP item 4 replaces it with certified enclosures.
+only.  So are three of the seven lower bounds: `oon_2n`, `binom` and
+`farhi` compare L itself with 2^n, m*C(n, m) and 0.32 * 1.442^n.  The
+other four, `t7`, `t9`, `c5` and `final`, involve e and pi; they are
+evaluated in log space with 128-bit mpmath intermediates and accepted up
+to a relative tolerance of 1e-9, which can decide them.
 
 The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
-applicability gate and a log value.  `triple_report` computes L once per
-triple and builds every claim from it; `verify_divisor`, `bound_report` and
-`combinatorial_checks` each build one part of that record from their own L.
+applicability gate, a log value and, where there is one, the exact bound.
+Each report is built first and checked once: `failures()` is the one check
+of a record.  `triple_report` computes L once per triple and builds and
+checks every claim from it; `verify_divisor` and `bound_report` build and
+check one part of that record from their own L, and raise on a failure.
 
 Quantities that depend on c alone or on n alone (the log prefactors, the c5
 frontier terms) are memoised once per process.  mpmath is bound lazily and
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, Optional
 
 from ._lazy import lazy_import
-from .ring import QuadInt, content, content_multiple, divide_exact, shifted_product
+from .ring import QuadInt, content, content_multiple, shifted_product
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -93,7 +95,7 @@ class DivisorReport:
     numerator: int
     denominator: int
     D: Fraction
-    quotient_check: int
+    quotient_check: Optional[int]  # None when L/D is not an integer
     hc_value: int
     hc_bound: int
     star_x: int
@@ -104,7 +106,9 @@ class DivisorReport:
     def failures(self) -> list[str]:
         """All violated invariants, empty when the record is consistent."""
         out = []
-        if self.quotient_check * self.D != self.L:
+        if self.quotient_check is None:
+            out.append("L/D is not an integer")
+        elif self.quotient_check * self.D != self.L:
             out.append("quotient_check * D != L")
         if self.hc_bound % self.hc_value != 0:
             out.append("hc_value does not divide hc_bound")
@@ -116,35 +120,47 @@ class DivisorReport:
 
 
 def _divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
-    """The divisor record of one triple whose lcm is big_l; raises on any failed claim."""
+    """The divisor record of one triple whose lcm is big_l, built but not checked.
+
+    The quotient L/D is None when it is not an integer, and the star
+    witness is L*(n-m)! * conj(P) / norm(P) floored, so a false claim
+    still gives a full record for `failures()` to reject.
+    """
     num, den = _divisor_parts(c, m, n)
-    divisor = Fraction(num, den)
-    quotient = Fraction(big_l) / divisor
-    if quotient.denominator != 1:
-        raise InvariantViolation(f"L/D is not an integer at (c={c}, m={m}, n={n})")
+    quotient, rem = divmod(big_l * den, num)
     product = shifted_product(c, m, n)
-    hc_value = content(product)
     fact = factorial(n - m)
-    hc_bound = den // fact  # content_multiple(c, n - m)
-    star = divide_exact(QuadInt(big_l * fact, 0, c), product)
-    report = DivisorReport(
+    scaled, norm = big_l * fact, product.norm()
+    return DivisorReport(
         c=c,
         m=m,
         n=n,
         L=big_l,
         numerator=num,
         denominator=den,
-        D=divisor,
-        quotient_check=int(quotient),
-        hc_value=hc_value,
-        hc_bound=hc_bound,
-        star_x=star.a,
-        star_y=star.b,
+        D=Fraction(num, den),
+        quotient_check=None if rem else quotient,
+        hc_value=content(product),
+        hc_bound=den // fact,  # content_multiple(c, n - m)
+        star_x=scaled * product.a // norm,
+        star_y=-scaled * product.b // norm,
         product=product,
     )
+
+
+def _failure_message(kind: str, report) -> Optional[str]:
+    """One line naming every failure of a divisor or bound report, None when it has none."""
     bad = report.failures()
     if bad:
-        raise InvariantViolation(f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}", report)
+        return f"{kind} invariants failed at (c={report.c}, m={report.m}, n={report.n}): {bad}"
+    return None
+
+
+def _checked(kind: str, report):
+    """The report, or InvariantViolation carrying it when its check fails."""
+    message = _failure_message(kind, report)
+    if message is not None:
+        raise InvariantViolation(message, report)
     return report
 
 
@@ -154,25 +170,7 @@ def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
     Raises InvariantViolation if any claim fails; the proofs guarantee that
     never happens, so a raise means an arithmetic bug.
     """
-    return _divisor_report(c, m, n, lcm_range(c, m, n))
-
-
-@dataclass(frozen=True)
-class CombinatorialChecks:
-    """Exact integer comparisons L >= m*C(n,m) and (when m <= ceil(n/2)) L >= 2^n."""
-
-    binom_ok: bool
-    two_n_ok: Optional[bool]  # None when m > ceil(n/2)
-
-
-def _combinatorial_checks(m: int, n: int, big_l: int) -> CombinatorialChecks:
-    binom_ok = big_l >= m * comb(n, m)
-    two_n_ok = big_l >= 2**n if m <= (n + 1) // 2 else None
-    return CombinatorialChecks(binom_ok=binom_ok, two_n_ok=two_n_ok)
-
-
-def combinatorial_checks(c: int, m: int, n: int) -> CombinatorialChecks:
-    return _combinatorial_checks(m, n, lcm_range(c, m, n))
+    return _checked("divisor", _divisor_report(c, m, n, lcm_range(c, m, n)))
 
 
 # --- log-space machinery ---------------------------------------------------
@@ -279,15 +277,19 @@ def _c5_terms(n: int) -> tuple[mpf, mpf]:
         return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
 
 
-# One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d))
-# with d = n - m.  Gates are exact integer comparisons (8*(n-m)^3 vs n^2 for
-# the frontier split) so no triple is misclassified by rounding; a log value
-# is evaluated only where its gate holds, inside the 128-bit working precision.
+# One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d),
+# exact) with d = n - m, where exact is None or (text, bound(c, m, n, d)).
+# Gates are exact integer comparisons (8*(n-m)^3 vs n^2 for the frontier
+# split) so no triple is misclassified by rounding; a log value is evaluated
+# only where its gate holds, inside the 128-bit working precision.  A row
+# with an exact bound is decided by L >= bound; the others by their logs.
 _BOUNDS = (
     ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
-     lambda c, m, n, d: n * _fixed_consts()[0]),
+     lambda c, m, n, d: n * _fixed_consts()[0],
+     ("2^n", lambda c, m, n, d: 2**n)),
     ("binom", lambda c, m, n, d: True,
-     lambda c, m, n, d: mpmath.log(m * comb(n, m))),
+     lambda c, m, n, d: mpmath.log(m * comb(n, m)),
+     ("m * C(n, m)", lambda c, m, n, d: m * comb(n, m))),
     ("t7", lambda c, m, n, d: True,
      lambda c, m, n, d: (
          _log_consts(c)[0]
@@ -295,7 +297,7 @@ _BOUNDS = (
          + 2 * log_factorial(n)
          - 2 * log_factorial(m)
          - 3 * log_factorial(d)
-     )),
+     ), None),
     ("t9", lambda c, m, n, d: m < n,
      lambda c, m, n, d: (
          _log_consts(c)[1]
@@ -304,18 +306,19 @@ _BOUNDS = (
          - _fixed_consts()[2] * _log_int(d)
          + d * (2 * _log_int(m) - 3 * _log_int(d))
          + 3 * d
-     )),
+     ), None),
     # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
     ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
-     lambda c, m, n, d: _log_consts(c)[2] + _c5_terms(n)[0] + _c5_terms(n)[1]),
+     lambda c, m, n, d: _log_consts(c)[2] + _c5_terms(n)[0] + _c5_terms(n)[1], None),
     # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
     ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
-     lambda c, m, n, d: _log_consts(c)[1] + _log_int(n) + 3 * d),
+     lambda c, m, n, d: _log_consts(c)[1] + _log_int(n) + 3 * d, None),
     ("farhi", lambda c, m, n, d: c == 1 and m == 1,
-     lambda c, m, n, d: _fixed_consts()[3] + n * _fixed_consts()[4]),
+     lambda c, m, n, d: _fixed_consts()[3] + n * _fixed_consts()[4],
+     ("0.32 * 1.442^n", lambda c, m, n, d: Fraction(8, 25) * Fraction(721, 500) ** n)),
 )
 
-BOUND_NAMES = tuple(name for name, _, _ in _BOUNDS)
+BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -329,7 +332,7 @@ _NOT_APPLICABLE = BoundValue(False, None)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Log-space comparison of every lower bound against the exact lcm.
+    """Every lower bound at one triple, with the exact lcm and its log.
 
     The frontier m = n - n^(2/3)/2 separates the regimes of the c5 and
     final bounds.  A frontier width of order n^a is near-optimal for the
@@ -341,41 +344,61 @@ class BoundReport:
     c: int
     m: int
     n: int
+    L: int
     logL: mpf
     bounds: dict[str, BoundValue]
 
+    @cached_property
+    def holds(self) -> dict[str, Optional[bool]]:
+        """Whether each bound holds, None where it does not apply; computed once.
+
+        A row with an exact bound compares L with it; the others compare
+        logL within the tolerance, at the working precision (at the caller's
+        precision, 53 bits by default, the subtraction could round a
+        violation away).
+        """
+        c, m, n = self.c, self.m, self.n
+        out = {}
+        with mpmath.workprec(PRECISION_BITS):
+            for name, _, _, exact in _BOUNDS:
+                bv = self.bounds[name]
+                if not bv.applicable:
+                    out[name] = None
+                elif exact is not None:
+                    out[name] = self.L >= exact[1](c, m, n, n - m)
+                else:
+                    out[name] = self.logL >= bv.log_value - LOG_TOLERANCE * abs(bv.log_value)
+        return out
+
     def failures(self) -> list[str]:
         out = []
-        # at the caller's precision (53 bits by default) the subtraction could round a violation away
-        with mpmath.workprec(PRECISION_BITS):
-            for name, bv in self.bounds.items():
-                if bv.applicable and self.logL < bv.log_value - LOG_TOLERANCE * abs(bv.log_value):
-                    out.append(f"bound {name}: log_value {bv.log_value} exceeds logL {self.logL}")
+        for name, _, _, exact in _BOUNDS:
+            if self.holds[name] is False:
+                if exact is not None:
+                    out.append(f"bound {name}: L < {exact[0]}")
+                else:
+                    out.append(f"bound {name}: log_value {self.bounds[name].log_value} exceeds logL {self.logL}")
         return out
 
 
 def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
-    """Every bound of `_BOUNDS` at one triple whose lcm is big_l; raises on a violated one."""
+    """Every bound of `_BOUNDS` at one triple whose lcm is big_l, built but not checked."""
     d = n - m
     with mpmath.workprec(PRECISION_BITS):
         log_l = mpmath.log(big_l)
         bounds = {
             name: BoundValue(True, log_value(c, m, n, d)) if applies(c, m, n, d) else _NOT_APPLICABLE
-            for name, applies, log_value in _BOUNDS
+            for name, applies, log_value, _ in _BOUNDS
         }
-    report = BoundReport(c=c, m=m, n=n, logL=log_l, bounds=bounds)
-    bad = report.failures()
-    if bad:
-        raise InvariantViolation(f"bound invariants failed at (c={c}, m={m}, n={n}): {bad}", report)
-    return report
+    return BoundReport(c=c, m=m, n=n, L=big_l, logL=log_l, bounds=bounds)
 
 
 def bound_report(c: int, m: int, n: int) -> BoundReport:
-    """Evaluate every applicable lower bound for one triple, in log space.
+    """Evaluate every applicable lower bound for one triple.
 
-    Raises InvariantViolation when an applicable bound exceeds the exact logL.
+    Raises InvariantViolation when an applicable bound exceeds L.
     """
-    return _bound_report(c, m, n, lcm_range(c, m, n))
+    return _checked("bound", _bound_report(c, m, n, lcm_range(c, m, n)))
 
 
 @dataclass(frozen=True)
@@ -384,35 +407,22 @@ class TripleReport:
 
     divisor: Optional[DivisorReport]  # None when L/D is not integral
     bounds: BoundReport
-    checks: CombinatorialChecks
     violations: tuple[str, ...]  # empty when every claim holds
 
 
 def triple_report(c: int, m: int, n: int) -> TripleReport:
-    """The divisor record, bound report and combinatorial checks of one triple.
+    """The divisor record and bound report of one triple, each checked once.
 
     Never raises InvariantViolation: a failed claim keeps the report that
     exposed it (None for the divisor when L/D is not integral) and adds
     its message to `violations`.
     """
     big_l = lcm_range(c, m, n)
-    violations: list[str] = []
-
-    def checked(build):
-        try:
-            return build(c, m, n, big_l)
-        except InvariantViolation as exc:
-            violations.append(str(exc))
-            return exc.report
-
-    divisor = checked(_divisor_report)
-    bounds = checked(_bound_report)
-    checks = _combinatorial_checks(m, n, big_l)
-    if not checks.binom_ok:
-        violations.append("L < m * C(n, m)")
-    if checks.two_n_ok is False:
-        violations.append("L < 2^n")
-    return TripleReport(divisor=divisor, bounds=bounds, checks=checks, violations=tuple(violations))
+    divisor = _divisor_report(c, m, n, big_l)
+    bounds = _bound_report(c, m, n, big_l)
+    messages = (_failure_message("divisor", divisor), _failure_message("bound", bounds))
+    return TripleReport(divisor=None if divisor.quotient_check is None else divisor, bounds=bounds,
+                        violations=tuple(filter(None, messages)))
 
 
 def stirling_check(k: int) -> bool:

@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bounds as _bounds
@@ -110,7 +109,7 @@ def report_to_json(r: TripleReport) -> dict:
     doc = {
         "divisor": divisor_to_json(r.divisor) if r.divisor is not None else None,
         "bounds": bounds_to_json(r.bounds),
-        "checks": {"binom_ok": r.checks.binom_ok, "two_n_ok": r.checks.two_n_ok},
+        "checks": {"binom_ok": r.bounds.holds["binom"], "two_n_ok": r.bounds.holds["oon_2n"]},
         "ok": not r.violations,
     }
     if r.violations:
@@ -140,54 +139,23 @@ def certificate_to_json(cert: BezoutCertificate) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    c_min: int
-    c_max: int
-    n_min: int
-    n_max: int
-    m_policy: str = "all"  # all | half_ceil | fixed:<m> | frontier
-    output_format: str = "csv"  # csv | json
-    parallelism: int = 1
-
-    def validate(self) -> None:
-        if self.c_min < 1 or self.c_min > self.c_max:
-            raise UsageError(f"need 1 <= c_min <= c_max, got {self.c_min}..{self.c_max}")
-        if self.n_min < 1 or self.n_min > self.n_max:
-            raise UsageError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.parallelism < 1:
-            raise UsageError(f"need parallelism >= 1, got {self.parallelism}")
-        if self.output_format not in ("csv", "json"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
-        self.m_values(1)  # policy syntax check
-
-    def m_values(self, n: int) -> list[int]:
-        """The m grid for one n under this policy, ascending."""
-        policy = self.m_policy
-        if policy == "all":
-            return list(range(1, n + 1))
-        if policy == "half_ceil":
-            return [(n + 1) // 2]
-        if policy == "frontier":
-            return [max(1, n - floor_half_frontier(n))]
-        if policy.startswith("fixed:"):
-            try:
-                m = int(policy.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad m policy {policy!r}") from None
-            if m < 1:
-                raise UsageError(f"fixed m must be >= 1, got {m}")
-            return [m] if m <= n else []
-        raise UsageError(f"unknown m policy {policy!r}")
-
-    def triples(self) -> list[tuple[int, int, int]]:
-        """All (c, m, n) work items, already in canonical (c, n, m) order."""
-        out = []
-        for c in range(self.c_min, self.c_max + 1):
-            for n in range(self.n_min, self.n_max + 1):
-                for m in self.m_values(n):
-                    out.append((c, m, n))
-        return out
+def _m_values(policy: str, n: int) -> list[int]:
+    """The m grid for one n under an --m-policy, ascending."""
+    if policy == "all":
+        return list(range(1, n + 1))
+    if policy == "half_ceil":
+        return [(n + 1) // 2]
+    if policy == "frontier":
+        return [max(1, n - floor_half_frontier(n))]
+    if policy.startswith("fixed:"):
+        try:
+            m = int(policy.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad m policy {policy!r}") from None
+        if m < 1:
+            raise UsageError(f"fixed m must be >= 1, got {m}")
+        return [m] if m <= n else []
+    raise UsageError(f"unknown m policy {policy!r}")
 
 
 def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, tuple[str, ...]]:
@@ -208,10 +176,10 @@ def _pool_results(results: Iterator) -> Iterator:
         raise WorkerError(f"sweep worker failed: {reason}") from exc
 
 
-def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], cfg: SweepConfig, out: TextIO) -> int:
+def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
     code = EXIT_OK
     writer = None
-    if cfg.output_format == "csv":
+    if output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
     for row, violations in rows:
@@ -220,7 +188,7 @@ def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], cfg: SweepConfig, 
             triple = (row["c"], row["m"], row["n"])
             for v in violations:
                 print(f"VIOLATION at (c,m,n)={triple}: {v}", file=sys.stderr)
-        if cfg.output_format == "csv":
+        if output_format == "csv":
             writer.writerow(["NA" if v is None else str(v) for v in row.values()])
         else:
             out.write(json.dumps(row) + "\n")
@@ -237,23 +205,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        c_min=args.c_min, c_max=args.c_max,
-        n_min=args.n_min, n_max=args.n_max,
-        m_policy=args.m_policy, output_format=args.format,
-        parallelism=args.parallelism,
-    )
-    cfg.validate()
-    triples = cfg.triples()
+    _require(1 <= args.c_min <= args.c_max, f"need 1 <= c_min <= c_max, got {args.c_min}..{args.c_max}")
+    _require(1 <= args.n_min <= args.n_max, f"need 1 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
+    _require(args.parallelism >= 1, f"need parallelism >= 1, got {args.parallelism}")
+    # canonical (c, n, m) order; both ranges are non-empty, so a bad policy raises here
+    triples = [
+        (c, m, n)
+        for c in range(args.c_min, args.c_max + 1)
+        for n in range(args.n_min, args.n_max + 1)
+        for m in _m_values(args.m_policy, n)
+    ]
     with _open_out(args.out) as out:
-        if cfg.parallelism > 1:
+        if args.parallelism > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+            with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
                 # map preserves input order, so emission stays canonical
                 results = pool.map(_sweep_row, triples, chunksize=8)
-                return _emit_sweep(_pool_results(results), cfg, out)
-        return _emit_sweep(map(_sweep_row, triples), cfg, out)
+                return _emit_sweep(_pool_results(results), args.format, out)
+        return _emit_sweep(map(_sweep_row, triples), args.format, out)
 
 
 def cmd_bezout(args) -> int:

@@ -129,9 +129,6 @@ class QuadRat:
             raise ZeroDivisionError("inverse of zero")
         return QuadRat(self.a / n, -self.b / n, self.c)
 
-    def __truediv__(self, other: QuadRat) -> QuadRat:
-        return self * other.inverse()
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

@@ -9,7 +9,6 @@ from quadlcm import bounds
 from quadlcm import (
     QuadInt,
     bound_report,
-    combinatorial_checks,
     content_multiple,
     lcm_range,
     product_content,
@@ -130,13 +129,27 @@ class TestContentHelpers:
 
 
 class TestCombinatorialChecks:
+    # L >= m*C(n, m) and L >= 2^n are the exact `binom` and `oon_2n` rows
     def test_examples(self):
-        r = combinatorial_checks(1, 4, 7)
-        assert r.binom_ok and r.two_n_ok is True
-        r = combinatorial_checks(1, 1, 1)
-        assert r.binom_ok and r.two_n_ok is True
-        r = combinatorial_checks(1, 3, 3)
-        assert r.binom_ok and r.two_n_ok is None
+        r = bound_report(1, 4, 7).holds
+        assert r["binom"] and r["oon_2n"] is True
+        r = bound_report(1, 1, 1).holds
+        assert r["binom"] and r["oon_2n"] is True
+        r = bound_report(1, 3, 3).holds
+        assert r["binom"] and r["oon_2n"] is None
+
+    def test_checks_keys_are_integer_comparisons(self):
+        from quadlcm.cli import report_to_json
+
+        for c in (1, 2):
+            for n in range(1, 31):
+                for m in range(1, n + 1):
+                    big_l = math.lcm(*(k * k + c for k in range(m, n + 1)))
+                    checks = report_to_json(triple_report(c, m, n))["checks"]
+                    assert checks == {
+                        "binom_ok": big_l >= m * math.comb(n, m),
+                        "two_n_ok": big_l >= 2**n if m <= (n + 1) // 2 else None,
+                    }
 
 
 class TestIntegerCubeRoot:
@@ -259,12 +272,49 @@ class TestBoundReport:
     def test_failures_compare_at_working_precision(self):
         # logL falls short of the tolerance by a relative 2^-110: visible at
         # 128 bits, rounded away at mpmath's default 53
-        r = bound_report(1, 1, 2)
-        v = r.bounds["oon_2n"].log_value
+        r = bound_report(1, 4, 7)
+        v = r.bounds["t7"].log_value
+        assert v > 0
         with mpmath.workprec(PRECISION_BITS):
             forged = (v - LOG_TOLERANCE * abs(v)) * (1 - mpmath.mpf(2) ** -110)
         assert mpmath.mp.prec == 53
         assert dataclasses.replace(r, logL=forged).failures()
+
+
+class TestExactRows:
+    @pytest.mark.parametrize("c, m, n, row, bound", [
+        (1, 1, 50, "oon_2n", 2**50),
+        (2, 9, 12, "binom", 9 * math.comb(12, 9)),
+        (1, 1, 50, "farhi", math.ceil(Fraction(8, 25) * Fraction(721, 500) ** 50)),
+    ], ids=["oon_2n", "binom", "farhi"])
+    def test_one_below_the_bound_fails(self, c, m, n, row, bound):
+        r = bound_report(c, m, n)
+        assert r.holds[row] is True
+        bad = dataclasses.replace(r, L=bound - 1)
+        assert bad.logL == r.logL
+        assert bad.holds[row] is False
+        assert any(f.startswith(f"bound {row}: L < ") for f in bad.failures())
+        # the log rows still see the true logL
+        assert all(bad.holds[name] is not False for name in ("t7", "t9", "c5", "final"))
+
+    def test_oon_2n_at_slack_zero_is_exact(self):
+        r = bound_report(1, 1, 1)
+        assert r.L == 2 == 2**1
+        assert r.holds["oon_2n"] is True
+        # decided by L itself, not by logL within the tolerance
+        assert dataclasses.replace(r, logL=mpmath.mpf(-1)).holds["oon_2n"] is True
+        assert dataclasses.replace(r, L=1).holds["oon_2n"] is False
+
+    def test_verdicts_computed_once(self, monkeypatch):
+        r = bound_report(1, 2, 9)
+        calls = []
+        real = mpmath.workprec
+        monkeypatch.setattr(mpmath, "workprec", lambda prec: calls.append(prec) or real(prec))
+        fresh = dataclasses.replace(r)
+        fresh.failures()
+        fresh.failures()
+        assert fresh.holds == r.holds
+        assert calls == [PRECISION_BITS]
 
 
 class TestTripleReport:
@@ -289,7 +339,9 @@ class TestTripleReport:
                     r = triple_report(c, m, n)
                     assert r.divisor == verify_divisor(c, m, n)
                     assert r.bounds == bound_report(c, m, n)
-                    assert r.checks == combinatorial_checks(c, m, n)
+                    big_l = r.bounds.L
+                    assert r.bounds.holds["binom"] is (big_l >= m * math.comb(n, m))
+                    assert r.bounds.holds["oon_2n"] is (big_l >= 2**n if m <= (n + 1) // 2 else None)
                     assert r.violations == ()
 
     def test_failed_claims_are_collected_not_raised(self, monkeypatch):
@@ -298,10 +350,12 @@ class TestTripleReport:
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 1)
         r = triple_report(1, 1, 3)
         assert r.divisor is None
-        assert not r.checks.binom_ok and r.checks.two_n_ok is False
-        assert r.violations[0] == "L/D is not an integer at (c=1, m=1, n=3)"
+        assert r.bounds.holds["binom"] is False and r.bounds.holds["oon_2n"] is False
+        assert len(r.violations) == 2
+        assert r.violations[0].startswith("divisor invariants failed at (c=1, m=1, n=3)")
+        assert "'L/D is not an integer'" in r.violations[0]
         assert r.violations[1].startswith("bound invariants failed at (c=1, m=1, n=3)")
-        assert r.violations[2:] == ("L < m * C(n, m)", "L < 2^n")
+        assert "L < m * C(n, m)" in r.violations[1] and "L < 2^n" in r.violations[1]
 
 
 def _clear_log_caches():

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
+from quadlcm import bounds
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -408,6 +409,28 @@ class TestSweepWorkerFailure:
         assert len(err.splitlines()) == 1
         assert err.startswith("quadlcm: error: sweep worker failed: ")
         assert reason in err
+
+
+class TestForgedLcm:
+    # L = 2 at (1, 1, 2) leaves L/D integral but L*(n-m)! not a multiple of
+    # (1 + i)(2 + i) = 1 + 3i, so the divisor record's star check must fail
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--c", "1", "--m", "1", "--n", "2"],
+        ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "2", "--n-max", "2"],
+    ], ids=["verify", "sweep"])
+    def test_exit_2_with_the_row_written(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        if argv[0] == "verify":
+            doc = json.loads(out)
+            jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+            assert doc["divisor"]["L"] == 2
+            assert any(v.startswith("divisor invariants failed") for v in doc["violations"])
+        else:
+            lines = out.strip().split("\n")
+            assert [ln.split(",")[:4] for ln in lines[1:]] == [["1", "1", "2", "2"], ["1", "2", "2", "NA"]]
+            assert "VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed" in err
 
 
 # runs one command in a fresh interpreter and prints every module it loaded
