@@ -65,18 +65,19 @@ def lcm_range(c: int, m: int, n: int) -> int:
     return lcm(*(k * k + c for k in range(m, n + 1)))
 
 
-def _divisor_parts(c: int, m: int, n: int) -> tuple[int, int]:
-    """Unreduced numerator prod(k^2+c) and denominator (n-m)! * content_multiple(c, n-m)."""
-    num = 1
-    for k in range(m, n + 1):
-        num *= k * k + c
-    return num, factorial(n - m) * content_multiple(c, n - m)
+def _divisor_parts(c: int, m: int, n: int) -> tuple[QuadInt, int, int]:
+    """P = (m + sqrt(-c)) ... (n + sqrt(-c)), (n-m)! and content_multiple(c, n-m).
+
+    The divisor is norm(P) / ((n-m)! * content_multiple(c, n-m)); norm(P) = prod(k^2+c).
+    """
+    return shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
 
 
 def rational_divisor(c: int, m: int, n: int) -> Fraction:
     """The exact rational prod(k^2+c) / (c * (n-m)! * prod(k^2+4c))."""
     _require_range(c, m, n)
-    return Fraction(*_divisor_parts(c, m, n))
+    product, fact, multiple = _divisor_parts(c, m, n)
+    return Fraction(product.norm(), fact * multiple)
 
 
 def product_content(c: int, m: int, n: int) -> int:
@@ -122,15 +123,14 @@ class DivisorReport:
 def _divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
     """The divisor record of one triple whose lcm is big_l, built but not checked.
 
-    The quotient L/D is None when it is not an integer, and the star
-    witness is L*(n-m)! * conj(P) / norm(P) floored, so a false claim
-    still gives a full record for `failures()` to reject.
+    The numerator is norm(P).  The quotient L/D is None when it is not an
+    integer, and the star witness is L*(n-m)! * conj(P) / norm(P) floored,
+    so a false claim still gives a whole record for `failures()` to reject.
     """
-    num, den = _divisor_parts(c, m, n)
+    product, fact, multiple = _divisor_parts(c, m, n)
+    num, den = product.norm(), fact * multiple
     quotient, rem = divmod(big_l * den, num)
-    product = shifted_product(c, m, n)
-    fact = factorial(n - m)
-    scaled, norm = big_l * fact, product.norm()
+    scaled = big_l * fact
     return DivisorReport(
         c=c,
         m=m,
@@ -141,9 +141,9 @@ def _divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
         D=Fraction(num, den),
         quotient_check=None if rem else quotient,
         hc_value=content(product),
-        hc_bound=den // fact,  # content_multiple(c, n - m)
-        star_x=scaled * product.a // norm,
-        star_y=-scaled * product.b // norm,
+        hc_bound=multiple,
+        star_x=scaled * product.a // num,
+        star_y=-scaled * product.b // num,
         product=product,
     )
 
@@ -403,9 +403,9 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class TripleReport:
-    """Every claim checked at one (c, m, n), all from one computation of L."""
+    """Every claim checked at one (c, m, n), all from one computation of L; both records whole."""
 
-    divisor: Optional[DivisorReport]  # None when L/D is not integral
+    divisor: DivisorReport
     bounds: BoundReport
     violations: tuple[str, ...]  # empty when every claim holds
 
@@ -413,16 +413,14 @@ class TripleReport:
 def triple_report(c: int, m: int, n: int) -> TripleReport:
     """The divisor record and bound report of one triple, each checked once.
 
-    Never raises InvariantViolation: a failed claim keeps the report that
-    exposed it (None for the divisor when L/D is not integral) and adds
-    its message to `violations`.
+    Never raises InvariantViolation: a failed claim keeps the whole report
+    that exposed it and adds its message to `violations`.
     """
     big_l = lcm_range(c, m, n)
     divisor = _divisor_report(c, m, n, big_l)
     bounds = _bound_report(c, m, n, big_l)
     messages = (_failure_message("divisor", divisor), _failure_message("bound", bounds))
-    return TripleReport(divisor=None if divisor.quotient_check is None else divisor, bounds=bounds,
-                        violations=tuple(filter(None, messages)))
+    return TripleReport(divisor=divisor, bounds=bounds, violations=tuple(filter(None, messages)))
 
 
 def stirling_check(k: int) -> bool:

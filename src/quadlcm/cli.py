@@ -80,7 +80,7 @@ def divisor_to_json(r: DivisorReport) -> dict:
         "denominator": js_int(r.denominator),
         "D_num": js_int(r.D.numerator),
         "D_den": js_int(r.D.denominator),
-        "quotient": js_int(r.quotient_check),
+        "quotient": None if r.quotient_check is None else js_int(r.quotient_check),
         "hc": js_int(r.hc_value),
         "hc_bound": js_int(r.hc_bound),
         "star_x": js_int(r.star_x),
@@ -107,7 +107,7 @@ def bounds_to_json(r: BoundReport) -> dict:
 def report_to_json(r: TripleReport) -> dict:
     """The `verify` document; a sweep row is its projection onto SWEEP_COLUMNS."""
     doc = {
-        "divisor": divisor_to_json(r.divisor) if r.divisor is not None else None,
+        "divisor": divisor_to_json(r.divisor),
         "bounds": bounds_to_json(r.bounds),
         "checks": {"binom_ok": r.bounds.holds["binom"], "two_n_ok": r.bounds.holds["oon_2n"]},
         "ok": not r.violations,
@@ -162,7 +162,7 @@ def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, tuple[str, ...]]:
     """One sweep work item: the `verify` document projected onto SWEEP_COLUMNS; top-level to pickle."""
     report = triple_report(*triple)
     doc = report_to_json(report)
-    cells = {**doc["bounds"], **(doc["divisor"] or {})}
+    cells = {**doc["bounds"], **doc["divisor"]}
     cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
     return {col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations
 
@@ -249,7 +249,7 @@ def cmd_table(args) -> int:
                 except InvariantViolation as exc:
                     br = exc.report
                     code = EXIT_VIOLATION
-                    print(f"VIOLATION at (c,m,n)=({args.c},{m},{n}): {exc}", file=sys.stderr)
+                    print(f"VIOLATION at (c,m,n)={(args.c, m, n)}: {exc}", file=sys.stderr)
                 cells = [args.c, n, m, fmt_log(br.logL)]
                 with mpmath.workprec(_bounds.PRECISION_BITS):
                     for name in BOUND_NAMES:

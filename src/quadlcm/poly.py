@@ -28,8 +28,6 @@ from typing import Sequence
 
 from .ring import QuadRat, RingMismatchError, _check_same_ring, content_multiple
 
-Scalar = int | Fraction | QuadRat
-
 
 class PoleError(ZeroDivisionError):
     """A denominator factor vanished at the requested evaluation point."""
@@ -41,14 +39,6 @@ class NonCoprimeError(ValueError):
 
 class CertificateError(RuntimeError):
     """A Bezout certificate invariant failed; indicates an implementation bug."""
-
-
-def _zero_rat(c: int) -> QuadRat:
-    return QuadRat(Fraction(0), Fraction(0), c)
-
-
-def _const_rat(c: int, value: int | Fraction) -> QuadRat:
-    return QuadRat(Fraction(value), Fraction(0), c)
 
 
 @dataclass(frozen=True)
@@ -96,10 +86,6 @@ class IntPoly:
             for j in range(len(out) - 2, i - 1, -1):
                 out[j] += h * out[j + 1]
         return IntPoly(out)
-
-    @classmethod
-    def const(cls, value: int) -> IntPoly:
-        return cls((value,))
 
 
 def _quad(c: int, a: IntPoly, b: IntPoly = IntPoly(()), den: int = 1) -> QuadPoly:
@@ -172,9 +158,9 @@ class QuadPoly:
         return _quad(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
                      self.den * other.den)
 
-    def scale(self, s: Scalar) -> QuadPoly:
+    def scale(self, s: int | Fraction | QuadRat) -> QuadPoly:
         if not isinstance(s, QuadRat):
-            s = _const_rat(self.c, s)
+            s = QuadRat(s, 0, self.c)
         return self * QuadPoly(self.c, (s,))
 
     def conj(self) -> QuadPoly:
@@ -194,9 +180,6 @@ class QuadPoly:
         den = self.den * power
         return QuadRat(Fraction(acc_a * e, den), Fraction(acc_b * e, den), c)
 
-    def eval_int(self, n: int) -> QuadRat:
-        return self.eval(_const_rat(self.c, n))
-
     def shift(self, h: int) -> QuadPoly:
         """Compose with X + h."""
         return _quad(self.c, self.A.shift(h), self.B.shift(h), self.den)
@@ -211,14 +194,6 @@ def zero_poly(c: int) -> QuadPoly:
 
 def one_poly(c: int) -> QuadPoly:
     return _quad(c, IntPoly((1,)))
-
-
-def const_poly(c: int, value: int | Fraction | QuadRat) -> QuadPoly:
-    return QuadPoly(c, (value if isinstance(value, QuadRat) else _const_rat(c, value),))
-
-
-def x_poly(c: int) -> QuadPoly:
-    return _quad(c, IntPoly((0, 1)))
 
 
 def _linear(c: int, a: int, b: int) -> QuadPoly:
@@ -283,7 +258,7 @@ def newton_basis(c: int, ell: int) -> QuadPoly:
 
 def falling(x: QuadRat, n: int) -> QuadRat:
     """Falling factorial x (x-1) ... (x-n+1) in Q(sqrt(-c)); empty product is 1."""
-    acc = _const_rat(x.c, 1)
+    acc = QuadRat(1, 0, x.c)
     for t in range(n):
         acc = acc * QuadRat(x.a - t, x.b, x.c)
     return acc
@@ -302,10 +277,10 @@ def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> l
         inverses.append(val.inverse())
     out = []
     for ell in ells:
-        total = _zero_rat(c)
+        total = QuadRat(0, 0, c)
         for j in range(ell + 1):
-            total = total + inverses[j] * _const_rat(c, (-1) ** (ell - j) * comb(ell, j))
-        out.append(total * _const_rat(c, Fraction(1, factorial(ell))))
+            total = total + inverses[j] * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c)
+        out.append(total * QuadRat(Fraction(1, factorial(ell)), 0, c))
     return out
 
 
@@ -345,7 +320,7 @@ def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadR
         while ell < target:
             ell += 1
             den = den * factor(ell + z.a, 2 + z.b)
-        out.append(den.inverse() * _const_rat(c, (-1) ** (k + ell) * comb(k + ell, ell)))
+        out.append(den.inverse() * QuadRat((-1) ** (k + ell) * comb(k + ell, ell), 0, c))
     return out
 
 
@@ -365,12 +340,12 @@ def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRa
 
 def newton_coeff(c: int, k: int, ell: int) -> QuadRat:
     """Newton forward-difference coefficient of the Bezout cofactor (sum form)."""
-    return reciprocal_difference(c, k, ell, _zero_rat(c))
+    return reciprocal_difference(c, k, ell, QuadRat(0, 0, c))
 
 
 def newton_coeff_closed(c: int, k: int, ell: int) -> QuadRat:
     """Same coefficient from the closed product formula."""
-    return reciprocal_difference_closed(c, k, ell, _zero_rat(c))
+    return reciprocal_difference_closed(c, k, ell, QuadRat(0, 0, c))
 
 
 def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
@@ -388,7 +363,7 @@ def bezout_poly(c: int, k: int) -> QuadPoly:
     Assembled in the shifted falling-factorial basis from the closed-form
     Newton coefficients.
     """
-    return _newton_series(c, _closed_forms(c, k, _zero_rat(c), range(k + 1)))
+    return _newton_series(c, _closed_forms(c, k, QuadRat(0, 0, c), range(k + 1)))
 
 
 def bezout_poly_interp(c: int, k: int) -> QuadPoly:
@@ -398,7 +373,7 @@ def bezout_poly_interp(c: int, k: int) -> QuadPoly:
     closed form, so the pair doubles as a cross check.
     """
     p = shift_product_poly(c, k)
-    return _newton_series(c, _alternating_sums(c, p, _zero_rat(c), range(k + 1)))
+    return _newton_series(c, _alternating_sums(c, p, QuadRat(0, 0, c), range(k + 1)))
 
 
 def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
@@ -411,7 +386,7 @@ def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     while rem.degree >= den.degree:
         # the leading term of rem, divided by den's; subtracting it times den cancels it
         lead = rem.leading() * inv_lead
-        term = QuadPoly(num.c, (_zero_rat(num.c),) * (rem.degree - den.degree) + (lead,))
+        term = QuadPoly(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
         q, rem = q + term, rem - term * den
     return q, rem
 
@@ -476,7 +451,7 @@ class BezoutCertificate:
         if self.alpha.degree > k:
             raise CertificateError(f"deg alpha = {self.alpha.degree} exceeds k = {k}")
         p = recombine_parts(c, self.A, self.B)
-        if (p.degree != k + 1 or p.leading() != _const_rat(c, 1)
+        if (p.degree != k + 1 or p.leading() != QuadRat(1, 0, c)
                 or not all(p.eval(QuadRat(j, -1, c)).is_zero() for j in range(k + 1))):
             raise CertificateError("A, B do not split the shift product polynomial")
         if self.alpha * p + self.alpha.conj() * p.conj() != one_poly(c):
@@ -490,7 +465,7 @@ class BezoutCertificate:
             raise CertificateError(f"2d*alpha leaves Z[sqrt(-c)][X]: {exc}") from None
         if (r, s) != (self.r, self.s):
             raise CertificateError("r, s do not split 2d*alpha")
-        if self.r * self.A - (self.s * self.B).scale(c) != IntPoly.const(d):
+        if self.r * self.A - (self.s * self.B).scale(c) != IntPoly((d,)):
             raise CertificateError("r*A - c*s*B != d")
 
 
@@ -504,8 +479,8 @@ def bezout_certificate(c: int, k: int) -> BezoutCertificate:
     drifting between conjugation and the closed product formula.
     """
     p = shift_product_poly(c, k)
-    closed = _closed_forms(c, k, _zero_rat(c), range(k + 1))
-    if closed != _alternating_sums(c, p, _zero_rat(c), range(k + 1)):
+    closed = _closed_forms(c, k, QuadRat(0, 0, c), range(k + 1))
+    if closed != _alternating_sums(c, p, QuadRat(0, 0, c), range(k + 1)):
         raise CertificateError("closed-form and sum-form Newton coefficients disagree")
     alpha = _newton_series(c, closed)
     d = content_multiple(c, k)

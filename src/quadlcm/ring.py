@@ -30,58 +30,63 @@ def _check_same_ring(x, y) -> None:
         raise RingMismatchError(f"ring parameters differ: {x.c} != {y.c}")
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """An element a + b*sqrt(-c) of Z[sqrt(-c)], with c >= 1."""
+class _Quad:
+    """The arithmetic QuadInt and QuadRat share: a + b*sqrt(-c) with c >= 1.
 
-    a: int
-    b: int
-    c: int
+    Every operation returns an element of the operand's own type, so
+    integer parts stay ints and rational parts stay Fractions.
+    """
 
     def __post_init__(self) -> None:
         if self.c < 1:
             raise ValueError(f"ring parameter c must be >= 1, got {self.c}")
 
-    def __add__(self, other: QuadInt) -> QuadInt:
+    def __add__(self, other):
         _check_same_ring(self, other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.c)
+        return type(self)(self.a + other.a, self.b + other.b, self.c)
 
-    def __sub__(self, other: QuadInt) -> QuadInt:
+    def __sub__(self, other):
         _check_same_ring(self, other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.c)
+        return type(self)(self.a - other.a, self.b - other.b, self.c)
 
-    def __neg__(self) -> QuadInt:
-        return QuadInt(-self.a, -self.b, self.c)
+    def __neg__(self):
+        return type(self)(-self.a, -self.b, self.c)
 
-    def __mul__(self, other: QuadInt) -> QuadInt:
+    def __mul__(self, other):
         # sqrt(-c) * sqrt(-c) = -c
         _check_same_ring(self, other)
-        return QuadInt(
+        return type(self)(
             self.a * other.a - self.c * self.b * other.b,
             self.a * other.b + self.b * other.a,
             self.c,
         )
 
-    def conj(self) -> QuadInt:
+    def conj(self):
         """a + b*sqrt(-c) -> a - b*sqrt(-c)."""
-        return QuadInt(self.a, -self.b, self.c)
+        return type(self)(self.a, -self.b, self.c)
 
-    def norm(self) -> int:
+    def norm(self):
         """Squared complex modulus a^2 + c*b^2; multiplicative."""
         return self.a * self.a + self.c * self.b * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def to_rat(self) -> QuadRat:
-        return QuadRat(Fraction(self.a), Fraction(self.b), self.c)
+
+@dataclass(frozen=True)
+class QuadInt(_Quad):
+    """An element a + b*sqrt(-c) of Z[sqrt(-c)], with c >= 1."""
+
+    a: int
+    b: int
+    c: int
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+}√-{self.c}"
 
 
 @dataclass(frozen=True)
-class QuadRat:
+class QuadRat(_Quad):
     """An element a + b*sqrt(-c) of Q(sqrt(-c)) with exact rational components."""
 
     a: Fraction
@@ -89,38 +94,12 @@ class QuadRat:
     c: int
 
     def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError(f"ring parameter c must be >= 1, got {self.c}")
+        super().__post_init__()
         # Accept ints so call sites stay readable; Fraction keeps canonical form.
         if not isinstance(self.a, Fraction):
             object.__setattr__(self, "a", Fraction(self.a))
         if not isinstance(self.b, Fraction):
             object.__setattr__(self, "b", Fraction(self.b))
-
-    def __add__(self, other: QuadRat) -> QuadRat:
-        _check_same_ring(self, other)
-        return QuadRat(self.a + other.a, self.b + other.b, self.c)
-
-    def __sub__(self, other: QuadRat) -> QuadRat:
-        _check_same_ring(self, other)
-        return QuadRat(self.a - other.a, self.b - other.b, self.c)
-
-    def __neg__(self) -> QuadRat:
-        return QuadRat(-self.a, -self.b, self.c)
-
-    def __mul__(self, other: QuadRat) -> QuadRat:
-        _check_same_ring(self, other)
-        return QuadRat(
-            self.a * other.a - self.c * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.c,
-        )
-
-    def conj(self) -> QuadRat:
-        return QuadRat(self.a, -self.b, self.c)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a + self.c * self.b * self.b
 
     def inverse(self) -> QuadRat:
         """1 / (a + b*sqrt(-c)) = (a - b*sqrt(-c)) / (a^2 + c*b^2)."""
@@ -128,9 +107,6 @@ class QuadRat:
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
         return QuadRat(self.a / n, -self.b / n, self.c)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __str__(self) -> str:
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}√-{self.c}"

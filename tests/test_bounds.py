@@ -56,6 +56,18 @@ class TestRationalDivisor:
             for m in (1, 4, 9):
                 assert rational_divisor(c, m, m) == Fraction(m * m + c, c)
 
+    def test_numerator_is_the_product_of_the_terms(self):
+        # the numerator is built as norm(P); the plain product of k^2 + c is an independent oracle
+        for c in (1, 2, 3):
+            for n in range(1, 31):
+                for m in range(1, n + 1):
+                    num = 1
+                    for k in range(m, n + 1):
+                        num *= k * k + c
+                    den = math.factorial(n - m) * content_multiple(c, n - m)
+                    assert verify_divisor(c, m, n).numerator == num
+                    assert rational_divisor(c, m, n) == Fraction(num, den)
+
 
 class TestVerifyDivisor:
     def test_1_1_3(self):
@@ -349,7 +361,7 @@ class TestTripleReport:
         # log L = 0, and L < m*C(n, m), L < 2^n
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 1)
         r = triple_report(1, 1, 3)
-        assert r.divisor is None
+        assert r.divisor.L == 1 and r.divisor.quotient_check is None
         assert r.bounds.holds["binom"] is False and r.bounds.holds["oon_2n"] is False
         assert len(r.violations) == 2
         assert r.violations[0].startswith("divisor invariants failed at (c=1, m=1, n=3)")

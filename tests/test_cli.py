@@ -126,15 +126,18 @@ class TestVerify:
 
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, m, n):
-            return dataclasses.replace(real(c, m, n), divisor=None, violations=("forged failure",))
+            r = real(c, m, n)
+            return dataclasses.replace(r, divisor=dataclasses.replace(r.divisor, quotient_check=None),
+                                       violations=("forged failure",))
 
         real = cli.triple_report
         monkeypatch.setattr(cli, "triple_report", forged)
         code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "3"], capsys)
         assert code == 2
         doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("verify_report.schema.json"))
         assert doc["ok"] is False
-        assert doc["divisor"] is None
+        assert doc["divisor"]["quotient"] is None
         assert any("forged" in v for v in doc["violations"])
 
     @pytest.mark.parametrize("c, m, n", sorted(VERIFY_SHA256))
@@ -263,7 +266,7 @@ class TestSweep:
 
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, m, n):
-            return dataclasses.replace(real(c, m, n), divisor=None, violations=("forged sweep failure",))
+            return dataclasses.replace(real(c, m, n), violations=("forged sweep failure",))
 
         real = cli.triple_report
         monkeypatch.setattr(cli, "triple_report", forged)
@@ -413,23 +416,41 @@ class TestSweepWorkerFailure:
 
 class TestForgedLcm:
     # L = 2 at (1, 1, 2) leaves L/D integral but L*(n-m)! not a multiple of
-    # (1 + i)(2 + i) = 1 + 3i, so the divisor record's star check must fail
+    # (1 + i)(2 + i) = 1 + 3i, so the divisor record's star check must fail;
+    # at (1, 2, 2) L/D = 2/5 is not integral, and only the quotient is null
+    SWEEP = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "2", "--n-max", "2"]
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--c", "1", "--m", "1", "--n", "2"],
-        ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "2", "--n-max", "2"],
-    ], ids=["verify", "sweep"])
+        SWEEP,
+        SWEEP + ["--format", "json"],
+        ["table", "--c", "1", "--n-max", "2"],
+    ], ids=["verify", "sweep", "sweep-json", "table"])
     def test_exit_2_with_the_row_written(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
         code, out, err = run(argv, capsys)
         assert code == 2
+        lines = out.strip().split("\n")
         if argv[0] == "verify":
             doc = json.loads(out)
             jsonschema.validate(doc, load_schema("verify_report.schema.json"))
             assert doc["divisor"]["L"] == 2
             assert any(v.startswith("divisor invariants failed") for v in doc["violations"])
+        elif argv[0] == "table":
+            assert len(lines) == 1 + 3
+            assert "VIOLATION at (c,m,n)=(1, 1, 2): bound invariants failed" in err
+        elif "json" in argv:
+            schema = load_schema("sweep_row.schema.json")
+            rows = [json.loads(ln) for ln in lines]
+            for row in rows:
+                jsonschema.validate(row, schema)
+            assert [(r["m"], r["L"], r["D_num"], r["D_den"], r["quotient"]) for r in rows] == [
+                (1, 2, 2, 1, 1), (2, 2, 5, 1, None)]
+            assert all(r[col] is not None for r in rows for col in ("hc", "hc_bound", "star_x", "star_y"))
         else:
-            lines = out.strip().split("\n")
-            assert [ln.split(",")[:4] for ln in lines[1:]] == [["1", "1", "2", "2"], ["1", "2", "2", "NA"]]
+            assert [ln.split(",")[:7] for ln in lines[1:]] == [
+                ["1", "1", "2", "2", "2", "1", "1"], ["1", "2", "2", "2", "5", "1", "NA"]]
+            assert all("NA" not in ln.split(",")[7:11] for ln in lines[1:])
             assert "VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed" in err
 
 

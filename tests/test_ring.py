@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,40 @@ class TestArithmetic:
         assert (x + y).conj() == x.conj() + y.conj()
         assert (x * y).conj() == x.conj() * y.conj()
         assert x.conj().conj() == x
+
+
+class TestSharedArithmetic:
+    # QuadInt and QuadRat share one implementation; each result keeps the operand's type
+    OPS = {
+        "add": lambda x, y: x + y,
+        "sub": lambda x, y: x - y,
+        "mul": lambda x, y: x * y,
+        "neg": lambda x, y: -x,
+        "conj": lambda x, y: x.conj(),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_results_keep_the_operand_type(self, op):
+        ints = [(QuadInt(3, -7, 2), QuadInt(-1, 5, 2)), (QuadInt(0, 0, 1), QuadInt(4, 1, 1))]
+        for x, y in ints:
+            got = self.OPS[op](x, y)
+            assert type(got) is QuadInt
+            assert type(got.a) is int and type(got.b) is int
+            rx, ry = QuadRat(x.a, x.b, x.c), QuadRat(Fraction(y.a, 3), y.b, y.c)
+            got = self.OPS[op](rx, ry)
+            assert type(got) is QuadRat
+            assert type(got.a) is Fraction and type(got.b) is Fraction
+
+    def test_norm_keeps_the_component_type(self):
+        assert type(QuadInt(3, -7, 2).norm()) is int
+        assert QuadRat(Fraction(1, 2), 1, 3).norm() == Fraction(13, 4)
+        assert type(QuadRat(3, -7, 2).norm()) is Fraction
+
+    def test_int_and_rat_elements_never_compare_equal(self):
+        assert QuadInt(1, 0, 1) != QuadRat(1, 0, 1)
+        assert QuadRat(1, 0, 1) != QuadInt(1, 0, 1)
+        assert QuadInt(2, 3, 1) == QuadInt(2, 3, 1)
+        assert QuadRat(2, 3, 1) == QuadRat(Fraction(4, 2), Fraction(3), 1)
 
 
 class TestConjNorm:
