@@ -4,8 +4,25 @@ Divisibility claims are settled in exact integer and rational arithmetic
 only.  So are three of the seven lower bounds: `oon_2n`, `binom` and
 `farhi` compare L itself with 2^n, m*C(n, m) and 0.32 * 1.442^n.  The
 other four, `t7`, `t9`, `c5` and `final`, involve e and pi; they are
-evaluated in log space with 128-bit mpmath intermediates and accepted up
-to a relative tolerance of 1e-9, which can decide them.
+decided in log space by certified enclosures, with no tolerance.
+
+Logs are fixed-point integers: v stands for v / 2^128, and each carries an
+error bound e in units of 2^-128, meaning |v - 2^128 * x| <= e for the true
+log x.  The error budget:
+
+* Each source is computed once per process by mpmath at 160 bits or more
+  (more for large values, so the rounding stays below 2^-30 units) and
+  floored, so it is within _E = 2: log j for every integer j, the three
+  prefactor logs of each c, the n-only term of c5 for each n, and log 2,
+  log 0.32 and log 1.442.  log L is the same kind of source, one mpmath
+  call per triple.
+* log k! is the prefix sum of the floored log j, within 2k.
+* A row's log value is built from the sources by integer adds and integer
+  multiples, so its bound is the matching sum and multiples of theirs; the
+  one halving, 1.5 * log d, floors and adds 1.
+
+A log row holds when logL - _E >= v + e and fails when logL + _E < v - e.
+Any other case is undecided, and reported as a violation, never as a pass.
 
 The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
 applicability gate, a log value and, where there is one, the exact bound.
@@ -14,15 +31,14 @@ of a record.  `triple_report` computes L once per triple and builds and
 checks every claim from it; `verify_divisor` and `bound_report` build and
 check one part of that record from their own L, and raise on a failure.
 
-Quantities that depend on c alone or on n alone (the log prefactors, the c5
-frontier terms) are memoised once per process.  mpmath is bound lazily and
-nothing at module level reads an mpmath attribute (the tolerance is a plain
-float), so mpmath loads on the first log evaluated, not at import.  The
+mpmath is bound lazily and nothing at module level reads an mpmath
+attribute, so mpmath loads on the first log evaluated, not at import.  The
 exact quantity content_multiple lives in `ring`; it is imported here too.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,11 +53,10 @@ if TYPE_CHECKING:
 
 mpmath = lazy_import("mpmath")  # loads on first use, not at import
 
-PRECISION_BITS = 128  # comfortably above the 80-bit floor the reports promise
-
-# relative, on natural logs; the double nearest 1e-9, the same binary value
-# as mpmath.mpf("1e-9") at mpmath's default 53 bits
-LOG_TOLERANCE = 1e-9
+PRECISION_BITS = 128  # fixed-point scale: the int v stands for the log v / 2^128
+_SOURCE_BITS = PRECISION_BITS + 32  # least mpmath precision of a source before it is floored
+_E = 2  # error bound of one floored source, in units of 2^-128
+_ONE = 1 << PRECISION_BITS
 
 
 class InvariantViolation(RuntimeError):
@@ -173,38 +188,50 @@ def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
     return _checked("divisor", _divisor_report(c, m, n, lcm_range(c, m, n)))
 
 
-# --- log-space machinery ---------------------------------------------------
+# --- fixed-point log machinery ---------------------------------------------
 
-_LOG_INT_CACHE: dict[int, mpf] = {}
-_LOG_FACT_CACHE: list[mpf] = []
-
-
-def _log_int(n: int) -> mpf:
-    """Natural log of a positive integer at the working precision, cached."""
-    v = _LOG_INT_CACHE.get(n)
-    if v is None:
-        with mpmath.workprec(PRECISION_BITS):
-            v = mpmath.log(n)
-        _LOG_INT_CACHE[n] = v
-    return v
+# Floored sources of the log tables: _LOG_INT[j] = floor(2^128 log j) for
+# j >= 1 and _LOG_FACT[k] = _LOG_INT[1] + ... + _LOG_INT[k].  Index 0 of
+# _LOG_INT is a placeholder; log 0 is never read.  Entries are only ever
+# appended, under _LOG_LOCK, so a reader indexing below a length it has
+# seen needs no lock.
+_LOG_INT: list[int] = [0, 0]
+_LOG_FACT: list[int] = [0, 0]
+_LOG_LOCK = threading.Lock()
 
 
-def log_factorial(k: int) -> mpf:
-    """log(k!) as the exact sum of log j, each at 128-bit precision.
+def _floor_fixed(x: mpf) -> int:
+    """floor(2^128 * x), exact for the mpf x."""
+    return mpmath.libmp.to_fixed(x._mpf_, PRECISION_BITS)
+
+
+def _log_fixed(x: int) -> int:
+    """floor(2^128 * log x) for an integer x >= 1, within _E; one mpmath call."""
+    libmp = mpmath.libmp
+    prec = _SOURCE_BITS + x.bit_length().bit_length()  # log x < x.bit_length()
+    return libmp.to_fixed(libmp.mpf_log(libmp.from_int(x), prec), PRECISION_BITS)
+
+
+def _extend_logs(k: int) -> None:
+    """Grow _LOG_INT and _LOG_FACT through index k."""
+    if len(_LOG_FACT) <= k:  # _LOG_FACT is appended last
+        with _LOG_LOCK:
+            while len(_LOG_INT) <= k:
+                v = _log_fixed(len(_LOG_INT))
+                _LOG_INT.append(v)
+                _LOG_FACT.append(_LOG_FACT[-1] + v)
+
+
+def log_factorial(k: int) -> int:
+    """log(k!) in fixed point: the sum of floor(2^128 log j) over j <= k, within 2k units.
 
     Kept independent of Stirling so the Stirling inequality stays a
     checked claim rather than an input.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if len(_LOG_FACT_CACHE) <= k:
-        with mpmath.workprec(PRECISION_BITS):
-            while len(_LOG_FACT_CACHE) <= k:
-                if not _LOG_FACT_CACHE:
-                    _LOG_FACT_CACHE.append(mpmath.mpf(0))
-                j = len(_LOG_FACT_CACHE)
-                _LOG_FACT_CACHE.append(_LOG_FACT_CACHE[-1] + mpmath.log(j))
-    return _LOG_FACT_CACHE[k]
+    _extend_logs(k)
+    return _LOG_FACT[k]
 
 
 def icbrt(x: int) -> int:
@@ -232,89 +259,95 @@ def floor_half_frontier(n: int) -> int:
     return icbrt(n * n) // 2
 
 
+def _const_prec(c: int) -> int:
+    """Working precision of the prefactors of one c: their logs are at most 8c + 8 in size."""
+    return _SOURCE_BITS + (8 * c + 8).bit_length()
+
+
 def factorial_bound_const(c: int) -> mpf:
     """Prefactor e^(-2*pi^2*c/3) / c of the factorial-form bound."""
-    with mpmath.workprec(PRECISION_BITS):
+    with mpmath.workprec(_const_prec(c)):
         return mpmath.exp(-2 * mpmath.pi**2 * c / 3) / c
 
 
 def exp_bound_const(c: int) -> mpf:
     """Prefactor e^(-2*pi^2*c/3 - 5/12) / ((2*pi)^(3/2) * c)."""
-    with mpmath.workprec(PRECISION_BITS):
+    with mpmath.workprec(_const_prec(c)):
         return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
                 / ((2 * mpmath.pi) ** mpmath.mpf("1.5") * c))
 
 
 def frontier_bound_const(c: int) -> mpf:
     """Prefactor e^(-2*pi^2*c/3 - 5/12) / (pi^(3/2) * c); 2^(3/2) times exp_bound_const."""
-    with mpmath.workprec(PRECISION_BITS):
+    with mpmath.workprec(_const_prec(c)):
         return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
                 / (mpmath.pi ** mpmath.mpf("1.5") * c))
 
 
 @lru_cache(maxsize=None)
-def _fixed_consts() -> tuple[mpf, mpf, mpf, mpf, mpf]:
-    """log 2, 2/3, 1.5, log 0.32 and log 1.442 at the working precision."""
-    with mpmath.workprec(PRECISION_BITS):
-        return (mpmath.log(2), mpmath.mpf(2) / 3, mpmath.mpf("1.5"),
-                mpmath.log(mpmath.mpf("0.32")), mpmath.log(mpmath.mpf("1.442")))
+def _fixed_consts() -> tuple[int, int, int]:
+    """Fixed-point log 2, log 0.32 and log 1.442, each within _E."""
+    with mpmath.workprec(_SOURCE_BITS):
+        return tuple(_floor_fixed(mpmath.log(mpmath.mpf(p) / q)) for p, q in ((2, 1), (8, 25), (721, 500)))
 
 
 @lru_cache(maxsize=None)
-def _log_consts(c: int) -> tuple[mpf, mpf, mpf]:
-    """Logs of the factorial, exponential and frontier prefactors for one c."""
-    with mpmath.workprec(PRECISION_BITS):
-        return (mpmath.log(factorial_bound_const(c)), mpmath.log(exp_bound_const(c)),
-                mpmath.log(frontier_bound_const(c)))
+def _log_consts(c: int) -> tuple[int, int, int]:
+    """Fixed-point logs of the factorial, exponential and frontier prefactors for one c, each within _E."""
+    with mpmath.workprec(_const_prec(c)):
+        return tuple(_floor_fixed(mpmath.log(const(c)))
+                     for const in (factorial_bound_const, exp_bound_const, frontier_bound_const))
 
 
 @lru_cache(maxsize=None)
-def _c5_terms(n: int) -> tuple[mpf, mpf]:
-    """log(n - n^(2/3)/2) and floor(n^(2/3)/2) * (log 2 + 3), the n-only terms of c5."""
-    log2, two_thirds = _fixed_consts()[:2]
-    with mpmath.workprec(PRECISION_BITS):
-        frontier = mpmath.mpf(n) - mpmath.power(n, two_thirds) / 2
-        return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
+def _c5_term(n: int) -> int:
+    """The n-only part of c5, log(n - n^(2/3)/2) + floor(n^(2/3)/2) * (log 2 + 3), in fixed point within _E."""
+    with mpmath.workprec(_SOURCE_BITS + n.bit_length() + 2):  # the term is at most 4n in size
+        frontier = n - mpmath.cbrt(n * n) / 2
+        return _floor_fixed(mpmath.log(frontier) + floor_half_frontier(n) * (mpmath.log(2) + 3))
 
 
 # One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d),
 # exact) with d = n - m, where exact is None or (text, bound(c, m, n, d)).
 # Gates are exact integer comparisons (8*(n-m)^3 vs n^2 for the frontier
-# split) so no triple is misclassified by rounding; a log value is evaluated
-# only where its gate holds, inside the 128-bit working precision.  A row
-# with an exact bound is decided by L >= bound; the others by their logs.
+# split) so no triple is misclassified by rounding.  A log value is a pair
+# (v, e) of integers, v the fixed-point log and e its error bound, built by
+# integer adds and multiples of the sources; it is evaluated only where its
+# gate holds, after _LOG_INT and _LOG_FACT reach n.  A row with an exact
+# bound is decided by L >= bound; the others by the enclosures of their logs.
 _BOUNDS = (
     ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
-     lambda c, m, n, d: n * _fixed_consts()[0],
+     lambda c, m, n, d: (n * _fixed_consts()[0], _E * n),
      ("2^n", lambda c, m, n, d: 2**n)),
     ("binom", lambda c, m, n, d: True,
-     lambda c, m, n, d: mpmath.log(m * comb(n, m)),
+     lambda c, m, n, d: (
+         _LOG_INT[m] + _LOG_FACT[n] - _LOG_FACT[m] - _LOG_FACT[d],
+         _E * (1 + n + m + d),
+     ),
      ("m * C(n, m)", lambda c, m, n, d: m * comb(n, m))),
     ("t7", lambda c, m, n, d: True,
      lambda c, m, n, d: (
-         _log_consts(c)[0]
-         + 2 * _log_int(m)
-         + 2 * log_factorial(n)
-         - 2 * log_factorial(m)
-         - 3 * log_factorial(d)
+         _log_consts(c)[0] + 2 * _LOG_INT[m] + 2 * _LOG_FACT[n] - 2 * _LOG_FACT[m] - 3 * _LOG_FACT[d],
+         _E * (3 + 2 * n + 2 * m + 3 * d),
      ), None),
     ("t9", lambda c, m, n, d: m < n,
      lambda c, m, n, d: (
          _log_consts(c)[1]
-         + _log_int(n)
-         + _log_int(m)
-         - _fixed_consts()[2] * _log_int(d)
-         + d * (2 * _log_int(m) - 3 * _log_int(d))
-         + 3 * d
+         + _LOG_INT[n]
+         + _LOG_INT[m]
+         - ((3 * _LOG_INT[d]) >> 1)
+         + d * (2 * _LOG_INT[m] - 3 * _LOG_INT[d])
+         + 3 * d * _ONE,
+         _E * (3 + 5 * d) + 3 * _E // 2 + 1,
      ), None),
     # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
     ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
-     lambda c, m, n, d: _log_consts(c)[2] + _c5_terms(n)[0] + _c5_terms(n)[1], None),
+     lambda c, m, n, d: (_log_consts(c)[2] + _c5_term(n), 2 * _E), None),
     # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
     ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
-     lambda c, m, n, d: _log_consts(c)[1] + _log_int(n) + 3 * d, None),
+     lambda c, m, n, d: (_log_consts(c)[1] + _LOG_INT[n] + 3 * d * _ONE, 2 * _E), None),
     ("farhi", lambda c, m, n, d: c == 1 and m == 1,
-     lambda c, m, n, d: _fixed_consts()[3] + n * _fixed_consts()[4],
+     lambda c, m, n, d: (_fixed_consts()[1] + n * _fixed_consts()[2], _E * (1 + n)),
      ("0.32 * 1.442^n", lambda c, m, n, d: Fraction(8, 25) * Fraction(721, 500) ** n)),
 )
 
@@ -324,10 +357,17 @@ BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
 @dataclass(frozen=True)
 class BoundValue:
     applicable: bool
-    log_value: Optional[mpf]  # None when not applicable
+    log_value: Optional[int]  # fixed point, log(bound) * 2^128; None when not applicable
+    error: int = 0  # |log_value - 2^128 * log(bound)| <= error
 
 
 _NOT_APPLICABLE = BoundValue(False, None)
+
+
+def _log_str(v: int) -> str:
+    """The fixed-point log v / 2^128 as a decimal with 15 significant digits, as mpmath.nstr prints it."""
+    libmp = mpmath.libmp
+    return libmp.to_str(libmp.from_man_exp(v, -PRECISION_BITS), 15)
 
 
 @dataclass(frozen=True)
@@ -345,52 +385,53 @@ class BoundReport:
     m: int
     n: int
     L: int
-    logL: mpf
+    logL: int  # fixed point, within _E of log(L) * 2^128
     bounds: dict[str, BoundValue]
 
     @cached_property
-    def holds(self) -> dict[str, Optional[bool]]:
-        """Whether each bound holds, None where it does not apply; computed once.
+    def _failed(self) -> dict[str, str]:
+        """Name -> message of each applicable bound not shown to hold; the one verdict pass.
 
-        A row with an exact bound compares L with it; the others compare
-        logL within the tolerance, at the working precision (at the caller's
-        precision, 53 bits by default, the subtraction could round a
-        violation away).
+        A row with an exact bound fails when L is below it.  A log row holds
+        when the enclosures are ordered, logL - _E >= v + e, and fails when
+        logL + _E < v - e; any other case is undecided, which is a failure
+        too, never a pass.
         """
         c, m, n = self.c, self.m, self.n
         out = {}
-        with mpmath.workprec(PRECISION_BITS):
-            for name, _, _, exact in _BOUNDS:
-                bv = self.bounds[name]
-                if not bv.applicable:
-                    out[name] = None
-                elif exact is not None:
-                    out[name] = self.L >= exact[1](c, m, n, n - m)
+        for name, _, _, exact in _BOUNDS:
+            bv = self.bounds[name]
+            if not bv.applicable:
+                continue
+            if exact is not None:
+                if self.L < exact[1](c, m, n, n - m):
+                    out[name] = f"bound {name}: L < {exact[0]}"
+            elif self.logL - _E < bv.log_value + bv.error:
+                if self.logL + _E < bv.log_value - bv.error:
+                    out[name] = (f"bound {name}: log_value {_log_str(bv.log_value)} "
+                                 f"exceeds logL {_log_str(self.logL)}")
                 else:
-                    out[name] = self.logL >= bv.log_value - LOG_TOLERANCE * abs(bv.log_value)
+                    out[name] = f"bound {name}: undecided"
         return out
 
+    @cached_property
+    def holds(self) -> dict[str, Optional[bool]]:
+        """Whether each bound is shown to hold, None where it does not apply; computed once."""
+        return {name: name not in self._failed if bv.applicable else None for name, bv in self.bounds.items()}
+
     def failures(self) -> list[str]:
-        out = []
-        for name, _, _, exact in _BOUNDS:
-            if self.holds[name] is False:
-                if exact is not None:
-                    out.append(f"bound {name}: L < {exact[0]}")
-                else:
-                    out.append(f"bound {name}: log_value {self.bounds[name].log_value} exceeds logL {self.logL}")
-        return out
+        return list(self._failed.values())
 
 
 def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
     """Every bound of `_BOUNDS` at one triple whose lcm is big_l, built but not checked."""
     d = n - m
-    with mpmath.workprec(PRECISION_BITS):
-        log_l = mpmath.log(big_l)
-        bounds = {
-            name: BoundValue(True, log_value(c, m, n, d)) if applies(c, m, n, d) else _NOT_APPLICABLE
-            for name, applies, log_value, _ in _BOUNDS
-        }
-    return BoundReport(c=c, m=m, n=n, L=big_l, logL=log_l, bounds=bounds)
+    _extend_logs(n)
+    bounds = {
+        name: BoundValue(True, *log_value(c, m, n, d)) if applies(c, m, n, d) else _NOT_APPLICABLE
+        for name, applies, log_value, _ in _BOUNDS
+    }
+    return BoundReport(c=c, m=m, n=n, L=big_l, logL=_log_fixed(big_l), bounds=bounds)
 
 
 def bound_report(c: int, m: int, n: int) -> BoundReport:
@@ -432,7 +473,7 @@ def stirling_check(k: int) -> bool:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     with mpmath.workprec(PRECISION_BITS):
-        exact = log_factorial(k)
+        exact = mpmath.ldexp(log_factorial(k), -PRECISION_BITS)
         lower = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
         upper = lower + mpmath.mpf(1) / (12 * k)
         return bool(lower <= exact <= upper)

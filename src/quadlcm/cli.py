@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bounds as _bounds
-from ._lazy import lazy_import
 from .bounds import (
     BOUND_NAMES,
     BoundReport,
@@ -29,8 +28,6 @@ from .bounds import (
     triple_report,
 )
 from .poly import BezoutCertificate, bezout_certificate
-
-mpmath = lazy_import("mpmath")  # `bezout` never loads it
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def fmt_log(x) -> str:
-    """Decimal with 15 significant digits; deterministic."""
-    return mpmath.nstr(x, 15)
+def fmt_log(v: int) -> str:
+    """A fixed-point log (v / 2^128) as a decimal with 15 significant digits; deterministic."""
+    return _bounds._log_str(v)
 
 
 def js_int(v: int):
@@ -251,10 +248,11 @@ def cmd_table(args) -> int:
                     code = EXIT_VIOLATION
                     print(f"VIOLATION at (c,m,n)={(args.c, m, n)}: {exc}", file=sys.stderr)
                 cells = [args.c, n, m, fmt_log(br.logL)]
-                with mpmath.workprec(_bounds.PRECISION_BITS):
-                    for name in BOUND_NAMES:
-                        bv = br.bounds[name]
-                        cells.append(fmt_log(bv.log_value / br.logL) if bv.applicable else "NA")
+                for name in BOUND_NAMES:
+                    bv = br.bounds[name]
+                    # the ratio log(bound) / log(L), itself in fixed point
+                    cells.append(fmt_log((bv.log_value << _bounds.PRECISION_BITS) // br.logL)
+                                 if bv.applicable else "NA")
                 writer.writerow(cells)
     return code
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
@@ -215,6 +216,12 @@ def shift_product_poly(c: int, k: int) -> QuadPoly:
     return acc
 
 
+# reciprocal_difference evaluates P at one point per call, so it reads P from
+# here; QuadPoly is immutable, so one shared P per (c, k) is safe.  The
+# public name stays a plain function.
+_cached_shift_product_poly = lru_cache(maxsize=None)(shift_product_poly)
+
+
 def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
     """Split p with Z[sqrt(-c)] coefficients as (A, B) with p = A + B*sqrt(-c)."""
     if p.den != 1:
@@ -295,7 +302,7 @@ def reciprocal_difference(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if z.c != c:
         raise RingMismatchError(f"z lives in ring {z.c}, expected {c}")
-    return _alternating_sums(c, shift_product_poly(c, k), z, [ell])[0]
+    return _alternating_sums(c, _cached_shift_product_poly(c, k), z, [ell])[0]
 
 
 def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:

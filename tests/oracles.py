@@ -2,14 +2,20 @@
 
 Everything here deliberately avoids the library's own divisibility
 criterion: multiples are found by solving the quotient equations directly,
-so agreement with the implementation is a real two-sided check.
+so agreement with the implementation is a real two-sided check.  The bound
+logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from math import comb
+
+import mpmath
 
 from quadlcm import QuadInt
+from quadlcm.bounds import floor_half_frontier
 
 
 def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
@@ -97,3 +103,119 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
         for d in diff_products:
             b = b * d
     return u, a, b
+
+
+# --- the 128-bit mpf evaluation of the bound logs ---------------------------
+# The bound rows as they were evaluated before the fixed-point engine, kept
+# as the parity oracle of its printed logs: nstr(value, 15) of each must equal
+# the engine's string.  Only rows whose gate holds are evaluated.
+
+_PRECISION_BITS = 128
+_LOG_INT_CACHE: dict = {}
+_LOG_FACT_CACHE: list = []
+
+
+def _log_int(n):
+    v = _LOG_INT_CACHE.get(n)
+    if v is None:
+        with mpmath.workprec(_PRECISION_BITS):
+            v = mpmath.log(n)
+        _LOG_INT_CACHE[n] = v
+    return v
+
+
+def _log_factorial(k):
+    if len(_LOG_FACT_CACHE) <= k:
+        with mpmath.workprec(_PRECISION_BITS):
+            while len(_LOG_FACT_CACHE) <= k:
+                if not _LOG_FACT_CACHE:
+                    _LOG_FACT_CACHE.append(mpmath.mpf(0))
+                j = len(_LOG_FACT_CACHE)
+                _LOG_FACT_CACHE.append(_LOG_FACT_CACHE[-1] + mpmath.log(j))
+    return _LOG_FACT_CACHE[k]
+
+
+def _factorial_bound_const(c):
+    with mpmath.workprec(_PRECISION_BITS):
+        return mpmath.exp(-2 * mpmath.pi**2 * c / 3) / c
+
+
+def _exp_bound_const(c):
+    with mpmath.workprec(_PRECISION_BITS):
+        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
+                / ((2 * mpmath.pi) ** mpmath.mpf("1.5") * c))
+
+
+def _frontier_bound_const(c):
+    with mpmath.workprec(_PRECISION_BITS):
+        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
+                / (mpmath.pi ** mpmath.mpf("1.5") * c))
+
+
+@lru_cache(maxsize=None)
+def _fixed_consts():
+    with mpmath.workprec(_PRECISION_BITS):
+        return (mpmath.log(2), mpmath.mpf(2) / 3, mpmath.mpf("1.5"),
+                mpmath.log(mpmath.mpf("0.32")), mpmath.log(mpmath.mpf("1.442")))
+
+
+@lru_cache(maxsize=None)
+def _log_consts(c):
+    with mpmath.workprec(_PRECISION_BITS):
+        return (mpmath.log(_factorial_bound_const(c)), mpmath.log(_exp_bound_const(c)),
+                mpmath.log(_frontier_bound_const(c)))
+
+
+@lru_cache(maxsize=None)
+def _c5_terms(n):
+    log2, two_thirds = _fixed_consts()[:2]
+    with mpmath.workprec(_PRECISION_BITS):
+        frontier = mpmath.mpf(n) - mpmath.power(n, two_thirds) / 2
+        return mpmath.log(frontier), floor_half_frontier(n) * (log2 + 3)
+
+
+_MPF_BOUNDS = (
+    ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
+     lambda c, m, n, d: n * _fixed_consts()[0]),
+    ("binom", lambda c, m, n, d: True,
+     lambda c, m, n, d: mpmath.log(m * comb(n, m))),
+    ("t7", lambda c, m, n, d: True,
+     lambda c, m, n, d: (
+         _log_consts(c)[0]
+         + 2 * _log_int(m)
+         + 2 * _log_factorial(n)
+         - 2 * _log_factorial(m)
+         - 3 * _log_factorial(d)
+     )),
+    ("t9", lambda c, m, n, d: m < n,
+     lambda c, m, n, d: (
+         _log_consts(c)[1]
+         + _log_int(n)
+         + _log_int(m)
+         - _fixed_consts()[2] * _log_int(d)
+         + d * (2 * _log_int(m) - 3 * _log_int(d))
+         + 3 * d
+     )),
+    ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
+     lambda c, m, n, d: _log_consts(c)[2] + _c5_terms(n)[0] + _c5_terms(n)[1]),
+    ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
+     lambda c, m, n, d: _log_consts(c)[1] + _log_int(n) + 3 * d),
+    ("farhi", lambda c, m, n, d: c == 1 and m == 1,
+     lambda c, m, n, d: _fixed_consts()[3] + n * _fixed_consts()[4]),
+)
+
+
+def mpf_bound_logs(c: int, m: int, n: int, big_l: int):
+    """(log L, {name: log value}) in 128-bit mpf, one entry per bound whose gate holds."""
+    d = n - m
+    with mpmath.workprec(_PRECISION_BITS):
+        return mpmath.log(big_l), {
+            name: log_value(c, m, n, d)
+            for name, applies, log_value in _MPF_BOUNDS if applies(c, m, n, d)
+        }
+
+
+def mpf_ratio(value, log_l):
+    """The table ratio log(bound) / log(L) in 128-bit mpf."""
+    with mpmath.workprec(_PRECISION_BITS):
+        return value / log_l

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +20,6 @@ from quadlcm import (
     verify_divisor,
 )
 from quadlcm.bounds import (
-    LOG_TOLERANCE,
     PRECISION_BITS,
     exp_bound_const,
     factorial_bound_const,
@@ -27,6 +28,14 @@ from quadlcm.bounds import (
     icbrt,
     log_factorial,
 )
+from quadlcm.cli import fmt_log, main
+
+from oracles import mpf_bound_logs, mpf_ratio
+
+
+def _mpf(v: int) -> mpmath.mpf:
+    """The fixed-point log v as the mpf v / 2^128, exactly."""
+    return mpmath.ldexp(v, -PRECISION_BITS)
 
 
 class TestLcmRange:
@@ -208,13 +217,13 @@ class TestConstants:
 class TestLogFactorial:
     def test_against_lgamma(self):
         for k in (0, 1, 2, 10, 100, 1000):
-            got = float(log_factorial(k))
+            got = float(_mpf(log_factorial(k)))
             want = math.lgamma(k + 1)
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_exact_small(self):
         with mpmath.workprec(PRECISION_BITS):
-            assert abs(log_factorial(5) - mpmath.log(120)) < mpmath.mpf(2) ** (-100)
+            assert abs(_mpf(log_factorial(5)) - mpmath.log(120)) < mpmath.mpf(2) ** (-100)
 
 
 class TestBoundReport:
@@ -224,7 +233,7 @@ class TestBoundReport:
         assert v.applicable
         with mpmath.workprec(PRECISION_BITS):
             expected = mpmath.log(mpmath.mpf("0.32")) + 50 * mpmath.log(mpmath.mpf("1.442"))
-            assert abs(v.log_value - expected) < 1e-20
+            assert abs(_mpf(v.log_value) - expected) < 1e-20
         assert r.logL >= v.log_value
 
     def test_diagonal_final_bound(self):
@@ -235,7 +244,7 @@ class TestBoundReport:
                 assert v.applicable
                 with mpmath.workprec(PRECISION_BITS):
                     expected = mpmath.log(exp_bound_const(c)) + mpmath.log(n)
-                    assert abs(v.log_value - expected) < 1e-18
+                    assert abs(_mpf(v.log_value) - expected) < 1e-18
                 assert r.logL >= v.log_value
 
     def test_t7_value_at_1_4_7(self):
@@ -245,7 +254,7 @@ class TestBoundReport:
         expected = factorial_bound_const(1) * 16 * math.factorial(7) ** 2 / (
             math.factorial(4) ** 2 * math.factorial(3) ** 3
         )
-        assert abs(v.log_value - mpmath.log(expected)) < 1e-15
+        assert abs(_mpf(v.log_value) - mpmath.log(expected)) < 1e-15
         assert r.logL >= v.log_value
 
     def test_applicability_gates_exact(self):
@@ -272,25 +281,130 @@ class TestBoundReport:
     def test_forged_report_detected(self):
         r = bound_report(1, 1, 10)
         assert r.failures() == []
-        bad = dataclasses.replace(r, logL=mpmath.mpf(-100))
+        bad = dataclasses.replace(r, logL=-100 << PRECISION_BITS)
         assert bad.failures()
 
-    def test_tolerance_is_the_53_bit_mpf(self):
-        # a plain float, so nothing at import reads an mpmath attribute
-        assert isinstance(LOG_TOLERANCE, float)
-        with mpmath.workprec(53):
-            assert mpmath.mpf(LOG_TOLERANCE) == mpmath.mpf("1e-9")
-
     def test_failures_compare_at_working_precision(self):
-        # logL falls short of the tolerance by a relative 2^-110: visible at
-        # 128 bits, rounded away at mpmath's default 53
+        # logL's upper end forged 1 unit of 2^-128 below t7's lower end: a
+        # relative 2^-128 gap, decided by the integers at any mpmath precision
         r = bound_report(1, 4, 7)
-        v = r.bounds["t7"].log_value
-        assert v > 0
-        with mpmath.workprec(PRECISION_BITS):
-            forged = (v - LOG_TOLERANCE * abs(v)) * (1 - mpmath.mpf(2) ** -110)
+        t7 = r.bounds["t7"]
+        assert t7.log_value > 0
+        forged = t7.log_value - t7.error - bounds._E - 1
         assert mpmath.mp.prec == 53
-        assert dataclasses.replace(r, logL=forged).failures()
+        bad = dataclasses.replace(r, logL=forged)
+        assert bad.holds["t7"] is False
+        assert [f for f in bad.failures() if f.startswith("bound t7:")] == [
+            f"bound t7: log_value {fmt_log(t7.log_value)} exceeds logL {fmt_log(forged)}"
+        ]
+
+
+class TestCertifiedVerdicts:
+    @pytest.mark.parametrize("forge, holds", [
+        (lambda v, e, E: v + e + E, True),  # logL - E == v + e: the enclosures touch, ordered
+        (lambda v, e, E: v + e + E - 1, False),
+        (lambda v, e, E: v, False),  # inside the enclosure
+        (lambda v, e, E: v - e - E, False),  # logL + E == v - e
+    ], ids=["touching", "overlap-top", "inside", "overlap-bottom"])
+    def test_t7_enclosure_boundaries(self, forge, holds):
+        # every case but the first is undecided; one unit below overlap-bottom
+        # fails outright (TestBoundReport::test_failures_compare_at_working_precision)
+        r = bound_report(1, 4, 7)
+        t7 = r.bounds["t7"]
+        bad = dataclasses.replace(r, logL=forge(t7.log_value, t7.error, bounds._E))
+        assert bad.holds["t7"] is holds
+        messages = [f for f in bad.failures() if f.startswith("bound t7:")]
+        assert messages == ([] if holds else ["bound t7: undecided"])
+
+    def test_every_row_decided_at_1_1_1(self):
+        r = bound_report(1, 1, 1)
+        applicable = [name for name, bv in r.bounds.items() if bv.applicable]
+        assert applicable == ["oon_2n", "binom", "t7", "final", "farhi"]
+        assert all(r.holds[name] is True for name in applicable)
+        for name in ("t7", "final"):
+            bv = r.bounds[name]
+            assert r.logL - bounds._E >= bv.log_value + bv.error
+
+    def test_failure_messages_are_15_digit_decimals(self):
+        r = bound_report(1, 1, 10)
+        forged = -100 << PRECISION_BITS
+        bad = dataclasses.replace(r, logL=forged)
+        log_rows = [name for name in ("t7", "t9", "c5", "final") if r.bounds[name].applicable]
+        assert log_rows == ["t7", "t9", "c5"]
+        failures = bad.failures()
+        for name in log_rows:
+            v = r.bounds[name].log_value
+            assert f"bound {name}: log_value {fmt_log(v)} exceeds logL -100.0" in failures
+            assert str(v) not in " ".join(failures)
+            with mpmath.workprec(PRECISION_BITS):
+                assert fmt_log(v) == mpmath.nstr(_mpf(v), 15)
+
+    def test_sources_within_their_errors_at_512_bits(self):
+        _clear_log_caches()
+        log_factorial(500)
+        with mpmath.workprec(512):
+            scale = mpmath.mpf(2) ** PRECISION_BITS
+            e = bounds._E
+
+            def within(v, x, err):
+                assert abs(v - x * scale) <= err
+
+            fact = mpmath.mpf(0)
+            for j in range(1, 501):
+                fact += mpmath.log(j)
+                within(bounds._LOG_INT[j], mpmath.log(j), e)
+                within(log_factorial(j), fact, e * j)
+            for c in range(1, 6):
+                pi2 = mpmath.pi**2
+                k0 = -2 * pi2 * c / 3 - mpmath.log(c)
+                k1 = k0 - mpmath.mpf(5) / 12 - mpmath.mpf(3) / 2 * mpmath.log(2 * mpmath.pi)
+                k2 = k0 - mpmath.mpf(5) / 12 - mpmath.mpf(3) / 2 * mpmath.log(mpmath.pi)
+                for v, x in zip(bounds._log_consts(c), (k0, k1, k2)):
+                    within(v, x, e)
+            for n in range(1, 301):
+                half = mpmath.floor(mpmath.cbrt(n * n) / 2)
+                term = mpmath.log(n - mpmath.cbrt(n * n) / 2) + half * (mpmath.log(2) + 3)
+                within(bounds._c5_term(n), term, e)
+            for v, x in zip(bounds._fixed_consts(), (2, mpmath.mpf("0.32"), mpmath.mpf("1.442"))):
+                within(v, mpmath.log(x), e)
+
+    def test_farhi_decided_exactly_up_to_300(self):
+        # a stricter sibling of acceptance criterion 6: no tolerance, and L itself decides
+        big_l = 1
+        for n in range(1, 301):
+            big_l = math.lcm(big_l, n * n + 1)
+            r = bound_report(1, 1, n)
+            assert r.L == big_l
+            assert big_l >= Fraction(8, 25) * Fraction(721, 500) ** n
+            assert r.holds["farhi"] is True
+            assert dataclasses.replace(r, logL=-1 << PRECISION_BITS).holds["farhi"] is True
+
+
+class TestParityOracle:
+    # every printed log equals the 128-bit mpf evaluation's 15-digit string
+    def test_log_strings_match_the_mpf_oracle(self):
+        for c in (1, 2):
+            for n in range(1, 61):
+                for m in range(1, n + 1):
+                    r = bound_report(c, m, n)
+                    log_l, values = mpf_bound_logs(c, m, n, r.L)
+                    assert fmt_log(r.logL) == mpmath.nstr(log_l, 15)
+                    assert [name for name, bv in r.bounds.items() if bv.applicable] == list(values)
+                    for name, value in values.items():
+                        assert fmt_log(r.bounds[name].log_value) == mpmath.nstr(value, 15), (c, m, n, name)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_table_ratios_match_the_mpf_oracle(self, c, tmp_path):
+        target = tmp_path / "table.csv"
+        assert main(["table", "--c", str(c), "--n-max", "60", "--out", str(target)]) == 0
+        header, *rows = [line.split(",") for line in target.read_text().splitlines()]
+        assert len(rows) == 60 * 61 // 2
+        for row in rows:
+            n, m = int(row[1]), int(row[2])
+            log_l, values = mpf_bound_logs(c, m, n, lcm_range(c, m, n))
+            assert row[3] == mpmath.nstr(log_l, 15)
+            for name, cell in zip(header[4:], row[4:]):
+                assert cell == (mpmath.nstr(mpf_ratio(values[name], log_l), 15) if name in values else "NA")
 
 
 class TestExactRows:
@@ -313,8 +427,8 @@ class TestExactRows:
         r = bound_report(1, 1, 1)
         assert r.L == 2 == 2**1
         assert r.holds["oon_2n"] is True
-        # decided by L itself, not by logL within the tolerance
-        assert dataclasses.replace(r, logL=mpmath.mpf(-1)).holds["oon_2n"] is True
+        # decided by L itself, not by logL
+        assert dataclasses.replace(r, logL=-1 << PRECISION_BITS).holds["oon_2n"] is True
         assert dataclasses.replace(r, L=1).holds["oon_2n"] is False
 
     def test_verdicts_computed_once(self, monkeypatch):
@@ -326,7 +440,9 @@ class TestExactRows:
         fresh.failures()
         fresh.failures()
         assert fresh.holds == r.holds
-        assert calls == [PRECISION_BITS]
+        assert fresh.holds is fresh.holds
+        # the verdicts are integer comparisons: no mpmath precision is set
+        assert calls == []
 
 
 class TestTripleReport:
@@ -371,10 +487,10 @@ class TestTripleReport:
 
 
 def _clear_log_caches():
-    for memo in (bounds._fixed_consts, bounds._log_consts, bounds._c5_terms):
+    for memo in (bounds._fixed_consts, bounds._log_consts, bounds._c5_term):
         memo.cache_clear()
-    bounds._LOG_INT_CACHE.clear()
-    bounds._LOG_FACT_CACHE.clear()
+    del bounds._LOG_INT[2:]
+    del bounds._LOG_FACT[2:]
 
 
 class TestLogCaches:
@@ -382,13 +498,30 @@ class TestLogCaches:
         _clear_log_caches()
         for c in range(1, 6):
             cached = bounds._log_consts(c)
-            with mpmath.workprec(PRECISION_BITS):
-                fresh = (
-                    mpmath.log(factorial_bound_const(c)),
-                    mpmath.log(exp_bound_const(c)),
-                    mpmath.log(frontier_bound_const(c)),
+            with mpmath.workprec(bounds._const_prec(c)):
+                fresh = tuple(
+                    mpmath.libmp.to_fixed(mpmath.log(const(c))._mpf_, PRECISION_BITS)
+                    for const in (factorial_bound_const, exp_bound_const, frontier_bound_const)
                 )
             assert cached == fresh
+
+    def test_log_tables_grow_consistently_under_threads(self):
+        _clear_log_caches()
+        want = [log_factorial(k) for k in range(401)]
+        _clear_log_caches()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda i=i: [log_factorial(k) for k in range(i, 401, 3)])
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert bounds._LOG_FACT == want
 
     @pytest.mark.parametrize("c, m, n", [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 5, 9), (3, 60, 64), (1, 1, 200)])
     def test_first_call_precision_does_not_leak(self, c, m, n):
