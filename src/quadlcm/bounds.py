@@ -27,9 +27,16 @@ Any other case is undecided, and reported as a violation, never as a pass.
 The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
 applicability gate, a log value and, where there is one, the exact bound.
 Each report is built first and checked once: `failures()` is the one check
-of a record.  `triple_report` computes L once per triple and builds and
-checks every claim from it; `verify_divisor` and `bound_report` build and
-check one part of that record from their own L, and raise on a failure.
+of a record.  A row (c, n) is the unit of work: `row_reports` takes one
+descending fold over m (`_row_fold`), which computes L, P, (n-m)! and the
+content multiple directly at the row's largest m and then with one lcm or
+multiplication each per step down, and builds and checks every claim of
+each m from them.  `triple_report` is the row of one m, so it computes L
+once; `row_bound_reports` builds the bound reports alone from the same
+fold.  log L is not folded: each is floor(2^128 log L) of its own L, where
+a sum of floored logs could change a printed digit.  `verify_divisor` and
+`bound_report` build and check one part of a record from their own L, and
+raise on a failure.
 
 mpmath is bound lazily and nothing at module level reads an mpmath
 attribute, so mpmath loads on the first log evaluated, not at import.  The
@@ -42,8 +49,8 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
-from typing import TYPE_CHECKING, Optional
+from math import comb, factorial, lcm, log
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ._lazy import lazy_import
 from .ring import QuadInt, content, content_multiple, shifted_product
@@ -86,6 +93,38 @@ def _divisor_parts(c: int, m: int, n: int) -> tuple[QuadInt, int, int]:
     The divisor is norm(P) / ((n-m)! * content_multiple(c, n-m)); norm(P) = prod(k^2+c).
     """
     return shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
+
+
+def _lcm_step(big_l: int, c: int, m: int) -> int:
+    """lcm(big_l, m^2+c): L at (c, m, n) from L at (c, m+1, n), the one lcm step of a row's fold."""
+    return lcm(big_l, m * m + c)
+
+
+def _row_fold(c: int, n: int, ms: range) -> Iterator[tuple[int, int, QuadInt, int, int]]:
+    """(m, L, P, (n-m)!, content_multiple(c, n-m)) at (c, m, n) for each m of ms, descending.
+
+    The first, at the largest m, comes from `lcm_range` and `_divisor_parts`;
+    each later one is one step down in m, with d = n - m:
+    L <- lcm(L, m^2+c), P <- P * (m + sqrt(-c)), (n-m)! <- (n-m+1)! * d and
+    the content multiple <- multiple * (d^2 + 4c).  ms is a range of
+    consecutive m within 1..n.
+    """
+    if not ms:
+        return
+    _require_range(c, ms[0], n)
+    top = ms[-1]
+    big_l = lcm_range(c, top, n)
+    product, fact, multiple = _divisor_parts(c, top, n)
+    a, b = product.a, product.b
+    for m in reversed(ms):
+        if m < top:
+            d = n - m
+            big_l = _lcm_step(big_l, c, m)
+            # (a + b*sqrt(-c)) * (m + sqrt(-c))
+            a, b = a * m - c * b, a + b * m
+            fact *= d
+            multiple *= d * d + 4 * c
+        yield m, big_l, QuadInt(a, b, c), fact, multiple
 
 
 def rational_divisor(c: int, m: int, n: int) -> Fraction:
@@ -135,14 +174,14 @@ class DivisorReport:
         return out
 
 
-def _divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
-    """The divisor record of one triple whose lcm is big_l, built but not checked.
+def _divisor_report(c: int, m: int, n: int, big_l: int, product: QuadInt, fact: int,
+                    multiple: int) -> DivisorReport:
+    """The divisor record of one triple from its lcm and `_divisor_parts`, built but not checked.
 
     The numerator is norm(P).  The quotient L/D is None when it is not an
     integer, and the star witness is L*(n-m)! * conj(P) / norm(P) floored,
     so a false claim still gives a whole record for `failures()` to reject.
     """
-    product, fact, multiple = _divisor_parts(c, m, n)
     num, den = product.norm(), fact * multiple
     quotient, rem = divmod(big_l * den, num)
     scaled = big_l * fact
@@ -185,7 +224,7 @@ def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
     Raises InvariantViolation if any claim fails; the proofs guarantee that
     never happens, so a raise means an arithmetic bug.
     """
-    return _checked("divisor", _divisor_report(c, m, n, lcm_range(c, m, n)))
+    return _checked("divisor", _divisor_report(c, m, n, lcm_range(c, m, n), *_divisor_parts(c, m, n)))
 
 
 # --- fixed-point log machinery ---------------------------------------------
@@ -364,10 +403,47 @@ class BoundValue:
 _NOT_APPLICABLE = BoundValue(False, None)
 
 
+_LOG2_10 = log(10, 2)  # the float mpmath's to_digits_exp uses
+
+
 def _log_str(v: int) -> str:
-    """The fixed-point log v / 2^128 as a decimal with 15 significant digits, as mpmath.nstr prints it."""
-    libmp = mpmath.libmp
-    return libmp.to_str(libmp.from_man_exp(v, -PRECISION_BITS), 15)
+    """The fixed-point log v / 2^128 as a decimal with 15 significant digits, as mpmath.nstr prints it.
+
+    mpmath's `to_str(x, 15)` in integers only: |x| floored to 69 significant
+    bits (mpmath's working precision for 18 digits), then to a decimal
+    integer, rounded half-up at its 16th digit with the carry through a run
+    of 9s; fixed notation for decimal exponents -4..14, `e` notation
+    otherwise; trailing zeros stripped.  Equal to mpmath's string for every
+    |x| below 2^3500, beyond which mpmath first divides by a power of ten.
+    """
+    if v == 0:
+        return "0.0"
+    sign, x = ("-", -v) if v < 0 else ("", v)
+    fixprec = max(69 - (x.bit_length() - PRECISION_BITS), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = fixprec - PRECISION_BITS
+    fixed = x << shift if shift >= 0 else x >> -shift
+    digits = str(fixed * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if digits[15] >= "5":
+        digits = str(int(digits[:15]) + 1)
+        if len(digits) > 15:  # 999...9 carried into a new leading digit
+            digits = digits[:15]
+            exponent += 1
+    else:
+        digits = digits[:15]
+    if -5 < exponent < 15:
+        if exponent < 0:
+            digits = "0." + "0" * (-exponent - 1) + digits
+        else:
+            digits = digits[:exponent + 1] + "." + digits[exponent + 1:]
+        exponent = 0
+    else:
+        digits = digits[0] + "." + digits[1:]
+    digits = digits.rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    return sign + digits if exponent == 0 else f"{sign}{digits}e{exponent:+d}"
 
 
 @dataclass(frozen=True)
@@ -455,13 +531,33 @@ def triple_report(c: int, m: int, n: int) -> TripleReport:
     """The divisor record and bound report of one triple, each checked once.
 
     Never raises InvariantViolation: a failed claim keeps the whole report
-    that exposed it and adds its message to `violations`.
+    that exposed it and adds its message to `violations`.  It is the row of
+    one m, so L is computed once.
     """
-    big_l = lcm_range(c, m, n)
-    divisor = _divisor_report(c, m, n, big_l)
-    bounds = _bound_report(c, m, n, big_l)
-    messages = (_failure_message("divisor", divisor), _failure_message("bound", bounds))
-    return TripleReport(divisor=divisor, bounds=bounds, violations=tuple(filter(None, messages)))
+    return row_reports(c, n, range(m, m + 1))[0]
+
+
+def row_reports(c: int, n: int, ms: range) -> list[TripleReport]:
+    """`triple_report` at (c, m, n) for each m of ms, ascending, from one fold over m."""
+    reports = []
+    for m, big_l, product, fact, multiple in _row_fold(c, n, ms):
+        divisor = _divisor_report(c, m, n, big_l, product, fact, multiple)
+        bounds = _bound_report(c, m, n, big_l)
+        messages = (_failure_message("divisor", divisor), _failure_message("bound", bounds))
+        reports.append(TripleReport(divisor=divisor, bounds=bounds, violations=tuple(filter(None, messages))))
+    return reports[::-1]
+
+
+def row_bound_reports(c: int, n: int) -> list[tuple[BoundReport, Optional[str]]]:
+    """The bound report of every (c, m, n), m = 1..n ascending, with its failure message or None.
+
+    Each L comes from the same fold over m as `row_reports`.
+    """
+    reports = []
+    for m, big_l, *_ in _row_fold(c, n, range(1, n + 1)):
+        report = _bound_report(c, m, n, big_l)
+        reports.append((report, _failure_message("bound", report)))
+    return reports[::-1]
 
 
 def stirling_check(k: int) -> bool:

@@ -1,10 +1,11 @@
 """Command-line front end: verify, sweep, bezout, table.
 
 Exit codes: 0 all checks pass, 1 usage or configuration error (or a sweep
-pool worker that raised or died), 2 a mathematical invariant failed.  Sweep
-output is byte-identical for a given configuration at any parallelism
-level: work items go to a pool, results are buffered and emitted in
-(c, n, m) lexicographic order.
+pool worker that raised or died), 2 a mathematical invariant failed.  A
+sweep's work item is a row (c, n): one fold over m computes every m the
+--m-policy wants in that row.  Rows go to a pool, which returns them in
+order, so the output is in (c, n, m) lexicographic order and byte-identical
+for a given configuration at any parallelism level.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bounds as _bounds
 from .bounds import (
     BOUND_NAMES,
     BoundReport,
     DivisorReport,
-    InvariantViolation,
     TripleReport,
-    bound_report,
     floor_half_frontier,
+    row_bound_reports,
+    row_reports,
     triple_report,
 )
 from .poly import BezoutCertificate, bezout_certificate
@@ -136,14 +138,14 @@ def certificate_to_json(cert: BezoutCertificate) -> dict:
     }
 
 
-def _m_values(policy: str, n: int) -> list[int]:
-    """The m grid for one n under an --m-policy, ascending."""
+def _m_policy(policy: str) -> Callable[[int], range]:
+    """The m range of each row n under an --m-policy, ascending; a bad policy raises here."""
     if policy == "all":
-        return list(range(1, n + 1))
+        return lambda n: range(1, n + 1)
     if policy == "half_ceil":
-        return [(n + 1) // 2]
+        return lambda n: _only((n + 1) // 2, n)
     if policy == "frontier":
-        return [max(1, n - floor_half_frontier(n))]
+        return lambda n: _only(max(1, n - floor_half_frontier(n)), n)
     if policy.startswith("fixed:"):
         try:
             m = int(policy.split(":", 1)[1])
@@ -151,17 +153,28 @@ def _m_values(policy: str, n: int) -> list[int]:
             raise UsageError(f"bad m policy {policy!r}") from None
         if m < 1:
             raise UsageError(f"fixed m must be >= 1, got {m}")
-        return [m] if m <= n else []
+        return lambda n: _only(m, n)
     raise UsageError(f"unknown m policy {policy!r}")
 
 
-def _sweep_row(triple: tuple[int, int, int]) -> tuple[dict, tuple[str, ...]]:
-    """One sweep work item: the `verify` document projected onto SWEEP_COLUMNS; top-level to pickle."""
-    report = triple_report(*triple)
-    doc = report_to_json(report)
-    cells = {**doc["bounds"], **doc["divisor"]}
-    cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
-    return {col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations
+def _only(m: int, n: int) -> range:
+    """The row n's one m, or no m when m > n."""
+    return range(m, min(m, n) + 1)
+
+
+def _sweep_row(row: tuple[int, int, range]) -> list[tuple[dict, tuple[str, ...]]]:
+    """One sweep work item, the row (c, n, ms); top-level to pickle.
+
+    Each m's `verify` document projected onto SWEEP_COLUMNS, with its violations.
+    """
+    c, n, ms = row
+    out = []
+    for report in row_reports(c, n, ms):
+        doc = report_to_json(report)
+        cells = {**doc["bounds"], **doc["divisor"]}
+        cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
+        out.append(({col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations))
+    return out
 
 
 def _pool_results(results: Iterator) -> Iterator:
@@ -205,22 +218,19 @@ def cmd_sweep(args) -> int:
     _require(1 <= args.c_min <= args.c_max, f"need 1 <= c_min <= c_max, got {args.c_min}..{args.c_max}")
     _require(1 <= args.n_min <= args.n_max, f"need 1 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
     _require(args.parallelism >= 1, f"need parallelism >= 1, got {args.parallelism}")
-    # canonical (c, n, m) order; both ranges are non-empty, so a bad policy raises here
-    triples = [
-        (c, m, n)
-        for c in range(args.c_min, args.c_max + 1)
-        for n in range(args.n_min, args.n_max + 1)
-        for m in _m_values(args.m_policy, n)
-    ]
+    m_range = _m_policy(args.m_policy)  # before --out is opened
+    # rows in canonical (c, n) order, each ascending in m
+    rows = ((c, n, m_range(n)) for c in range(args.c_min, args.c_max + 1)
+            for n in range(args.n_min, args.n_max + 1))
     with _open_out(args.out) as out:
         if args.parallelism > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
                 # map preserves input order, so emission stays canonical
-                results = pool.map(_sweep_row, triples, chunksize=8)
-                return _emit_sweep(_pool_results(results), args.format, out)
-        return _emit_sweep(map(_sweep_row, triples), args.format, out)
+                results = _pool_results(pool.map(_sweep_row, rows))
+                return _emit_sweep(chain.from_iterable(results), args.format, out)
+        return _emit_sweep(chain.from_iterable(map(_sweep_row, rows)), args.format, out)
 
 
 def cmd_bezout(args) -> int:
@@ -240,14 +250,11 @@ def cmd_table(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("c", "n", "m", "logL") + BOUND_NAMES)
         for n in range(1, args.n_max + 1):
-            for m in range(1, n + 1):
-                try:
-                    br = bound_report(args.c, m, n)
-                except InvariantViolation as exc:
-                    br = exc.report
+            for br, failure in row_bound_reports(args.c, n):
+                if failure is not None:
                     code = EXIT_VIOLATION
-                    print(f"VIOLATION at (c,m,n)={(args.c, m, n)}: {exc}", file=sys.stderr)
-                cells = [args.c, n, m, fmt_log(br.logL)]
+                    print(f"VIOLATION at (c,m,n)={(args.c, br.m, n)}: {failure}", file=sys.stderr)
+                cells = [args.c, n, br.m, fmt_log(br.logL)]
                 for name in BOUND_NAMES:
                     bv = br.bounds[name]
                     # the ratio log(bound) / log(L), itself in fixed point

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own divisibility
 criterion: multiples are found by solving the quotient equations directly,
 so agreement with the implementation is a real two-sided check.  The bound
-logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`).
+logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
+and the integer log printer has mpmath's own (`mpmath_log_str`).
 """
 
 from __future__ import annotations
@@ -219,3 +220,9 @@ def mpf_ratio(value, log_l):
     """The table ratio log(bound) / log(L) in 128-bit mpf."""
     with mpmath.workprec(_PRECISION_BITS):
         return value / log_l
+
+
+def mpmath_log_str(v: int) -> str:
+    """The fixed-point log v / 2^128 as mpmath's to_str prints it at 15 digits: the printer's oracle."""
+    libmp = mpmath.libmp
+    return libmp.to_str(libmp.from_man_exp(v, -_PRECISION_BITS), 15)

@@ -137,7 +137,8 @@ def test_criterion_7_log_bounds_sweep():
             for m in range(1, n + 1):
                 r = bound_report(c, m, n)  # raises on any applicable-bound violation
                 applicable += sum(1 for bv in r.bounds.values() if bv.applicable)
-    _pass(7, f"{applicable} applicable bound instances verified over c<=5, n<=200, tol 1e-9 relative")
+    _pass(7, f"{applicable} applicable bound instances verified over c<=5, n<=200, "
+          "decided exactly or by certified enclosures")
 
 
 def test_criterion_8_multiple_criterion_oracle():

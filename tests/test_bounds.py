@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -28,9 +29,9 @@ from quadlcm.bounds import (
     icbrt,
     log_factorial,
 )
-from quadlcm.cli import fmt_log, main
+from quadlcm.cli import _m_policy, fmt_log, main
 
-from oracles import mpf_bound_logs, mpf_ratio
+from oracles import mpf_bound_logs, mpf_ratio, mpmath_log_str
 
 
 def _mpf(v: int) -> mpmath.mpf:
@@ -484,6 +485,83 @@ class TestTripleReport:
         assert "'L/D is not an integer'" in r.violations[0]
         assert r.violations[1].startswith("bound invariants failed at (c=1, m=1, n=3)")
         assert "L < m * C(n, m)" in r.violations[1] and "L < 2^n" in r.violations[1]
+
+
+class TestRowFold:
+    def test_parts_match_direct_computation(self):
+        for c in (1, 2, 3):
+            for n in range(1, 61):
+                steps = list(bounds._row_fold(c, n, range(1, n + 1)))
+                assert [step[0] for step in steps] == list(range(n, 0, -1))
+                for m, big_l, product, fact, multiple in steps:
+                    assert big_l == lcm_range(c, m, n)
+                    assert (product, fact, multiple) == bounds._divisor_parts(c, m, n)
+
+    @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
+    def test_row_reports_equal_triple_reports(self, policy):
+        m_range = _m_policy(policy)
+        for c in (1, 2, 3):
+            for n in range(1, 61):
+                ms = m_range(n)
+                reports = bounds.row_reports(c, n, ms)
+                assert [(r.divisor.m, r.bounds.m) for r in reports] == [(m, m) for m in ms]
+                for r in reports:
+                    expected = triple_report(c, r.divisor.m, n)
+                    assert (r.divisor, r.bounds, r.violations) == (expected.divisor, expected.bounds, ())
+                    assert r.divisor.product == expected.divisor.product
+                if policy == "fixed:7":
+                    assert len(reports) == (n >= 7)
+
+    def test_bound_rows_equal_bound_reports(self):
+        for c in (1, 2):
+            for n in range(1, 41):
+                row = bounds.row_bound_reports(c, n)
+                assert [r for r, _ in row] == [bound_report(c, m, n) for m in range(1, n + 1)]
+                assert all(failure is None for _, failure in row)
+
+    def test_forged_step_reaches_each_lower_m(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 1)
+        reports = bounds.row_reports(1, 3, range(1, 4))
+        assert [r.divisor.L for r in reports] == [1, 1, lcm_range(1, 3, 3)]
+        assert [bool(r.violations) for r in reports] == [True, True, False]
+
+
+class TestLogPrinter:
+    # the integer printer against mpmath's to_str, the routine nstr calls
+    def test_random_values(self):
+        rng = random.Random(20)
+        for _ in range(20000):
+            bits = rng.randint(1, 1300)
+            v = rng.getrandbits(bits) | 1 << (bits - 1)
+            for x in (v, -v):
+                assert fmt_log(x) == mpmath_log_str(x), x
+
+    def test_zero_and_carries(self):
+        assert fmt_log(0) == mpmath_log_str(0) == "0.0"
+        values = []
+        for k in range(-30, 40):
+            for mantissa in ("9" * 15 + "5", "9" * 16, "9" * 14 + "85", "1" + "0" * 15 + "5"):
+                # the fixed-point image of mantissa * 10^(k - 15), and its neighbours
+                x = Fraction(int(mantissa)) * Fraction(10) ** (k - 15)
+                values.extend(int(x * 2**PRECISION_BITS) + dv for dv in range(-2, 3))
+            power = Fraction(10) ** k * 2**PRECISION_BITS
+            values.extend(int(power) + dv for dv in (-1, 0, 1))
+        for v in values:
+            for x in (v, -v):
+                assert fmt_log(x) == mpmath_log_str(x), x
+        assert fmt_log(int(Fraction(10) ** 14 * 2**PRECISION_BITS)) == "100000000000000.0"
+        assert fmt_log(int(Fraction(10) ** 15 * 2**PRECISION_BITS)) == "1.0e+15"
+        assert fmt_log(int(Fraction(10) ** -5 * 2**PRECISION_BITS) + 1) == "1.0e-5"
+        assert fmt_log((10**16 - 5) << PRECISION_BITS) == "1.0e+16"
+
+    def test_every_log_and_ratio_up_to_40(self):
+        for c in range(1, 6):
+            for n in range(1, 41):
+                for r, _ in bounds.row_bound_reports(c, n):
+                    logs = [r.logL] + [bv.log_value for bv in r.bounds.values() if bv.applicable]
+                    ratios = [(v << PRECISION_BITS) // r.logL for v in logs[1:]]
+                    for v in logs + ratios:
+                        assert fmt_log(v) == mpmath_log_str(v), (c, r.m, n, v)
 
 
 def _clear_log_caches():

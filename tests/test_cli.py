@@ -265,11 +265,11 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(policy, n_max, fmt)]
 
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def forged(c, m, n):
-            return dataclasses.replace(real(c, m, n), violations=("forged sweep failure",))
+        def forged(c, n, ms):
+            return [dataclasses.replace(r, violations=("forged sweep failure",)) for r in real(c, n, ms)]
 
-        real = cli.triple_report
-        monkeypatch.setattr(cli, "triple_report", forged)
+        real = cli.row_reports
+        monkeypatch.setattr(cli, "row_reports", forged)
         code, out, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"],
             capsys,
@@ -323,9 +323,9 @@ class TestOutputErrors:
     # be opened before any work starts
     @pytest.mark.parametrize("argv, work", [
         (["verify", "--c", "1", "--m", "1", "--n", "3"], "triple_report"),
-        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "triple_report"),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "row_reports"),
         (["bezout", "--c", "1", "--k", "2"], "bezout_certificate"),
-        (["table", "--c", "1", "--n-max", "3"], "bound_report"),
+        (["table", "--c", "1", "--n-max", "3"], "row_bound_reports"),
     ])
     def test_missing_directory(self, argv, work, tmp_path, capsys, monkeypatch):
         def unreachable(*args):
@@ -338,6 +338,15 @@ class TestOutputErrors:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert str(target) in err
+
+    def test_bad_m_policy_opens_no_output(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        code, out, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2",
+                              "--m-policy", "bogus", "--out", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unknown m policy 'bogus'" in err
+        assert not target.exists()
 
     def test_verify_beyond_int_str_limit(self, capsys):
         # the divisor record holds integers beyond Python's default
@@ -388,11 +397,12 @@ class TestTable:
 
 
 # sweep rows for the pool's workers; module level so they pickle by reference
-def _raising_row(triple):
-    raise RuntimeError(f"forged worker failure at {triple}")
+def _raising_row(row):
+    c, n, ms = row
+    raise RuntimeError(f"forged worker failure at {(c, ms[0], n)}")
 
 
-def _dying_row(triple):
+def _dying_row(row):
     os._exit(3)
 
 
@@ -417,7 +427,8 @@ class TestSweepWorkerFailure:
 class TestForgedLcm:
     # L = 2 at (1, 1, 2) leaves L/D integral but L*(n-m)! not a multiple of
     # (1 + i)(2 + i) = 1 + 3i, so the divisor record's star check must fail;
-    # at (1, 2, 2) L/D = 2/5 is not integral, and only the quotient is null
+    # at (1, 2, 2) L/D = 2/5 is not integral, and only the quotient is null;
+    # a row's fold takes its first L from lcm_range and the rest from _lcm_step
     SWEEP = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "2", "--n-max", "2"]
 
     @pytest.mark.parametrize("argv", [
@@ -428,6 +439,7 @@ class TestForgedLcm:
     ], ids=["verify", "sweep", "sweep-json", "table"])
     def test_exit_2_with_the_row_written(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
         code, out, err = run(argv, capsys)
         assert code == 2
         lines = out.strip().split("\n")
