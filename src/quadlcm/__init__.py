@@ -47,7 +47,6 @@ from .bounds import (
     lcm_range,
     product_content,
     rational_divisor,
-    stirling_check,
     triple_report,
     verify_divisor,
 )

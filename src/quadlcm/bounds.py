@@ -8,14 +8,26 @@ decided in log space by certified enclosures, with no tolerance.
 
 Logs are fixed-point integers: v stands for v / 2^128, and each carries an
 error bound e in units of 2^-128, meaning |v - 2^128 * x| <= e for the true
-log x.  The error budget:
+log x.  One integer engine computes every log at 2^-192, 64 guard bits
+below that scale; its error budget, in units u = 2^-192:
 
-* Each source is computed once per process by mpmath at 160 bits or more
-  (more for large values, so the rounding stays below 2^-30 units) and
-  floored, so it is within _E = 2: log j for every integer j, the three
-  prefactor logs of each c, the n-only term of c5 for each n, and log 2,
-  log 0.32 and log 1.442.  log L is the same kind of source, one mpmath
-  call per triple.
+* `_engine` sums ln 2 = 2 atanh(1/3), pi = 16 atan(1/5) - 4 atan(1/239)
+  and the table log(1 + i/256), i < 256, at 2^-208, each term within 2
+  units there, and floors them: ln 2 within 1.01 u, pi within 1.03 u and
+  each table entry, a running sum of 255 series, within 2 u.
+* `_ln(x, shift)` = log(x / 2^shift), k = x.bit_length() - 1: the floored
+  mantissa (1 u), s floored (2.01 u), at most 11 series terms each within
+  1.34 u (30.2 u doubled, with the tail) and the table entry (2 u) give
+  36 u; the term (k - shift) ln 2 adds 1.01 |k - shift| u.
+* A source is an engine value floored to 2^-128, so within 1 + (its engine
+  error) / 2^64 units of 2^-128, which is within _E = 2 while that error is
+  below 2^64 u: log x of each x of fewer than 2^63 bits (log j, and log L
+  once per triple); log 2, log 0.32 = 3 log 2 - 2 log 5 and log 1.442 =
+  log 721 - log 500, within 120 u; the prefactor logs of each c, within
+  5.4c + log2(c) + 140 u (the pi^2 c term is within 5.4c + 1 u), so for
+  c < 2^61; the n-only term of c5, from a cube root floored at 2^-192 and
+  floor(n^(2/3)/2) multiples of ln 2, within 39 + 1.01 (log2(n) +
+  n^(2/3)/2) u, so for n < 2^90.  Each is computed once per process.
 * log k! is the prefix sum of the floored log j, within 2k.
 * A row's log value is built from the sources by integer adds and integer
   multiples, so its bound is the matching sum and multiples of theirs; the
@@ -38,9 +50,8 @@ a sum of floored logs could change a printed digit.  `verify_divisor` and
 `bound_report` build and check one part of a record from their own L, and
 raise on a failure.
 
-mpmath is bound lazily and nothing at module level reads an mpmath
-attribute, so mpmath loads on the first log evaluated, not at import.  The
-exact quantity content_multiple lives in `ring`; it is imported here too.
+The exact quantity content_multiple lives in `ring`; it is imported here
+too.
 """
 
 from __future__ import annotations
@@ -50,18 +61,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, log
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
-from ._lazy import lazy_import
 from .ring import QuadInt, content, content_multiple, shifted_product
 
-if TYPE_CHECKING:
-    from mpmath import mpf
-
-mpmath = lazy_import("mpmath")  # loads on first use, not at import
-
 PRECISION_BITS = 128  # fixed-point scale: the int v stands for the log v / 2^128
-_SOURCE_BITS = PRECISION_BITS + 32  # least mpmath precision of a source before it is floored
+_GUARD = 64  # guard bits of the log engine over PRECISION_BITS
+_W = PRECISION_BITS + _GUARD  # the log engine's scale: its int v stands for v / 2^192
+_TABLE_GUARD = 16  # extra bits at which the engine's constants are summed before flooring
 _E = 2  # error bound of one floored source, in units of 2^-128
 _ONE = 1 << PRECISION_BITS
 
@@ -239,16 +246,56 @@ _LOG_FACT: list[int] = [0, 0]
 _LOG_LOCK = threading.Lock()
 
 
-def _floor_fixed(x: mpf) -> int:
-    """floor(2^128 * x), exact for the mpf x."""
-    return mpmath.libmp.to_fixed(x._mpf_, PRECISION_BITS)
+def _arc_series(q: int, sign: int, bits: int) -> int:
+    """atanh(1/q) (sign 1) or atan(1/q) (sign -1) for an integer q >= 3 at scale 2^bits, each term floored."""
+    power, q2 = (1 << bits) // q, q * q
+    total, j, term_sign = 0, 1, 1
+    while power:
+        total += term_sign * (power // j)
+        power //= q2
+        j += 2
+        term_sign *= sign
+    return total
+
+
+@lru_cache(maxsize=None)
+def _engine() -> tuple[int, int, tuple[int, ...]]:
+    """ln 2, pi and log(1 + i/256) for i = 0..255 at scale 2^_W; built on the first log.
+
+    The table is the running sum of log((a+1)/a) = 2 atanh(1/(2a+1)), a = 256..510.
+    """
+    bits = _W + _TABLE_GUARD
+    table = [0]
+    for a in range(256, 511):
+        table.append(table[-1] + 2 * _arc_series(2 * a + 1, 1, bits))
+    ln2 = 2 * _arc_series(3, 1, bits)
+    pi = 16 * _arc_series(5, -1, bits) - 4 * _arc_series(239, -1, bits)
+    return ln2 >> _TABLE_GUARD, pi >> _TABLE_GUARD, tuple(v >> _TABLE_GUARD for v in table)
+
+
+def _ln(x: int, shift: int = 0) -> int:
+    """log(x / 2^shift) for an integer x >= 1 at scale 2^_W, within 36 + 1.01 |k - shift| units.
+
+    log x = k log 2 + log(a/256) + 2 atanh(s), with k = x.bit_length() - 1,
+    a/256 <= y = x / 2^k < (a+1)/256 and s = (y - a/256) / (y + a/256) < 2^-9.
+    """
+    ln2, _, table = _engine()
+    k = x.bit_length() - 1
+    y = x << (_W - k) if k <= _W else x >> (k - _W)  # the mantissa at scale 2^_W, floored
+    a = y >> (_W - 8)
+    point = a << (_W - 8)  # a / 256 at scale 2^_W
+    s = ((y - point) << _W) // (y + point)
+    s2, power, total, j = s * s >> _W, s, s, 3
+    while power:
+        power = power * s2 >> _W
+        total += power // j
+        j += 2
+    return (k - shift) * ln2 + table[a - 256] + 2 * total
 
 
 def _log_fixed(x: int) -> int:
-    """floor(2^128 * log x) for an integer x >= 1, within _E; one mpmath call."""
-    libmp = mpmath.libmp
-    prec = _SOURCE_BITS + x.bit_length().bit_length()  # log x < x.bit_length()
-    return libmp.to_fixed(libmp.mpf_log(libmp.from_int(x), prec), PRECISION_BITS)
+    """floor(2^128 * log x) for an integer x >= 1, within _E."""
+    return _ln(x) >> _GUARD
 
 
 def _extend_logs(k: int) -> None:
@@ -298,52 +345,32 @@ def floor_half_frontier(n: int) -> int:
     return icbrt(n * n) // 2
 
 
-def _const_prec(c: int) -> int:
-    """Working precision of the prefactors of one c: their logs are at most 8c + 8 in size."""
-    return _SOURCE_BITS + (8 * c + 8).bit_length()
-
-
-def factorial_bound_const(c: int) -> mpf:
-    """Prefactor e^(-2*pi^2*c/3) / c of the factorial-form bound."""
-    with mpmath.workprec(_const_prec(c)):
-        return mpmath.exp(-2 * mpmath.pi**2 * c / 3) / c
-
-
-def exp_bound_const(c: int) -> mpf:
-    """Prefactor e^(-2*pi^2*c/3 - 5/12) / ((2*pi)^(3/2) * c)."""
-    with mpmath.workprec(_const_prec(c)):
-        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
-                / ((2 * mpmath.pi) ** mpmath.mpf("1.5") * c))
-
-
-def frontier_bound_const(c: int) -> mpf:
-    """Prefactor e^(-2*pi^2*c/3 - 5/12) / (pi^(3/2) * c); 2^(3/2) times exp_bound_const."""
-    with mpmath.workprec(_const_prec(c)):
-        return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
-                / (mpmath.pi ** mpmath.mpf("1.5") * c))
-
-
 @lru_cache(maxsize=None)
 def _fixed_consts() -> tuple[int, int, int]:
-    """Fixed-point log 2, log 0.32 and log 1.442, each within _E."""
-    with mpmath.workprec(_SOURCE_BITS):
-        return tuple(_floor_fixed(mpmath.log(mpmath.mpf(p) / q)) for p, q in ((2, 1), (8, 25), (721, 500)))
+    """Fixed-point log 2, log 0.32 = 3 log 2 - 2 log 5 and log 1.442 = log 721 - log 500, each within _E."""
+    ln2 = _ln(2)
+    return tuple(v >> _GUARD for v in (ln2, 3 * ln2 - 2 * _ln(5), _ln(721) - _ln(500)))
 
 
 @lru_cache(maxsize=None)
 def _log_consts(c: int) -> tuple[int, int, int]:
-    """Fixed-point logs of the factorial, exponential and frontier prefactors for one c, each within _E."""
-    with mpmath.workprec(_const_prec(c)):
-        return tuple(_floor_fixed(mpmath.log(const(c)))
-                     for const in (factorial_bound_const, exp_bound_const, frontier_bound_const))
+    """Fixed-point logs of the factorial, exponential and frontier prefactors for one c, each within _E.
+
+    They are e^(-2 pi^2 c/3) / c, e^(-2 pi^2 c/3 - 5/12) / ((2 pi)^(3/2) c) and
+    e^(-2 pi^2 c/3 - 5/12) / (pi^(3/2) c), whose logs are sums.
+    """
+    pi = _engine()[1]
+    log_pi = _ln(pi, _W)
+    base = -(2 * c * (pi * pi >> _W)) // 3 - _ln(c)
+    tail = base - (5 << _W) // 12
+    return tuple(v >> _GUARD for v in (base, tail - 3 * (_ln(2) + log_pi) // 2, tail - 3 * log_pi // 2))
 
 
 @lru_cache(maxsize=None)
 def _c5_term(n: int) -> int:
     """The n-only part of c5, log(n - n^(2/3)/2) + floor(n^(2/3)/2) * (log 2 + 3), in fixed point within _E."""
-    with mpmath.workprec(_SOURCE_BITS + n.bit_length() + 2):  # the term is at most 4n in size
-        frontier = n - mpmath.cbrt(n * n) / 2
-        return _floor_fixed(mpmath.log(frontier) + floor_half_frontier(n) * (mpmath.log(2) + 3))
+    frontier = (n << (_W + 1)) - icbrt(n * n << 3 * _W)  # 2^(_W+1) * (n - n^(2/3)/2), floored
+    return (_ln(frontier, _W + 1) + floor_half_frontier(n) * (_ln(2) + (3 << _W))) >> _GUARD
 
 
 # One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d),
@@ -403,14 +430,15 @@ class BoundValue:
 _NOT_APPLICABLE = BoundValue(False, None)
 
 
-_LOG2_10 = log(10, 2)  # the float mpmath's to_digits_exp uses
+_LOG2_10 = log(10, 2)  # a float on purpose: see _log_str
 
 
 def _log_str(v: int) -> str:
     """The fixed-point log v / 2^128 as a decimal with 15 significant digits, as mpmath.nstr prints it.
 
     mpmath's `to_str(x, 15)` in integers only: |x| floored to 69 significant
-    bits (mpmath's working precision for 18 digits), then to a decimal
+    bits (mpmath's working precision for 18 digits; its decimal count uses
+    log2(10) as a float, as mpmath's to_digits_exp does), then to a decimal
     integer, rounded half-up at its 16th digit with the carry through a run
     of 9s; fixed notation for decimal exponents -4..14, `e` notation
     otherwise; trailing zeros stripped.  Equal to mpmath's string for every
@@ -559,17 +587,3 @@ def row_bound_reports(c: int, n: int) -> list[tuple[BoundReport, Optional[str]]]
         reports.append((report, _failure_message("bound", report)))
     return reports[::-1]
 
-
-def stirling_check(k: int) -> bool:
-    """Both sides of k^k e^-k sqrt(2 pi k) <= k! <= (same) * e^(1/(12k)).
-
-    The left side uses the exact log-factorial sum, so this stays an
-    independent verification of the double inequality.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    with mpmath.workprec(PRECISION_BITS):
-        exact = mpmath.ldexp(log_factorial(k), -PRECISION_BITS)
-        lower = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
-        upper = lower + mpmath.mpf(1) / (12 * k)
-        return bool(lower <= exact <= upper)

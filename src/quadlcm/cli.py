@@ -3,9 +3,10 @@
 Exit codes: 0 all checks pass, 1 usage or configuration error (or a sweep
 pool worker that raised or died), 2 a mathematical invariant failed.  A
 sweep's work item is a row (c, n): one fold over m computes every m the
---m-policy wants in that row.  Rows go to a pool, which returns them in
-order, so the output is in (c, n, m) lexicographic order and byte-identical
-for a given configuration at any parallelism level.
+--m-policy wants in that row.  Rows go to a pool, at most four per worker
+in flight, and are written in submission order, so the output is in
+(c, n, m) lexicographic order and byte-identical for a given configuration
+at any parallelism level.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import deque
 from contextlib import contextmanager
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -34,6 +36,8 @@ from .poly import BezoutCertificate, bezout_certificate
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+
+_ROWS_IN_FLIGHT_PER_WORKER = 4  # bounds a pool sweep's memory however many rows the grid has
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -177,10 +181,16 @@ def _sweep_row(row: tuple[int, int, range]) -> list[tuple[dict, tuple[str, ...]]
     return out
 
 
-def _pool_results(results: Iterator) -> Iterator:
-    """The pool's results in order; a worker's exception, or a dead worker, becomes WorkerError."""
+def _pool_results(pool, rows: Iterable[tuple[int, int, range]], window: int) -> Iterator:
+    """`_sweep_row` of each row on the pool, in order, `window` rows in flight; a worker failure is WorkerError."""
+    pending = deque()
     try:
-        yield from results
+        for row in rows:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_sweep_row, row))
+        while pending:
+            yield pending.popleft().result()
     except Exception as exc:
         reason = " ".join(f"{type(exc).__name__}: {exc}".split())
         raise WorkerError(f"sweep worker failed: {reason}") from exc
@@ -227,8 +237,7 @@ def cmd_sweep(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
-                # map preserves input order, so emission stays canonical
-                results = _pool_results(pool.map(_sweep_row, rows))
+                results = _pool_results(pool, rows, _ROWS_IN_FLIGHT_PER_WORKER * args.parallelism)
                 return _emit_sweep(chain.from_iterable(results), args.format, out)
         return _emit_sweep(chain.from_iterable(map(_sweep_row, rows)), args.format, out)
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own divisibility
 criterion: multiples are found by solving the quotient equations directly,
 so agreement with the implementation is a real two-sided check.  The bound
 logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
-and the integer log printer has mpmath's own (`mpmath_log_str`).
+and the integer log printer has mpmath's own (`mpmath_log_str`).  The
+bound prefactors in mpf and the Stirling check are test-only and live
+here too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 import mpmath
 
 from quadlcm import QuadInt
-from quadlcm.bounds import floor_half_frontier
+from quadlcm.bounds import floor_half_frontier, log_factorial
 
 
 def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
@@ -136,19 +138,22 @@ def _log_factorial(k):
     return _LOG_FACT_CACHE[k]
 
 
-def _factorial_bound_const(c):
-    with mpmath.workprec(_PRECISION_BITS):
+def factorial_bound_const(c: int, prec: int = _PRECISION_BITS) -> mpmath.mpf:
+    """Prefactor e^(-2*pi^2*c/3) / c of the factorial-form bound, at prec bits."""
+    with mpmath.workprec(prec):
         return mpmath.exp(-2 * mpmath.pi**2 * c / 3) / c
 
 
-def _exp_bound_const(c):
-    with mpmath.workprec(_PRECISION_BITS):
+def exp_bound_const(c: int, prec: int = _PRECISION_BITS) -> mpmath.mpf:
+    """Prefactor e^(-2*pi^2*c/3 - 5/12) / ((2*pi)^(3/2) * c), at prec bits."""
+    with mpmath.workprec(prec):
         return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
                 / ((2 * mpmath.pi) ** mpmath.mpf("1.5") * c))
 
 
-def _frontier_bound_const(c):
-    with mpmath.workprec(_PRECISION_BITS):
+def frontier_bound_const(c: int, prec: int = _PRECISION_BITS) -> mpmath.mpf:
+    """Prefactor e^(-2*pi^2*c/3 - 5/12) / (pi^(3/2) * c), at prec bits; 2^(3/2) times exp_bound_const."""
+    with mpmath.workprec(prec):
         return (mpmath.exp(-2 * mpmath.pi**2 * c / 3 - mpmath.mpf(5) / 12)
                 / (mpmath.pi ** mpmath.mpf("1.5") * c))
 
@@ -163,8 +168,8 @@ def _fixed_consts():
 @lru_cache(maxsize=None)
 def _log_consts(c):
     with mpmath.workprec(_PRECISION_BITS):
-        return (mpmath.log(_factorial_bound_const(c)), mpmath.log(_exp_bound_const(c)),
-                mpmath.log(_frontier_bound_const(c)))
+        return (mpmath.log(factorial_bound_const(c)), mpmath.log(exp_bound_const(c)),
+                mpmath.log(frontier_bound_const(c)))
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +227,62 @@ def mpf_ratio(value, log_l):
         return value / log_l
 
 
+# --- the log sources as mpmath evaluates and floors them -------------------
+# floor(2^128 x) of each source x of the bounds engine, from mpmath at 160
+# bits or more, as the engine computed them before it was integer-only: the
+# integer engine must floor every one of them to the same value.
+
+_SOURCE_BITS = _PRECISION_BITS + 32
+
+
+def _floored(x) -> int:
+    return mpmath.libmp.to_fixed(x._mpf_, _PRECISION_BITS)
+
+
+def mpmath_log_fixed(x: int) -> int:
+    """floor(2^128 log x) for an integer x >= 1."""
+    libmp = mpmath.libmp
+    prec = _SOURCE_BITS + x.bit_length().bit_length()
+    return libmp.to_fixed(libmp.mpf_log(libmp.from_int(x), prec), _PRECISION_BITS)
+
+
+def mpmath_fixed_consts() -> tuple[int, int, int]:
+    """floor(2^128 log x) for x = 2, 0.32 and 1.442."""
+    with mpmath.workprec(_SOURCE_BITS):
+        return tuple(_floored(mpmath.log(mpmath.mpf(p) / q)) for p, q in ((2, 1), (8, 25), (721, 500)))
+
+
+def mpmath_log_consts(c: int) -> tuple[int, int, int]:
+    """floor(2^128 log x) for the factorial, exponential and frontier prefactors x of one c."""
+    prec = _SOURCE_BITS + (8 * c + 8).bit_length()
+    with mpmath.workprec(prec):
+        return tuple(_floored(mpmath.log(const(c, prec)))
+                     for const in (factorial_bound_const, exp_bound_const, frontier_bound_const))
+
+
+def mpmath_c5_term(n: int) -> int:
+    """floor(2^128 x) for x = log(n - n^(2/3)/2) + floor(n^(2/3)/2) * (log 2 + 3)."""
+    with mpmath.workprec(_SOURCE_BITS + n.bit_length() + 2):
+        frontier = n - mpmath.cbrt(n * n) / 2
+        return _floored(mpmath.log(frontier) + floor_half_frontier(n) * (mpmath.log(2) + 3))
+
+
 def mpmath_log_str(v: int) -> str:
     """The fixed-point log v / 2^128 as mpmath's to_str prints it at 15 digits: the printer's oracle."""
     libmp = mpmath.libmp
     return libmp.to_str(libmp.from_man_exp(v, -_PRECISION_BITS), 15)
+
+
+def stirling_check(k: int) -> bool:
+    """Both sides of k^k e^-k sqrt(2 pi k) <= k! <= (same) * e^(1/(12k)).
+
+    The left side uses the exact log-factorial sum, so this stays an
+    independent verification of the double inequality.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    with mpmath.workprec(_PRECISION_BITS):
+        exact = mpmath.ldexp(log_factorial(k), -_PRECISION_BITS)
+        lower = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
+        upper = lower + mpmath.mpf(1) / (12 * k)
+        return bool(lower <= exact <= upper)

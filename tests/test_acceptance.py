@@ -26,13 +26,12 @@ from quadlcm import (
     reciprocal_difference,
     reciprocal_difference_closed,
     shift_product_poly,
-    stirling_check,
     verify_divisor,
 )
 from quadlcm.bounds import PRECISION_BITS
 from quadlcm.poly import one_poly
 
-from oracles import lemma_instance, multiples_by_criterion, multiples_by_search
+from oracles import lemma_instance, multiples_by_criterion, multiples_by_search, stirling_check
 
 C_MAX = 5
 N_MAX_EXACT = 60

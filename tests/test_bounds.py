@@ -16,22 +16,25 @@ from quadlcm import (
     lcm_range,
     product_content,
     rational_divisor,
-    stirling_check,
     triple_report,
     verify_divisor,
 )
-from quadlcm.bounds import (
-    PRECISION_BITS,
-    exp_bound_const,
-    factorial_bound_const,
-    floor_half_frontier,
-    frontier_bound_const,
-    icbrt,
-    log_factorial,
-)
+from quadlcm.bounds import PRECISION_BITS, floor_half_frontier, icbrt, log_factorial
 from quadlcm.cli import _m_policy, fmt_log, main
 
-from oracles import mpf_bound_logs, mpf_ratio, mpmath_log_str
+from oracles import (
+    exp_bound_const,
+    factorial_bound_const,
+    frontier_bound_const,
+    mpf_bound_logs,
+    mpf_ratio,
+    mpmath_c5_term,
+    mpmath_fixed_consts,
+    mpmath_log_consts,
+    mpmath_log_fixed,
+    mpmath_log_str,
+    stirling_check,
+)
 
 
 def _mpf(v: int) -> mpmath.mpf:
@@ -564,8 +567,56 @@ class TestLogPrinter:
                         assert fmt_log(v) == mpmath_log_str(v), (c, r.m, n, v)
 
 
+class TestLogEngine:
+    # the integer engine floors every source to mpmath's floored value
+    def test_log_j_floors_as_mpmath(self):
+        assert all(bounds._log_fixed(j) == mpmath_log_fixed(j) for j in range(1, 10**5 + 1))
+
+    def test_random_integers_floor_as_mpmath(self):
+        rng = random.Random(10)
+        for _ in range(20000):
+            x = rng.getrandbits(rng.randint(2, 3000)) | 2
+            assert bounds._log_fixed(x) == mpmath_log_fixed(x), x
+
+    def test_prefactor_and_fixed_consts_floor_as_mpmath(self):
+        assert bounds._fixed_consts() == mpmath_fixed_consts()
+        for c in range(1, 60):
+            assert bounds._log_consts(c) == mpmath_log_consts(c), c
+
+    def test_c5_terms_floor_as_mpmath(self):
+        for n in range(1, 20001):
+            assert bounds._c5_term(n) == mpmath_c5_term(n), n
+
+    def test_pi_and_ln2_within_2_pow_188(self):
+        ln2, pi, _ = bounds._engine()
+        with mpmath.workprec(512):
+            scale = mpmath.mpf(2) ** bounds._W
+            assert abs(ln2 - mpmath.log(2) * scale) <= 16
+            assert abs(pi - mpmath.pi * scale) <= 16
+
+    def test_within_the_documented_budget(self):
+        # the table within 2 units of 2^-192, and _ln within 36 + 1.01 |k - shift|
+        rng = random.Random(11)
+        _, pi, table = bounds._engine()
+        with mpmath.workprec(512):
+            scale = mpmath.mpf(2) ** bounds._W
+            for i, v in enumerate(table):
+                assert abs(v - mpmath.log(1 + mpmath.mpf(i) / 256) * scale) <= 2, i
+            cases = [(x, 0) for x in range(1, 3000)] + [(pi, bounds._W)]
+            cases += [(rng.getrandbits(bits) | 1, rng.randint(0, 400)) for bits in range(1, 1500)]
+            for x, shift in cases:
+                budget = 36 + 1.01 * abs(x.bit_length() - 1 - shift)
+                assert abs(bounds._ln(x, shift) - mpmath.log(mpmath.ldexp(x, -shift)) * scale) <= budget
+
+    def test_million_bit_integer_within_e(self):
+        x = random.Random(12).getrandbits(10**6) | 1 << (10**6 - 1)
+        with mpmath.workprec(1024):
+            exact = mpmath.log(x) * mpmath.mpf(2) ** PRECISION_BITS
+            assert abs(bounds._log_fixed(x) - exact) <= bounds._E
+
+
 def _clear_log_caches():
-    for memo in (bounds._fixed_consts, bounds._log_consts, bounds._c5_term):
+    for memo in (bounds._engine, bounds._fixed_consts, bounds._log_consts, bounds._c5_term):
         memo.cache_clear()
     del bounds._LOG_INT[2:]
     del bounds._LOG_FACT[2:]
@@ -576,9 +627,9 @@ class TestLogCaches:
         _clear_log_caches()
         for c in range(1, 6):
             cached = bounds._log_consts(c)
-            with mpmath.workprec(bounds._const_prec(c)):
+            with mpmath.workprec(256):
                 fresh = tuple(
-                    mpmath.libmp.to_fixed(mpmath.log(const(c))._mpf_, PRECISION_BITS)
+                    mpmath.libmp.to_fixed(mpmath.log(const(c, 256))._mpf_, PRECISION_BITS)
                     for const in (factorial_bound_const, exp_bound_const, frontier_bound_const)
                 )
             assert cached == fresh

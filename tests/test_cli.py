@@ -424,6 +424,53 @@ class TestSweepWorkerFailure:
         assert reason in err
 
 
+class _FakePool:
+    """A pool that runs each row when its result is read, and records the most rows in flight."""
+
+    def __init__(self, max_workers):
+        self.in_flight = self.peak = 0
+        _FakePool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, row):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return _FakeFuture(self, fn, row)
+
+
+@dataclasses.dataclass
+class _FakeFuture:
+    pool: _FakePool
+    fn: object
+    row: tuple
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.fn(self.row)
+
+
+class TestSweepPoolWindow:
+    def test_window_bounds_rows_in_flight(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        argv = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "40"]
+        serial = tmp_path / "serial.csv"
+        assert cli.main(argv + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+        for workers in (2, 4, 16):
+            target = tmp_path / f"sweep_{workers}.csv"
+            assert cli.main(argv + ["--parallelism", str(workers), "--out", str(target)]) == 0
+            assert target.read_bytes() == serial.read_bytes()
+            # 80 rows: the window of 4 rows per worker is reached and never passed
+            assert _FakePool.last.peak == min(4 * workers, 80)
+            assert _FakePool.last.in_flight == 0
+
+
 class TestForgedLcm:
     # L = 2 at (1, 1, 2) leaves L/D integral but L*(n-m)! not a multiple of
     # (1 + i)(2 + i) = 1 + 3i, so the divisor record's star check must fail;
@@ -466,23 +513,32 @@ class TestForgedLcm:
             assert "VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed" in err
 
 
-# runs one command in a fresh interpreter and prints every module it loaded
+# runs one command in a fresh interpreter and prints its exit code, its
+# stdout and every module it loaded; with "block" first, importing mpmath fails
 _MODULES_PROBE = """
 import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["mpmath"] = None
 import quadlcm.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_modules(argv):
+def probe(argv, block_mpmath=False):
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, "block" if block_mpmath else "-", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300, check=True)
     doc = json.loads(done.stdout)
     assert doc["code"] == 0
-    return set(doc["modules"])
+    return doc
+
+
+def loaded_modules(argv):
+    return set(probe(argv)["modules"])
 
 
 class TestColdStart:
@@ -492,8 +548,14 @@ class TestColdStart:
         assert not [name for name in modules if name.startswith("mpmath.")]
         assert "concurrent.futures.process" not in modules
 
-    def test_serial_sweep_loads_mpmath_but_not_the_pool(self):
-        modules = loaded_modules(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1",
-                                  "--n-max", "3", "--parallelism", "1"])
-        assert "mpmath.ctx_mp" in modules
-        assert "concurrent.futures.process" not in modules
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6", "--parallelism", "1"],
+        ["table", "--c", "2", "--n-max", "6"],
+        ["verify", "--c", "3", "--m", "5", "--n", "60"],
+    ], ids=["sweep", "table", "verify"])
+    def test_runs_without_mpmath(self, argv):
+        doc = probe(argv)
+        assert not [name for name in doc["modules"] if name == "mpmath" or name.startswith("mpmath.")]
+        assert "concurrent.futures.process" not in doc["modules"]
+        # the same stdout when mpmath cannot be imported at all
+        assert probe(argv, block_mpmath=True)["out"] == doc["out"] != ""
