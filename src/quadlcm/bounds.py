@@ -25,9 +25,10 @@ below that scale; its error budget, in units u = 2^-192:
   once per triple); log 2, log 0.32 = 3 log 2 - 2 log 5 and log 1.442 =
   log 721 - log 500, within 120 u; the prefactor logs of each c, within
   5.4c + log2(c) + 140 u (the pi^2 c term is within 5.4c + 1 u), so for
-  c < 2^61; the n-only term of c5, from a cube root floored at 2^-192 and
-  floor(n^(2/3)/2) multiples of ln 2, within 39 + 1.01 (log2(n) +
-  n^(2/3)/2) u, so for n < 2^90.  Each is computed once per process.
+  c < C_LIMIT = 2^61, which `_log_consts` enforces; the n-only term of
+  c5, from a cube root floored at 2^-192 and floor(n^(2/3)/2) multiples
+  of ln 2, within 39 + 1.01 (log2(n) + n^(2/3)/2) u, so for n < 2^90.
+  Each is computed once per process.
 * log k! is the prefix sum of the floored log j, within 2k.
 * A row's log value is built from the sources by integer adds and integer
   multiples, so its bound is the matching sum and multiples of theirs; the
@@ -57,13 +58,12 @@ too.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, log
 from typing import Iterator, Optional
 
-from .ring import QuadInt, content, content_multiple, shifted_product
+from .ring import QuadInt, _Record, _set, content, content_multiple, shifted_product
 
 PRECISION_BITS = 128  # fixed-point scale: the int v stands for the log v / 2^128
 _GUARD = 64  # guard bits of the log engine over PRECISION_BITS
@@ -71,6 +71,7 @@ _W = PRECISION_BITS + _GUARD  # the log engine's scale: its int v stands for v /
 _TABLE_GUARD = 16  # extra bits at which the engine's constants are summed before flooring
 _E = 2  # error bound of one floored source, in units of 2^-128
 _ONE = 1 << PRECISION_BITS
+C_LIMIT = 1 << 61  # the prefactor logs of c are within _E only for c below this
 
 
 class InvariantViolation(RuntimeError):
@@ -134,22 +135,10 @@ def _row_fold(c: int, n: int, ms: range) -> Iterator[tuple[int, int, QuadInt, in
         yield m, big_l, QuadInt(a, b, c), fact, multiple
 
 
-def rational_divisor(c: int, m: int, n: int) -> Fraction:
-    """The exact rational prod(k^2+c) / (c * (n-m)! * prod(k^2+4c))."""
-    _require_range(c, m, n)
-    product, fact, multiple = _divisor_parts(c, m, n)
-    return Fraction(product.norm(), fact * multiple)
-
-
-def product_content(c: int, m: int, n: int) -> int:
-    """gcd of the two components of (m + sqrt(-c)) ... (n + sqrt(-c))."""
-    return content(shifted_product(c, m, n))
-
-
-@dataclass(frozen=True)
-class DivisorReport:
+class DivisorReport(_Record):
     """Exact verification record of the divisor claims at one (c, m, n)."""
 
+    _hidden = ("product",)  # kept for the star check; not compared, shown or serialized
     c: int
     m: int
     n: int
@@ -162,8 +151,7 @@ class DivisorReport:
     hc_bound: int
     star_x: int
     star_y: int
-    # (m + sqrt(-c)) ... (n + sqrt(-c)), kept for the star check; not serialized
-    product: QuadInt = field(repr=False, compare=False)
+    product: QuadInt  # (m + sqrt(-c)) ... (n + sqrt(-c))
 
     def failures(self) -> list[str]:
         """All violated invariants, empty when the record is consistent."""
@@ -357,8 +345,11 @@ def _log_consts(c: int) -> tuple[int, int, int]:
     """Fixed-point logs of the factorial, exponential and frontier prefactors for one c, each within _E.
 
     They are e^(-2 pi^2 c/3) / c, e^(-2 pi^2 c/3 - 5/12) / ((2 pi)^(3/2) c) and
-    e^(-2 pi^2 c/3 - 5/12) / (pi^(3/2) c), whose logs are sums.
+    e^(-2 pi^2 c/3 - 5/12) / (pi^(3/2) c), whose logs are sums.  Raises
+    ValueError for c >= C_LIMIT, where the error budget no longer holds.
     """
+    if c >= C_LIMIT:
+        raise ValueError(f"need c < 2^61, where the prefactor logs are certified, got {c}")
     pi = _engine()[1]
     log_pi = _ln(pi, _W)
     base = -(2 * c * (pi * pi >> _W)) // 3 - _ln(c)
@@ -420,14 +411,19 @@ _BOUNDS = (
 BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(_Record):
+    __slots__ = ("applicable", "log_value", "error")  # built several times per triple
     applicable: bool
     log_value: Optional[int]  # fixed point, log(bound) * 2^128; None when not applicable
-    error: int = 0  # |log_value - 2^128 * log(bound)| <= error
+    error: int  # |log_value - 2^128 * log(bound)| <= error; 0 when not applicable
+
+    def __init__(self, applicable: bool, log_value: Optional[int], error: int) -> None:
+        _set(self, "applicable", applicable)
+        _set(self, "log_value", log_value)
+        _set(self, "error", error)
 
 
-_NOT_APPLICABLE = BoundValue(False, None)
+_NOT_APPLICABLE = BoundValue(False, None, 0)
 
 
 _LOG2_10 = log(10, 2)  # a float on purpose: see _log_str
@@ -474,8 +470,7 @@ def _log_str(v: int) -> str:
     return sign + digits if exponent == 0 else f"{sign}{digits}e{exponent:+d}"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Every lower bound at one triple, with the exact lcm and its log.
 
     The frontier m = n - n^(2/3)/2 separates the regimes of the c5 and
@@ -546,8 +541,7 @@ def bound_report(c: int, m: int, n: int) -> BoundReport:
     return _checked("bound", _bound_report(c, m, n, lcm_range(c, m, n)))
 
 
-@dataclass(frozen=True)
-class TripleReport:
+class TripleReport(_Record):
     """Every claim checked at one (c, m, n), all from one computation of L; both records whole."""
 
     divisor: DivisorReport

@@ -1,12 +1,14 @@
 """Command-line front end: verify, sweep, bezout, table.
 
-Exit codes: 0 all checks pass, 1 usage or configuration error (or a sweep
-pool worker that raised or died), 2 a mathematical invariant failed.  A
-sweep's work item is a row (c, n): one fold over m computes every m the
---m-policy wants in that row.  Rows go to a pool, at most four per worker
-in flight, and are written in submission order, so the output is in
-(c, n, m) lexicographic order and byte-identical for a given configuration
-at any parallelism level.
+Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
+past a limit, or a sweep pool worker that raised or died), 2 a
+mathematical invariant failed.  A sweep's work item is a row (c, n): one
+fold over m computes every m the --m-policy wants in that row.  Rows go to
+a pool of at most 64 workers, at most four rows per worker in flight, and
+are written in submission order, so the output is in (c, n, m)
+lexicographic order and byte-identical for a given configuration at any
+parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the range
+in which the log bounds are certified.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bounds as _bounds
 from .bounds import (
@@ -31,13 +33,16 @@ from .bounds import (
     row_reports,
     triple_report,
 )
-from .poly import BezoutCertificate, bezout_certificate
+
+if TYPE_CHECKING:
+    from .poly import BezoutCertificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _ROWS_IN_FLIGHT_PER_WORKER = 4  # bounds a pool sweep's memory however many rows the grid has
+_MAX_PARALLELISM = 64  # every worker forks at the first row; the output is the same at any parallelism
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -52,8 +57,8 @@ class UsageError(Exception):
     pass
 
 
-class WorkerError(Exception):
-    """A sweep pool worker raised or died; reported in one line with exit 1."""
+class RunError(Exception):
+    """An input past a limit, or a sweep pool worker that raised or died; reported in one line with exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,7 +187,7 @@ def _sweep_row(row: tuple[int, int, range]) -> list[tuple[dict, tuple[str, ...]]
 
 
 def _pool_results(pool, rows: Iterable[tuple[int, int, range]], window: int) -> Iterator:
-    """`_sweep_row` of each row on the pool, in order, `window` rows in flight; a worker failure is WorkerError."""
+    """`_sweep_row` of each row on the pool, in order, `window` rows in flight; a worker failure is RunError."""
     pending = deque()
     try:
         for row in rows:
@@ -193,7 +198,7 @@ def _pool_results(pool, rows: Iterable[tuple[int, int, range]], window: int) -> 
             yield pending.popleft().result()
     except Exception as exc:
         reason = " ".join(f"{type(exc).__name__}: {exc}".split())
-        raise WorkerError(f"sweep worker failed: {reason}") from exc
+        raise RunError(f"sweep worker failed: {reason}") from exc
 
 
 def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
@@ -215,8 +220,13 @@ def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], output_format: str
     return code
 
 
+def _require_c_certified(c: int, name: str = "c") -> None:
+    _require(c < _bounds.C_LIMIT, f"need {name} < 2^61 for certified log bounds, got {c}", RunError)
+
+
 def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
+    _require_c_certified(args.c)
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     with _open_out(args.out) as out:
         report = triple_report(args.c, args.m, args.n)
@@ -226,8 +236,11 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require(1 <= args.c_min <= args.c_max, f"need 1 <= c_min <= c_max, got {args.c_min}..{args.c_max}")
+    _require_c_certified(args.c_max, "c_max")
     _require(1 <= args.n_min <= args.n_max, f"need 1 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
     _require(args.parallelism >= 1, f"need parallelism >= 1, got {args.parallelism}")
+    _require(args.parallelism <= _MAX_PARALLELISM,
+             f"need parallelism <= {_MAX_PARALLELISM}, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
     # rows in canonical (c, n) order, each ascending in m
     rows = ((c, n, m_range(n)) for c in range(args.c_min, args.c_max + 1)
@@ -245,6 +258,7 @@ def cmd_sweep(args) -> int:
 def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
+    from .poly import bezout_certificate  # only bezout pays for loading poly
     with _open_out(args.out) as out:
         cert = bezout_certificate(args.c, args.k)
         out.write(json.dumps(certificate_to_json(cert), indent=2) + "\n")
@@ -253,6 +267,7 @@ def cmd_bezout(args) -> int:
 
 def cmd_table(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
+    _require_c_certified(args.c)
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
     code = EXIT_OK
     with _open_out(args.out) as out:
@@ -273,9 +288,9 @@ def cmd_table(args) -> int:
     return code
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, error: type[Exception] = UsageError) -> None:
     if not cond:
-        raise UsageError(message)
+        raise error(message)
 
 
 @contextmanager
@@ -307,7 +322,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--m-policy", default="all",
                          help="all | half_ceil | fixed:<m> | frontier")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--parallelism", type=int, default=1)
+    p_sweep.add_argument("--parallelism", type=int, default=1,
+                         help=f"worker processes, at most {_MAX_PARALLELISM}")
     p_sweep.add_argument("--out", default="stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -340,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             msg = f"{parser.prog}: error: {msg}\n{parser.format_usage()}"
         print(msg, file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, WorkerError) as exc:
+    except (OSError, RunError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,14 +20,13 @@ is an exact ring quantity defined there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .ring import QuadRat, RingMismatchError, _check_same_ring, content_multiple
+from .ring import QuadRat, RingMismatchError, _check_same_ring, _Record, _set, content_multiple
 
 
 class PoleError(ZeroDivisionError):
@@ -42,17 +41,17 @@ class CertificateError(RuntimeError):
     """A Bezout certificate invariant failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(_Record):
     """Dense polynomial with integer coefficients, ascending degree, trimmed."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        co = list(self.coeffs)
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        co = list(coeffs)
         while co and not co[-1]:
             co.pop()
-        object.__setattr__(self, "coeffs", tuple(co))
+        _set(self, "coeffs", tuple(co))
 
     @property
     def degree(self) -> int:
@@ -96,18 +95,21 @@ def _quad(c: int, a: IntPoly, b: IntPoly = IntPoly(()), den: int = 1) -> QuadPol
         a, b = IntPoly([x // g for x in a.coeffs]), IntPoly([x // g for x in b.coeffs])
         den //= g
     poly = object.__new__(QuadPoly)
-    vars(poly).update(c=c, A=a, B=b, den=den)
+    _set(poly, "c", c)
+    _set(poly, "A", a)
+    _set(poly, "B", b)
+    _set(poly, "den", den)
     return poly
 
 
-@dataclass(frozen=True, init=False)
-class QuadPoly:
+class QuadPoly(_Record):
     """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), normalised.
 
     QuadPoly(c, coeffs) builds it from QuadRat coefficients in ascending
     degree; `coeffs` reads them back, each in lowest terms.
     """
 
+    __slots__ = ("c", "A", "B", "den")
     c: int
     A: IntPoly
     B: IntPoly
@@ -118,8 +120,8 @@ class QuadPoly:
             if co.c != c:
                 raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
         den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
-        vars(self).update(vars(_quad(c, IntPoly([int(co.a * den) for co in coeffs]),
-                                     IntPoly([int(co.b * den) for co in coeffs]), den)))
+        self.__setstate__(_quad(c, IntPoly([int(co.a * den) for co in coeffs]),
+                                IntPoly([int(co.b * den) for co in coeffs]), den).__getstate__())
 
     @property
     def coeffs(self) -> tuple[QuadRat, ...]:
@@ -255,22 +257,6 @@ def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
     return repeated
 
 
-def newton_basis(c: int, ell: int) -> QuadPoly:
-    """(X - s)(X - s - 1)...(X - s - ell + 1) with s = sqrt(-c); 1 when ell = 0."""
-    acc = one_poly(c)
-    for j in range(ell):
-        acc = acc * _linear(c, -j, -1)
-    return acc
-
-
-def falling(x: QuadRat, n: int) -> QuadRat:
-    """Falling factorial x (x-1) ... (x-n+1) in Q(sqrt(-c)); empty product is 1."""
-    acc = QuadRat(1, 0, x.c)
-    for t in range(n):
-        acc = acc * QuadRat(x.a - t, x.b, x.c)
-    return acc
-
-
 def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
     """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)) for each ell in ells.
 
@@ -356,7 +342,7 @@ def newton_coeff_closed(c: int, k: int, ell: int) -> QuadRat:
 
 
 def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
-    """sum_ell coeffs[ell] * newton_basis(c, ell), one basis factor multiplied in per ell."""
+    """sum_ell coeffs[ell] * (X - s)(X - s - 1)...(X - s - ell + 1), s = sqrt(-c), one factor more per ell."""
     acc, basis = zero_poly(c), one_poly(c)
     for ell, coeff in enumerate(coeffs):
         acc = acc + basis.scale(coeff)
@@ -429,8 +415,7 @@ def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     return u_red, v_red
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(_Record):
     """Integer witness that the content of any value of P divides d.
 
     Carries alpha (the Bezout cofactor), the integer split P = A + B*sqrt(-c),

@@ -7,7 +7,6 @@ values from rings with different c never mix silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -30,16 +29,75 @@ def _check_same_ring(x, y) -> None:
         raise RingMismatchError(f"ring parameters differ: {x.c} != {y.c}")
 
 
-class _Quad:
+_set = object.__setattr__  # how an __init__ sets a field past _Record.__setattr__
+
+
+class _Record:
+    """Frozen value semantics, defined once; a class's fields are its own annotations.
+
+    A record is built once from its fields, positionally or by keyword, and
+    never assigned to.  Equality (within one class only), the hash and the
+    repr use the fields outside `_hidden`; `_replace` builds a changed copy
+    through __init__, so nothing derived from the old fields carries over.
+    Types built on hot paths declare __slots__ and their own __init__.
+    """
+
+    __slots__ = ()
+    _fields = _shown = _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", cls._fields))
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+
+    def __init__(self, *args, **kwargs):
+        values = vars(self)
+        values.update(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {', '.join(self._fields)}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setstate__(self, state: dict) -> None:  # pickle and copy set the fields as __init__ does
+        for name, value in state.items():
+            _set(self, name, value)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self.__getstate__(), **changes})
+
+
+class _Quad(_Record):
     """The arithmetic QuadInt and QuadRat share: a + b*sqrt(-c) with c >= 1.
 
     Every operation returns an element of the operand's own type, so
     integer parts stay ints and rational parts stay Fractions.
     """
 
-    def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError(f"ring parameter c must be >= 1, got {self.c}")
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c: int) -> None:
+        if c < 1:
+            raise ValueError(f"ring parameter c must be >= 1, got {c}")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def __add__(self, other):
         _check_same_ring(self, other)
@@ -73,10 +131,10 @@ class _Quad:
         return self.a == 0 and self.b == 0
 
 
-@dataclass(frozen=True)
 class QuadInt(_Quad):
     """An element a + b*sqrt(-c) of Z[sqrt(-c)], with c >= 1."""
 
+    __slots__ = ()
     a: int
     b: int
     c: int
@@ -85,21 +143,18 @@ class QuadInt(_Quad):
         return f"{self.a}{self.b:+}√-{self.c}"
 
 
-@dataclass(frozen=True)
 class QuadRat(_Quad):
     """An element a + b*sqrt(-c) of Q(sqrt(-c)) with exact rational components."""
 
+    __slots__ = ()
     a: Fraction
     b: Fraction
     c: int
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, a, b, c: int) -> None:
         # Accept ints so call sites stay readable; Fraction keeps canonical form.
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+        super().__init__(a if isinstance(a, Fraction) else Fraction(a),
+                         b if isinstance(b, Fraction) else Fraction(b), c)
 
     def inverse(self) -> QuadRat:
         """1 / (a + b*sqrt(-c)) = (a - b*sqrt(-c)) / (a^2 + c*b^2)."""

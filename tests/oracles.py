@@ -6,7 +6,8 @@ so agreement with the implementation is a real two-sided check.  The bound
 logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
 and the integer log printer has mpmath's own (`mpmath_log_str`).  The
 bound prefactors in mpf and the Stirling check are test-only and live
-here too.
+here too, and so are the Newton basis and the falling factorial, which
+only the tests use.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from math import comb
 
 import mpmath
 
-from quadlcm import QuadInt
+from quadlcm.ring import QuadInt, QuadRat
 from quadlcm.bounds import floor_half_frontier, log_factorial
+from quadlcm.poly import QuadPoly
 
 
 def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
@@ -53,7 +55,7 @@ def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
 
 def multiples_by_criterion(z: QuadInt, limit: int) -> set[int]:
     """The implementation's prediction: every multiple of norm(z)/content(z)."""
-    from quadlcm import divisibility_criterion
+    from quadlcm.ring import divisibility_criterion
 
     crit = divisibility_criterion(z)
     found = set()
@@ -106,6 +108,22 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
         for d in diff_products:
             b = b * d
     return u, a, b
+
+
+def newton_basis(c: int, ell: int) -> QuadPoly:
+    """(X - s)(X - s - 1)...(X - s - ell + 1) with s = sqrt(-c); 1 when ell = 0."""
+    acc = QuadPoly(c, (QuadRat(1, 0, c),))
+    for j in range(ell):
+        acc = acc * QuadPoly(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c)))
+    return acc
+
+
+def falling(x: QuadRat, n: int) -> QuadRat:
+    """Falling factorial x (x-1) ... (x-n+1) in Q(sqrt(-c)); empty product is 1."""
+    acc = QuadRat(1, 0, x.c)
+    for t in range(n):
+        acc = acc * QuadRat(x.a - t, x.b, x.c)
+    return acc
 
 
 # --- the 128-bit mpf evaluation of the bound logs ---------------------------

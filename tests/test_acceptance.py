@@ -12,24 +12,19 @@ import mpmath
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import (
+from quadlcm.bounds import PRECISION_BITS, bound_report, lcm_range, verify_divisor
+from quadlcm.poly import (
     IntPoly,
-    QuadInt,
-    QuadRat,
     bezout_certificate,
     bezout_pair,
     bezout_poly,
     bezout_poly_interp,
-    bound_report,
-    lcm_range,
-    product_divides_ab,
+    one_poly,
     reciprocal_difference,
     reciprocal_difference_closed,
     shift_product_poly,
-    verify_divisor,
 )
-from quadlcm.bounds import PRECISION_BITS
-from quadlcm.poly import one_poly
+from quadlcm.ring import QuadInt, QuadRat, product_divides_ab
 
 from oracles import lemma_instance, multiples_by_criterion, multiples_by_search, stirling_check
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -9,17 +8,18 @@ import mpmath
 import pytest
 
 from quadlcm import bounds
-from quadlcm import (
-    QuadInt,
+from quadlcm.bounds import (
+    PRECISION_BITS,
+    TripleReport,
     bound_report,
-    content_multiple,
+    floor_half_frontier,
+    icbrt,
     lcm_range,
-    product_content,
-    rational_divisor,
+    log_factorial,
     triple_report,
     verify_divisor,
 )
-from quadlcm.bounds import PRECISION_BITS, floor_half_frontier, icbrt, log_factorial
+from quadlcm.ring import QuadInt, content, content_multiple, shifted_product
 from quadlcm.cli import _m_policy, fmt_log, main
 
 from oracles import (
@@ -63,11 +63,11 @@ class TestLcmRange:
 
 class TestRationalDivisor:
     def test_examples(self):
-        assert rational_divisor(1, 1, 3) == Fraction(5, 4)
-        assert rational_divisor(1, 2, 3) == Fraction(10)
+        assert verify_divisor(1, 1, 3).D == Fraction(5, 4)
+        assert verify_divisor(1, 2, 3).D == Fraction(10)
         for c in (1, 2, 5):
             for m in (1, 4, 9):
-                assert rational_divisor(c, m, m) == Fraction(m * m + c, c)
+                assert verify_divisor(c, m, m).D == Fraction(m * m + c, c)
 
     def test_numerator_is_the_product_of_the_terms(self):
         # the numerator is built as norm(P); the plain product of k^2 + c is an independent oracle
@@ -78,8 +78,9 @@ class TestRationalDivisor:
                     for k in range(m, n + 1):
                         num *= k * k + c
                     den = math.factorial(n - m) * content_multiple(c, n - m)
-                    assert verify_divisor(c, m, n).numerator == num
-                    assert rational_divisor(c, m, n) == Fraction(num, den)
+                    r = verify_divisor(c, m, n)
+                    assert r.numerator == num
+                    assert r.D == Fraction(num, den)
 
 
 class TestVerifyDivisor:
@@ -104,9 +105,18 @@ class TestVerifyDivisor:
     def test_forged_report_detected(self):
         good = verify_divisor(1, 1, 3)
         assert good.failures() == []
-        assert dataclasses.replace(good, quotient_check=7).failures()
-        assert dataclasses.replace(good, hc_value=3).failures()
-        assert dataclasses.replace(good, star_x=1).failures()
+        assert good._replace(quotient_check=7).failures()
+        assert good._replace(hc_value=3).failures()
+        assert good._replace(star_x=1).failures()
+
+    def test_equality_and_repr_ignore_the_product(self):
+        good = verify_divisor(1, 1, 3)
+        other = good._replace(product=QuadInt(7, 7, 1))
+        assert other == good and hash(other) == hash(good)
+        assert repr(other) == repr(good)
+        assert "product" not in repr(good) and repr(good).startswith("DivisorReport(c=1, m=1, n=3, L=10, ")
+        assert good._replace(L=20) != good
+        assert other.failures()  # the star check still reads the product
 
     def test_cross_consistency(self):
         # L * (n-m)! * hc is a multiple of prod(k^2 + c)
@@ -120,18 +130,16 @@ class TestVerifyDivisor:
         for c, m, n in [(1, 1, 3), (2, 3, 9), (5, 2, 8)]:
             r = verify_divisor(c, m, n)
             star = QuadInt(r.star_x, r.star_y, c)
-            from quadlcm import shifted_product
-
             assert star * shifted_product(c, m, n) == QuadInt(r.L * math.factorial(n - m), 0, c)
 
 
 class TestContentHelpers:
     def test_product_content_examples(self):
-        assert product_content(1, 1, 3) == 10
-        assert product_content(1, 2, 3) == 5
+        assert content(shifted_product(1, 1, 3)) == 10
+        assert content(shifted_product(1, 2, 3)) == 5
         for c in (1, 2, 4):
             for m in (1, 6, 13):
-                assert product_content(c, m, m) == 1
+                assert content(shifted_product(c, m, m)) == 1
 
     def test_content_multiple_is_the_ring_quantity(self):
         from quadlcm import poly, ring
@@ -150,7 +158,7 @@ class TestContentHelpers:
         for c in (1, 2, 3):
             for n in range(1, 16):
                 for m in range(1, n + 1):
-                    assert content_multiple(c, n - m) % product_content(c, m, n) == 0
+                    assert content_multiple(c, n - m) % content(shifted_product(c, m, n)) == 0
 
 
 class TestCombinatorialChecks:
@@ -285,8 +293,19 @@ class TestBoundReport:
     def test_forged_report_detected(self):
         r = bound_report(1, 1, 10)
         assert r.failures() == []
-        bad = dataclasses.replace(r, logL=-100 << PRECISION_BITS)
+        bad = r._replace(logL=-100 << PRECISION_BITS)
         assert bad.failures()
+
+    def test_replace_rederives_the_verdicts(self):
+        r = bound_report(1, 1, 10)
+        assert r.failures() == [] and r.holds["t7"] is True and r.holds["oon_2n"] is True
+        by_log = r._replace(logL=-100 << PRECISION_BITS)
+        assert by_log.holds["t7"] is False and by_log.holds["oon_2n"] is True
+        assert [f.split(":")[0] for f in by_log.failures()] == ["bound t7", "bound t9", "bound c5"]
+        by_l = r._replace(L=1)
+        assert by_l.holds["oon_2n"] is False and by_l.holds["t7"] is True
+        assert [f.split(":")[0] for f in by_l.failures()] == ["bound oon_2n", "bound binom", "bound farhi"]
+        assert r.failures() == [] and r.holds["t7"] is True
 
     def test_failures_compare_at_working_precision(self):
         # logL's upper end forged 1 unit of 2^-128 below t7's lower end: a
@@ -296,7 +315,7 @@ class TestBoundReport:
         assert t7.log_value > 0
         forged = t7.log_value - t7.error - bounds._E - 1
         assert mpmath.mp.prec == 53
-        bad = dataclasses.replace(r, logL=forged)
+        bad = r._replace(logL=forged)
         assert bad.holds["t7"] is False
         assert [f for f in bad.failures() if f.startswith("bound t7:")] == [
             f"bound t7: log_value {fmt_log(t7.log_value)} exceeds logL {fmt_log(forged)}"
@@ -315,7 +334,7 @@ class TestCertifiedVerdicts:
         # fails outright (TestBoundReport::test_failures_compare_at_working_precision)
         r = bound_report(1, 4, 7)
         t7 = r.bounds["t7"]
-        bad = dataclasses.replace(r, logL=forge(t7.log_value, t7.error, bounds._E))
+        bad = r._replace(logL=forge(t7.log_value, t7.error, bounds._E))
         assert bad.holds["t7"] is holds
         messages = [f for f in bad.failures() if f.startswith("bound t7:")]
         assert messages == ([] if holds else ["bound t7: undecided"])
@@ -332,7 +351,7 @@ class TestCertifiedVerdicts:
     def test_failure_messages_are_15_digit_decimals(self):
         r = bound_report(1, 1, 10)
         forged = -100 << PRECISION_BITS
-        bad = dataclasses.replace(r, logL=forged)
+        bad = r._replace(logL=forged)
         log_rows = [name for name in ("t7", "t9", "c5", "final") if r.bounds[name].applicable]
         assert log_rows == ["t7", "t9", "c5"]
         failures = bad.failures()
@@ -381,7 +400,7 @@ class TestCertifiedVerdicts:
             assert r.L == big_l
             assert big_l >= Fraction(8, 25) * Fraction(721, 500) ** n
             assert r.holds["farhi"] is True
-            assert dataclasses.replace(r, logL=-1 << PRECISION_BITS).holds["farhi"] is True
+            assert r._replace(logL=-1 << PRECISION_BITS).holds["farhi"] is True
 
 
 class TestParityOracle:
@@ -420,7 +439,7 @@ class TestExactRows:
     def test_one_below_the_bound_fails(self, c, m, n, row, bound):
         r = bound_report(c, m, n)
         assert r.holds[row] is True
-        bad = dataclasses.replace(r, L=bound - 1)
+        bad = r._replace(L=bound - 1)
         assert bad.logL == r.logL
         assert bad.holds[row] is False
         assert any(f.startswith(f"bound {row}: L < ") for f in bad.failures())
@@ -432,15 +451,15 @@ class TestExactRows:
         assert r.L == 2 == 2**1
         assert r.holds["oon_2n"] is True
         # decided by L itself, not by logL
-        assert dataclasses.replace(r, logL=-1 << PRECISION_BITS).holds["oon_2n"] is True
-        assert dataclasses.replace(r, L=1).holds["oon_2n"] is False
+        assert r._replace(logL=-1 << PRECISION_BITS).holds["oon_2n"] is True
+        assert r._replace(L=1).holds["oon_2n"] is False
 
     def test_verdicts_computed_once(self, monkeypatch):
         r = bound_report(1, 2, 9)
         calls = []
         real = mpmath.workprec
         monkeypatch.setattr(mpmath, "workprec", lambda prec: calls.append(prec) or real(prec))
-        fresh = dataclasses.replace(r)
+        fresh = r._replace()
         fresh.failures()
         fresh.failures()
         assert fresh.holds == r.holds
@@ -475,6 +494,18 @@ class TestTripleReport:
                     assert r.bounds.holds["binom"] is (big_l >= m * math.comb(n, m))
                     assert r.bounds.holds["oon_2n"] is (big_l >= 2**n if m <= (n + 1) // 2 else None)
                     assert r.violations == ()
+
+    def test_built_from_exactly_its_fields(self):
+        r = triple_report(1, 1, 3)
+        assert TripleReport(r.divisor, r.bounds, ()) == TripleReport(r.divisor, violations=(), bounds=r.bounds) == r
+        for args, kwargs in [((r.divisor, r.bounds), {}),
+                             ((r.divisor, r.bounds, (), ()), {}),
+                             ((r.divisor, r.bounds), {"divisor": r.divisor}),
+                             ((r.divisor, r.bounds), {"violation": ()})]:
+            with pytest.raises(TypeError, match="takes exactly the fields divisor, bounds, violations"):
+                TripleReport(*args, **kwargs)
+        with pytest.raises(TypeError):
+            r._replace(violation=())
 
     def test_failed_claims_are_collected_not_raised(self, monkeypatch):
         # L = 1 breaks every claim: L/D is not integral, every bound exceeds
@@ -582,6 +613,14 @@ class TestLogEngine:
         assert bounds._fixed_consts() == mpmath_fixed_consts()
         for c in range(1, 60):
             assert bounds._log_consts(c) == mpmath_log_consts(c), c
+
+    def test_prefactor_logs_only_for_certified_c(self):
+        # the pi^2 c term's error stays within _E only for c < 2^61
+        assert bounds.C_LIMIT == 2**61
+        assert bounds._log_consts(2**61 - 1)[0] < 0
+        for c in (2**61, 3 * 10**21):
+            with pytest.raises(ValueError, match="need c < 2\\^61"):
+                bounds._log_consts(c)
 
     def test_c5_terms_floor_as_mpmath(self):
         for n in range(1, 20001):

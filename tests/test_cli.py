@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import bounds
+from quadlcm import bounds, poly
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -127,8 +127,7 @@ class TestVerify:
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, m, n):
             r = real(c, m, n)
-            return dataclasses.replace(r, divisor=dataclasses.replace(r.divisor, quotient_check=None),
-                                       violations=("forged failure",))
+            return r._replace(divisor=r.divisor._replace(quotient_check=None), violations=("forged failure",))
 
         real = cli.triple_report
         monkeypatch.setattr(cli, "triple_report", forged)
@@ -266,7 +265,7 @@ class TestSweep:
 
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, n, ms):
-            return [dataclasses.replace(r, violations=("forged sweep failure",)) for r in real(c, n, ms)]
+            return [r._replace(violations=("forged sweep failure",)) for r in real(c, n, ms)]
 
         real = cli.row_reports
         monkeypatch.setattr(cli, "row_reports", forged)
@@ -318,6 +317,24 @@ class TestBezout:
         assert hashlib.sha256(out.encode()).hexdigest() == BEZOUT_SHA256[(c, k)]
 
 
+class TestCertifiedC:
+    # the prefactor logs of c are certified only for c < 2^61; past that,
+    # each log command exits 1 with one line before any work or output
+    @pytest.mark.parametrize("argv, name", [
+        (lambda c: ["verify", "--c", str(c), "--m", "5", "--n", "6"], "c"),
+        (lambda c: ["table", "--c", str(c), "--n-max", "3"], "c"),
+        (lambda c: ["sweep", "--c-min", str(2**61 - 1), "--c-max", str(c), "--n-min", "1", "--n-max", "3"], "c_max"),
+    ], ids=["verify", "table", "sweep"])
+    def test_last_certified_c_runs_and_the_next_exits_1(self, argv, name, tmp_path, capsys):
+        code, out, err = run(argv(2**61 - 1), capsys)
+        assert code == 0 and out and err == ""
+        target = tmp_path / "out.txt"
+        code, out, err = run(argv(2**61) + ["--out", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"quadlcm: error: need {name} < 2^61 for certified log bounds, got {2**61}"]
+        assert not target.exists()
+
+
 class TestOutputErrors:
     # each command's first piece of work raises if reached: the output must
     # be opened before any work starts
@@ -331,7 +348,8 @@ class TestOutputErrors:
         def unreachable(*args):
             raise AssertionError("work started before the output was opened")
 
-        monkeypatch.setattr(cli, work, unreachable)
+        # bezout imports its work from poly when it runs, the others from cli's namespace
+        monkeypatch.setattr(poly if work == "bezout_certificate" else cli, work, unreachable)
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(argv + ["--out", str(target)], capsys)
         assert code == 1
@@ -429,6 +447,7 @@ class _FakePool:
 
     def __init__(self, max_workers):
         self.in_flight = self.peak = 0
+        self.max_workers = max_workers
         _FakePool.last = self
 
     def __enter__(self):
@@ -469,6 +488,23 @@ class TestSweepPoolWindow:
             # 80 rows: the window of 4 rows per worker is reached and never passed
             assert _FakePool.last.peak == min(4 * workers, 80)
             assert _FakePool.last.in_flight == 0
+
+    def test_parallelism_above_the_cap_exits_1_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+        argv = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "5"]
+        _FakePool.last = None
+        assert cli.main(argv + ["--parallelism", "64", "--out", str(tmp_path / "at_cap.csv")]) == 0
+        assert _FakePool.last.max_workers == 64
+        _FakePool.last = None
+        for over in (65, 100000):
+            target = tmp_path / f"over_cap_{over}.csv"
+            code, out, err = run(argv + ["--parallelism", str(over), "--out", str(target)], capsys)
+            assert code == 1 and out == ""
+            assert err.splitlines() == [f"quadlcm: error: need parallelism <= 64, got {over}"]
+            assert _FakePool.last is None
+            assert not target.exists()
 
 
 class TestForgedLcm:
@@ -527,12 +563,15 @@ print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.mod
 """
 
 
-def probe(argv, block_mpmath=False):
+def _python(script, *args):
+    """The stdout of `script` run in a fresh interpreter that imports from the source tree."""
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, "block" if block_mpmath else "-", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-                          timeout=300, check=True)
-    doc = json.loads(done.stdout)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True).stdout
+
+
+def probe(argv, block_mpmath=False):
+    doc = json.loads(_python(_MODULES_PROBE, "block" if block_mpmath else "-", *argv))
     assert doc["code"] == 0
     return doc
 
@@ -559,3 +598,13 @@ class TestColdStart:
         assert "concurrent.futures.process" not in doc["modules"]
         # the same stdout when mpmath cannot be imported at all
         assert probe(argv, block_mpmath=True)["out"] == doc["out"] != ""
+
+    def test_import_loads_neither_dataclasses_nor_poly(self):
+        modules = _python("import sys, quadlcm.cli; print(' '.join(sys.modules))").split()
+        assert "quadlcm.cli" in modules and "quadlcm.bounds" in modules
+        assert "dataclasses" not in modules
+        assert "quadlcm.poly" not in modules
+
+    def test_only_bezout_loads_poly(self):
+        assert "quadlcm.poly" not in loaded_modules(["table", "--c", "1", "--n-max", "3"])
+        assert "quadlcm.poly" in loaded_modules(["bezout", "--c", "1", "--k", "2"])

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quadlcm import (
+from quadlcm.ring import (
     DivisibilityHypothesisError,
     InexactDivisionError,
     QuadInt,
@@ -17,6 +19,8 @@ from quadlcm import (
     product_divides_ab,
     shifted_product,
 )
+
+from quadlcm.poly import IntPoly, QuadPoly
 
 from oracles import lemma_instance, multiples_by_criterion, multiples_by_search
 
@@ -114,6 +118,7 @@ class TestSharedArithmetic:
     def test_int_and_rat_elements_never_compare_equal(self):
         assert QuadInt(1, 0, 1) != QuadRat(1, 0, 1)
         assert QuadRat(1, 0, 1) != QuadInt(1, 0, 1)
+        assert QuadInt(1, 0, 1) != (1, 0, 1)
         assert QuadInt(2, 3, 1) == QuadInt(2, 3, 1)
         assert QuadRat(2, 3, 1) == QuadRat(Fraction(4, 2), Fraction(3), 1)
 
@@ -287,3 +292,57 @@ class TestProductDividesAB:
         for _ in range(300):
             u, a, b = lemma_instance(rng)
             assert product_divides_ab(u, a, b)
+
+
+class TestValueSemantics:
+    # each hand-written value type: two equal values built differently, and a different one
+    VALUES = {
+        "QuadInt": lambda: (QuadInt(2, -3, 5), QuadInt(4 // 2, -3, 5), QuadInt(2, 3, 5)),
+        "QuadRat": lambda: (QuadRat(1, 2, 3), QuadRat(Fraction(2, 2), Fraction(4, 2), 3), QuadRat(1, 2, 4)),
+        "IntPoly": lambda: (IntPoly((1, 2)), IntPoly([1, 2, 0, 0]), IntPoly((1,))),
+        "QuadPoly": lambda: (QuadPoly(2, [QuadRat(Fraction(1, 2), 1, 2)]),
+                             QuadPoly(2, [QuadRat(Fraction(2, 4), 1, 2), QuadRat(0, 0, 2)]),
+                             QuadPoly(2, [QuadRat(1, 1, 2)])),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_equal_values_hash_equal(self, kind):
+        x, y, other = self.VALUES[kind]()
+        assert x == y and hash(x) == hash(y)
+        assert x != other
+        assert {x, y, other} == {x, other}
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_assignment_raises(self, kind):
+        x, y, _ = self.VALUES[kind]()
+        for name in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(y, name))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == y
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_pickle_and_copy_keep_the_value(self, kind):
+        x, _, _ = self.VALUES[kind]()
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+
+    def test_repr_names_the_fields(self):
+        assert repr(QuadInt(1, -2, 3)) == "QuadInt(a=1, b=-2, c=3)"
+        assert repr(QuadRat(1, Fraction(1, 2), 3)) == "QuadRat(a=Fraction(1, 1), b=Fraction(1, 2), c=3)"
+        assert repr(IntPoly([0, 5, 0])) == "IntPoly(coeffs=(0, 5))"
+
+    def test_quadrat_coerces_ints_to_fractions(self):
+        for x in (QuadRat(3, -1, 2), QuadRat(Fraction(3), -1, 2)._replace(b=-1)):
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert QuadRat(3, -1, 2) == QuadRat(Fraction(3), Fraction(-1), 2)
+
+    @pytest.mark.parametrize("c", [0, -3])
+    def test_c_below_one_raises_at_every_construction(self, c):
+        for build in (lambda: QuadInt(1, 1, c), lambda: QuadRat(1, 1, c),
+                      lambda: QuadInt(1, 1, 1)._replace(c=c), lambda: QuadRat(1, 1, 1)._replace(c=c)):
+            with pytest.raises(ValueError):
+                build()
