@@ -47,9 +47,9 @@ multiplication each per step down, and builds and checks every claim of
 each m from them.  `triple_report` is the row of one m, so it computes L
 once; `row_bound_reports` builds the bound reports alone from the same
 fold.  log L is not folded: each is floor(2^128 log L) of its own L, where
-a sum of floored logs could change a printed digit.  `verify_divisor` and
-`bound_report` build and check one part of a record from their own L, and
-raise on a failure.
+a sum of floored logs could change a printed digit.  Every record comes
+from `row_reports` or `row_bound_reports`, and nothing here raises on a
+failed claim: its message is kept with the report that exposed it.
 
 The exact quantity content_multiple lives in `ring`; it is imported here
 too.
@@ -72,14 +72,6 @@ _TABLE_GUARD = 16  # extra bits at which the engine's constants are summed befor
 _E = 2  # error bound of one floored source, in units of 2^-128
 _ONE = 1 << PRECISION_BITS
 C_LIMIT = 1 << 61  # the prefactor logs of c are within _E only for c below this
-
-
-class InvariantViolation(RuntimeError):
-    """An exactly-checked claim failed; carries the offending report."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 def _require_range(c: int, m: int, n: int) -> None:
@@ -203,23 +195,6 @@ def _failure_message(kind: str, report) -> Optional[str]:
     if bad:
         return f"{kind} invariants failed at (c={report.c}, m={report.m}, n={report.n}): {bad}"
     return None
-
-
-def _checked(kind: str, report):
-    """The report, or InvariantViolation carrying it when its check fails."""
-    message = _failure_message(kind, report)
-    if message is not None:
-        raise InvariantViolation(message, report)
-    return report
-
-
-def verify_divisor(c: int, m: int, n: int) -> DivisorReport:
-    """Compute and exactly check the full divisor record for one triple.
-
-    Raises InvariantViolation if any claim fails; the proofs guarantee that
-    never happens, so a raise means an arithmetic bug.
-    """
-    return _checked("divisor", _divisor_report(c, m, n, lcm_range(c, m, n), *_divisor_parts(c, m, n)))
 
 
 # --- fixed-point log machinery ---------------------------------------------
@@ -533,14 +508,6 @@ def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
     return BoundReport(c=c, m=m, n=n, L=big_l, logL=_log_fixed(big_l), bounds=bounds)
 
 
-def bound_report(c: int, m: int, n: int) -> BoundReport:
-    """Evaluate every applicable lower bound for one triple.
-
-    Raises InvariantViolation when an applicable bound exceeds L.
-    """
-    return _checked("bound", _bound_report(c, m, n, lcm_range(c, m, n)))
-
-
 class TripleReport(_Record):
     """Every claim checked at one (c, m, n), all from one computation of L; both records whole."""
 
@@ -552,9 +519,8 @@ class TripleReport(_Record):
 def triple_report(c: int, m: int, n: int) -> TripleReport:
     """The divisor record and bound report of one triple, each checked once.
 
-    Never raises InvariantViolation: a failed claim keeps the whole report
-    that exposed it and adds its message to `violations`.  It is the row of
-    one m, so L is computed once.
+    A failed claim keeps the whole report that exposed it and adds its
+    message to `violations`.  It is the row of one m, so L is computed once.
     """
     return row_reports(c, n, range(m, m + 1))[0]
 

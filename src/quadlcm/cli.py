@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from . import bounds as _bounds
 from .bounds import (
     BOUND_NAMES,
-    BoundReport,
-    DivisorReport,
     TripleReport,
     floor_half_frontier,
     row_bound_reports,
@@ -78,46 +76,39 @@ def js_int(v: int):
     return v if _INT64_MIN <= v <= _INT64_MAX else str(v)
 
 
-def divisor_to_json(r: DivisorReport) -> dict:
-    return {
-        "c": r.c,
-        "m": r.m,
-        "n": r.n,
-        "L": js_int(r.L),
-        "numerator": js_int(r.numerator),
-        "denominator": js_int(r.denominator),
-        "D_num": js_int(r.D.numerator),
-        "D_den": js_int(r.D.denominator),
-        "quotient": None if r.quotient_check is None else js_int(r.quotient_check),
-        "hc": js_int(r.hc_value),
-        "hc_bound": js_int(r.hc_bound),
-        "star_x": js_int(r.star_x),
-        "star_y": js_int(r.star_y),
-    }
-
-
-def bounds_to_json(r: BoundReport) -> dict:
-    return {
-        "c": r.c,
-        "m": r.m,
-        "n": r.n,
-        "logL": fmt_log(r.logL),
-        "bounds": {
-            name: {
-                "applicable": bv.applicable,
-                "log_value": fmt_log(bv.log_value) if bv.applicable else None,
-            }
-            for name, bv in r.bounds.items()
-        },
-    }
-
-
 def report_to_json(r: TripleReport) -> dict:
-    """The `verify` document; a sweep row is its projection onto SWEEP_COLUMNS."""
+    """The `verify` document of one triple."""
+    dr, br = r.divisor, r.bounds
     doc = {
-        "divisor": divisor_to_json(r.divisor),
-        "bounds": bounds_to_json(r.bounds),
-        "checks": {"binom_ok": r.bounds.holds["binom"], "two_n_ok": r.bounds.holds["oon_2n"]},
+        "divisor": {
+            "c": dr.c,
+            "m": dr.m,
+            "n": dr.n,
+            "L": js_int(dr.L),
+            "numerator": js_int(dr.numerator),
+            "denominator": js_int(dr.denominator),
+            "D_num": js_int(dr.D.numerator),
+            "D_den": js_int(dr.D.denominator),
+            "quotient": None if dr.quotient_check is None else js_int(dr.quotient_check),
+            "hc": js_int(dr.hc_value),
+            "hc_bound": js_int(dr.hc_bound),
+            "star_x": js_int(dr.star_x),
+            "star_y": js_int(dr.star_y),
+        },
+        "bounds": {
+            "c": br.c,
+            "m": br.m,
+            "n": br.n,
+            "logL": fmt_log(br.logL),
+            "bounds": {
+                name: {
+                    "applicable": bv.applicable,
+                    "log_value": fmt_log(bv.log_value) if bv.applicable else None,
+                }
+                for name, bv in br.bounds.items()
+            },
+        },
+        "checks": {"binom_ok": br.holds["binom"], "two_n_ok": br.holds["oon_2n"]},
         "ok": not r.violations,
     }
     if r.violations:
@@ -171,18 +162,21 @@ def _only(m: int, n: int) -> range:
     return range(m, min(m, n) + 1)
 
 
-def _sweep_row(row: tuple[int, int, range]) -> list[tuple[dict, tuple[str, ...]]]:
+def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
     """One sweep work item, the row (c, n, ms); top-level to pickle.
 
-    Each m's `verify` document projected onto SWEEP_COLUMNS, with its violations.
+    Each m's cells in SWEEP_COLUMNS order, None where a value is absent, with its violations.
     """
-    c, n, ms = row
     out = []
-    for report in row_reports(c, n, ms):
-        doc = report_to_json(report)
-        cells = {**doc["bounds"], **doc["divisor"]}
-        cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
-        out.append(({col: cells.get(col) for col in SWEEP_COLUMNS}, report.violations))
+    for report in row_reports(*row):
+        dr, br = report.divisor, report.bounds
+        cells = (
+            dr.c, dr.m, dr.n, js_int(dr.L), js_int(dr.D.numerator), js_int(dr.D.denominator),
+            None if dr.quotient_check is None else js_int(dr.quotient_check),
+            js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
+            fmt_log(br.logL),
+        ) + tuple(fmt_log(bv.log_value) if bv.applicable else None for bv in br.bounds.values())
+        out.append((cells, report.violations))
     return out
 
 
@@ -201,22 +195,21 @@ def _pool_results(pool, rows: Iterable[tuple[int, int, range]], window: int) -> 
         raise RunError(f"sweep worker failed: {reason}") from exc
 
 
-def _emit_sweep(rows: Iterable[tuple[dict, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
+def _emit_sweep(rows: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
     code = EXIT_OK
     writer = None
     if output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
-    for row, violations in rows:
+    for cells, violations in rows:
         if violations:
             code = EXIT_VIOLATION
-            triple = (row["c"], row["m"], row["n"])
             for v in violations:
-                print(f"VIOLATION at (c,m,n)={triple}: {v}", file=sys.stderr)
+                print(f"VIOLATION at (c,m,n)={cells[:3]}: {v}", file=sys.stderr)
         if output_format == "csv":
-            writer.writerow(["NA" if v is None else str(v) for v in row.values()])
+            writer.writerow(["NA" if v is None else str(v) for v in cells])
         else:
-            out.write(json.dumps(row) + "\n")
+            out.write(json.dumps(dict(zip(SWEEP_COLUMNS, cells))) + "\n")
     return code
 
 

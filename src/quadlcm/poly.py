@@ -191,10 +191,6 @@ class QuadPoly(_Record):
         return " + ".join(f"({co})X^{i}" for i, co in enumerate(self.coeffs)) or "0"
 
 
-def zero_poly(c: int) -> QuadPoly:
-    return QuadPoly(c)
-
-
 def one_poly(c: int) -> QuadPoly:
     return _quad(c, IntPoly((1,)))
 
@@ -249,7 +245,7 @@ def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
     repeated = p
     for _ in range(order):
         repeated = repeated.shift(1) - repeated
-    binomial = zero_poly(p.c)
+    binomial = QuadPoly(p.c)
     for m in range(order + 1):
         binomial = binomial + p.shift(m).scale((-1) ** (order - m) * comb(order, m))
     if repeated != binomial:
@@ -331,19 +327,9 @@ def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRa
     return _closed_forms(c, k, z, [ell])[0]
 
 
-def newton_coeff(c: int, k: int, ell: int) -> QuadRat:
-    """Newton forward-difference coefficient of the Bezout cofactor (sum form)."""
-    return reciprocal_difference(c, k, ell, QuadRat(0, 0, c))
-
-
-def newton_coeff_closed(c: int, k: int, ell: int) -> QuadRat:
-    """Same coefficient from the closed product formula."""
-    return reciprocal_difference_closed(c, k, ell, QuadRat(0, 0, c))
-
-
 def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
     """sum_ell coeffs[ell] * (X - s)(X - s - 1)...(X - s - ell + 1), s = sqrt(-c), one factor more per ell."""
-    acc, basis = zero_poly(c), one_poly(c)
+    acc, basis = QuadPoly(c), one_poly(c)
     for ell, coeff in enumerate(coeffs):
         acc = acc + basis.scale(coeff)
         basis = basis * _linear(c, -ell, -1)
@@ -374,7 +360,7 @@ def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     _check_same_ring(num, den)
-    q, rem = zero_poly(num.c), num
+    q, rem = QuadPoly(num.c), num
     inv_lead = den.leading().inverse()
     while rem.degree >= den.degree:
         # the leading term of rem, divided by den's; subtracting it times den cancels it
@@ -395,8 +381,8 @@ def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
         raise ValueError("both polynomials must be non-constant")
     c = p.c
     r0, r1 = p, q
-    u0, u1 = one_poly(c), zero_poly(c)
-    v0, v1 = zero_poly(c), one_poly(c)
+    u0, u1 = one_poly(c), QuadPoly(c)
+    v0, v1 = QuadPoly(c), one_poly(c)
     while not r1.is_zero():
         quo, rem = divmod_poly(r0, r1)
         r0, r1 = r1, rem

@@ -7,7 +7,8 @@ logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
 and the integer log printer has mpmath's own (`mpmath_log_str`).  The
 bound prefactors in mpf and the Stirling check are test-only and live
 here too, and so are the Newton basis and the falling factorial, which
-only the tests use.
+only the tests use.  `checked_triple` is how the tests read the records
+of one triple: `triple_report`, asserted to hold every claim.
 """
 
 from __future__ import annotations
@@ -19,8 +20,15 @@ from math import comb
 import mpmath
 
 from quadlcm.ring import QuadInt, QuadRat
-from quadlcm.bounds import floor_half_frontier, log_factorial
+from quadlcm.bounds import TripleReport, floor_half_frontier, log_factorial, triple_report
 from quadlcm.poly import QuadPoly
+
+
+def checked_triple(c: int, m: int, n: int) -> TripleReport:
+    """`triple_report(c, m, n)`, with every claim asserted to hold."""
+    report = triple_report(c, m, n)
+    assert report.violations == (), report.violations
+    return report
 
 
 def multiples_by_search(z: QuadInt, limit: int) -> set[int]:

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm.bounds import PRECISION_BITS, bound_report, lcm_range, verify_divisor
+from quadlcm.bounds import PRECISION_BITS, lcm_range, row_bound_reports, row_reports
 from quadlcm.poly import (
     IntPoly,
     bezout_certificate,
@@ -38,14 +38,29 @@ def _pass(num: int, text: str) -> None:
     print(f"ACCEPTANCE {num}: PASS - {text}")
 
 
+def _lcms_by_n(c: int, n_max: int):
+    """(n, [L at (c, m, n) for m = 1..n]) for n = 1..n_max, from one ascending fold over n.
+
+    A second route to every L, independent of the library's descending fold over m.
+    """
+    ls = []
+    for n in range(1, n_max + 1):
+        term = n * n + c
+        ls = [math.lcm(big_l, term) for big_l in ls] + [term]
+        yield n, ls
+
+
 @pytest.fixture(scope="module")
 def divisor_sweep():
-    """All divisor reports for c <= 5, 1 <= m <= n <= 60 (verified on build)."""
+    """All divisor reports for c <= 5, 1 <= m <= n <= 60, from the row folds (verified on build)."""
     reports = {}
     for c in range(1, C_MAX + 1):
-        for n in range(1, N_MAX_EXACT + 1):
-            for m in range(1, n + 1):
-                reports[(c, m, n)] = verify_divisor(c, m, n)
+        for n, ls in _lcms_by_n(c, N_MAX_EXACT):
+            rows = row_reports(c, n, range(1, n + 1))
+            assert [r.divisor.L for r in rows] == ls
+            for r in rows:
+                assert r.violations == ()
+                reports[(c, r.divisor.m, n)] = r.divisor
     return reports
 
 
@@ -127,9 +142,11 @@ def test_criterion_6_exponential_lower_bound():
 def test_criterion_7_log_bounds_sweep():
     applicable = 0
     for c in range(1, C_MAX + 1):
-        for n in range(1, N_MAX_BOUNDS + 1):
-            for m in range(1, n + 1):
-                r = bound_report(c, m, n)  # raises on any applicable-bound violation
+        for n, ls in _lcms_by_n(c, N_MAX_BOUNDS):
+            row = row_bound_reports(c, n)
+            assert [r.L for r, _ in row] == ls  # every bound decided on an L found by two routes
+            for r, failure in row:
+                assert failure is None
                 applicable += sum(1 for bv in r.bounds.values() if bv.applicable)
     _pass(7, f"{applicable} applicable bound instances verified over c<=5, n<=200, "
           "decided exactly or by certified enclosures")

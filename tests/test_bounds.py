@@ -11,18 +11,17 @@ from quadlcm import bounds
 from quadlcm.bounds import (
     PRECISION_BITS,
     TripleReport,
-    bound_report,
     floor_half_frontier,
     icbrt,
     lcm_range,
     log_factorial,
     triple_report,
-    verify_divisor,
 )
 from quadlcm.ring import QuadInt, content, content_multiple, shifted_product
 from quadlcm.cli import _m_policy, fmt_log, main
 
 from oracles import (
+    checked_triple,
     exp_bound_const,
     factorial_bound_const,
     frontier_bound_const,
@@ -63,11 +62,11 @@ class TestLcmRange:
 
 class TestRationalDivisor:
     def test_examples(self):
-        assert verify_divisor(1, 1, 3).D == Fraction(5, 4)
-        assert verify_divisor(1, 2, 3).D == Fraction(10)
+        assert checked_triple(1, 1, 3).divisor.D == Fraction(5, 4)
+        assert checked_triple(1, 2, 3).divisor.D == Fraction(10)
         for c in (1, 2, 5):
             for m in (1, 4, 9):
-                assert verify_divisor(c, m, m).D == Fraction(m * m + c, c)
+                assert checked_triple(c, m, m).divisor.D == Fraction(m * m + c, c)
 
     def test_numerator_is_the_product_of_the_terms(self):
         # the numerator is built as norm(P); the plain product of k^2 + c is an independent oracle
@@ -78,21 +77,21 @@ class TestRationalDivisor:
                     for k in range(m, n + 1):
                         num *= k * k + c
                     den = math.factorial(n - m) * content_multiple(c, n - m)
-                    r = verify_divisor(c, m, n)
+                    r = checked_triple(c, m, n).divisor
                     assert r.numerator == num
                     assert r.D == Fraction(num, den)
 
 
 class TestVerifyDivisor:
     def test_1_1_3(self):
-        r = verify_divisor(1, 1, 3)
+        r = checked_triple(1, 1, 3).divisor
         assert (r.L, r.D, r.quotient_check) == (10, Fraction(5, 4), 8)
         assert (r.hc_value, r.hc_bound) == (10, 40)
         assert (r.star_x, r.star_y) == (0, -2)
         assert (r.numerator, r.denominator) == (100, 80)
 
     def test_1_2_3_tight(self):
-        r = verify_divisor(1, 2, 3)
+        r = checked_triple(1, 2, 3).divisor
         assert (r.L, r.D, r.quotient_check) == (10, Fraction(10), 1)
         assert (r.hc_value, r.hc_bound) == (5, 5)
         assert (r.star_x, r.star_y) == (1, -1)
@@ -100,17 +99,17 @@ class TestVerifyDivisor:
     def test_diagonal_quotient_is_c(self):
         for c in (1, 2, 3, 4, 5):
             for m in (1, 5, 17):
-                assert verify_divisor(c, m, m).quotient_check == c
+                assert checked_triple(c, m, m).divisor.quotient_check == c
 
     def test_forged_report_detected(self):
-        good = verify_divisor(1, 1, 3)
+        good = checked_triple(1, 1, 3).divisor
         assert good.failures() == []
         assert good._replace(quotient_check=7).failures()
         assert good._replace(hc_value=3).failures()
         assert good._replace(star_x=1).failures()
 
     def test_equality_and_repr_ignore_the_product(self):
-        good = verify_divisor(1, 1, 3)
+        good = checked_triple(1, 1, 3).divisor
         other = good._replace(product=QuadInt(7, 7, 1))
         assert other == good and hash(other) == hash(good)
         assert repr(other) == repr(good)
@@ -123,12 +122,12 @@ class TestVerifyDivisor:
         for c in (1, 2, 5):
             for n in range(1, 15):
                 for m in range(1, n + 1):
-                    r = verify_divisor(c, m, n)
+                    r = checked_triple(c, m, n).divisor
                     assert (r.L * math.factorial(n - m) * r.hc_value) % r.numerator == 0
 
     def test_star_identity_restated(self):
         for c, m, n in [(1, 1, 3), (2, 3, 9), (5, 2, 8)]:
-            r = verify_divisor(c, m, n)
+            r = checked_triple(c, m, n).divisor
             star = QuadInt(r.star_x, r.star_y, c)
             assert star * shifted_product(c, m, n) == QuadInt(r.L * math.factorial(n - m), 0, c)
 
@@ -164,11 +163,11 @@ class TestContentHelpers:
 class TestCombinatorialChecks:
     # L >= m*C(n, m) and L >= 2^n are the exact `binom` and `oon_2n` rows
     def test_examples(self):
-        r = bound_report(1, 4, 7).holds
+        r = checked_triple(1, 4, 7).bounds.holds
         assert r["binom"] and r["oon_2n"] is True
-        r = bound_report(1, 1, 1).holds
+        r = checked_triple(1, 1, 1).bounds.holds
         assert r["binom"] and r["oon_2n"] is True
-        r = bound_report(1, 3, 3).holds
+        r = checked_triple(1, 3, 3).bounds.holds
         assert r["binom"] and r["oon_2n"] is None
 
     def test_checks_keys_are_integer_comparisons(self):
@@ -240,7 +239,7 @@ class TestLogFactorial:
 
 class TestBoundReport:
     def test_farhi_at_50(self):
-        r = bound_report(1, 1, 50)
+        r = checked_triple(1, 1, 50).bounds
         v = r.bounds["farhi"]
         assert v.applicable
         with mpmath.workprec(PRECISION_BITS):
@@ -251,7 +250,7 @@ class TestBoundReport:
     def test_diagonal_final_bound(self):
         for c in (1, 3, 5):
             for n in (1, 7, 40):
-                r = bound_report(c, n, n)
+                r = checked_triple(c, n, n).bounds
                 v = r.bounds["final"]
                 assert v.applicable
                 with mpmath.workprec(PRECISION_BITS):
@@ -260,7 +259,7 @@ class TestBoundReport:
                 assert r.logL >= v.log_value
 
     def test_t7_value_at_1_4_7(self):
-        r = bound_report(1, 4, 7)
+        r = checked_triple(1, 4, 7).bounds
         v = r.bounds["t7"]
         # lam1 * 16 * (7!)^2 / ((4!)^2 * (3!)^3)
         expected = factorial_bound_const(1) * 16 * math.factorial(7) ** 2 / (
@@ -271,33 +270,33 @@ class TestBoundReport:
 
     def test_applicability_gates_exact(self):
         # 8*(n-m)^3 vs n^2 splits the frontier; n=8, m=6 sits exactly on it
-        r = bound_report(1, 6, 8)
+        r = checked_triple(1, 6, 8).bounds
         assert r.bounds["c5"].applicable and r.bounds["final"].applicable
-        r = bound_report(1, 5, 8)
+        r = checked_triple(1, 5, 8).bounds
         assert r.bounds["c5"].applicable and not r.bounds["final"].applicable
-        r = bound_report(1, 7, 8)
+        r = checked_triple(1, 7, 8).bounds
         assert not r.bounds["c5"].applicable and r.bounds["final"].applicable
 
     def test_t9_needs_m_below_n(self):
-        assert not bound_report(2, 5, 5).bounds["t9"].applicable
-        assert bound_report(2, 4, 5).bounds["t9"].applicable
+        assert not checked_triple(2, 5, 5).bounds.bounds["t9"].applicable
+        assert checked_triple(2, 4, 5).bounds.bounds["t9"].applicable
 
     def test_oon_gate(self):
-        assert bound_report(1, 2, 3).bounds["oon_2n"].applicable
-        assert not bound_report(1, 3, 3).bounds["oon_2n"].applicable
+        assert checked_triple(1, 2, 3).bounds.bounds["oon_2n"].applicable
+        assert not checked_triple(1, 3, 3).bounds.bounds["oon_2n"].applicable
 
     def test_farhi_gate(self):
-        assert not bound_report(2, 1, 5).bounds["farhi"].applicable
-        assert not bound_report(1, 2, 5).bounds["farhi"].applicable
+        assert not checked_triple(2, 1, 5).bounds.bounds["farhi"].applicable
+        assert not checked_triple(1, 2, 5).bounds.bounds["farhi"].applicable
 
     def test_forged_report_detected(self):
-        r = bound_report(1, 1, 10)
+        r = checked_triple(1, 1, 10).bounds
         assert r.failures() == []
         bad = r._replace(logL=-100 << PRECISION_BITS)
         assert bad.failures()
 
     def test_replace_rederives_the_verdicts(self):
-        r = bound_report(1, 1, 10)
+        r = checked_triple(1, 1, 10).bounds
         assert r.failures() == [] and r.holds["t7"] is True and r.holds["oon_2n"] is True
         by_log = r._replace(logL=-100 << PRECISION_BITS)
         assert by_log.holds["t7"] is False and by_log.holds["oon_2n"] is True
@@ -310,7 +309,7 @@ class TestBoundReport:
     def test_failures_compare_at_working_precision(self):
         # logL's upper end forged 1 unit of 2^-128 below t7's lower end: a
         # relative 2^-128 gap, decided by the integers at any mpmath precision
-        r = bound_report(1, 4, 7)
+        r = checked_triple(1, 4, 7).bounds
         t7 = r.bounds["t7"]
         assert t7.log_value > 0
         forged = t7.log_value - t7.error - bounds._E - 1
@@ -332,7 +331,7 @@ class TestCertifiedVerdicts:
     def test_t7_enclosure_boundaries(self, forge, holds):
         # every case but the first is undecided; one unit below overlap-bottom
         # fails outright (TestBoundReport::test_failures_compare_at_working_precision)
-        r = bound_report(1, 4, 7)
+        r = checked_triple(1, 4, 7).bounds
         t7 = r.bounds["t7"]
         bad = r._replace(logL=forge(t7.log_value, t7.error, bounds._E))
         assert bad.holds["t7"] is holds
@@ -340,7 +339,7 @@ class TestCertifiedVerdicts:
         assert messages == ([] if holds else ["bound t7: undecided"])
 
     def test_every_row_decided_at_1_1_1(self):
-        r = bound_report(1, 1, 1)
+        r = checked_triple(1, 1, 1).bounds
         applicable = [name for name, bv in r.bounds.items() if bv.applicable]
         assert applicable == ["oon_2n", "binom", "t7", "final", "farhi"]
         assert all(r.holds[name] is True for name in applicable)
@@ -349,7 +348,7 @@ class TestCertifiedVerdicts:
             assert r.logL - bounds._E >= bv.log_value + bv.error
 
     def test_failure_messages_are_15_digit_decimals(self):
-        r = bound_report(1, 1, 10)
+        r = checked_triple(1, 1, 10).bounds
         forged = -100 << PRECISION_BITS
         bad = r._replace(logL=forged)
         log_rows = [name for name in ("t7", "t9", "c5", "final") if r.bounds[name].applicable]
@@ -396,7 +395,7 @@ class TestCertifiedVerdicts:
         big_l = 1
         for n in range(1, 301):
             big_l = math.lcm(big_l, n * n + 1)
-            r = bound_report(1, 1, n)
+            r = checked_triple(1, 1, n).bounds
             assert r.L == big_l
             assert big_l >= Fraction(8, 25) * Fraction(721, 500) ** n
             assert r.holds["farhi"] is True
@@ -409,7 +408,7 @@ class TestParityOracle:
         for c in (1, 2):
             for n in range(1, 61):
                 for m in range(1, n + 1):
-                    r = bound_report(c, m, n)
+                    r = checked_triple(c, m, n).bounds
                     log_l, values = mpf_bound_logs(c, m, n, r.L)
                     assert fmt_log(r.logL) == mpmath.nstr(log_l, 15)
                     assert [name for name, bv in r.bounds.items() if bv.applicable] == list(values)
@@ -437,7 +436,7 @@ class TestExactRows:
         (1, 1, 50, "farhi", math.ceil(Fraction(8, 25) * Fraction(721, 500) ** 50)),
     ], ids=["oon_2n", "binom", "farhi"])
     def test_one_below_the_bound_fails(self, c, m, n, row, bound):
-        r = bound_report(c, m, n)
+        r = checked_triple(c, m, n).bounds
         assert r.holds[row] is True
         bad = r._replace(L=bound - 1)
         assert bad.logL == r.logL
@@ -447,7 +446,7 @@ class TestExactRows:
         assert all(bad.holds[name] is not False for name in ("t7", "t9", "c5", "final"))
 
     def test_oon_2n_at_slack_zero_is_exact(self):
-        r = bound_report(1, 1, 1)
+        r = checked_triple(1, 1, 1).bounds
         assert r.L == 2 == 2**1
         assert r.holds["oon_2n"] is True
         # decided by L itself, not by logL
@@ -455,7 +454,7 @@ class TestExactRows:
         assert r._replace(L=1).holds["oon_2n"] is False
 
     def test_verdicts_computed_once(self, monkeypatch):
-        r = bound_report(1, 2, 9)
+        r = checked_triple(1, 2, 9).bounds
         calls = []
         real = mpmath.workprec
         monkeypatch.setattr(mpmath, "workprec", lambda prec: calls.append(prec) or real(prec))
@@ -484,12 +483,13 @@ class TestTripleReport:
         assert calls == triples
 
     def test_parts_match_separate_builders(self):
+        # each m of a row's fold against triple_report, which takes its own lcm_range
         for c in (1, 2, 5):
             for n in range(1, 13):
-                for m in range(1, n + 1):
-                    r = triple_report(c, m, n)
-                    assert r.divisor == verify_divisor(c, m, n)
-                    assert r.bounds == bound_report(c, m, n)
+                for r in bounds.row_reports(c, n, range(1, n + 1)):
+                    m = r.divisor.m
+                    expected = triple_report(c, m, n)
+                    assert (r.divisor, r.bounds) == (expected.divisor, expected.bounds)
                     big_l = r.bounds.L
                     assert r.bounds.holds["binom"] is (big_l >= m * math.comb(n, m))
                     assert r.bounds.holds["oon_2n"] is (big_l >= 2**n if m <= (n + 1) // 2 else None)
@@ -550,7 +550,7 @@ class TestRowFold:
         for c in (1, 2):
             for n in range(1, 41):
                 row = bounds.row_bound_reports(c, n)
-                assert [r for r, _ in row] == [bound_report(c, m, n) for m in range(1, n + 1)]
+                assert [r for r, _ in row] == [triple_report(c, m, n).bounds for m in range(1, n + 1)]
                 assert all(failure is None for _, failure in row)
 
     def test_forged_step_reaches_each_lower_m(self, monkeypatch):
@@ -697,7 +697,7 @@ class TestLogCaches:
         for prec in (53, 256):
             _clear_log_caches()
             with mpmath.workprec(prec):
-                reports.append(bound_report(c, m, n))
+                reports.append(checked_triple(c, m, n).bounds)
         low, high = reports
         assert low.logL == high.logL
         assert low.bounds == high.bounds

@@ -1,9 +1,12 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -547,6 +550,41 @@ class TestForgedLcm:
                 ["1", "1", "2", "2", "2", "1", "1"], ["1", "2", "2", "2", "5", "1", "NA"]]
             assert all("NA" not in ln.split(",")[7:11] for ln in lines[1:])
             assert "VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed" in err
+
+
+def _projected_row(report):
+    """The sweep row of one triple as the `verify` document projected onto SWEEP_COLUMNS."""
+    doc = cli.report_to_json(report)
+    cells = {**doc["bounds"], **doc["divisor"]}
+    cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
+    return {col: cells.get(col) for col in cli.SWEEP_COLUMNS}
+
+
+class TestSweepRowWriter:
+    # the row writer reads the records straight; the projection of the
+    # `verify` document is its oracle, so the two writers cannot drift
+    @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_equal_the_projected_verify_document(self, fmt, forged, monkeypatch, capsys):
+        if forged:  # the TestForgedLcm seams: L/D is not integral at most triples
+            monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+            monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+        rows = [(c, n, range(1, n + 1)) for c in (1, 2, 3) for n in range(1, 13)]
+        written, expected = io.StringIO(), io.StringIO()
+        code = cli._emit_sweep(chain.from_iterable(map(cli._sweep_row, rows)), fmt, written)
+        projected = [_projected_row(r) for row in rows for r in bounds.row_reports(*row)]
+        if fmt == "csv":
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(cli.SWEEP_COLUMNS)
+            writer.writerows(["NA" if v is None else str(v) for v in cells.values()] for cells in projected)
+        else:
+            expected.writelines(json.dumps(cells) + "\n" for cells in projected)
+        assert written.getvalue() == expected.getvalue()
+        assert len(projected) == 3 * 12 * 13 // 2
+        assert any(cells["farhi"] is None for cells in projected)  # an inapplicable bound
+        assert any(cells["quotient"] is None for cells in projected) is forged
+        assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
+        assert ("VIOLATION" in capsys.readouterr().err) is forged
 
 
 # runs one command in a fresh interpreter and prints its exit code, its

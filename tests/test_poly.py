@@ -19,15 +19,12 @@ from quadlcm.poly import (
     bezout_poly_interp,
     divmod_poly,
     forward_difference,
-    newton_coeff,
-    newton_coeff_closed,
     one_poly,
     reciprocal_difference,
     reciprocal_difference_closed,
     recombine_parts,
     shift_product_poly,
     split_parts,
-    zero_poly,
 )
 from quadlcm.ring import QuadRat, RingMismatchError, shifted_product
 
@@ -68,7 +65,7 @@ class TestArithmetic:
 
     def test_additive_identity(self):
         p = poly(2, (1, 2), (3, 4))
-        assert p + zero_poly(2) == p
+        assert p + QuadPoly(2) == p
 
     def test_x_times_x_plus_one(self):
         c = 1
@@ -151,9 +148,9 @@ class TestRepresentation:
 
     def test_zero_is_canonical(self):
         p = poly(2, (Fraction(1, 3), 5), (7, Fraction(-2, 9)))
-        for zero in (p - p, p.scale(0), zero_poly(2), QuadPoly(2, (qr(2, 0), qr(2, 0))), QuadPoly(2, ())):
+        for zero in (p - p, p.scale(0), QuadPoly(2), QuadPoly(2, (qr(2, 0), qr(2, 0)))):
             assert (zero.A, zero.B, zero.den) == (IntPoly(()), IntPoly(()), 1)
-            assert zero == zero_poly(2)
+            assert zero == QuadPoly(2)
             assert zero.degree == -1
 
     def test_built_from_quadrat_equals_fraction_free(self):
@@ -292,20 +289,20 @@ class TestNewtonBasis:
 
 class TestNewtonCoeffs:
     def test_sum_form_examples(self):
-        assert newton_coeff(1, 0, 0) == qr(1, 0, Fraction(-1, 2))
-        assert newton_coeff(1, 1, 0) == qr(1, Fraction(-1, 5), Fraction(1, 10))
-        assert newton_coeff(1, 1, 1) == qr(1, 0, Fraction(-1, 5))
+        assert reciprocal_difference(1, 0, 0, qr(1, 0)) == qr(1, 0, Fraction(-1, 2))
+        assert reciprocal_difference(1, 1, 0, qr(1, 0)) == qr(1, Fraction(-1, 5), Fraction(1, 10))
+        assert reciprocal_difference(1, 1, 1, qr(1, 0)) == qr(1, 0, Fraction(-1, 5))
 
     def test_closed_form_examples(self):
-        assert newton_coeff_closed(1, 0, 0) == qr(1, 0, Fraction(-1, 2))
-        assert newton_coeff_closed(1, 1, 1) == qr(1, 0, Fraction(-1, 5))
-        assert newton_coeff_closed(1, 1, 0) == qr(1, Fraction(-1, 5), Fraction(1, 10))
+        assert reciprocal_difference_closed(1, 0, 0, qr(1, 0)) == qr(1, 0, Fraction(-1, 2))
+        assert reciprocal_difference_closed(1, 1, 1, qr(1, 0)) == qr(1, 0, Fraction(-1, 5))
+        assert reciprocal_difference_closed(1, 1, 0, qr(1, 0)) == qr(1, Fraction(-1, 5), Fraction(1, 10))
 
     def test_ell_above_k_rejected(self):
         with pytest.raises(ValueError):
-            newton_coeff(1, 2, 3)
+            reciprocal_difference(1, 2, 3, qr(1, 0))
         with pytest.raises(ValueError):
-            newton_coeff_closed(2, 0, 1)
+            reciprocal_difference_closed(2, 0, 1, qr(2, 0))
 
 
 def ref_closed(c, k, ell):
@@ -323,12 +320,12 @@ class TestClosedFormVector:
         for c in range(1, 6):
             for k in range(26):
                 vector = poly_module._closed_forms(c, k, qr(c, 0), range(k + 1))
-                assert vector == [newton_coeff_closed(c, k, ell) for ell in range(k + 1)]
+                assert vector == [reciprocal_difference_closed(c, k, ell, qr(c, 0)) for ell in range(k + 1)]
                 assert vector == [ref_closed(c, k, ell) for ell in range(k + 1)]
 
     def test_certificate_uses_the_one_pass_vector(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(poly_module, "newton_coeff_closed", lambda *a: calls.append(a))
+        monkeypatch.setattr(poly_module, "reciprocal_difference_closed", lambda *a: calls.append(a))
         bezout_certificate(2, 6)
         assert calls == []
 
