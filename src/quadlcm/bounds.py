@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, lcm, log
 from typing import Iterator, Optional
 
@@ -462,9 +462,8 @@ class BoundReport(_Record):
     logL: int  # fixed point, within _E of log(L) * 2^128
     bounds: dict[str, BoundValue]
 
-    @cached_property
     def _failed(self) -> dict[str, str]:
-        """Name -> message of each applicable bound not shown to hold; the one verdict pass.
+        """Name -> message of each applicable bound not shown to hold; one verdict pass.
 
         A row with an exact bound fails when L is below it.  A log row holds
         when the enclosures are ordered, logL - _E >= v + e, and fails when
@@ -488,13 +487,14 @@ class BoundReport(_Record):
                     out[name] = f"bound {name}: undecided"
         return out
 
-    @cached_property
+    @property
     def holds(self) -> dict[str, Optional[bool]]:
-        """Whether each bound is shown to hold, None where it does not apply; computed once."""
-        return {name: name not in self._failed if bv.applicable else None for name, bv in self.bounds.items()}
+        """Whether each bound is shown to hold, None where it does not apply; one verdict pass per read."""
+        failed = self._failed()
+        return {name: name not in failed if bv.applicable else None for name, bv in self.bounds.items()}
 
     def failures(self) -> list[str]:
-        return list(self._failed.values())
+        return list(self._failed().values())
 
 
 def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:

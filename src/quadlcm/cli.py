@@ -78,7 +78,7 @@ def js_int(v: int):
 
 def report_to_json(r: TripleReport) -> dict:
     """The `verify` document of one triple."""
-    dr, br = r.divisor, r.bounds
+    dr, br, holds = r.divisor, r.bounds, r.bounds.holds
     doc = {
         "divisor": {
             "c": dr.c,
@@ -108,7 +108,7 @@ def report_to_json(r: TripleReport) -> dict:
                 for name, bv in br.bounds.items()
             },
         },
-        "checks": {"binom_ok": br.holds["binom"], "two_n_ok": br.holds["oon_2n"]},
+        "checks": {"binom_ok": holds["binom"], "two_n_ok": holds["oon_2n"]},
         "ok": not r.violations,
     }
     if r.violations:

@@ -6,8 +6,9 @@ so agreement with the implementation is a real two-sided check.  The bound
 logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
 and the integer log printer has mpmath's own (`mpmath_log_str`).  The
 bound prefactors in mpf and the Stirling check are test-only and live
-here too, and so are the Newton basis and the falling factorial, which
-only the tests use.  `checked_triple` is how the tests read the records
+here too, and so are the Newton basis, the falling factorial and the
+alternating-sum definition of the Newton coefficients, which only the
+tests use.  `checked_triple` is how the tests read the records
 of one triple: `triple_report`, asserted to hold every claim.
 """
 
@@ -15,13 +16,14 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import mpmath
 
 from quadlcm.ring import QuadInt, QuadRat
 from quadlcm.bounds import TripleReport, floor_half_frontier, log_factorial, triple_report
-from quadlcm.poly import QuadPoly
+from quadlcm.poly import PoleError, QuadPoly, shift_product_poly
 
 
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
@@ -124,6 +126,22 @@ def newton_basis(c: int, ell: int) -> QuadPoly:
     for j in range(ell):
         acc = acc * QuadPoly(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c)))
     return acc
+
+
+def alternating_sum(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
+    """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)), P = shift_product_poly(c, k).
+
+    The definition of the Newton coefficient, summed term by term; a value
+    of P that vanishes raises PoleError, as in the library.
+    """
+    p = shift_product_poly(c, k)
+    total = QuadRat(0, 0, c)
+    for j in range(ell + 1):
+        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
+        if val.is_zero():
+            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
+        total = total + val.inverse() * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c)
+    return total * QuadRat(Fraction(1, factorial(ell)), 0, c)
 
 
 def falling(x: QuadRat, n: int) -> QuadRat:

@@ -462,7 +462,6 @@ class TestExactRows:
         fresh.failures()
         fresh.failures()
         assert fresh.holds == r.holds
-        assert fresh.holds is fresh.holds
         # the verdicts are integer comparisons: no mpmath precision is set
         assert calls == []
 

@@ -25,7 +25,8 @@ def load_schema(name):
 
 
 # sha256 of `quadlcm bezout --c C --k K` stdout, captured before the polynomial
-# core went fraction-free; (3, 10), (3, 15) and (3, 25) are also the
+# core went fraction-free ((3, 60) and (5, 40) before the Newton coefficients
+# came from a difference table); (3, 10), (3, 15) and (3, 25) are also the
 # bezout_ladder output hashes in perfbench/baseline.json
 BEZOUT_SHA256 = {
     (1, 0): "45bdaf98d63c1be8fc883e922fd0a3ff58a1ba5f38a72a516a9832b06859618b",
@@ -47,6 +48,7 @@ BEZOUT_SHA256 = {
     (3, 10): "9313c054003afe3994b2b3987ebb8e1fd0d5dea4d555238cbf3507a0bfeb1b23",
     (3, 15): "9a9e1d015ff04a8ff935e90585d1465702ed0d298b42dffe53fc045be11d677c",
     (3, 25): "8dc2c9b7c35f96a6b9d2ddccffe56574c3e4fb0c9332ffd40d12bdff89eb30a7",
+    (3, 60): "47ab0360d84fc0deb22e93c3ebe6ed48db2c2f96c4349ffabf5a66ddb520db72",
     (4, 0): "5627442eae9b943872ae6261f75b68e59a5e606659ab25d7fca25918562dabcf",
     (4, 1): "adc4abee9e8f9408e6f22aa2cb76a0373bb6afa86866e320deba3905efa72564",
     (4, 2): "f424951f6244b688cf066c8595e2e7368480118035bdc73a149f4240738f3e40",
@@ -59,6 +61,7 @@ BEZOUT_SHA256 = {
     (5, 7): "4abf405fc9cf7a985b1f3610c2fff1158e62c9f79f96c459f4f06cc56e4c48db",
     (5, 15): "5f64195ba5eeb3bc49fcfa277ce672e66cefd45de928d25b8e26ea7755f1c700",
     (5, 25): "7aebf24ecee2b673c84f2c32cbb113ac045b2a3b99e790e7fba98f83cb5d9c30",
+    (5, 40): "4a9afc7faf0bb85e5cd1abb89b1ef953841cdd463950d184952695d77b248e85",
 }
 
 

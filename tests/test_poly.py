@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd
@@ -28,7 +29,7 @@ from quadlcm.poly import (
 )
 from quadlcm.ring import QuadRat, RingMismatchError, shifted_product
 
-from oracles import falling, newton_basis
+from oracles import alternating_sum, falling, newton_basis
 
 
 def qr(c, a, b=0):
@@ -298,12 +299,6 @@ class TestNewtonCoeffs:
         assert reciprocal_difference_closed(1, 1, 1, qr(1, 0)) == qr(1, 0, Fraction(-1, 5))
         assert reciprocal_difference_closed(1, 1, 0, qr(1, 0)) == qr(1, Fraction(-1, 5), Fraction(1, 10))
 
-    def test_ell_above_k_rejected(self):
-        with pytest.raises(ValueError):
-            reciprocal_difference(1, 2, 3, qr(1, 0))
-        with pytest.raises(ValueError):
-            reciprocal_difference_closed(2, 0, 1, qr(2, 0))
-
 
 def ref_closed(c, k, ell):
     """The closed-form Newton coefficient with every denominator factor multiplied from scratch."""
@@ -385,11 +380,36 @@ class TestReciprocalDifference:
         with pytest.raises(PoleError):
             reciprocal_difference_closed(1, 0, 0, z)
 
+    def test_difference_table_matches_the_definition(self):
+        for c in range(1, 4):
+            for k in range(11):
+                p = shift_product_poly(c, k)
+                for z in (qr(c, 0), qr(c, Fraction(1, 2)), qr(c, Fraction(-7, 3)), qr(c, 5)):
+                    expected = [alternating_sum(c, k, ell, z) for ell in range(k + 1)]
+                    assert poly_module._alternating_sums(c, p, z, range(k + 1)) == expected
+                    assert [reciprocal_difference(c, k, ell, z) for ell in range(k + 1)] == expected
+
+    def test_difference_table_pole_matches_the_definition(self):
+        # z = -2 - 2s puts z + j + s on the root j - 2 - s of P for j >= 2
+        c, k = 2, 4
+        z = qr(c, -2, -2)
+        p = shift_product_poly(c, k)
+        assert poly_module._alternating_sums(c, p, z, range(2)) == [
+            alternating_sum(c, k, ell, z) for ell in range(2)]
+        with pytest.raises(PoleError):
+            poly_module._alternating_sums(c, p, z, range(k + 1))
+        for ell in range(2, k + 1):
+            with pytest.raises(PoleError):
+                alternating_sum(c, k, ell, z)
+            with pytest.raises(PoleError):
+                reciprocal_difference(c, k, ell, z)
+
     def test_ell_above_k_rejected(self):
-        with pytest.raises(ValueError):
-            reciprocal_difference(1, 1, 2, qr(1, 0))
-        with pytest.raises(ValueError):
-            reciprocal_difference_closed(1, 1, 2, qr(1, 0))
+        for c, k, ell in [(1, 1, 2), (1, 2, 3), (2, 0, 1)]:
+            with pytest.raises(ValueError):
+                reciprocal_difference(c, k, ell, qr(c, 0))
+            with pytest.raises(ValueError):
+                reciprocal_difference_closed(c, k, ell, qr(c, 0))
 
 
 class TestBezoutPoly:
@@ -508,6 +528,14 @@ class TestCertificate:
         ):
             with pytest.raises(CertificateError):
                 tampered.verify()
+
+    def test_bezout_identity_is_checked(self):
+        # alpha + 1 with r + 2d is split consistently and passes the degree,
+        # P, d and split checks, so only r*A - c*s*B = d can reject it
+        cert = bezout_certificate(2, 3)
+        forged = cert._replace(alpha=cert.alpha + one_poly(2), r=cert.r + IntPoly((2 * cert.d,)))
+        with pytest.raises(CertificateError, match=re.escape("r*A - c*s*B != d")):
+            forged.verify()
 
     def test_consistent_forgery_detected(self):
         # certificates for -P and for P(X+1) satisfy every identity except
