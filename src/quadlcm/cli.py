@@ -1,23 +1,26 @@
 """Command-line front end: verify, sweep, bezout, table.
 
 Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
-past a limit, or a sweep pool worker that raised or died), 2 a
-mathematical invariant failed.  A sweep's work item is a row (c, n): one
-fold over m computes every m the --m-policy wants in that row.  Rows go to
-a pool of at most 64 workers, at most four rows per worker in flight, and
-are written in submission order, so the output is in (c, n, m)
-lexicographic order and byte-identical for a given configuration at any
-parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the range
-in which the log bounds are certified.
+past a limit, a sweep worker that raised or died, or an output that cannot
+be written), 2 a mathematical invariant failed.  A sweep's work item is a
+row (c, n): one fold over m computes every m the --m-policy wants in that
+row.  With --parallelism p above 1, p forked worker processes (at most 64,
+at most one per row) take rows w, w+p, w+2p, ... each and write each row's
+finished text to their own pipe; the parent reads the pipes round-robin and
+copies the text out, and a full pipe blocks its worker.  So the output is in
+(c, n, m) lexicographic order and byte-identical for a given configuration
+at any parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the
+range in which the log bounds are certified.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
-from collections import deque
 from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -39,8 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-_ROWS_IN_FLIGHT_PER_WORKER = 4  # bounds a pool sweep's memory however many rows the grid has
-_MAX_PARALLELISM = 64  # every worker forks at the first row; the output is the same at any parallelism
+_MAX_PARALLELISM = 64  # every worker forks before the first row; the output is the same at any parallelism
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -56,7 +58,7 @@ class UsageError(Exception):
 
 
 class RunError(Exception):
-    """An input past a limit, or a sweep pool worker that raised or died; reported in one line with exit 1."""
+    """An input past a limit, or a sweep worker that raised or died; reported in one line with exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,7 +165,7 @@ def _only(m: int, n: int) -> range:
 
 
 def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
-    """One sweep work item, the row (c, n, ms); top-level to pickle.
+    """One sweep work item, the row (c, n, ms).
 
     Each m's cells in SWEEP_COLUMNS order, None where a value is absent, with its violations.
     """
@@ -180,36 +182,58 @@ def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]
     return out
 
 
-def _pool_results(pool, rows: Iterable[tuple[int, int, range]], window: int) -> Iterator:
-    """`_sweep_row` of each row on the pool, in order, `window` rows in flight; a worker failure is RunError."""
-    pending = deque()
-    try:
-        for row in rows:
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_sweep_row, row))
-        while pending:
-            yield pending.popleft().result()
-    except Exception as exc:
-        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
-        raise RunError(f"sweep worker failed: {reason}") from exc
-
-
-def _emit_sweep(rows: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
-    code = EXIT_OK
-    writer = None
+def _write_triples(triples: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str,
+                   out: TextIO, err: TextIO) -> bool:
+    """The sweep lines of `(cells, violations)` to `out`, their VIOLATION lines to `err`; True if any."""
+    violated = False
     if output_format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-    for cells, violations in rows:
+        writerow = csv.writer(out, lineterminator="\n").writerow
+    for cells, violations in triples:
         if violations:
-            code = EXIT_VIOLATION
+            violated = True
             for v in violations:
-                print(f"VIOLATION at (c,m,n)={cells[:3]}: {v}", file=sys.stderr)
+                print(f"VIOLATION at (c,m,n)={cells[:3]}: {v}", file=err)
         if output_format == "csv":
-            writer.writerow(["NA" if v is None else str(v) for v in cells])
+            writerow(["NA" if v is None else str(v) for v in cells])
         else:
             out.write(json.dumps(dict(zip(SWEEP_COLUMNS, cells))) + "\n")
+    return violated
+
+
+def _write_header(output_format: str, out: TextIO) -> None:
+    if output_format == "csv":
+        csv.writer(out, lineterminator="\n").writerow(SWEEP_COLUMNS)
+
+
+def _emit_sweep(triples: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
+    """A serial sweep: the header, then each triple's lines straight to `out`."""
+    _write_header(output_format, out)
+    return EXIT_VIOLATION if _write_triples(triples, output_format, out, sys.stderr) else EXIT_OK
+
+
+def _row_record(row: tuple[int, int, range], output_format: str) -> tuple[str, str, bool]:
+    """A forked worker's record of one row: its sweep lines, its VIOLATION lines, and whether it had any."""
+    text, err = io.StringIO(), io.StringIO()
+    violated = _write_triples(_sweep_row(row), output_format, text, err)
+    return text.getvalue(), err.getvalue(), violated
+
+
+def _forked_sweep(rows: Iterator[tuple[int, int, range]], nrows: int, workers: int,
+                  output_format: str, out: TextIO) -> int:
+    """A parallel sweep: the workers format the rows, and this process only copies their text."""
+    from .workers import WorkerFailed, forked  # only a parallel sweep loads the workers
+
+    code = EXIT_OK
+    try:
+        with forked(rows, nrows, workers, lambda row: _row_record(row, output_format)) as records:
+            _write_header(output_format, out)
+            for text, err, violated in records:
+                if violated:
+                    code = EXIT_VIOLATION
+                    sys.stderr.write(err)
+                out.write(text)
+    except WorkerFailed as exc:
+        raise RunError(f"sweep worker failed: {exc}") from None
     return code
 
 
@@ -234,17 +258,17 @@ def cmd_sweep(args) -> int:
     _require(args.parallelism >= 1, f"need parallelism >= 1, got {args.parallelism}")
     _require(args.parallelism <= _MAX_PARALLELISM,
              f"need parallelism <= {_MAX_PARALLELISM}, got {args.parallelism}", RunError)
+    _require(args.parallelism == 1 or hasattr(os, "fork"),
+             f"need parallelism 1 where os.fork is missing, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
     # rows in canonical (c, n) order, each ascending in m
     rows = ((c, n, m_range(n)) for c in range(args.c_min, args.c_max + 1)
             for n in range(args.n_min, args.n_max + 1))
+    nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
+    workers = min(args.parallelism, nrows)
     with _open_out(args.out) as out:
-        if args.parallelism > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
-                results = _pool_results(pool, rows, _ROWS_IN_FLIGHT_PER_WORKER * args.parallelism)
-                return _emit_sweep(chain.from_iterable(results), args.format, out)
+        if workers > 1:
+            return _forked_sweep(rows, nrows, workers, args.format, out)
         return _emit_sweep(chain.from_iterable(map(_sweep_row, rows)), args.format, out)
 
 
@@ -288,9 +312,15 @@ def _require(cond: bool, message: str, error: type[Exception] = UsageError) -> N
 
 @contextmanager
 def _open_out(target: Optional[str]) -> Iterator[TextIO]:
-    """--out <path|stdout>; never closes stdout."""
+    """--out <path|stdout>; never closes stdout, but flushes it so a reader that left is reported here."""
     if target in (None, "stdout", "-"):
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is still buffered cannot reach the reader: spare the exit flush a second failure
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
     else:
         with open(target, "w", newline="") as handle:
             yield handle

@@ -1,11 +1,12 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -420,7 +421,7 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[c]
 
 
-# sweep rows for the pool's workers; module level so they pickle by reference
+# sweep rows that fail in a forked worker
 def _raising_row(row):
     c, n, ms = row
     raise RuntimeError(f"forged worker failure at {(c, ms[0], n)}")
@@ -430,10 +431,22 @@ def _dying_row(row):
     os._exit(3)
 
 
+def _first_row_raises(row):
+    if row[1] == 1:
+        _raising_row(row)
+    time.sleep(60)  # the other rows outlast the sweep unless their workers are killed
+
+
+def assert_no_child_left():
+    # every worker was reaped, so this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSweepWorkerFailure:
     @pytest.mark.parametrize("row, reason", [
         (_raising_row, "RuntimeError: forged worker failure at (1, 1, 1)"),
-        (_dying_row, "BrokenProcessPool: "),
+        (_dying_row, "worker 0 exited with status 3 before it finished"),
     ])
     def test_exit_1_with_one_line(self, row, reason, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_sweep_row", row)
@@ -443,74 +456,144 @@ class TestSweepWorkerFailure:
             capsys,
         )
         assert code == 1
-        assert len(err.splitlines()) == 1
-        assert err.startswith("quadlcm: error: sweep worker failed: ")
-        assert reason in err
+        assert err.splitlines() == [f"quadlcm: error: sweep worker failed: {reason}"]
+        assert_no_child_left()
+
+    def test_busy_workers_are_killed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_row", _first_row_raises)
+        started = time.monotonic()
+        code, _, err = run(
+            ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
+             "--parallelism", "2"],
+            capsys,
+        )
+        assert time.monotonic() - started < 30
+        assert code == 1
+        assert err.splitlines() == [
+            "quadlcm: error: sweep worker failed: RuntimeError: forged worker failure at (1, 1, 1)"]
+        assert_no_child_left()
 
 
-class _FakePool:
-    """A pool that runs each row when its result is read, and records the most rows in flight."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process."""
+    calls = []
+    real = os.fork
 
-    def __init__(self, max_workers):
-        self.in_flight = self.peak = 0
-        self.max_workers = max_workers
-        _FakePool.last = self
+    def recording():
+        calls.append(True)
+        return real()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, row):
-        self.in_flight += 1
-        self.peak = max(self.peak, self.in_flight)
-        return _FakeFuture(self, fn, row)
+    monkeypatch.setattr(os, "fork", recording)
+    return calls
 
 
-@dataclasses.dataclass
-class _FakeFuture:
-    pool: _FakePool
-    fn: object
-    row: tuple
+class TestForkedWorkers:
+    FIVE_ROWS = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "5"]
 
-    def result(self):
-        self.pool.in_flight -= 1
-        return self.fn(self.row)
+    def test_parallelism_above_the_cap_exits_1_before_any_fork(self, forks, tmp_path, capsys):
+        for over in (65, 100000):
+            target = tmp_path / f"over_cap_{over}.csv"
+            code, out, err = run(self.FIVE_ROWS + ["--parallelism", str(over), "--out", str(target)], capsys)
+            assert code == 1 and out == ""
+            assert err.splitlines() == [f"quadlcm: error: need parallelism <= 64, got {over}"]
+            assert not target.exists()
+        assert forks == []
 
+    def test_one_worker_per_row_at_most(self, forks, tmp_path):
+        serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
+        assert cli.main(self.FIVE_ROWS + ["--out", str(serial)]) == 0
+        assert forks == []  # --parallelism 1 runs in this process
+        assert cli.main(self.FIVE_ROWS + ["--parallelism", "64", "--out", str(forked)]) == 0
+        assert len(forks) == 5
+        assert forked.read_bytes() == serial.read_bytes()
+        assert_no_child_left()
 
-class TestSweepPoolWindow:
-    def test_window_bounds_rows_in_flight(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
+    def test_full_pipes_give_the_serial_bytes(self, tmp_path):
+        # 453 KB of CSV, almost seven 64 KiB pipe buffers: workers block on full pipes
         argv = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "40"]
         serial = tmp_path / "serial.csv"
         assert cli.main(argv + ["--out", str(serial)]) == 0
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+        assert serial.stat().st_size > 6 * 64 * 1024
         for workers in (2, 4, 16):
             target = tmp_path / f"sweep_{workers}.csv"
             assert cli.main(argv + ["--parallelism", str(workers), "--out", str(target)]) == 0
             assert target.read_bytes() == serial.read_bytes()
-            # 80 rows: the window of 4 rows per worker is reached and never passed
-            assert _FakePool.last.peak == min(4 * workers, 80)
-            assert _FakePool.last.in_flight == 0
+        assert_no_child_left()
 
-    def test_parallelism_above_the_cap_exits_1_before_any_pool(self, tmp_path, capsys, monkeypatch):
-        import concurrent.futures
+    @pytest.mark.parametrize("argv, forged", [
+        (["--n-max", "6"], True),
+        (["--n-max", "12", "--m-policy", "fixed:7"], False),
+        (["--n-max", "12", "--m-policy", "fixed:7", "--format", "json"], False),
+    ], ids=["forged-L", "fixed-7-csv", "fixed-7-json"])
+    def test_same_streams_and_exit_code_as_serial(self, argv, forged, capsys, monkeypatch):
+        if forged:  # the TestForgedLcm seams
+            monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+            monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+        argv = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1"] + argv
+        code, out, err = run(argv, capsys)
+        assert run(argv + ["--parallelism", "3"], capsys) == (code, out, err)
+        assert_no_child_left()
+        assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
+        assert err.startswith("VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed") is forged
+        if not forged:  # rows n < 7 have no m, and rows n >= 7 one each
+            assert out.count("\n") == 2 * 6 + ("--format" not in argv)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
-        argv = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "5"]
-        _FakePool.last = None
-        assert cli.main(argv + ["--parallelism", "64", "--out", str(tmp_path / "at_cap.csv")]) == 0
-        assert _FakePool.last.max_workers == 64
-        _FakePool.last = None
-        for over in (65, 100000):
-            target = tmp_path / f"over_cap_{over}.csv"
-            code, out, err = run(argv + ["--parallelism", str(over), "--out", str(target)], capsys)
-            assert code == 1 and out == ""
-            assert err.splitlines() == [f"quadlcm: error: need parallelism <= 64, got {over}"]
-            assert _FakePool.last is None
-            assert not target.exists()
+
+# runs `quadlcm` with stdout buffered, as it is by default
+_MAIN = "import sys, quadlcm.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def finished_alone(argv, stdout, reader=None):
+    """Exit code and stderr lines of `quadlcm argv` in its own process group, which
+    must be empty once it exits; `reader` acts on its stdout pipe while it runs."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", _MAIN, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        if reader is not None:
+            reader(proc.stdout)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # anything still there after a timeout or failure
+            alive = True
+        except ProcessLookupError:
+            alive = False
+        proc.wait()
+    assert not alive, "a worker outlived the sweep"
+    return proc.returncode, err.splitlines()
+
+
+class TestSweepParentFailure:
+    GRID = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "40", "--parallelism", "2"]
+    SMALL_GRID = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "3", "--parallelism", "2"]
+
+    def test_full_device(self):
+        code, err = finished_alone(self.GRID + ["--out", "/dev/full"], subprocess.DEVNULL)
+        assert code == 1
+        assert err == ["quadlcm: error: [Errno 28] No space left on device"]
+
+    def test_reader_closes_after_one_line(self):
+        def read_one_line(pipe):
+            assert pipe.readline().startswith("c,m,n,")
+            pipe.close()
+
+        code, err = finished_alone(self.GRID, subprocess.PIPE, read_one_line)
+        assert code == 1
+        assert err == ["quadlcm: error: [Errno 32] Broken pipe"]
+
+    def test_reader_gone_before_a_small_output(self):
+        # the whole output fits stdout's buffer, so it fails only when flushed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = finished_alone(self.SMALL_GRID, write_end)
+        finally:
+            os.close(write_end)
+        assert code == 1
+        assert err == ["quadlcm: error: [Errno 32] Broken pipe"]
 
 
 class TestForgedLcm:
@@ -637,8 +720,15 @@ class TestColdStart:
         doc = probe(argv)
         assert not [name for name in doc["modules"] if name == "mpmath" or name.startswith("mpmath.")]
         assert "concurrent.futures.process" not in doc["modules"]
+        assert "quadlcm.workers" not in doc["modules"]
         # the same stdout when mpmath cannot be imported at all
         assert probe(argv, block_mpmath=True)["out"] == doc["out"] != ""
+
+    def test_forked_sweep_loads_neither_futures_nor_multiprocessing(self):
+        modules = loaded_modules(["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6",
+                                  "--parallelism", "2"])
+        assert not [name for name in modules if name.split(".")[0] in ("concurrent", "multiprocessing")]
+        assert "quadlcm.workers" in modules
 
     def test_import_loads_neither_dataclasses_nor_poly(self):
         modules = _python("import sys, quadlcm.cli; print(' '.join(sys.modules))").split()
