@@ -34,6 +34,7 @@ from .bounds import (
     row_reports,
     triple_report,
 )
+from .fixedlog import _log_str as fmt_log  # a fixed-point log (v / 2^128) as 15 significant digits
 
 if TYPE_CHECKING:
     from .poly import BezoutCertificate
@@ -66,11 +67,6 @@ class _Parser(argparse.ArgumentParser):
     # mathematical violations, so route everything through UsageError.
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
-
-
-def fmt_log(v: int) -> str:
-    """A fixed-point log (v / 2^128) as a decimal with 15 significant digits; deterministic."""
-    return _bounds._log_str(v)
 
 
 def js_int(v: int):
@@ -177,7 +173,7 @@ def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]
             None if dr.quotient_check is None else js_int(dr.quotient_check),
             js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
             fmt_log(br.logL),
-        ) + tuple(fmt_log(bv.log_value) if bv.applicable else None for bv in br.bounds.values())
+        ) + tuple(fmt_log(v) if applicable else None for applicable, v, _ in br.bounds.values())
         out.append((cells, report.violations))
     return out
 
@@ -297,10 +293,9 @@ def cmd_table(args) -> int:
                     print(f"VIOLATION at (c,m,n)={(args.c, br.m, n)}: {failure}", file=sys.stderr)
                 cells = [args.c, n, br.m, fmt_log(br.logL)]
                 for name in BOUND_NAMES:
-                    bv = br.bounds[name]
+                    applicable, v, _ = br.bounds[name]
                     # the ratio log(bound) / log(L), itself in fixed point
-                    cells.append(fmt_log((bv.log_value << _bounds.PRECISION_BITS) // br.logL)
-                                 if bv.applicable else "NA")
+                    cells.append(fmt_log((v << _bounds.PRECISION_BITS) // br.logL) if applicable else "NA")
                 writer.writerow(cells)
     return code
 

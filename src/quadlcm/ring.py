@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Sequence
 
 
@@ -39,7 +40,10 @@ class _Record:
     never assigned to.  Equality (within one class only), the hash and the
     repr use the fields outside `_hidden`; `_replace` builds a changed copy
     through __init__, so nothing derived from the old fields carries over.
-    Types built on hot paths declare __slots__ and their own __init__.
+    `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
+    of the shown fields.  The records built once per triple (`DivisorReport`,
+    `BoundReport`, `TripleReport`) use this __init__; the types built most
+    often (`QuadInt`, `QuadRat`, `IntPoly`) have their own.
     """
 
     __slots__ = ()
@@ -47,22 +51,22 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(vars(cls).get("__annotations__", cls._fields))
+        cls._field_set = frozenset(cls._fields)
         cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+        if cls._shown:  # not a descriptor, so `self._key(x)` is the key of any x of this class
+            cls._key = attrgetter(*cls._shown)
 
     def __init__(self, *args, **kwargs):
         values = vars(self)
-        values.update(zip(self._fields, args), **kwargs)
-        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+        values.update(dict(zip(self._fields, args), **kwargs))  # one dict merged whole: fast attribute reads
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes exactly the fields {', '.join(self._fields)}")
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._shown)
-
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from quadlcm import bounds
+from quadlcm import bounds, fixedlog
 from quadlcm.bounds import (
     PRECISION_BITS,
     TripleReport,
@@ -552,6 +552,11 @@ class TestRowFold:
                 assert [r for r, _ in row] == [triple_report(c, m, n).bounds for m in range(1, n + 1)]
                 assert all(failure is None for _, failure in row)
 
+    def test_bound_rows_fold_only_l(self, monkeypatch):
+        # table reads no P, (n-m)! or content multiple, so its fold builds none of them
+        monkeypatch.setattr(bounds, "_divisor_parts", None)
+        assert [r.L for r, _ in bounds.row_bound_reports(2, 9)] == [lcm_range(2, m, 9) for m in range(1, 10)]
+
     def test_forged_step_reaches_each_lower_m(self, monkeypatch):
         monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 1)
         reports = bounds.row_reports(1, 3, range(1, 4))
@@ -586,6 +591,15 @@ class TestLogPrinter:
         assert fmt_log(int(Fraction(10) ** 15 * 2**PRECISION_BITS)) == "1.0e+15"
         assert fmt_log(int(Fraction(10) ** -5 * 2**PRECISION_BITS) + 1) == "1.0e-5"
         assert fmt_log((10**16 - 5) << PRECISION_BITS) == "1.0e+16"
+
+    def test_every_bit_length_boundary(self):
+        # the printer's scale is cached per bit length of |v|, and one entry
+        # serves every length from PRECISION_BITS + 69 on, where mpmath's
+        # fixed precision reaches 0
+        for k in range(1, PRECISION_BITS + 81):
+            for v in (2**k - 1, 2**k, 2**k + 1):
+                for x in (v, -v):
+                    assert fmt_log(x) == mpmath_log_str(x), x
 
     def test_every_log_and_ratio_up_to_40(self):
         for c in range(1, 6):
@@ -626,7 +640,7 @@ class TestLogEngine:
             assert bounds._c5_term(n) == mpmath_c5_term(n), n
 
     def test_pi_and_ln2_within_2_pow_188(self):
-        ln2, pi, _ = bounds._engine()
+        ln2, pi, _ = fixedlog._engine()
         with mpmath.workprec(512):
             scale = mpmath.mpf(2) ** bounds._W
             assert abs(ln2 - mpmath.log(2) * scale) <= 16
@@ -635,7 +649,7 @@ class TestLogEngine:
     def test_within_the_documented_budget(self):
         # the table within 2 units of 2^-192, and _ln within 36 + 1.01 |k - shift|
         rng = random.Random(11)
-        _, pi, table = bounds._engine()
+        _, pi, table = fixedlog._engine()
         with mpmath.workprec(512):
             scale = mpmath.mpf(2) ** bounds._W
             for i, v in enumerate(table):
@@ -654,7 +668,7 @@ class TestLogEngine:
 
 
 def _clear_log_caches():
-    for memo in (bounds._engine, bounds._fixed_consts, bounds._log_consts, bounds._c5_term):
+    for memo in (fixedlog._engine, bounds._fixed_consts, bounds._log_consts, bounds._c5_term):
         memo.cache_clear()
     del bounds._LOG_INT[2:]
     del bounds._LOG_FACT[2:]
