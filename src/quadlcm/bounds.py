@@ -165,18 +165,6 @@ def _failure_message(kind: str, report) -> Optional[str]:
     return None
 
 
-def log_factorial(k: int) -> int:
-    """log(k!) in fixed point: the sum of floor(2^128 log j) over j <= k, within 2k units.
-
-    Kept independent of Stirling so the Stirling inequality stays a
-    checked claim rather than an input.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    _extend_logs(k)
-    return _LOG_FACT[k]
-
-
 def icbrt(x: int) -> int:
     """Integer cube root: the largest t with t^3 <= x."""
     if x < 0:

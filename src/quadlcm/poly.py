@@ -6,13 +6,13 @@ is structural and the zero polynomial is ((), (), 1).  Arithmetic runs as
 integer loops in IntPoly, the module's one integer coefficient-list kernel.
 
 Builds the monic shift-product polynomials P whose values are the products
-(n-k + sqrt(-c)) ... (n + sqrt(-c)), forward differences, and the unique
-degree-<=k Bezout cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.
-Three independent routes to alpha are kept, and their exact agreement is
-the module's main correctness check: the closed product formula for its
-Newton coefficients, the alternating-sum definition of those coefficients
-as read off one forward-difference table, and the extended Euclidean
-algorithm on P and conj(P).  The closed-form vector is built in one pass.
+(n-k + sqrt(-c)) ... (n + sqrt(-c)), and the unique degree-<=k Bezout
+cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.  Two independent
+routes to alpha's Newton coefficients are kept, and their exact agreement is
+the module's main correctness check: the closed product formula, built in
+one pass, and the alternating-sum definition, read off one
+forward-difference table of 1/P.  The extended Euclidean algorithm on P and
+conj(P) is a third route, kept in the tests as an oracle.
 
 The module depends on `ring` only: the certificate's d = content_multiple
 is an exact ring quantity defined there.
@@ -21,7 +21,6 @@ is an exact ring quantity defined there.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
@@ -31,10 +30,6 @@ from .ring import QuadRat, RingMismatchError, _check_same_ring, _Record, _set, c
 
 class PoleError(ZeroDivisionError):
     """A denominator factor vanished at the requested evaluation point."""
-
-
-class NonCoprimeError(ValueError):
-    """The two polynomials share a factor of degree >= 1."""
 
 
 class CertificateError(RuntimeError):
@@ -78,14 +73,6 @@ class IntPoly(_Record):
 
     def scale(self, s: int) -> IntPoly:
         return IntPoly([x * s for x in self.coeffs])
-
-    def shift(self, h: int) -> IntPoly:
-        """Compose with X + h, by repeated synthetic division."""
-        out = list(self.coeffs)
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] += h * out[j + 1]
-        return IntPoly(out)
 
 
 def _quad(c: int, a: IntPoly, b: IntPoly = IntPoly(()), den: int = 1) -> QuadPoly:
@@ -183,13 +170,6 @@ class QuadPoly(_Record):
         den = self.den * power
         return QuadRat(Fraction(acc_a * e, den), Fraction(acc_b * e, den), c)
 
-    def shift(self, h: int) -> QuadPoly:
-        """Compose with X + h."""
-        return _quad(self.c, self.A.shift(h), self.B.shift(h), self.den)
-
-    def __str__(self) -> str:
-        return " + ".join(f"({co})X^{i}" for i, co in enumerate(self.coeffs)) or "0"
-
 
 def one_poly(c: int) -> QuadPoly:
     return _quad(c, IntPoly((1,)))
@@ -214,12 +194,6 @@ def shift_product_poly(c: int, k: int) -> QuadPoly:
     return acc
 
 
-# reciprocal_difference evaluates P at one point per call, so it reads P from
-# here; QuadPoly is immutable, so one shared P per (c, k) is safe.  The
-# public name stays a plain function.
-_cached_shift_product_poly = lru_cache(maxsize=None)(shift_product_poly)
-
-
 def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
     """Split p with Z[sqrt(-c)] coefficients as (A, B) with p = A + B*sqrt(-c)."""
     if p.den != 1:
@@ -230,27 +204,6 @@ def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
 def recombine_parts(c: int, a: IntPoly, b: IntPoly) -> QuadPoly:
     """Inverse of split_parts: A + B*sqrt(-c) as a QuadPoly."""
     return _quad(c, a, b)
-
-
-def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
-    """Apply the forward-difference operator `order` times.
-
-    Computed along two independent routes that must agree exactly: n-fold
-    repetition of p(X+1) - p(X), and the alternating binomial sum over
-    shifts sum_m (-1)^(order-m) C(order, m) p(X+m).  Disagreement would
-    mean a broken shift or arithmetic, so it raises immediately.
-    """
-    if order < 0:
-        raise ValueError(f"need order >= 0, got {order}")
-    repeated = p
-    for _ in range(order):
-        repeated = repeated.shift(1) - repeated
-    binomial = QuadPoly(p.c)
-    for m in range(order + 1):
-        binomial = binomial + p.shift(m).scale((-1) ** (order - m) * comb(order, m))
-    if repeated != binomial:
-        raise AssertionError("forward-difference routes disagree; arithmetic bug")
-    return repeated
 
 
 def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
@@ -273,23 +226,11 @@ def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> l
     return [heads[ell] * QuadRat(Fraction(1, factorial(ell)), 0, c) for ell in ells]
 
 
-def reciprocal_difference(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
-    """The scaled ell-th forward difference of w -> 1/P(w + sqrt(-c)) at z.
-
-    Evaluates (1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c))
-    where P = shift_product_poly(c, k).  Exact; raises PoleError when an
-    evaluation point annihilates P.
-    """
-    if ell > k:
-        raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
-    if z.c != c:
-        raise RingMismatchError(f"z lives in ring {z.c}, expected {c}")
-    return _alternating_sums(c, _cached_shift_product_poly(c, k), z, [ell])[0]
-
-
 def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
-    """reciprocal_difference_closed(c, k, ell, z) for each ell in ells, ascending, in one pass.
+    """_alternating_sums(c, P, z, ells) in closed product form, for ascending ells, in one pass.
 
+    The value at ell is (-1)^(k+ell) C(k+ell, ell) / ((z + 2s) (k - 2s - z)^falling_k
+    (ell + 2s + z)^falling_ell) with s = sqrt(-c) and P = shift_product_poly(c, k).
     The denominator is built once: (z + 2s) (k - 2s - z)^falling_k, then the
     falling factorial (1 + 2s + z) ... (ell + 2s + z) gains one factor per
     ell.  Each factor gets an exact zero test (PoleError) before it is
@@ -313,91 +254,12 @@ def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadR
     return out
 
 
-def reciprocal_difference_closed(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
-    """Closed product form of reciprocal_difference; equal on the common domain.
-
-    (-1)^(k+ell) / (z + 2s) * C(k+ell, ell) / ((k - 2s - z)^falling_k
-    (ell + 2s + z)^falling_ell) with s = sqrt(-c).  Each denominator factor
-    gets an exact zero test before inversion.
-    """
-    if ell > k:
-        raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
-    if z.c != c:
-        raise RingMismatchError(f"z lives in ring {z.c}, expected {c}")
-    return _closed_forms(c, k, z, [ell])[0]
-
-
 def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
     """sum_ell coeffs[ell] (X - s)...(X - s - ell + 1), s = sqrt(-c), nested: a0 + (X - s)(a1 + ...)."""
     acc = QuadPoly(c)
     for ell in reversed(range(len(coeffs))):
         acc = acc * _linear(c, -ell, -1) + QuadPoly(c, (coeffs[ell],))
     return acc
-
-
-def bezout_poly(c: int, k: int) -> QuadPoly:
-    """The unique degree-<=k cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.
-
-    Assembled in the shifted falling-factorial basis from the closed-form
-    Newton coefficients.
-    """
-    return _newton_series(c, _closed_forms(c, k, QuadRat(0, 0, c), range(k + 1)))
-
-
-def bezout_poly_interp(c: int, k: int) -> QuadPoly:
-    """Same cofactor from the alternating-sum Newton coefficients.
-
-    Exact agreement with bezout_poly is the finite identity behind the
-    closed form, so the pair doubles as a cross check.
-    """
-    p = shift_product_poly(c, k)
-    return _newton_series(c, _alternating_sums(c, p, QuadRat(0, 0, c), range(k + 1)))
-
-
-def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
-    """Euclidean division in Q(sqrt(-c))[X]: num = q*den + r, deg r < deg den."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    _check_same_ring(num, den)
-    q, rem = QuadPoly(num.c), num
-    inv_lead = den.leading().inverse()
-    while rem.degree >= den.degree:
-        # the leading term of rem, divided by den's; subtracting it times den cancels it
-        lead = rem.leading() * inv_lead
-        term = QuadPoly(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
-        q, rem = q + term, rem - term * den
-    return q, rem
-
-
-def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
-    """The unique (U, V) with p*U + q*V = 1, deg U < deg q, deg V < deg p.
-
-    Extended Euclid with the running remainder kept monic to control
-    coefficient growth, then one division each to reduce the degrees.
-    Raises NonCoprimeError when a common factor of degree >= 1 survives.
-    """
-    if p.degree < 1 or q.degree < 1:
-        raise ValueError("both polynomials must be non-constant")
-    c = p.c
-    r0, r1 = p, q
-    u0, u1 = one_poly(c), QuadPoly(c)
-    v0, v1 = QuadPoly(c), one_poly(c)
-    while not r1.is_zero():
-        quo, rem = divmod_poly(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quo * u1
-        v0, v1 = v1, v0 - quo * v1
-        if not r1.is_zero():
-            inv_lead = r1.leading().inverse()
-            r1, u1, v1 = r1.scale(inv_lead), u1.scale(inv_lead), v1.scale(inv_lead)
-    if r0.degree >= 1:
-        raise NonCoprimeError(f"common factor of degree {r0.degree}: {r0}")
-    unit = r0.leading().inverse()
-    _, u_red = divmod_poly(u0.scale(unit), q)
-    _, v_red = divmod_poly(v0.scale(unit), p)
-    if p * u_red + q * v_red != one_poly(c):
-        raise AssertionError("Bezout reduction lost exactness; arithmetic bug")
-    return u_red, v_red
 
 
 class BezoutCertificate(_Record):
@@ -420,12 +282,15 @@ class BezoutCertificate(_Record):
     def verify(self) -> None:
         """Re-check every certificate invariant exactly; raise CertificateError.
 
-        P = A + B*sqrt(-c) must be monic of degree k+1 with the k+1 distinct roots j - sqrt(-c),
-        j = 0..k, which pins it down in Q(sqrt(-c)); then d, the split (r, s) of 2d*alpha, and
-        the one identity r*A - c*s*B = d.  Given the split, that is d times the Bezout identity
-        alpha*P + conj(alpha)*conj(P) = 1, as 2d*(alpha*P + conj(alpha)*conj(P)) = 2*(r*A - c*s*B).
+        alpha must lie in the certificate's ring Q(sqrt(-c))[X] and P = A + B*sqrt(-c) must be
+        monic of degree k+1 with the k+1 distinct roots j - sqrt(-c), j = 0..k, which pins it
+        down; then d, the split (r, s) of 2d*alpha, and the one identity r*A - c*s*B = d.  Given
+        the split, that is d times the Bezout identity alpha*P + conj(alpha)*conj(P) = 1, as
+        2d*(alpha*P + conj(alpha)*conj(P)) = 2*(r*A - c*s*B).
         """
         c, k = self.c, self.k
+        if self.alpha.c != c:
+            raise CertificateError(f"alpha lives in ring {self.alpha.c}, expected {c}")
         if self.alpha.degree > k:
             raise CertificateError(f"deg alpha = {self.alpha.degree} exceeds k = {k}")
         p = recombine_parts(c, self.A, self.B)

@@ -10,19 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Sequence
 
 
 class RingMismatchError(ValueError):
     """Raised when operands carry different ring parameters c."""
-
-
-class InexactDivisionError(ArithmeticError):
-    """Raised when a claimed exact division leaves a non-integral component."""
-
-
-class DivisibilityHypothesisError(ValueError):
-    """Raised when the divisibility hypotheses of ``product_divides_ab`` fail."""
 
 
 def _check_same_ring(x, y) -> None:
@@ -178,39 +169,6 @@ def content(z: QuadInt) -> int:
     return gcd(z.a, z.b)
 
 
-def divisibility_criterion(z: QuadInt) -> int:
-    """The positive integer norm(z) / content(z).
-
-    An integer N is a multiple of z in Z[sqrt(-c)] exactly when this
-    integer divides N.  The quotient is always integral because gcd(a, b)
-    divides a^2 + c*b^2 componentwise.
-    """
-    return z.norm() // content(z)
-
-
-def is_multiple(n: int, z: QuadInt) -> bool:
-    """Whether the rational integer n is a multiple of z in Z[sqrt(-c)]."""
-    return n % divisibility_criterion(z) == 0
-
-
-def divide_exact(w: QuadInt, z: QuadInt) -> QuadInt:
-    """Return q with q*z = w, or raise InexactDivisionError.
-
-    Computed as w * conj(z) / norm(z) with both rational components
-    required to be integers.
-    """
-    _check_same_ring(w, z)
-    if z.is_zero():
-        raise ZeroDivisionError("division by zero in Z[sqrt(-c)]")
-    num = w * z.conj()
-    n = z.norm()
-    qa, ra = divmod(num.a, n)
-    qb, rb = divmod(num.b, n)
-    if ra or rb:
-        raise InexactDivisionError(f"{w} is not an exact multiple of {z}")
-    return QuadInt(qa, qb, w.c)
-
-
 def shifted_product(c: int, m: int, n: int) -> QuadInt:
     """The product (m + sqrt(-c)) (m+1 + sqrt(-c)) ... (n + sqrt(-c))."""
     if m > n:
@@ -234,46 +192,3 @@ def content_multiple(c: int, k: int) -> int:
     for ell in range(1, k + 1):
         out *= ell * ell + 4 * c
     return out
-
-
-def product_divides_ab(u: Sequence[QuadInt], a: QuadInt, b: QuadInt) -> bool:
-    """Check that u_0 * u_1 * ... * u_n divides a*b in Z[sqrt(-c)].
-
-    First verifies the two divisibility hypotheses: every u_i divides a, and
-    for every i the difference product prod_{j != i} (u_i - u_j) divides b.
-    A violated hypothesis raises DivisibilityHypothesisError; a false
-    conclusion (impossible when the hypotheses hold) returns False.
-    """
-    if not u:
-        raise ValueError("need at least one element u_i")
-    for i, ui in enumerate(u):
-        if ui.is_zero():
-            raise ValueError(f"u[{i}] is zero")
-        _check_same_ring(ui, a)
-        try:
-            divide_exact(a, ui)
-        except InexactDivisionError:
-            raise DivisibilityHypothesisError(f"u[{i}]={ui} does not divide a={a}") from None
-        diff = QuadInt(1, 0, a.c)
-        for j, uj in enumerate(u):
-            if j != i:
-                diff = diff * (ui - uj)
-        if diff.is_zero():
-            # zero divides only zero
-            if not b.is_zero():
-                raise DivisibilityHypothesisError(f"difference product at i={i} is zero but b={b} is not")
-        else:
-            try:
-                divide_exact(b, diff)
-            except InexactDivisionError:
-                raise DivisibilityHypothesisError(
-                    f"difference product {diff} at i={i} does not divide b={b}"
-                ) from None
-    prod_u = QuadInt(1, 0, a.c)
-    for ui in u:
-        prod_u = prod_u * ui
-    try:
-        divide_exact(a * b, prod_u)
-        return True
-    except InexactDivisionError:
-        return False

@@ -1,15 +1,22 @@
 """Independent oracles shared by the unit and acceptance tests.
 
-Everything here deliberately avoids the library's own divisibility
-criterion: multiples are found by solving the quotient equations directly,
-so agreement with the implementation is a real two-sided check.  The bound
-logs have a second evaluation here too, in 128-bit mpf (`mpf_bound_logs`),
-and the integer log printer has mpmath's own (`mpmath_log_str`).  The
-bound prefactors in mpf and the Stirling check are test-only and live
-here too, and so are the Newton basis, the falling factorial and the
-alternating-sum definition of the Newton coefficients, which only the
-tests use.  `checked_triple` is how the tests read the records
-of one triple: `triple_report`, asserted to hold every claim.
+These are reference implementations, built on the public `ring` and `poly`
+API, that no command runs; the tests compare the library against them.
+
+* The divisibility lemma: the criterion norm(z)/content(z), exact division
+  in Z[sqrt(-c)] and the product lemma checker.  `multiples_by_search`
+  finds multiples by solving the quotient equations directly, so its
+  agreement with the criterion is a real two-sided check.
+* The Bezout cofactor alpha summed in the Newton basis from the
+  term-by-term alternating sums (`sum_form_alpha`), and the extended
+  Euclidean route to it (`bezout_pair`); `shift` and both routes of
+  `forward_difference`.
+* The bound logs in 128-bit mpf (`mpf_bound_logs`), mpmath's own log
+  printer (`mpmath_log_str`), the bound prefactors in mpf and the Stirling
+  check.
+
+`checked_triple` is how the tests read the records of one triple:
+`triple_report`, asserted to hold every claim.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from math import comb, factorial
 
 import mpmath
 
-from quadlcm.ring import QuadInt, QuadRat
-from quadlcm.bounds import TripleReport, floor_half_frontier, log_factorial, triple_report
-from quadlcm.poly import PoleError, QuadPoly, shift_product_poly
+from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content
+from quadlcm.bounds import TripleReport, floor_half_frontier, triple_report
+from quadlcm.fixedlog import _LOG_FACT, _extend_logs
+from quadlcm.poly import PoleError, QuadPoly, one_poly, shift_product_poly
 
 
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
@@ -64,15 +72,92 @@ def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
 
 
 def multiples_by_criterion(z: QuadInt, limit: int) -> set[int]:
-    """The implementation's prediction: every multiple of norm(z)/content(z)."""
-    from quadlcm.ring import divisibility_criterion
-
+    """The criterion's prediction: every multiple of norm(z)/content(z)."""
     crit = divisibility_criterion(z)
     found = set()
     for n_val in range(0, limit + 1, crit):
         found.add(n_val)
         found.add(-n_val)
     return found
+
+
+# --- the divisibility lemma in Z[sqrt(-c)] ------------------------------------
+
+
+class InexactDivisionError(ArithmeticError):
+    """A claimed exact division left a non-integral component."""
+
+
+class DivisibilityHypothesisError(ValueError):
+    """The divisibility hypotheses of `product_divides_ab` fail."""
+
+
+def divisibility_criterion(z: QuadInt) -> int:
+    """The positive integer norm(z) / content(z).
+
+    An integer N is a multiple of z in Z[sqrt(-c)] exactly when this
+    integer divides N.  The quotient is always integral because gcd(a, b)
+    divides a^2 + c*b^2 componentwise.
+    """
+    return z.norm() // content(z)
+
+
+def divide_exact(w: QuadInt, z: QuadInt) -> QuadInt:
+    """Return q with q*z = w, or raise InexactDivisionError.
+
+    Computed as w * conj(z) / norm(z) with both rational components
+    required to be integers.
+    """
+    if z.is_zero():
+        raise ZeroDivisionError("division by zero in Z[sqrt(-c)]")
+    num, n = w * z.conj(), z.norm()
+    qa, ra = divmod(num.a, n)
+    qb, rb = divmod(num.b, n)
+    if ra or rb:
+        raise InexactDivisionError(f"{w} is not an exact multiple of {z}")
+    return QuadInt(qa, qb, w.c)
+
+
+def product_divides_ab(u: list[QuadInt], a: QuadInt, b: QuadInt) -> bool:
+    """Check that u_0 * u_1 * ... * u_n divides a*b in Z[sqrt(-c)].
+
+    First verifies the two divisibility hypotheses: every u_i divides a, and
+    for every i the difference product prod_{j != i} (u_i - u_j) divides b.
+    A violated hypothesis raises DivisibilityHypothesisError; a false
+    conclusion (impossible when the hypotheses hold) returns False.
+    """
+    if not u:
+        raise ValueError("need at least one element u_i")
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            raise ValueError(f"u[{i}] is zero")
+        try:
+            divide_exact(a, ui)
+        except InexactDivisionError:
+            raise DivisibilityHypothesisError(f"u[{i}]={ui} does not divide a={a}") from None
+        diff = QuadInt(1, 0, a.c)
+        for j, uj in enumerate(u):
+            if j != i:
+                diff = diff * (ui - uj)
+        if diff.is_zero():
+            # zero divides only zero
+            if not b.is_zero():
+                raise DivisibilityHypothesisError(f"difference product at i={i} is zero but b={b} is not")
+        else:
+            try:
+                divide_exact(b, diff)
+            except InexactDivisionError:
+                raise DivisibilityHypothesisError(
+                    f"difference product {diff} at i={i} does not divide b={b}"
+                ) from None
+    prod_u = QuadInt(1, 0, a.c)
+    for ui in u:
+        prod_u = prod_u * ui
+    try:
+        divide_exact(a * b, prod_u)
+        return True
+    except InexactDivisionError:
+        return False
 
 
 def _nonzero_quadint(rng: random.Random, c: int, span: int) -> QuadInt:
@@ -150,6 +235,95 @@ def falling(x: QuadRat, n: int) -> QuadRat:
     for t in range(n):
         acc = acc * QuadRat(x.a - t, x.b, x.c)
     return acc
+
+
+def sum_form_alpha(c: int, k: int) -> QuadPoly:
+    """The Bezout cofactor alpha as sum_ell alternating_sum(c, k, ell, 0) * newton_basis(c, ell)."""
+    alpha = QuadPoly(c)
+    for ell in range(k + 1):
+        alpha = alpha + newton_basis(c, ell).scale(alternating_sum(c, k, ell, QuadRat(0, 0, c)))
+    return alpha
+
+
+def shift(p: QuadPoly, h: int) -> QuadPoly:
+    """p(X + h), composed by Horner's rule in QuadPoly arithmetic."""
+    x_plus_h = QuadPoly(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
+    acc = QuadPoly(p.c)
+    for co in reversed(p.coeffs):
+        acc = acc * x_plus_h + QuadPoly(p.c, (co,))
+    return acc
+
+
+def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
+    """Apply the forward-difference operator `order` times.
+
+    Computed along two independent routes that must agree exactly: n-fold
+    repetition of p(X+1) - p(X), and the alternating binomial sum over
+    shifts sum_m (-1)^(order-m) C(order, m) p(X+m).
+    """
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
+    repeated = p
+    for _ in range(order):
+        repeated = shift(repeated, 1) - repeated
+    binomial = QuadPoly(p.c)
+    for m in range(order + 1):
+        binomial = binomial + shift(p, m).scale((-1) ** (order - m) * comb(order, m))
+    assert repeated == binomial, "forward-difference routes disagree"
+    return repeated
+
+
+# --- the extended Euclidean route to the Bezout cofactor ---------------------
+
+
+class NonCoprimeError(ValueError):
+    """The two polynomials share a factor of degree >= 1."""
+
+
+def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
+    """Euclidean division in Q(sqrt(-c))[X]: num = q*den + r, deg r < deg den."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.c != den.c:
+        raise RingMismatchError(f"ring parameters differ: {num.c} != {den.c}")
+    q, rem = QuadPoly(num.c), num
+    inv_lead = den.leading().inverse()
+    while rem.degree >= den.degree:
+        # the leading term of rem, divided by den's; subtracting it times den cancels it
+        lead = rem.leading() * inv_lead
+        term = QuadPoly(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
+        q, rem = q + term, rem - term * den
+    return q, rem
+
+
+def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
+    """The unique (U, V) with p*U + q*V = 1, deg U < deg q, deg V < deg p.
+
+    Extended Euclid with the running remainder kept monic to control
+    coefficient growth, then one division each to reduce the degrees.
+    Raises NonCoprimeError when a common factor of degree >= 1 survives.
+    """
+    if p.degree < 1 or q.degree < 1:
+        raise ValueError("both polynomials must be non-constant")
+    c = p.c
+    r0, r1 = p, q
+    u0, u1 = one_poly(c), QuadPoly(c)
+    v0, v1 = QuadPoly(c), one_poly(c)
+    while not r1.is_zero():
+        quo, rem = divmod_poly(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, u0 - quo * u1
+        v0, v1 = v1, v0 - quo * v1
+        if not r1.is_zero():
+            inv_lead = r1.leading().inverse()
+            r1, u1, v1 = r1.scale(inv_lead), u1.scale(inv_lead), v1.scale(inv_lead)
+    if r0.degree >= 1:
+        raise NonCoprimeError(f"common factor of degree {r0.degree}")
+    unit = r0.leading().inverse()
+    _, u_red = divmod_poly(u0.scale(unit), q)
+    _, v_red = divmod_poly(v0.scale(unit), p)
+    assert p * u_red + q * v_red == one_poly(c), "Bezout reduction lost exactness"
+    return u_red, v_red
 
 
 # --- the 128-bit mpf evaluation of the bound logs ---------------------------
@@ -325,8 +499,9 @@ def stirling_check(k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    _extend_logs(k)
     with mpmath.workprec(_PRECISION_BITS):
-        exact = mpmath.ldexp(log_factorial(k), -_PRECISION_BITS)
+        exact = mpmath.ldexp(_LOG_FACT[k], -_PRECISION_BITS)
         lower = k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
         upper = lower + mpmath.mpf(1) / (12 * k)
         return bool(lower <= exact <= upper)

@@ -8,25 +8,22 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm.bounds import PRECISION_BITS, lcm_range, row_bound_reports, row_reports
-from quadlcm.poly import (
-    IntPoly,
-    bezout_certificate,
-    bezout_pair,
-    bezout_poly,
-    bezout_poly_interp,
-    one_poly,
-    reciprocal_difference,
-    reciprocal_difference_closed,
-    shift_product_poly,
-)
-from quadlcm.ring import QuadInt, QuadRat, product_divides_ab
+from quadlcm.bounds import lcm_range, row_bound_reports, row_reports
+from quadlcm.poly import IntPoly, _alternating_sums, _closed_forms, bezout_certificate, one_poly, shift_product_poly
+from quadlcm.ring import QuadInt, QuadRat
 
-from oracles import lemma_instance, multiples_by_criterion, multiples_by_search, stirling_check
+from oracles import (
+    bezout_pair,
+    lemma_instance,
+    multiples_by_criterion,
+    multiples_by_search,
+    product_divides_ab,
+    stirling_check,
+    sum_form_alpha,
+)
 
 C_MAX = 5
 N_MAX_EXACT = 60
@@ -87,13 +84,13 @@ def test_criterion_3_bezout_suite():
     pairs = 0
     for c in range(1, C_MAX + 1):
         for k in range(0, 26):
-            alpha = bezout_poly(c, k)
+            cert = bezout_certificate(c, k)  # verifies r*A - c*s*B = d exactly
+            alpha = cert.alpha
             p = shift_product_poly(c, k)
             assert alpha * p + alpha.conj() * p.conj() == one_poly(c)
-            assert bezout_poly_interp(c, k) == alpha
+            assert sum_form_alpha(c, k) == alpha
             u, v = bezout_pair(p, p.conj())
             assert u == alpha and v == alpha.conj()
-            cert = bezout_certificate(c, k)  # verifies r*A - c*s*B = d exactly
             assert cert.r * cert.A - (cert.s * cert.B).scale(c) == IntPoly((cert.d,))
             pairs += 1
     hand = bezout_certificate(1, 1)
@@ -109,10 +106,11 @@ def test_criterion_4_reciprocal_difference_identity():
     points = 0
     for c in range(1, 4):
         for k in range(0, 11):
+            p = shift_product_poly(c, k)
             for ell in range(0, k + 1):
                 for _ in range(50):
                     z = QuadRat(Fraction(rng.randint(-30, 30), rng.randint(1, 8)), Fraction(0), c)
-                    assert reciprocal_difference(c, k, ell, z) == reciprocal_difference_closed(c, k, ell, z)
+                    assert _alternating_sums(c, p, z, [ell]) == _closed_forms(c, k, z, [ell])
                     points += 1
     _pass(4, f"sum form equals closed form at {points} rational points, exact equality")
 
@@ -128,15 +126,11 @@ def test_criterion_5_two_n_and_binomial(divisor_sweep):
 
 
 def test_criterion_6_exponential_lower_bound():
-    with mpmath.workprec(PRECISION_BITS):
-        log_032 = mpmath.log(mpmath.mpf("0.32"))
-        log_1442 = mpmath.log(mpmath.mpf("1.442"))
-        big_l = 1
-        for n in range(1, N_MAX_OON + 1):
-            big_l = math.lcm(big_l, n * n + 1)
-            bound = log_032 + n * log_1442
-            assert mpmath.log(big_l) >= bound - mpmath.mpf("1e-9") * abs(bound)
-    _pass(6, f"lcm(1^2+1..n^2+1) >= 0.32 * 1.442^n for n <= {N_MAX_OON}, log-space 1e-9 relative")
+    big_l = 1
+    for n in range(1, N_MAX_OON + 1):
+        big_l = math.lcm(big_l, n * n + 1)
+        assert 25 * 500**n * big_l >= 8 * 721**n  # L >= (8/25) * (721/500)^n
+    _pass(6, f"lcm(1^2+1..n^2+1) >= 0.32 * 1.442^n for n <= {N_MAX_OON}, exact integers")
 
 
 def test_criterion_7_log_bounds_sweep():

@@ -14,7 +14,6 @@ from quadlcm.bounds import (
     floor_half_frontier,
     icbrt,
     lcm_range,
-    log_factorial,
     triple_report,
 )
 from quadlcm.ring import QuadInt, content, content_multiple, shifted_product
@@ -34,6 +33,12 @@ from oracles import (
     mpmath_log_str,
     stirling_check,
 )
+
+
+def log_factorial(k: int) -> int:
+    """The fixed-point log k! as the bound rows read it: the sum of the floored log j, j <= k."""
+    fixedlog._extend_logs(k)
+    return fixedlog._LOG_FACT[k]
 
 
 def _mpf(v: int) -> mpmath.mpf:

@@ -745,3 +745,41 @@ class TestColdStart:
     def test_only_bezout_loads_poly(self):
         assert "quadlcm.poly" not in loaded_modules(["table", "--c", "1", "--n-max", "3"])
         assert "quadlcm.poly" in loaded_modules(["bezout", "--c", "1", "--k", "2"])
+
+
+# runs each command line in one fresh interpreter under a profiler that records
+# every Python function entered, then prints, for each library module, its
+# public module-level functions and those no command entered
+_REACH_PROBE = """
+import contextlib, inspect, io, json, sys
+import quadlcm.cli as cli
+from quadlcm import bounds, poly, ring
+entered = set()
+sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code) if event == "call" else None)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+sys.setprofile(None)
+report = {}
+for module in (ring, poly, bounds):
+    public = {name: f for name, f in vars(module).items()
+              if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")}
+    report[module.__name__] = [sorted(public), sorted(n for n, f in public.items() if f.__code__ not in entered)]
+print(json.dumps(report))
+"""
+
+
+class TestDeadCode:
+    COMMANDS = [
+        ["verify", "--c", "3", "--m", "5", "--n", "60"],
+        ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "12", "--m-policy", "frontier"],
+        ["table", "--c", "2", "--n-max", "8"],
+        ["bezout", "--c", "3", "--k", "5"],
+    ]
+
+    def test_every_public_library_function_is_run_by_a_command(self):
+        report = json.loads(_python(_REACH_PROBE, json.dumps(self.COMMANDS)))
+        assert set(report) == {"quadlcm.ring", "quadlcm.poly", "quadlcm.bounds"}
+        assert all(public for public, _ in report.values())
+        assert {module: unreached for module, (_, unreached) in report.items() if unreached} == {}

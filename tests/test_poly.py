@@ -11,25 +11,30 @@ import quadlcm.poly as poly_module
 from quadlcm.poly import (
     CertificateError,
     IntPoly,
-    NonCoprimeError,
     PoleError,
     QuadPoly,
+    _alternating_sums,
+    _closed_forms,
+    _quad,
     bezout_certificate,
-    bezout_pair,
-    bezout_poly,
-    bezout_poly_interp,
-    divmod_poly,
-    forward_difference,
     one_poly,
-    reciprocal_difference,
-    reciprocal_difference_closed,
     recombine_parts,
     shift_product_poly,
     split_parts,
 )
 from quadlcm.ring import QuadRat, RingMismatchError, shifted_product
 
-from oracles import alternating_sum, falling, newton_basis
+from oracles import (
+    NonCoprimeError,
+    alternating_sum,
+    bezout_pair,
+    divmod_poly,
+    falling,
+    forward_difference,
+    newton_basis,
+    shift,
+    sum_form_alpha,
+)
 
 
 def qr(c, a, b=0):
@@ -133,18 +138,13 @@ class TestRepresentation:
         assert p + q == ref_add(p, q)
         assert p * q == ref_mul(p, q)
         assert p.eval(z) == ref_eval(p, z)
-        x_plus_h = QuadPoly(p.c, (qr(p.c, h), qr(p.c, 1)))
-        shifted = QuadPoly(p.c, ())
-        for co in reversed(p.coeffs):
-            shifted = ref_add(ref_mul(shifted, x_plus_h), QuadPoly(p.c, (co,)))
-        assert p.shift(h) == shifted
 
     @given(quad_polys(), quad_polys(), st.integers(-5, 5))
     def test_normal_form_kept(self, p, q, h):
         if p.c != q.c:
             return
         s = qr(p.c, Fraction(h, 4), Fraction(3, 2))
-        for r in (p, p + q, p - q, p * q, p.scale(s), p.scale(Fraction(h, 6)), p.shift(h), p.conj()):
+        for r in (p, p + q, p - q, p * q, p.scale(s), p.scale(Fraction(h, 6)), p.conj()):
             assert_normal_form(r)
 
     def test_zero_is_canonical(self):
@@ -156,7 +156,7 @@ class TestRepresentation:
 
     def test_built_from_quadrat_equals_fraction_free(self):
         for c, k in [(1, 0), (2, 3), (5, 7)]:
-            for p in (shift_product_poly(c, k), bezout_poly(c, k)):
+            for p in (shift_product_poly(c, k), bezout_certificate(c, k).alpha):
                 rebuilt = QuadPoly(c, p.coeffs)
                 assert rebuilt == p
                 assert hash(rebuilt) == hash(p)
@@ -235,7 +235,7 @@ class TestSplitParts:
             split_parts(poly(1, (Fraction(1, 2), 0)))
 
     def test_common_denominator_rejected(self):
-        for p in (poly(3, (4, 1), (0, Fraction(5, 3))), bezout_poly(1, 1)):
+        for p in (poly(3, (4, 1), (0, Fraction(5, 3))), bezout_certificate(1, 1).alpha):
             assert p.den > 1
             with pytest.raises(ValueError):
                 split_parts(p)
@@ -267,7 +267,7 @@ class TestForwardDifference:
         # re-derives the repeated route independently
         manual = p
         for _ in range(order):
-            manual = manual.shift(1) - manual
+            manual = shift(manual, 1) - manual
         assert forward_difference(p, order) == manual
 
 
@@ -290,14 +290,14 @@ class TestNewtonBasis:
 
 class TestNewtonCoeffs:
     def test_sum_form_examples(self):
-        assert reciprocal_difference(1, 0, 0, qr(1, 0)) == qr(1, 0, Fraction(-1, 2))
-        assert reciprocal_difference(1, 1, 0, qr(1, 0)) == qr(1, Fraction(-1, 5), Fraction(1, 10))
-        assert reciprocal_difference(1, 1, 1, qr(1, 0)) == qr(1, 0, Fraction(-1, 5))
+        assert _alternating_sums(1, shift_product_poly(1, 0), qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
+        assert _alternating_sums(1, shift_product_poly(1, 1), qr(1, 0), [0, 1]) == [
+            qr(1, Fraction(-1, 5), Fraction(1, 10)), qr(1, 0, Fraction(-1, 5))]
 
     def test_closed_form_examples(self):
-        assert reciprocal_difference_closed(1, 0, 0, qr(1, 0)) == qr(1, 0, Fraction(-1, 2))
-        assert reciprocal_difference_closed(1, 1, 1, qr(1, 0)) == qr(1, 0, Fraction(-1, 5))
-        assert reciprocal_difference_closed(1, 1, 0, qr(1, 0)) == qr(1, Fraction(-1, 5), Fraction(1, 10))
+        assert _closed_forms(1, 0, qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
+        assert _closed_forms(1, 1, qr(1, 0), [1]) == [qr(1, 0, Fraction(-1, 5))]
+        assert _closed_forms(1, 1, qr(1, 0), [0]) == [qr(1, Fraction(-1, 5), Fraction(1, 10))]
 
 
 def ref_closed(c, k, ell):
@@ -314,26 +314,19 @@ class TestClosedFormVector:
     def test_one_pass_matches_per_coefficient(self):
         for c in range(1, 6):
             for k in range(26):
-                vector = poly_module._closed_forms(c, k, qr(c, 0), range(k + 1))
-                assert vector == [reciprocal_difference_closed(c, k, ell, qr(c, 0)) for ell in range(k + 1)]
+                vector = _closed_forms(c, k, qr(c, 0), range(k + 1))
+                assert vector == [_closed_forms(c, k, qr(c, 0), [ell])[0] for ell in range(k + 1)]
                 assert vector == [ref_closed(c, k, ell) for ell in range(k + 1)]
-
-    def test_certificate_uses_the_one_pass_vector(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(poly_module, "reciprocal_difference_closed", lambda *a: calls.append(a))
-        bezout_certificate(2, 6)
-        assert calls == []
 
     def test_pole_reached_only_by_its_own_factor(self):
         # z = -3 - 2s annihilates the factor (3 + 2s + z) of the ell >= 3 coefficients
         c, k = 2, 5
         z = qr(c, -3, -2)
         with pytest.raises(PoleError):
-            poly_module._closed_forms(c, k, z, range(k + 1))
-        assert poly_module._closed_forms(c, k, z, range(3)) == [
-            reciprocal_difference_closed(c, k, ell, z) for ell in range(3)]
+            _closed_forms(c, k, z, range(k + 1))
+        assert _closed_forms(c, k, z, range(3)) == [_closed_forms(c, k, z, [ell])[0] for ell in range(3)]
         with pytest.raises(PoleError):
-            reciprocal_difference_closed(c, k, 3, z)
+            _closed_forms(c, k, z, [3])
 
 
 class TestReciprocalDifference:
@@ -343,24 +336,24 @@ class TestReciprocalDifference:
             c = rng.randint(1, 3)
             k = rng.randint(0, 5)
             z = qr(c, Fraction(rng.randint(-15, 15), rng.randint(1, 4)))
-            p_val = shift_product_poly(c, k).eval(QuadRat(z.a, z.b + 1, c))
-            assert reciprocal_difference(c, k, 0, z) == p_val.inverse()
+            p = shift_product_poly(c, k)
+            assert _alternating_sums(c, p, z, [0]) == [p.eval(QuadRat(z.a, z.b + 1, c)).inverse()]
 
     def test_matches_closed_at_zero(self):
         z0 = qr(1, 0)
-        assert reciprocal_difference(1, 1, 1, z0) == reciprocal_difference_closed(1, 1, 1, z0)
-        assert reciprocal_difference(1, 1, 1, z0) == qr(1, 0, Fraction(-1, 5))
+        assert _alternating_sums(1, shift_product_poly(1, 1), z0, [1]) == _closed_forms(1, 1, z0, [1])
+        assert _closed_forms(1, 1, z0, [1]) == [qr(1, 0, Fraction(-1, 5))]
 
     def test_matches_closed_at_rational_points(self):
         z = qr(2, 3)
-        assert reciprocal_difference(2, 2, 1, z) == reciprocal_difference_closed(2, 2, 1, z)
+        assert _alternating_sums(2, shift_product_poly(2, 2), z, [1]) == _closed_forms(2, 2, z, [1])
         rng = random.Random(17)
         for _ in range(60):
             c = rng.randint(1, 3)
             k = rng.randint(0, 5)
             ell = rng.randint(0, k)
             z = qr(c, Fraction(rng.randint(-20, 20), rng.randint(1, 8)))
-            assert reciprocal_difference(c, k, ell, z) == reciprocal_difference_closed(c, k, ell, z)
+            assert _alternating_sums(c, shift_product_poly(c, k), z, [ell]) == _closed_forms(c, k, z, [ell])
 
     def test_pole_in_certificate_sum_route(self, monkeypatch):
         # a stand-in P that vanishes at 1 + sqrt(-c), the j = 1 point of the
@@ -376,9 +369,9 @@ class TestReciprocalDifference:
         # form's leading denominator factor
         z = QuadRat(Fraction(0), Fraction(-2), 1)
         with pytest.raises(PoleError):
-            reciprocal_difference(1, 0, 0, z)
+            _alternating_sums(1, shift_product_poly(1, 0), z, [0])
         with pytest.raises(PoleError):
-            reciprocal_difference_closed(1, 0, 0, z)
+            _closed_forms(1, 0, z, [0])
 
     def test_difference_table_matches_the_definition(self):
         for c in range(1, 4):
@@ -386,61 +379,52 @@ class TestReciprocalDifference:
                 p = shift_product_poly(c, k)
                 for z in (qr(c, 0), qr(c, Fraction(1, 2)), qr(c, Fraction(-7, 3)), qr(c, 5)):
                     expected = [alternating_sum(c, k, ell, z) for ell in range(k + 1)]
-                    assert poly_module._alternating_sums(c, p, z, range(k + 1)) == expected
-                    assert [reciprocal_difference(c, k, ell, z) for ell in range(k + 1)] == expected
+                    assert _alternating_sums(c, p, z, range(k + 1)) == expected
 
     def test_difference_table_pole_matches_the_definition(self):
         # z = -2 - 2s puts z + j + s on the root j - 2 - s of P for j >= 2
         c, k = 2, 4
         z = qr(c, -2, -2)
         p = shift_product_poly(c, k)
-        assert poly_module._alternating_sums(c, p, z, range(2)) == [
-            alternating_sum(c, k, ell, z) for ell in range(2)]
+        assert _alternating_sums(c, p, z, range(2)) == [alternating_sum(c, k, ell, z) for ell in range(2)]
         with pytest.raises(PoleError):
-            poly_module._alternating_sums(c, p, z, range(k + 1))
+            _alternating_sums(c, p, z, range(k + 1))
         for ell in range(2, k + 1):
             with pytest.raises(PoleError):
                 alternating_sum(c, k, ell, z)
             with pytest.raises(PoleError):
-                reciprocal_difference(c, k, ell, z)
-
-    def test_ell_above_k_rejected(self):
-        for c, k, ell in [(1, 1, 2), (1, 2, 3), (2, 0, 1)]:
-            with pytest.raises(ValueError):
-                reciprocal_difference(c, k, ell, qr(c, 0))
-            with pytest.raises(ValueError):
-                reciprocal_difference_closed(c, k, ell, qr(c, 0))
+                _alternating_sums(c, p, z, [ell])
 
 
 class TestBezoutPoly:
     def test_degree_zero(self):
-        assert bezout_poly(1, 0) == poly(1, (0, Fraction(-1, 2)))
+        assert bezout_certificate(1, 0).alpha == poly(1, (0, Fraction(-1, 2)))
 
     def test_degree_one(self):
         expected = poly(1, (Fraction(-2, 5), Fraction(1, 10)), (0, Fraction(-1, 5)))
-        assert bezout_poly(1, 1) == expected
+        assert bezout_certificate(1, 1).alpha == expected
 
     def test_degree_bound(self):
         for c in range(1, 6):
             for k in range(0, 11):
-                assert bezout_poly(c, k).degree <= k
+                assert bezout_certificate(c, k).alpha.degree <= k
 
     def test_interp_agrees(self):
         for c, k in [(1, 0), (1, 1), (3, 4), (2, 6), (5, 3)]:
-            assert bezout_poly_interp(c, k) == bezout_poly(c, k)
+            assert sum_form_alpha(c, k) == bezout_certificate(c, k).alpha
 
     def test_identity_small_range(self):
         # the c <= 5, k <= 25 sweep lives in the acceptance suite
         for c in (1, 2, 3):
             for k in range(0, 8):
-                alpha = bezout_poly(c, k)
+                alpha = bezout_certificate(c, k).alpha
                 p = shift_product_poly(c, k)
                 assert alpha * p + alpha.conj() * p.conj() == one_poly(c)
 
     def test_evaluation_identity(self):
         for c in (1, 2):
             for k in range(0, 6):
-                alpha = bezout_poly(c, k)
+                alpha = bezout_certificate(c, k).alpha
                 p = shift_product_poly(c, k)
                 for s in range(0, k + 1):
                     at = QuadRat(Fraction(s), Fraction(1), c)
@@ -459,7 +443,7 @@ class TestBezoutPair:
         for c, k in [(1, 1), (1, 3), (2, 2), (3, 4)]:
             p = shift_product_poly(c, k)
             u, v = bezout_pair(p, p.conj())
-            alpha = bezout_poly(c, k)
+            alpha = bezout_certificate(c, k).alpha
             assert u == alpha
             assert v == alpha.conj()
 
@@ -520,11 +504,14 @@ class TestCertificate:
     def test_tampered_parts_detected(self):
         cert = bezout_certificate(1, 2)
         other = bezout_certificate(1, 1)
+        c2 = bezout_certificate(2, 3)
         for tampered in (
             cert._replace(B=cert.B + IntPoly((1,))),
             cert._replace(A=cert.A + IntPoly((0, 0, 0, 1))),
             cert._replace(A=other.A, B=other.B),
             cert._replace(alpha=cert.alpha + one_poly(1)),
+            # c = 2's alpha moved into ring 5: every other check reads c = 2 or scales in alpha's ring
+            c2._replace(alpha=_quad(5, c2.alpha.A, c2.alpha.B, c2.alpha.den)),
         ):
             with pytest.raises(CertificateError):
                 tampered.verify()
@@ -542,10 +529,9 @@ class TestCertificate:
         # that A + B*sqrt(-c) is the shift product, so only that check fails
         cert = bezout_certificate(2, 3)
         negated = cert._replace(alpha=-cert.alpha, A=-cert.A, B=-cert.B, r=-cert.r, s=-cert.s)
-        shifted = cert._replace(
-            alpha=cert.alpha.shift(1), A=cert.A.shift(1), B=cert.B.shift(1),
-            r=cert.r.shift(1), s=cert.s.shift(1),
-        )
+        a, b = split_parts(shift(recombine_parts(2, cert.A, cert.B), 1))
+        r, s = split_parts(shift(recombine_parts(2, cert.r, cert.s), 1))
+        shifted = cert._replace(alpha=shift(cert.alpha, 1), A=a, B=b, r=r, s=s)
         for forged in (negated, shifted):
             with pytest.raises(CertificateError, match="A, B do not split"):
                 forged.verify()
