@@ -41,7 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
@@ -244,39 +243,6 @@ _BOUNDS = (
 BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
 
 
-class BoundValue(tuple):
-    """(applicable, log_value, error): log_value is log(bound) * 2^128 in fixed point, within error.
-
-    (False, None, 0) where the bound does not apply.  A frozen tuple, equal only to another BoundValue.
-    """
-
-    __slots__ = ()
-    _fields = ("applicable", "log_value", "error")
-    applicable = property(itemgetter(0))
-    log_value = property(itemgetter(1))
-    error = property(itemgetter(2))
-
-    def __new__(cls, applicable: bool, log_value: Optional[int], error: int) -> BoundValue:
-        return tuple.__new__(cls, (applicable, log_value, error))
-
-    def __getnewargs__(self):  # pickle and copy call __new__ with the three fields
-        return tuple(self)
-
-    def __eq__(self, other):  # not NotImplemented, which would let tuple's == answer
-        return type(other) is BoundValue and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self):
-        return "BoundValue(applicable={!r}, log_value={!r}, error={!r})".format(*self)
-
-
-_NOT_APPLICABLE = BoundValue(False, None, 0)
-
-
 class BoundReport(_Record):
     """Every lower bound at one triple, with the exact lcm and its log.
 
@@ -292,7 +258,7 @@ class BoundReport(_Record):
     n: int
     L: int
     logL: int  # fixed point, within _E of log(L) * 2^128
-    bounds: dict[str, BoundValue]
+    bounds: dict[str, Optional[tuple[int, int]]]  # name -> its row's (v, e), None where the gate fails
 
     def _failed(self) -> dict[str, str]:
         """Name -> message of each applicable bound not shown to hold; one verdict pass.
@@ -305,9 +271,10 @@ class BoundReport(_Record):
         c, m, n = self.c, self.m, self.n
         out = {}
         for name, _, _, exact in _BOUNDS:
-            applicable, v, e = self.bounds[name]
-            if not applicable:
+            bound = self.bounds[name]
+            if bound is None:
                 continue
+            v, e = bound
             if exact is not None:
                 if self.L < exact[1](c, m, n, n - m):
                     out[name] = f"bound {name}: L < {exact[0]}"
@@ -323,7 +290,7 @@ class BoundReport(_Record):
     def holds(self) -> dict[str, Optional[bool]]:
         """Whether each bound is shown to hold, None where it does not apply; one verdict pass per read."""
         failed = self._failed()
-        return {name: name not in failed if bv.applicable else None for name, bv in self.bounds.items()}
+        return {name: None if b is None else name not in failed for name, b in self.bounds.items()}
 
     def failures(self) -> list[str]:
         return list(self._failed().values())
@@ -336,11 +303,8 @@ def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
     """Every bound of `_BOUNDS` at one triple whose lcm is big_l, built but not checked."""
     d = n - m
     _extend_logs(n)
-    new = tuple.__new__  # a BoundValue without a Python-level __new__ call
-    bounds = {
-        name: new(BoundValue, (True,) + log_value(c, m, n, d)) if applies(c, m, n, d) else _NOT_APPLICABLE
-        for name, applies, log_value, _ in _BOUNDS
-    }
+    bounds = {name: log_value(c, m, n, d) if applies(c, m, n, d) else None
+              for name, applies, log_value, _ in _BOUNDS}
     return BoundReport(c, m, n, big_l, _log_fixed(big_l), bounds)
 
 

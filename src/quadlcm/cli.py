@@ -2,27 +2,27 @@
 
 Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
 past a limit, a sweep worker that raised or died, or an output that cannot
-be written), 2 a mathematical invariant failed.  A sweep's work item is a
-row (c, n): one fold over m computes every m the --m-policy wants in that
-row.  With --parallelism p above 1, p forked worker processes (at most 64,
-at most one per row) take rows w, w+p, w+2p, ... each and write each row's
-finished text to their own pipe; the parent reads the pipes round-robin and
-copies the text out, and a full pipe blocks its worker.  So the output is in
-(c, n, m) lexicographic order and byte-identical for a given configuration
-at any parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the
-range in which the log bounds are certified.
+be written), 2 a mathematical invariant failed, in a record or in a Bezout
+certificate.  `sweep` and `table` work row by row: one formatter per command
+turns a row into one record (text, violation text), and one loop writes the
+records and exits 2 if any violation text is non-empty.  A sweep row (c, n)
+is one fold over m that computes every m the --m-policy wants in that row.
+With --parallelism p above 1, p forked worker processes (at most 64, at most
+one per row) take rows w, w+p, w+2p, ... each and write each row's record to
+their own pipe; the parent reads the pipes round-robin, and a full pipe
+blocks its worker.  So the output is in (c, n, m) lexicographic order and
+byte-identical for a given configuration at any parallelism level.
+`verify`, `sweep` and `table` take c < 2^61, the range in which the log
+bounds are certified.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bounds as _bounds
@@ -99,11 +99,8 @@ def report_to_json(r: TripleReport) -> dict:
             "n": br.n,
             "logL": fmt_log(br.logL),
             "bounds": {
-                name: {
-                    "applicable": bv.applicable,
-                    "log_value": fmt_log(bv.log_value) if bv.applicable else None,
-                }
-                for name, bv in br.bounds.items()
+                name: {"applicable": b is not None, "log_value": None if b is None else fmt_log(b[0])}
+                for name, b in br.bounds.items()
             },
         },
         "checks": {"binom_ok": holds["binom"], "two_n_ok": holds["oon_2n"]},
@@ -173,63 +170,47 @@ def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]
             None if dr.quotient_check is None else js_int(dr.quotient_check),
             js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
             fmt_log(br.logL),
-        ) + tuple(fmt_log(v) if applicable else None for applicable, v, _ in br.bounds.values())
+        ) + tuple(None if b is None else fmt_log(b[0]) for b in br.bounds.values())
         out.append((cells, report.violations))
     return out
 
 
-def _write_triples(triples: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str,
-                   out: TextIO, err: TextIO) -> bool:
-    """The sweep lines of `(cells, violations)` to `out`, their VIOLATION lines to `err`; True if any."""
-    violated = False
-    if output_format == "csv":
-        writerow = csv.writer(out, lineterminator="\n").writerow
-    for cells, violations in triples:
-        if violations:
-            violated = True
-            for v in violations:
-                print(f"VIOLATION at (c,m,n)={cells[:3]}: {v}", file=err)
-        if output_format == "csv":
-            writerow(["NA" if v is None else str(v) for v in cells])
-        else:
-            out.write(json.dumps(dict(zip(SWEEP_COLUMNS, cells))) + "\n")
-    return violated
+def _csv(cells: Iterable) -> str:
+    """One CSV line, NA for None; no cell (an int, a digit string or a decimal log) needs quoting."""
+    return ",".join(["NA" if v is None else str(v) for v in cells]) + "\n"
 
 
-def _write_header(output_format: str, out: TextIO) -> None:
-    if output_format == "csv":
-        csv.writer(out, lineterminator="\n").writerow(SWEEP_COLUMNS)
+def _sweep_text(row: tuple[int, int, range], output_format: str) -> tuple[str, str]:
+    """The record of one sweep row: its lines, and the VIOLATION lines of its triples."""
+    lines, bad = [], []
+    for cells, violations in _sweep_row(row):
+        lines.append(_csv(cells) if output_format == "csv" else json.dumps(dict(zip(SWEEP_COLUMNS, cells))) + "\n")
+        bad += [f"VIOLATION at (c,m,n)={cells[:3]}: {v}\n" for v in violations]
+    return "".join(lines), "".join(bad)
 
 
-def _emit_sweep(triples: Iterable[tuple[tuple, tuple[str, ...]]], output_format: str, out: TextIO) -> int:
-    """A serial sweep: the header, then each triple's lines straight to `out`."""
-    _write_header(output_format, out)
-    return EXIT_VIOLATION if _write_triples(triples, output_format, out, sys.stderr) else EXIT_OK
+def _table_text(c: int, n: int) -> tuple[str, str]:
+    """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
+    lines, bad = [], []
+    for br, failure in row_bound_reports(c, n):
+        if failure is not None:
+            bad.append(f"VIOLATION at (c,m,n)={(c, br.m, n)}: {failure}\n")
+        # the ratio log(bound) / log(L), itself in fixed point
+        ratios = [None if b is None else fmt_log((b[0] << _bounds.PRECISION_BITS) // br.logL)
+                  for b in br.bounds.values()]
+        lines.append(_csv([c, n, br.m, fmt_log(br.logL)] + ratios))
+    return "".join(lines), "".join(bad)
 
 
-def _row_record(row: tuple[int, int, range], output_format: str) -> tuple[str, str, bool]:
-    """A forked worker's record of one row: its sweep lines, its VIOLATION lines, and whether it had any."""
-    text, err = io.StringIO(), io.StringIO()
-    violated = _write_triples(_sweep_row(row), output_format, text, err)
-    return text.getvalue(), err.getvalue(), violated
-
-
-def _forked_sweep(rows: Iterator[tuple[int, int, range]], nrows: int, workers: int,
-                  output_format: str, out: TextIO) -> int:
-    """A parallel sweep: the workers format the rows, and this process only copies their text."""
-    from .workers import WorkerFailed, forked  # only a parallel sweep loads the workers
-
+def _write_rows(header: str, records: Iterable[tuple[str, str]], out: TextIO) -> int:
+    """The header and each record's text to `out`, its VIOLATION lines to stderr; exit 2 if there were any."""
     code = EXIT_OK
-    try:
-        with forked(rows, nrows, workers, lambda row: _row_record(row, output_format)) as records:
-            _write_header(output_format, out)
-            for text, err, violated in records:
-                if violated:
-                    code = EXIT_VIOLATION
-                    sys.stderr.write(err)
-                out.write(text)
-    except WorkerFailed as exc:
-        raise RunError(f"sweep worker failed: {exc}") from None
+    out.write(header)
+    for text, violations in records:
+        if violations:
+            code = EXIT_VIOLATION
+            sys.stderr.write(violations)
+        out.write(text)
     return code
 
 
@@ -262,18 +243,30 @@ def cmd_sweep(args) -> int:
             for n in range(args.n_min, args.n_max + 1))
     nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
     workers = min(args.parallelism, nrows)
+    header = _csv(SWEEP_COLUMNS) if args.format == "csv" else ""
+    row_text = lambda row: _sweep_text(row, args.format)  # one formatter, serial or forked
     with _open_out(args.out) as out:
-        if workers > 1:
-            return _forked_sweep(rows, nrows, workers, args.format, out)
-        return _emit_sweep(chain.from_iterable(map(_sweep_row, rows)), args.format, out)
+        if workers == 1:
+            return _write_rows(header, map(row_text, rows), out)
+        from .workers import WorkerFailed, forked  # only a parallel sweep loads the workers
+        try:
+            # the workers format the rows, and this process only copies their text
+            with forked(rows, nrows, workers, row_text) as records:
+                return _write_rows(header, records, out)
+        except WorkerFailed as exc:
+            raise RunError(f"sweep worker failed: {exc}") from None
 
 
 def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
-    from .poly import bezout_certificate  # only bezout pays for loading poly
+    from .poly import CertificateError, PoleError, bezout_certificate  # only bezout pays for loading poly
     with _open_out(args.out) as out:
-        cert = bezout_certificate(args.c, args.k)
+        try:
+            cert = bezout_certificate(args.c, args.k)
+        except (CertificateError, PoleError) as exc:
+            print(f"VIOLATION at (c,k)={(args.c, args.k)}: {exc}", file=sys.stderr)
+            return EXIT_VIOLATION
         out.write(json.dumps(certificate_to_json(cert), indent=2) + "\n")
     return EXIT_OK
 
@@ -282,22 +275,9 @@ def cmd_table(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
-    code = EXIT_OK
     with _open_out(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("c", "n", "m", "logL") + BOUND_NAMES)
-        for n in range(1, args.n_max + 1):
-            for br, failure in row_bound_reports(args.c, n):
-                if failure is not None:
-                    code = EXIT_VIOLATION
-                    print(f"VIOLATION at (c,m,n)={(args.c, br.m, n)}: {failure}", file=sys.stderr)
-                cells = [args.c, n, br.m, fmt_log(br.logL)]
-                for name in BOUND_NAMES:
-                    applicable, v, _ = br.bounds[name]
-                    # the ratio log(bound) / log(L), itself in fixed point
-                    cells.append(fmt_log((v << _bounds.PRECISION_BITS) // br.logL) if applicable else "NA")
-                writer.writerow(cells)
-    return code
+        return _write_rows(_csv(("c", "n", "m", "logL") + BOUND_NAMES),
+                           (_table_text(args.c, n) for n in range(1, args.n_max + 1)), out)
 
 
 def _require(cond: bool, message: str, error: type[Exception] = UsageError) -> None:

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -314,6 +313,23 @@ class TestBezout:
             code, out, _ = run(["bezout", "--c", "2", "--k", str(k)], capsys)
             doc = json.loads(out)
             assert len(doc["alpha"]) <= k + 1
+
+    @pytest.mark.parametrize("failure", ["disagreement", "pole"])
+    def test_failed_certificate_exits_2_in_one_line(self, failure, capsys, monkeypatch):
+        # a wrong closed-form vector, or a pole where there is none: one VIOLATION line, no traceback
+        real = poly._closed_forms
+
+        def forged(c, k, z, ells):
+            if failure == "pole":
+                raise poly.PoleError("forged pole")
+            coeffs = real(c, k, z, ells)
+            return [coeffs[0] + poly.QuadRat(1, 0, c)] + coeffs[1:]
+
+        monkeypatch.setattr(poly, "_closed_forms", forged)
+        code, out, err = run(["bezout", "--c", "3", "--k", "5"], capsys)
+        reason = "forged pole" if failure == "pole" else "closed-form and sum-form Newton coefficients disagree"
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"VIOLATION at (c,k)=(3, 5): {reason}"]
 
     def test_usage_error(self, capsys):
         code, _, err = run(["bezout", "--c", "0", "--k", "1"], capsys)
@@ -652,31 +668,61 @@ def _projected_row(report):
     return {col: cells.get(col) for col in cli.SWEEP_COLUMNS}
 
 
+def _forge_lcm(monkeypatch):
+    """The TestForgedLcm seams: L = 2 everywhere, so L/D is not integral at most triples."""
+    monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+    monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+
+
 class TestSweepRowWriter:
-    # the row writer reads the records straight; the projection of the
-    # `verify` document is its oracle, so the two writers cannot drift
+    # `sweep` and `table` join their cells by hand: csv.writer of the same
+    # cells is their oracle, and the projection of the `verify` document gives
+    # a sweep's cells, so the sweep rows cannot drift from `verify`
     @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_equal_the_projected_verify_document(self, fmt, forged, monkeypatch, capsys):
-        if forged:  # the TestForgedLcm seams: L/D is not integral at most triples
-            monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
-            monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
-        rows = [(c, n, range(1, n + 1)) for c in (1, 2, 3) for n in range(1, 13)]
-        written, expected = io.StringIO(), io.StringIO()
-        code = cli._emit_sweep(chain.from_iterable(map(cli._sweep_row, rows)), fmt, written)
-        projected = [_projected_row(r) for row in rows for r in bounds.row_reports(*row)]
+        if forged:
+            _forge_lcm(monkeypatch)
+        code, written, err = run(["sweep", "--c-min", "1", "--c-max", "3", "--n-min", "1", "--n-max", "12",
+                                  "--format", fmt, "--parallelism", "1"], capsys)
+        reports = [r for c in (1, 2, 3) for n in range(1, 13) for r in bounds.row_reports(c, n, range(1, n + 1))]
+        projected = [_projected_row(r) for r in reports]
+        expected = io.StringIO()
         if fmt == "csv":
             writer = csv.writer(expected, lineterminator="\n")
             writer.writerow(cli.SWEEP_COLUMNS)
             writer.writerows(["NA" if v is None else str(v) for v in cells.values()] for cells in projected)
         else:
             expected.writelines(json.dumps(cells) + "\n" for cells in projected)
-        assert written.getvalue() == expected.getvalue()
+        assert written == expected.getvalue()
+        assert err == "".join(f"VIOLATION at (c,m,n)={(r.divisor.c, r.divisor.m, r.divisor.n)}: {v}\n"
+                              for r in reports for v in r.violations)
         assert len(projected) == 3 * 12 * 13 // 2
         assert any(cells["farhi"] is None for cells in projected)  # an inapplicable bound
         assert any(cells["quotient"] is None for cells in projected) is forged
         assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
-        assert ("VIOLATION" in capsys.readouterr().err) is forged
+        assert ("VIOLATION" in err) is forged
+
+    @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
+    def test_table_rows_equal_the_csv_writer(self, forged, monkeypatch, capsys):
+        if forged:
+            _forge_lcm(monkeypatch)
+        code, written, err = run(["table", "--c", "2", "--n-max", "12"], capsys)
+        expected, violations = io.StringIO(), []
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("c", "n", "m", "logL") + cli.BOUND_NAMES)
+        for n in range(1, 13):
+            for r, failure in bounds.row_bound_reports(2, n):
+                writer.writerow([2, n, r.m, cli.fmt_log(r.logL)] + [
+                    "NA" if b is None else cli.fmt_log((b[0] << bounds.PRECISION_BITS) // r.logL)
+                    for b in r.bounds.values()])
+                if failure is not None:
+                    violations.append(f"VIOLATION at (c,m,n)={(2, r.m, n)}: {failure}\n")
+        assert written == expected.getvalue()
+        assert "NA" in written
+        assert err == "".join(violations)
+        assert bool(violations) is forged
+        assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
 
 
 # runs one command in a fresh interpreter and prints its exit code, its
@@ -749,7 +795,8 @@ class TestColdStart:
 
 # runs each command line in one fresh interpreter under a profiler that records
 # every Python function entered, then prints, for each library module, its
-# public module-level functions and those no command entered
+# public module-level functions and those no command entered, and the same
+# for every module-level function of `cli`, private ones included
 _REACH_PROBE = """
 import contextlib, inspect, io, json, sys
 import quadlcm.cli as cli
@@ -762,10 +809,11 @@ for argv in json.loads(sys.argv[1]):
     assert code == 0, (argv, code)
 sys.setprofile(None)
 report = {}
-for module in (ring, poly, bounds):
-    public = {name: f for name, f in vars(module).items()
-              if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")}
-    report[module.__name__] = [sorted(public), sorted(n for n, f in public.items() if f.__code__ not in entered)]
+for module in (ring, poly, bounds, cli):
+    defined = {name: inspect.unwrap(f) for name, f in vars(module).items()
+               if inspect.isfunction(f) and f.__module__ == module.__name__
+               and (module is cli or not name.startswith("_"))}
+    report[module.__name__] = [sorted(defined), sorted(n for n, f in defined.items() if f.__code__ not in entered)]
 print(json.dumps(report))
 """
 
@@ -778,8 +826,17 @@ class TestDeadCode:
         ["bezout", "--c", "3", "--k", "5"],
     ]
 
-    def test_every_public_library_function_is_run_by_a_command(self):
-        report = json.loads(_python(_REACH_PROBE, json.dumps(self.COMMANDS)))
-        assert set(report) == {"quadlcm.ring", "quadlcm.poly", "quadlcm.bounds"}
+    @pytest.fixture(scope="class")
+    def reached(self):
+        return json.loads(_python(_REACH_PROBE, json.dumps(self.COMMANDS)))
+
+    def test_every_public_library_function_is_run_by_a_command(self, reached):
+        report = {module: reached[module] for module in ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds")}
         assert all(public for public, _ in report.values())
         assert {module: unreached for module, (_, unreached) in report.items() if unreached} == {}
+
+    def test_every_cli_function_is_run_by_a_command(self, reached):
+        # private helpers too, so that no writer outlives its caller
+        defined, unreached = reached["quadlcm.cli"]
+        assert {"main", "_open_out", "_sweep_row"} <= set(defined)
+        assert unreached == []

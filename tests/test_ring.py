@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content, shifted_product
 
 from quadlcm.poly import IntPoly, QuadPoly
-from quadlcm.bounds import BoundReport, BoundValue, TripleReport, row_bound_reports, triple_report
+from quadlcm.bounds import BoundReport, TripleReport, row_bound_reports, triple_report
 
 from oracles import (
     DivisibilityHypothesisError,
@@ -301,7 +301,6 @@ class TestValueSemantics:
         "QuadPoly": lambda: (QuadPoly(2, [QuadRat(Fraction(1, 2), 1, 2)]),
                              QuadPoly(2, [QuadRat(Fraction(2, 4), 1, 2), QuadRat(0, 0, 2)]),
                              QuadPoly(2, [QuadRat(1, 1, 2)])),
-        "BoundValue": lambda: (BoundValue(True, 5, 2), BoundValue(True, 10 // 2, 2), BoundValue(False, None, 0)),
         # the twin differs only in its hidden product, which is not compared
         "DivisorReport": lambda: (triple_report(1, 2, 5).divisor,
                                   triple_report(1, 2, 5).divisor._replace(product=QuadInt(1, 0, 1)),
@@ -341,15 +340,7 @@ class TestValueSemantics:
         for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
 
-    def test_bound_value_equals_only_a_bound_value(self):
-        x = BoundValue(True, 1, 2)
-        assert x != (True, 1, 2) and (True, 1, 2) != x
-        assert not x == (True, 1, 2) and not (True, 1, 2) == x
-        assert x == BoundValue(True, 1, 2) and not x != BoundValue(True, 1, 2)
-        assert (x.applicable, x.log_value, x.error) == (True, 1, 2)
-
     def test_repr_names_the_fields(self):
-        assert repr(BoundValue(False, None, 0)) == "BoundValue(applicable=False, log_value=None, error=0)"
         assert repr(QuadInt(1, -2, 3)) == "QuadInt(a=1, b=-2, c=3)"
         assert repr(QuadRat(1, Fraction(1, 2), 3)) == "QuadRat(a=Fraction(1, 1), b=Fraction(1, 2), c=3)"
         assert repr(IntPoly([0, 5, 0])) == "IntPoly(coeffs=(0, 5))"
