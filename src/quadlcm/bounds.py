@@ -170,17 +170,14 @@ def icbrt(x: int) -> int:
         raise ValueError(f"need x >= 0, got {x}")
     if x == 0:
         return 0
-    # Newton iteration from an over-estimate; pure integer, so arbitrarily large x is fine
+    # Newton iteration from an over-estimate; pure integer, so arbitrarily large x is fine.  By AM-GM
+    # no iterate drops below floor(cbrt x), and every iterate above it descends, so it stops there.
     t = 1 << ((x.bit_length() + 2) // 3)
     while True:
         nxt = (2 * t + x // (t * t)) // 3
         if nxt >= t:
             break
         t = nxt
-    while t * t * t > x:
-        t -= 1
-    while (t + 1) ** 3 <= x:
-        t += 1
     return t
 
 

@@ -75,33 +75,18 @@ def js_int(v: int):
 
 
 def report_to_json(r: TripleReport) -> dict:
-    """The `verify` document of one triple."""
-    dr, br, holds = r.divisor, r.bounds, r.bounds.holds
+    """The `verify` document of one triple, read off its sweep cells."""
+    cells, dr, holds = _cells(r), r.divisor, r.bounds.holds
+    i = SWEEP_COLUMNS.index("logL")  # the divisor's cells come before logL, the bounds' from it on
+    divisor = dict(zip(SWEEP_COLUMNS[:4], cells), numerator=js_int(dr.numerator),
+                   denominator=js_int(dr.denominator), **dict(zip(SWEEP_COLUMNS[4:i], cells[4:i])))
     doc = {
-        "divisor": {
-            "c": dr.c,
-            "m": dr.m,
-            "n": dr.n,
-            "L": js_int(dr.L),
-            "numerator": js_int(dr.numerator),
-            "denominator": js_int(dr.denominator),
-            "D_num": js_int(dr.D.numerator),
-            "D_den": js_int(dr.D.denominator),
-            "quotient": None if dr.quotient_check is None else js_int(dr.quotient_check),
-            "hc": js_int(dr.hc_value),
-            "hc_bound": js_int(dr.hc_bound),
-            "star_x": js_int(dr.star_x),
-            "star_y": js_int(dr.star_y),
-        },
+        "divisor": divisor,
         "bounds": {
-            "c": br.c,
-            "m": br.m,
-            "n": br.n,
-            "logL": fmt_log(br.logL),
-            "bounds": {
-                name: {"applicable": b is not None, "log_value": None if b is None else fmt_log(b[0])}
-                for name, b in br.bounds.items()
-            },
+            **dict(zip(SWEEP_COLUMNS[:3], cells)),
+            "logL": cells[i],
+            "bounds": {name: {"applicable": v is not None, "log_value": v}
+                       for name, v in zip(BOUND_NAMES, cells[i + 1:])},
         },
         "checks": {"binom_ok": holds["binom"], "two_n_ok": holds["oon_2n"]},
         "ok": not r.violations,
@@ -157,22 +142,20 @@ def _only(m: int, n: int) -> range:
     return range(m, min(m, n) + 1)
 
 
-def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
-    """One sweep work item, the row (c, n, ms).
+def _cells(report: TripleReport) -> tuple:
+    """One triple's cells in SWEEP_COLUMNS order, None where a value is absent."""
+    dr, br = report.divisor, report.bounds
+    return (
+        dr.c, dr.m, dr.n, js_int(dr.L), js_int(dr.D.numerator), js_int(dr.D.denominator),
+        None if dr.quotient_check is None else js_int(dr.quotient_check),
+        js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
+        fmt_log(br.logL),
+    ) + tuple(None if b is None else fmt_log(b[0]) for b in br.bounds.values())
 
-    Each m's cells in SWEEP_COLUMNS order, None where a value is absent, with its violations.
-    """
-    out = []
-    for report in row_reports(*row):
-        dr, br = report.divisor, report.bounds
-        cells = (
-            dr.c, dr.m, dr.n, js_int(dr.L), js_int(dr.D.numerator), js_int(dr.D.denominator),
-            None if dr.quotient_check is None else js_int(dr.quotient_check),
-            js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
-            fmt_log(br.logL),
-        ) + tuple(None if b is None else fmt_log(b[0]) for b in br.bounds.values())
-        out.append((cells, report.violations))
-    return out
+
+def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
+    """One sweep work item, the row (c, n, ms): each m's cells, with its violations."""
+    return [(_cells(report), report.violations) for report in row_reports(*row)]
 
 
 def _csv(cells: Iterable) -> str:
@@ -261,12 +244,12 @@ def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
     from .poly import CertificateError, PoleError, bezout_certificate  # only bezout pays for loading poly
-    with _open_out(args.out) as out:
-        try:
-            cert = bezout_certificate(args.c, args.k)
-        except (CertificateError, PoleError) as exc:
-            print(f"VIOLATION at (c,k)={(args.c, args.k)}: {exc}", file=sys.stderr)
-            return EXIT_VIOLATION
+    try:
+        cert = bezout_certificate(args.c, args.k)
+    except (CertificateError, PoleError) as exc:
+        print(f"VIOLATION at (c,k)={(args.c, args.k)}: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    with _open_out(args.out) as out:  # only a certificate that passed opens --out
         out.write(json.dumps(certificate_to_json(cert), indent=2) + "\n")
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic over Q(sqrt(-c)), fraction-free.
 
-A QuadPoly is (A + B*sqrt(-c)) / den: A and B are IntPoly numerators and
-den > 0 is one common denominator with gcd(den, A_i, B_i) = 1, so equality
-is structural and the zero polynomial is ((), (), 1).  Arithmetic runs as
-integer loops in IntPoly, the module's one integer coefficient-list kernel.
+A QuadPoly is (A + B*sqrt(-c)) / den, built from exactly these fields: A
+and B are IntPoly numerators and den >= 1 is one common denominator, and
+construction divides out gcd(den, A_i, B_i), so equality is structural and
+the zero polynomial is ((), (), 1).  Arithmetic runs as integer loops in
+IntPoly, the module's one integer coefficient-list kernel.
 
 Builds the monic shift-product polynomials P whose values are the products
 (n-k + sqrt(-c)) ... (n + sqrt(-c)), and the unique degree-<=k Bezout
@@ -12,7 +13,8 @@ routes to alpha's Newton coefficients are kept, and their exact agreement is
 the module's main correctness check: the closed product formula, built in
 one pass, and the alternating-sum definition, read off one
 forward-difference table of 1/P.  The extended Euclidean algorithm on P and
-conj(P) is a third route, kept in the tests as an oracle.
+conj(P) is a third route, kept in the tests as an oracle.  The certificate
+stores alpha only as the integer split 2d*alpha = r + s*sqrt(-c).
 
 The module depends on `ring` only: the certificate's d = content_multiple
 is an exact ring quantity defined there.
@@ -75,25 +77,13 @@ class IntPoly(_Record):
         return IntPoly([x * s for x in self.coeffs])
 
 
-def _quad(c: int, a: IntPoly, b: IntPoly = IntPoly(()), den: int = 1) -> QuadPoly:
-    """(a + b*sqrt(-c)) / den for den > 0, in normal form, set past the frozen __setattr__."""
-    g = gcd(den, *a.coeffs, *b.coeffs)
-    if g > 1:
-        a, b = IntPoly([x // g for x in a.coeffs]), IntPoly([x // g for x in b.coeffs])
-        den //= g
-    poly = object.__new__(QuadPoly)
-    _set(poly, "c", c)
-    _set(poly, "A", a)
-    _set(poly, "B", b)
-    _set(poly, "den", den)
-    return poly
-
-
 class QuadPoly(_Record):
-    """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), normalised.
+    """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), built from its fields.
 
-    QuadPoly(c, coeffs) builds it from QuadRat coefficients in ascending
-    degree; `coeffs` reads them back, each in lowest terms.
+    QuadPoly(c, A, B, den) needs den >= 1 and normalises, dividing out
+    gcd(den, A_i, B_i); QuadPoly(c) is zero.  from_coeffs builds it from
+    QuadRat coefficients in ascending degree, and `coeffs` reads them back,
+    each in lowest terms.
     """
 
     __slots__ = ("c", "A", "B", "den")
@@ -102,13 +92,26 @@ class QuadPoly(_Record):
     B: IntPoly
     den: int
 
-    def __init__(self, c: int, coeffs: Sequence[QuadRat] = ()) -> None:
+    def __init__(self, c: int, A: IntPoly = IntPoly(()), B: IntPoly = IntPoly(()), den: int = 1) -> None:
+        if den < 1:
+            raise ValueError(f"need den >= 1, got {den}")
+        g = gcd(den, *A.coeffs, *B.coeffs)
+        if g > 1:
+            A, B = IntPoly([x // g for x in A.coeffs]), IntPoly([x // g for x in B.coeffs])
+            den //= g
+        _set(self, "c", c)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "den", den)
+
+    @classmethod
+    def from_coeffs(cls, c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
+        """The polynomial with QuadRat coefficients `coeffs`, ascending degree; the inverse of `coeffs`."""
         for co in coeffs:
             if co.c != c:
                 raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
         den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
-        self.__setstate__(_quad(c, IntPoly([int(co.a * den) for co in coeffs]),
-                                IntPoly([int(co.b * den) for co in coeffs]), den).__getstate__())
+        return cls(c, IntPoly([int(co.a * den) for co in coeffs]), IntPoly([int(co.b * den) for co in coeffs]), den)
 
     @property
     def coeffs(self) -> tuple[QuadRat, ...]:
@@ -132,11 +135,10 @@ class QuadPoly(_Record):
         _check_same_ring(self, other)
         den = lcm(self.den, other.den)
         x, y = den // self.den, den // other.den
-        return _quad(self.c, self.A.scale(x) + other.A.scale(y),
-                     self.B.scale(x) + other.B.scale(y), den)
+        return QuadPoly(self.c, self.A.scale(x) + other.A.scale(y), self.B.scale(x) + other.B.scale(y), den)
 
     def __neg__(self) -> QuadPoly:
-        return _quad(self.c, -self.A, -self.B, self.den)
+        return QuadPoly(self.c, -self.A, -self.B, self.den)
 
     def __sub__(self, other: QuadPoly) -> QuadPoly:
         return self + (-other)
@@ -145,17 +147,17 @@ class QuadPoly(_Record):
         # sqrt(-c) * sqrt(-c) = -c
         _check_same_ring(self, other)
         a1, b1, a2, b2 = self.A, self.B, other.A, other.B
-        return _quad(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
-                     self.den * other.den)
+        return QuadPoly(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
+                        self.den * other.den)
 
     def scale(self, s: int | Fraction | QuadRat) -> QuadPoly:
         if not isinstance(s, QuadRat):
             s = QuadRat(s, 0, self.c)
-        return self * QuadPoly(self.c, (s,))
+        return self * QuadPoly.from_coeffs(self.c, (s,))
 
     def conj(self) -> QuadPoly:
         """Conjugate every coefficient; a ring morphism on polynomials."""
-        return _quad(self.c, self.A, -self.B, self.den)
+        return QuadPoly(self.c, self.A, -self.B, self.den)
 
     def eval(self, z: QuadRat) -> QuadRat:
         """Exact Horner evaluation in integers: e^deg * p(w/e) for z = w/e, then one division."""
@@ -172,12 +174,12 @@ class QuadPoly(_Record):
 
 
 def one_poly(c: int) -> QuadPoly:
-    return _quad(c, IntPoly((1,)))
+    return QuadPoly(c, IntPoly((1,)))
 
 
 def _linear(c: int, a: int, b: int) -> QuadPoly:
     """X + a + b*sqrt(-c)."""
-    return _quad(c, IntPoly((a, 1)), IntPoly((b,)))
+    return QuadPoly(c, IntPoly((a, 1)), IntPoly((b,)))
 
 
 def shift_product_poly(c: int, k: int) -> QuadPoly:
@@ -199,11 +201,6 @@ def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
     if p.den != 1:
         raise ValueError(f"coefficients are not in Z[sqrt(-c)]: common denominator {p.den}")
     return p.A, p.B
-
-
-def recombine_parts(c: int, a: IntPoly, b: IntPoly) -> QuadPoly:
-    """Inverse of split_parts: A + B*sqrt(-c) as a QuadPoly."""
-    return _quad(c, a, b)
 
 
 def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
@@ -258,54 +255,51 @@ def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
     """sum_ell coeffs[ell] (X - s)...(X - s - ell + 1), s = sqrt(-c), nested: a0 + (X - s)(a1 + ...)."""
     acc = QuadPoly(c)
     for ell in reversed(range(len(coeffs))):
-        acc = acc * _linear(c, -ell, -1) + QuadPoly(c, (coeffs[ell],))
+        acc = acc * _linear(c, -ell, -1) + QuadPoly.from_coeffs(c, (coeffs[ell],))
     return acc
 
 
 class BezoutCertificate(_Record):
     """Integer witness that the content of any value of P divides d.
 
-    Carries alpha (the Bezout cofactor), the integer split P = A + B*sqrt(-c),
-    d = c * prod_{l=1..k} (l^2 + 4c), and the split 2d*alpha = r + s*sqrt(-c),
+    Carries the integer split P = A + B*sqrt(-c), d = c * prod_{l=1..k} (l^2 + 4c),
+    and the Bezout cofactor alpha as its integer split 2d*alpha = r + s*sqrt(-c),
     tied together by the exact identity r*A - c*s*B = d.
     """
 
     c: int
     k: int
-    alpha: QuadPoly
     A: IntPoly
     B: IntPoly
     r: IntPoly
     s: IntPoly
     d: int
 
+    @property
+    def alpha(self) -> QuadPoly:
+        """The Bezout cofactor (r + s*sqrt(-c)) / 2d."""
+        return QuadPoly(self.c, self.r, self.s, 2 * self.d)
+
     def verify(self) -> None:
         """Re-check every certificate invariant exactly; raise CertificateError.
 
-        alpha must lie in the certificate's ring Q(sqrt(-c))[X] and P = A + B*sqrt(-c) must be
-        monic of degree k+1 with the k+1 distinct roots j - sqrt(-c), j = 0..k, which pins it
-        down; then d, the split (r, s) of 2d*alpha, and the one identity r*A - c*s*B = d.  Given
-        the split, that is d times the Bezout identity alpha*P + conj(alpha)*conj(P) = 1, as
+        deg r and deg s, so deg alpha, must be at most k.  P = A + B*sqrt(-c) must
+        be monic of degree k+1 with the k+1 distinct roots j - sqrt(-c), j = 0..k, which pins it
+        down; then d, and the one identity r*A - c*s*B = d.  As 2d*alpha = r + s*sqrt(-c), that
+        is d times the Bezout identity alpha*P + conj(alpha)*conj(P) = 1, since
         2d*(alpha*P + conj(alpha)*conj(P)) = 2*(r*A - c*s*B).
         """
         c, k = self.c, self.k
-        if self.alpha.c != c:
-            raise CertificateError(f"alpha lives in ring {self.alpha.c}, expected {c}")
-        if self.alpha.degree > k:
-            raise CertificateError(f"deg alpha = {self.alpha.degree} exceeds k = {k}")
-        p = recombine_parts(c, self.A, self.B)
+        degree = max(self.r.degree, self.s.degree)
+        if degree > k:
+            raise CertificateError(f"deg alpha = {degree} exceeds k = {k}")
+        p = QuadPoly(c, self.A, self.B)
         if (p.degree != k + 1 or p.leading() != QuadRat(1, 0, c)
                 or not all(p.eval(QuadRat(j, -1, c)).is_zero() for j in range(k + 1))):
             raise CertificateError("A, B do not split the shift product polynomial")
         d = content_multiple(c, k)
         if d != self.d:
             raise CertificateError(f"d = {self.d} != c * prod(l^2 + 4c) = {d}")
-        try:
-            r, s = split_parts(self.alpha.scale(2 * d))
-        except ValueError as exc:
-            raise CertificateError(f"2d*alpha leaves Z[sqrt(-c)][X]: {exc}") from None
-        if (r, s) != (self.r, self.s):
-            raise CertificateError("r, s do not split 2d*alpha")
         if self.r * self.A - (self.s * self.B).scale(c) != IntPoly((d,)):
             raise CertificateError("r*A - c*s*B != d")
 
@@ -327,6 +321,6 @@ def bezout_certificate(c: int, k: int) -> BezoutCertificate:
     alpha = _newton_series(c, closed)
     d = content_multiple(c, k)
     r, s = split_parts(alpha.scale(2 * d))
-    cert = BezoutCertificate(c=c, k=k, alpha=alpha, A=p.A, B=p.B, r=r, s=s, d=d)
+    cert = BezoutCertificate(c=c, k=k, A=p.A, B=p.B, r=r, s=s, d=d)
     cert.verify()
     return cert

@@ -207,9 +207,9 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
 
 def newton_basis(c: int, ell: int) -> QuadPoly:
     """(X - s)(X - s - 1)...(X - s - ell + 1) with s = sqrt(-c); 1 when ell = 0."""
-    acc = QuadPoly(c, (QuadRat(1, 0, c),))
+    acc = QuadPoly.from_coeffs(c, (QuadRat(1, 0, c),))
     for j in range(ell):
-        acc = acc * QuadPoly(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c)))
+        acc = acc * QuadPoly.from_coeffs(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c)))
     return acc
 
 
@@ -247,10 +247,10 @@ def sum_form_alpha(c: int, k: int) -> QuadPoly:
 
 def shift(p: QuadPoly, h: int) -> QuadPoly:
     """p(X + h), composed by Horner's rule in QuadPoly arithmetic."""
-    x_plus_h = QuadPoly(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
+    x_plus_h = QuadPoly.from_coeffs(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
     acc = QuadPoly(p.c)
     for co in reversed(p.coeffs):
-        acc = acc * x_plus_h + QuadPoly(p.c, (co,))
+        acc = acc * x_plus_h + QuadPoly.from_coeffs(p.c, (co,))
     return acc
 
 
@@ -291,7 +291,7 @@ def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     while rem.degree >= den.degree:
         # the leading term of rem, divided by den's; subtracting it times den cancels it
         lead = rem.leading() * inv_lead
-        term = QuadPoly(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
+        term = QuadPoly.from_coeffs(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
         q, rem = q + term, rem - term * den
     return q, rem
 

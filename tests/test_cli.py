@@ -331,6 +331,18 @@ class TestBezout:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"VIOLATION at (c,k)=(3, 5): {reason}"]
 
+    @pytest.mark.parametrize("existing", [None, b"an earlier certificate\n"], ids=["absent", "present"])
+    def test_failed_certificate_leaves_out_as_it_was(self, existing, tmp_path, capsys, monkeypatch):
+        # the certificate is built and verified before --out is opened
+        real = poly._closed_forms
+        monkeypatch.setattr(poly, "_closed_forms", lambda c, k, z, ells: real(c, k, z, ells)[::-1])
+        target = tmp_path / "cert.json"
+        if existing is not None:
+            target.write_bytes(existing)
+        code, out, err = run(["bezout", "--c", "3", "--k", "5", "--out", str(target)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert (target.read_bytes() if target.exists() else None) == existing
+
     def test_usage_error(self, capsys):
         code, _, err = run(["bezout", "--c", "0", "--k", "1"], capsys)
         assert code == 1
@@ -365,8 +377,10 @@ class TestCertifiedC:
 
 
 class TestOutputErrors:
-    # each command's first piece of work raises if reached: the output must
-    # be opened before any work starts
+    # verify, sweep and table open the output before any work starts, so
+    # their first piece of work raises if reached; bezout opens it only after
+    # the certificate is built and verified, so a failed one leaves --out as
+    # it was, and an unopenable --out is reported after the build
     @pytest.mark.parametrize("argv, work", [
         (["verify", "--c", "1", "--m", "1", "--n", "3"], "triple_report"),
         (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "row_reports"),
@@ -377,10 +391,15 @@ class TestOutputErrors:
         def unreachable(*args):
             raise AssertionError("work started before the output was opened")
 
-        # bezout imports its work from poly when it runs, the others from cli's namespace
-        monkeypatch.setattr(poly if work == "bezout_certificate" else cli, work, unreachable)
+        built = []
+        if work == "bezout_certificate":  # bezout imports its work from poly when it runs
+            real = poly.bezout_certificate
+            monkeypatch.setattr(poly, work, lambda c, k: built.append((c, k)) or real(c, k))
+        else:
+            monkeypatch.setattr(cli, work, unreachable)
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(argv + ["--out", str(target)], capsys)
+        assert built == ([(1, 2)] if work == "bezout_certificate" else [])
         assert code == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1

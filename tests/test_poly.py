@@ -15,10 +15,8 @@ from quadlcm.poly import (
     QuadPoly,
     _alternating_sums,
     _closed_forms,
-    _quad,
     bezout_certificate,
     one_poly,
-    recombine_parts,
     shift_product_poly,
     split_parts,
 )
@@ -43,7 +41,7 @@ def qr(c, a, b=0):
 
 def poly(c, *pairs):
     """Polynomial from (a, b) coefficient pairs, ascending degree."""
-    return QuadPoly(c, tuple(qr(c, a, b) for a, b in pairs))
+    return QuadPoly.from_coeffs(c, tuple(qr(c, a, b) for a, b in pairs))
 
 
 @st.composite
@@ -58,7 +56,7 @@ def quad_polys(draw, max_degree=6, span=9):
         )
         for _ in range(deg + 1)
     )
-    return QuadPoly(c, coeffs)
+    return QuadPoly.from_coeffs(c, coeffs)
 
 
 class TestArithmetic:
@@ -82,8 +80,8 @@ class TestArithmetic:
         rng = random.Random(3)
         for _ in range(80):
             c = rng.randint(1, 3)
-            p = QuadPoly(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
-            q = QuadPoly(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
+            p = QuadPoly.from_coeffs(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
+            q = QuadPoly.from_coeffs(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
             if p.is_zero() or q.is_zero():
                 assert (p * q).is_zero()
             else:
@@ -101,7 +99,7 @@ class TestArithmetic:
 def ref_add(p, q):
     """QuadRat reference for p + q, coefficient by coefficient."""
     pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=qr(p.c, 0))
-    return QuadPoly(p.c, tuple(x + y for x, y in pairs))
+    return QuadPoly.from_coeffs(p.c, tuple(x + y for x, y in pairs))
 
 
 def ref_mul(p, q):
@@ -110,7 +108,7 @@ def ref_mul(p, q):
     for i, x in enumerate(p.coeffs):
         for j, y in enumerate(q.coeffs):
             out[i + j] = out[i + j] + x * y
-    return QuadPoly(p.c, tuple(out))
+    return QuadPoly.from_coeffs(p.c, tuple(out))
 
 
 def ref_eval(p, z):
@@ -149,7 +147,7 @@ class TestRepresentation:
 
     def test_zero_is_canonical(self):
         p = poly(2, (Fraction(1, 3), 5), (7, Fraction(-2, 9)))
-        for zero in (p - p, p.scale(0), QuadPoly(2), QuadPoly(2, (qr(2, 0), qr(2, 0)))):
+        for zero in (p - p, p.scale(0), QuadPoly(2), QuadPoly.from_coeffs(2, (qr(2, 0), qr(2, 0)))):
             assert (zero.A, zero.B, zero.den) == (IntPoly(()), IntPoly(()), 1)
             assert zero == QuadPoly(2)
             assert zero.degree == -1
@@ -157,16 +155,27 @@ class TestRepresentation:
     def test_built_from_quadrat_equals_fraction_free(self):
         for c, k in [(1, 0), (2, 3), (5, 7)]:
             for p in (shift_product_poly(c, k), bezout_certificate(c, k).alpha):
-                rebuilt = QuadPoly(c, p.coeffs)
+                rebuilt = QuadPoly.from_coeffs(c, p.coeffs)
                 assert rebuilt == p
                 assert hash(rebuilt) == hash(p)
         p = poly(1, (Fraction(1, 2), Fraction(-1, 6)), (Fraction(2, 3), 0))
         assert (p.A, p.B, p.den) == (IntPoly((3, 4)), IntPoly((-1,)), 6)
         assert p.coeffs == (qr(1, Fraction(1, 2), Fraction(-1, 6)), qr(1, Fraction(2, 3)))
 
+    def test_built_from_its_fields(self):
+        p = shift_product_poly(2, 2)
+        third = p._replace(den=3)
+        assert type(third) is QuadPoly
+        assert third == QuadPoly.from_coeffs(2, [co * qr(2, Fraction(1, 3)) for co in p.coeffs])
+        # the fields are normalised: gcd(4, 2, 4, 6) = 2 divides out
+        assert QuadPoly(1, IntPoly((2, 4)), IntPoly((6,)), 4) == poly(1, (Fraction(1, 2), Fraction(3, 2)), (1, 0))
+        for den in (0, -1):
+            with pytest.raises(ValueError, match="den >= 1"):
+                QuadPoly(2, p.A, p.B, den)
+
     def test_coefficient_ring_checked(self):
         with pytest.raises(RingMismatchError):
-            QuadPoly(1, (qr(2, 1),))
+            QuadPoly.from_coeffs(1, (qr(2, 1),))
         with pytest.raises(RingMismatchError):
             one_poly(1) * one_poly(2)
         with pytest.raises(RingMismatchError):
@@ -244,9 +253,9 @@ class TestSplitParts:
         rng = random.Random(5)
         for _ in range(50):
             c = rng.randint(1, 4)
-            p = QuadPoly(c, tuple(qr(c, rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)))
+            p = QuadPoly.from_coeffs(c, tuple(qr(c, rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)))
             a, b = split_parts(p)
-            assert recombine_parts(c, a, b) == p
+            assert QuadPoly(c, a, b) == p
 
 
 class TestForwardDifference:
@@ -461,8 +470,8 @@ class TestBezoutPair:
         rng = random.Random(23)
         for _ in range(40):
             c = rng.randint(1, 3)
-            num = QuadPoly(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))))
-            den = QuadPoly(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))))
+            num = QuadPoly.from_coeffs(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))))
+            den = QuadPoly.from_coeffs(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))))
             if den.is_zero():
                 continue
             q, r = divmod_poly(num, den)
@@ -504,23 +513,32 @@ class TestCertificate:
     def test_tampered_parts_detected(self):
         cert = bezout_certificate(1, 2)
         other = bezout_certificate(1, 1)
-        c2 = bezout_certificate(2, 3)
         for tampered in (
             cert._replace(B=cert.B + IntPoly((1,))),
             cert._replace(A=cert.A + IntPoly((0, 0, 0, 1))),
             cert._replace(A=other.A, B=other.B),
-            cert._replace(alpha=cert.alpha + one_poly(1)),
-            # c = 2's alpha moved into ring 5: every other check reads c = 2 or scales in alpha's ring
-            c2._replace(alpha=_quad(5, c2.alpha.A, c2.alpha.B, c2.alpha.den)),
         ):
             with pytest.raises(CertificateError):
                 tampered.verify()
 
-    def test_bezout_identity_is_checked(self):
-        # alpha + 1 with r + 2d is split consistently and passes the degree,
-        # P, d and split checks, so only r*A - c*s*B = d can reject it
+    def test_degree_above_k_detected(self):
         cert = bezout_certificate(2, 3)
-        forged = cert._replace(alpha=cert.alpha + one_poly(2), r=cert.r + IntPoly((2 * cert.d,)))
+        forged = cert._replace(r=cert.r + IntPoly((0, 0, 0, 0, 1)))
+        with pytest.raises(CertificateError, match=re.escape("deg alpha = 4 exceeds k = 3")):
+            forged.verify()
+
+    def test_alpha_is_read_off_r_s_d(self):
+        # alpha is not a field, so it cannot disagree with r, s or lie in another ring
+        cert = bezout_certificate(2, 3)
+        assert cert.alpha == QuadPoly(2, cert.r, cert.s, 2 * cert.d) == sum_form_alpha(2, 3)
+        with pytest.raises(TypeError):
+            cert._replace(alpha=cert.alpha)
+
+    def test_bezout_identity_is_checked(self):
+        # r + 2d, the split of alpha + 1, passes the degree, P and d checks,
+        # so only r*A - c*s*B = d can reject it
+        cert = bezout_certificate(2, 3)
+        forged = cert._replace(r=cert.r + IntPoly((2 * cert.d,)))
         with pytest.raises(CertificateError, match=re.escape("r*A - c*s*B != d")):
             forged.verify()
 
@@ -528,10 +546,10 @@ class TestCertificate:
         # certificates for -P and for P(X+1) satisfy every identity except
         # that A + B*sqrt(-c) is the shift product, so only that check fails
         cert = bezout_certificate(2, 3)
-        negated = cert._replace(alpha=-cert.alpha, A=-cert.A, B=-cert.B, r=-cert.r, s=-cert.s)
-        a, b = split_parts(shift(recombine_parts(2, cert.A, cert.B), 1))
-        r, s = split_parts(shift(recombine_parts(2, cert.r, cert.s), 1))
-        shifted = cert._replace(alpha=shift(cert.alpha, 1), A=a, B=b, r=r, s=s)
+        negated = cert._replace(A=-cert.A, B=-cert.B, r=-cert.r, s=-cert.s)
+        a, b = split_parts(shift(QuadPoly(2, cert.A, cert.B), 1))
+        r, s = split_parts(shift(QuadPoly(2, cert.r, cert.s), 1))
+        shifted = cert._replace(A=a, B=b, r=r, s=s)
         for forged in (negated, shifted):
             with pytest.raises(CertificateError, match="A, B do not split"):
                 forged.verify()

@@ -298,9 +298,9 @@ class TestValueSemantics:
         "QuadInt": lambda: (QuadInt(2, -3, 5), QuadInt(4 // 2, -3, 5), QuadInt(2, 3, 5)),
         "QuadRat": lambda: (QuadRat(1, 2, 3), QuadRat(Fraction(2, 2), Fraction(4, 2), 3), QuadRat(1, 2, 4)),
         "IntPoly": lambda: (IntPoly((1, 2)), IntPoly([1, 2, 0, 0]), IntPoly((1,))),
-        "QuadPoly": lambda: (QuadPoly(2, [QuadRat(Fraction(1, 2), 1, 2)]),
-                             QuadPoly(2, [QuadRat(Fraction(2, 4), 1, 2), QuadRat(0, 0, 2)]),
-                             QuadPoly(2, [QuadRat(1, 1, 2)])),
+        "QuadPoly": lambda: (QuadPoly.from_coeffs(2, [QuadRat(Fraction(1, 2), 1, 2)]),
+                             QuadPoly.from_coeffs(2, [QuadRat(Fraction(2, 4), 1, 2), QuadRat(0, 0, 2)]),
+                             QuadPoly.from_coeffs(2, [QuadRat(1, 1, 2)])),
         # the twin differs only in its hidden product, which is not compared
         "DivisorReport": lambda: (triple_report(1, 2, 5).divisor,
                                   triple_report(1, 2, 5).divisor._replace(product=QuadInt(1, 0, 1)),
@@ -339,6 +339,12 @@ class TestValueSemantics:
         x, _, _ = self.VALUES[kind]()
         for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_replace_rebuilds_from_the_fields(self, kind):
+        x, _, _ = self.VALUES[kind]()
+        assert x._replace() == x
+        assert x._replace(**x.__getstate__()) == x
 
     def test_repr_names_the_fields(self):
         assert repr(QuadInt(1, -2, 3)) == "QuadInt(a=1, b=-2, c=3)"
