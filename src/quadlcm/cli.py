@@ -13,7 +13,7 @@ their own pipe; the parent reads the pipes round-robin, and a full pipe
 blocks its worker.  So the output is in (c, n, m) lexicographic order and
 byte-identical for a given configuration at any parallelism level.
 `verify`, `sweep` and `table` take c < 2^61, the range in which the log
-bounds are certified.
+bounds are certified; `bezout` takes k <= 500.
 """
 
 from __future__ import annotations
@@ -25,18 +25,11 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import bounds as _bounds
-from .bounds import (
-    BOUND_NAMES,
-    TripleReport,
-    floor_half_frontier,
-    row_bound_reports,
-    row_reports,
-    triple_report,
-)
+from .fixedlog import C_LIMIT, PRECISION_BITS
 from .fixedlog import _log_str as fmt_log  # a fixed-point log (v / 2^128) as 15 significant digits
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # `bounds` loads in the commands that use it, so `bezout` never loads it
+    from .bounds import TripleReport
     from .poly import BezoutCertificate
 
 EXIT_OK = 0
@@ -44,14 +37,12 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _MAX_PARALLELISM = 64  # every worker forks before the first row; the output is the same at any parallelism
+_MAX_BEZOUT_K = 500  # `bezout --k 500` takes 7-9 s end to end on a 2-vCPU host, and the time grows about as k^4
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-SWEEP_COLUMNS = (
-    "c", "m", "n", "L", "D_num", "D_den", "quotient",
-    "hc", "hc_bound", "star_x", "star_y", "logL",
-) + BOUND_NAMES
+_TRIPLE_COLUMNS = ("c", "m", "n", "L", "D_num", "D_den", "quotient", "hc", "hc_bound", "star_x", "star_y", "logL")
 
 
 class UsageError(Exception):
@@ -74,19 +65,25 @@ def js_int(v: int):
     return v if _INT64_MIN <= v <= _INT64_MAX else str(v)
 
 
+def sweep_columns() -> tuple[str, ...]:
+    """The sweep's columns: a triple's own, then the bound names of `bounds`."""
+    from .bounds import BOUND_NAMES
+    return _TRIPLE_COLUMNS + BOUND_NAMES
+
+
 def report_to_json(r: TripleReport) -> dict:
     """The `verify` document of one triple, read off its sweep cells."""
-    cells, dr, holds = _cells(r), r.divisor, r.bounds.holds
-    i = SWEEP_COLUMNS.index("logL")  # the divisor's cells come before logL, the bounds' from it on
-    divisor = dict(zip(SWEEP_COLUMNS[:4], cells), numerator=js_int(dr.numerator),
-                   denominator=js_int(dr.denominator), **dict(zip(SWEEP_COLUMNS[4:i], cells[4:i])))
+    cells, dr, holds, columns = _cells(r), r.divisor, r.bounds.holds, sweep_columns()
+    i = columns.index("logL")  # the divisor's cells come before logL, the bounds' from it on
+    divisor = dict(zip(columns[:4], cells), numerator=js_int(dr.numerator),
+                   denominator=js_int(dr.denominator), **dict(zip(columns[4:i], cells[4:i])))
     doc = {
         "divisor": divisor,
         "bounds": {
-            **dict(zip(SWEEP_COLUMNS[:3], cells)),
+            **dict(zip(columns[:3], cells)),
             "logL": cells[i],
             "bounds": {name: {"applicable": v is not None, "log_value": v}
-                       for name, v in zip(BOUND_NAMES, cells[i + 1:])},
+                       for name, v in zip(columns[i + 1:], cells[i + 1:])},
         },
         "checks": {"binom_ok": holds["binom"], "two_n_ok": holds["oon_2n"]},
         "ok": not r.violations,
@@ -125,6 +122,7 @@ def _m_policy(policy: str) -> Callable[[int], range]:
     if policy == "half_ceil":
         return lambda n: _only((n + 1) // 2, n)
     if policy == "frontier":
+        from .bounds import floor_half_frontier
         return lambda n: _only(max(1, n - floor_half_frontier(n)), n)
     if policy.startswith("fixed:"):
         try:
@@ -143,7 +141,7 @@ def _only(m: int, n: int) -> range:
 
 
 def _cells(report: TripleReport) -> tuple:
-    """One triple's cells in SWEEP_COLUMNS order, None where a value is absent."""
+    """One triple's cells in `sweep_columns()` order, None where a value is absent."""
     dr, br = report.divisor, report.bounds
     return (
         dr.c, dr.m, dr.n, js_int(dr.L), js_int(dr.D.numerator), js_int(dr.D.denominator),
@@ -155,6 +153,7 @@ def _cells(report: TripleReport) -> tuple:
 
 def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
     """One sweep work item, the row (c, n, ms): each m's cells, with its violations."""
+    from .bounds import row_reports
     return [(_cells(report), report.violations) for report in row_reports(*row)]
 
 
@@ -163,23 +162,24 @@ def _csv(cells: Iterable) -> str:
     return ",".join(["NA" if v is None else str(v) for v in cells]) + "\n"
 
 
-def _sweep_text(row: tuple[int, int, range], output_format: str) -> tuple[str, str]:
-    """The record of one sweep row: its lines, and the VIOLATION lines of its triples."""
+def _sweep_text(row: tuple[int, int, range], json_columns: Optional[tuple[str, ...]]) -> tuple[str, str]:
+    """The record of one sweep row: its CSV lines, or JSON lines keyed by `json_columns`, and its VIOLATION lines."""
     lines, bad = [], []
     for cells, violations in _sweep_row(row):
-        lines.append(_csv(cells) if output_format == "csv" else json.dumps(dict(zip(SWEEP_COLUMNS, cells))) + "\n")
+        lines.append(_csv(cells) if json_columns is None else json.dumps(dict(zip(json_columns, cells))) + "\n")
         bad += [f"VIOLATION at (c,m,n)={cells[:3]}: {v}\n" for v in violations]
     return "".join(lines), "".join(bad)
 
 
 def _table_text(c: int, n: int) -> tuple[str, str]:
     """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
+    from .bounds import row_bound_reports
     lines, bad = [], []
     for br, failure in row_bound_reports(c, n):
         if failure is not None:
             bad.append(f"VIOLATION at (c,m,n)={(c, br.m, n)}: {failure}\n")
         # the ratio log(bound) / log(L), itself in fixed point
-        ratios = [None if b is None else fmt_log((b[0] << _bounds.PRECISION_BITS) // br.logL)
+        ratios = [None if b is None else fmt_log((b[0] << PRECISION_BITS) // br.logL)
                   for b in br.bounds.values()]
         lines.append(_csv([c, n, br.m, fmt_log(br.logL)] + ratios))
     return "".join(lines), "".join(bad)
@@ -198,13 +198,14 @@ def _write_rows(header: str, records: Iterable[tuple[str, str]], out: TextIO) ->
 
 
 def _require_c_certified(c: int, name: str = "c") -> None:
-    _require(c < _bounds.C_LIMIT, f"need {name} < 2^61 for certified log bounds, got {c}", RunError)
+    _require(c < C_LIMIT, f"need {name} < 2^61 for certified log bounds, got {c}", RunError)
 
 
 def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
+    from .bounds import triple_report
     with _open_out(args.out) as out:
         report = triple_report(args.c, args.m, args.n)
         out.write(json.dumps(report_to_json(report), indent=2) + "\n")
@@ -226,8 +227,10 @@ def cmd_sweep(args) -> int:
             for n in range(args.n_min, args.n_max + 1))
     nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
     workers = min(args.parallelism, nrows)
-    header = _csv(SWEEP_COLUMNS) if args.format == "csv" else ""
-    row_text = lambda row: _sweep_text(row, args.format)  # one formatter, serial or forked
+    columns = sweep_columns()  # loads `bounds` before any worker forks
+    header = _csv(columns) if args.format == "csv" else ""
+    json_columns = columns if args.format == "json" else None
+    row_text = lambda row: _sweep_text(row, json_columns)  # one formatter, serial or forked
     with _open_out(args.out) as out:
         if workers == 1:
             return _write_rows(header, map(row_text, rows), out)
@@ -243,6 +246,7 @@ def cmd_sweep(args) -> int:
 def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
+    _require(args.k <= _MAX_BEZOUT_K, f"need k <= {_MAX_BEZOUT_K}, got {args.k}", RunError)
     from .poly import CertificateError, PoleError, bezout_certificate  # only bezout pays for loading poly
     try:
         cert = bezout_certificate(args.c, args.k)
@@ -258,6 +262,7 @@ def cmd_table(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
+    from .bounds import BOUND_NAMES
     with _open_out(args.out) as out:
         return _write_rows(_csv(("c", "n", "m", "logL") + BOUND_NAMES),
                            (_table_text(args.c, n) for n in range(1, args.n_max + 1)), out)
@@ -310,7 +315,7 @@ def build_parser() -> _Parser:
 
     p_bezout = sub.add_parser("bezout", help="emit the certificate for (c, k) as JSON")
     p_bezout.add_argument("--c", type=int, required=True)
-    p_bezout.add_argument("--k", type=int, required=True)
+    p_bezout.add_argument("--k", type=int, required=True, help=f"at most {_MAX_BEZOUT_K}")
     p_bezout.add_argument("--out", default="stdout")
     p_bezout.set_defaults(func=cmd_bezout)
 

@@ -16,6 +16,13 @@ forward-difference table of 1/P.  The extended Euclidean algorithm on P and
 conj(P) is a third route, kept in the tests as an oracle.  The certificate
 stores alpha only as the integer split 2d*alpha = r + s*sqrt(-c).
 
+The certificate is built in integers: P one linear factor at a time on
+integer coefficient lists; each closed-form coefficient from one QuadInt
+denominator; the difference table on integer numerators over one common
+denominator; alpha in nested Newton form over one common denominator.
+Only the Newton coefficients themselves, which the two routes compare,
+are QuadRat values.
+
 The module depends on `ring` only: the certificate's d = content_multiple
 is an exact ring quantity defined there.
 """
@@ -27,7 +34,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .ring import QuadRat, RingMismatchError, _check_same_ring, _Record, _set, content_multiple
+from .ring import QuadInt, QuadRat, RingMismatchError, _check_same_ring, _Record, _set, content_multiple
 
 
 class PoleError(ZeroDivisionError):
@@ -160,7 +167,12 @@ class QuadPoly(_Record):
         return QuadPoly(self.c, self.A, -self.B, self.den)
 
     def eval(self, z: QuadRat) -> QuadRat:
-        """Exact Horner evaluation in integers: e^deg * p(w/e) for z = w/e, then one division."""
+        """Exact Horner evaluation in integers (`_horner`), then one division."""
+        a, b, t = self._horner(z)
+        return QuadRat(Fraction(a, t), Fraction(b, t), self.c)
+
+    def _horner(self, z: QuadRat) -> tuple[int, int, int]:
+        """Integers (a, b, t) with self(z) = (a + b*sqrt(-c)) / t, t = den * e^(deg+1) for z = w/e, by Horner."""
         _check_same_ring(self, z)
         e = lcm(z.a.denominator, z.b.denominator)
         p, q, c = int(z.a * e), int(z.b * e), self.c
@@ -169,17 +181,14 @@ class QuadPoly(_Record):
         for a, b in reversed(list(zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))):
             acc_a, acc_b = acc_a * p - c * acc_b * q + a * power, acc_a * q + acc_b * p + b * power
             power *= e
-        den = self.den * power
-        return QuadRat(Fraction(acc_a * e, den), Fraction(acc_b * e, den), c)
+        return acc_a * e, acc_b * e, self.den * power
 
 
-def one_poly(c: int) -> QuadPoly:
-    return QuadPoly(c, IntPoly((1,)))
-
-
-def _linear(c: int, a: int, b: int) -> QuadPoly:
-    """X + a + b*sqrt(-c)."""
-    return QuadPoly(c, IntPoly((a, 1)), IntPoly((b,)))
+def _times_linear(c: int, A: list[int], B: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
+    """(A + B*s)(X + a + b*s) on ascending integer coefficient lists, s = sqrt(-c): s*s = -c."""
+    A1, B1 = A + [0], B + [0]
+    return ([x + a * y - c * b * w for x, y, w in zip([0] + A, A1, B1)],
+            [x + a * y + b * w for x, y, w in zip([0] + B, B1, A1)])
 
 
 def shift_product_poly(c: int, k: int) -> QuadPoly:
@@ -190,17 +199,10 @@ def shift_product_poly(c: int, k: int) -> QuadPoly:
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    acc = one_poly(c)
+    A, B = [1], [0]
     for j in range(k + 1):
-        acc = acc * _linear(c, -j, 1)
-    return acc
-
-
-def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
-    """Split p with Z[sqrt(-c)] coefficients as (A, B) with p = A + B*sqrt(-c)."""
-    if p.den != 1:
-        raise ValueError(f"coefficients are not in Z[sqrt(-c)]: common denominator {p.den}")
-    return p.A, p.B
+        A, B = _times_linear(c, A, B, -j, 1)
+    return QuadPoly(c, IntPoly(A), IntPoly(B))
 
 
 def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
@@ -208,19 +210,30 @@ def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> l
 
     That is Delta^ell f(0) / ell! for f(j) = 1/P(z + j + sqrt(-c)), and Delta^ell f(0) is the
     head of row ell of f's forward-difference table, built by subtractions only.  Each value
-    of P is evaluated once, with an exact zero test (PoleError) before inversion.
+    P(z + j + s) = (a + b*s)/t comes from integer Horner, with an exact zero test (PoleError),
+    so f(j) = t*(a - b*s)/norm; the table runs on the integer numerators over one common
+    denominator, the lcm of the norms, and each head becomes one QuadRat.
     """
-    row = []
+    values = []  # (a, b, norm) of each P(z + j + s) = (a + b*s)/t; t is the same at every j
     for j in range(max(ells) + 1):
-        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
-        if val.is_zero():
+        a, b, t = p._horner(QuadRat(z.a + j, z.b + 1, c))
+        if not (a or b):
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
-        row.append(val.inverse())
+        values.append((a, b, a * a + c * b * b))
+    den = lcm(*(norm for _, _, norm in values))
+    row_a = [a * (den // norm) for a, _, norm in values]
+    row_b = [-b * (den // norm) for _, b, norm in values]
     heads = []
-    while row:
-        heads.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return [heads[ell] * QuadRat(Fraction(1, factorial(ell)), 0, c) for ell in ells]
+    while row_a:
+        heads.append((row_a[0], row_b[0]))
+        row_a = [y - x for x, y in zip(row_a, row_a[1:])]
+        row_b = [y - x for x, y in zip(row_b, row_b[1:])]
+    out = []
+    for ell in ells:
+        a, b = heads[ell]
+        scale = den * factorial(ell)
+        out.append(QuadRat(Fraction(a * t, scale), Fraction(b * t, scale), c))
+    return out
 
 
 def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
@@ -228,35 +241,47 @@ def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadR
 
     The value at ell is (-1)^(k+ell) C(k+ell, ell) / ((z + 2s) (k - 2s - z)^falling_k
     (ell + 2s + z)^falling_ell) with s = sqrt(-c) and P = shift_product_poly(c, k).
-    The denominator is built once: (z + 2s) (k - 2s - z)^falling_k, then the
-    falling factorial (1 + 2s + z) ... (ell + 2s + z) gains one factor per
-    ell.  Each factor gets an exact zero test (PoleError) before it is
-    multiplied in.
+    With z = w/e, each of the k+1+ell factors is an integer pair over e, so the
+    denominator is e^-(k+1+ell) times a QuadInt den, built once: (w + 2es) times
+    each (e(k - t) - 2es - w), then one factor (e*ell + 2es + w) more per ell.
+    Each factor gets an exact zero test (PoleError) before it is multiplied in,
+    and each value is the one pair e^(k+1+ell) * (+-C) * conj(den) / norm(den).
     """
-    def factor(a: Fraction, b: Fraction) -> QuadRat:
-        f = QuadRat(a, b, c)
-        if f.is_zero():
-            raise PoleError(f"denominator factor vanishes at z = {z}")
-        return f
+    e = lcm(z.a.denominator, z.b.denominator)
+    p, q = int(z.a * e), int(z.b * e) + 2 * e
 
-    den = factor(z.a, z.b + 2)
+    def factor(a: int, b: int) -> QuadInt:
+        if not (a or b):
+            raise PoleError(f"denominator factor vanishes at z = {z}")
+        return QuadInt(a, b, c)
+
+    den = factor(p, q)
     for t in range(k):
-        den = den * factor(k - t - z.a, -2 - z.b)
+        den = den * factor(e * (k - t) - p, -q)
     out, ell = [], 0
     for target in ells:
         while ell < target:
             ell += 1
-            den = den * factor(ell + z.a, 2 + z.b)
-        out.append(den.inverse() * QuadRat((-1) ** (k + ell) * comb(k + ell, ell), 0, c))
+            den = den * factor(e * ell + p, q)
+        num, norm = den.conj(), den.norm()
+        scale = (-1) ** (k + ell) * comb(k + ell, ell) * e ** (k + 1 + ell)
+        out.append(QuadRat(Fraction(scale * num.a, norm), Fraction(scale * num.b, norm), c))
     return out
 
 
 def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
-    """sum_ell coeffs[ell] (X - s)...(X - s - ell + 1), s = sqrt(-c), nested: a0 + (X - s)(a1 + ...)."""
-    acc = QuadPoly(c)
+    """sum_ell coeffs[ell] (X - s)...(X - s - ell + 1), s = sqrt(-c), nested: a0 + (X - s)(a1 + ...).
+
+    Runs on integer numerators over one common denominator, the lcm of the coefficients'.
+    """
+    den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
+    A, B = [], []
     for ell in reversed(range(len(coeffs))):
-        acc = acc * _linear(c, -ell, -1) + QuadPoly.from_coeffs(c, (coeffs[ell],))
-    return acc
+        A, B = _times_linear(c, A, B, -ell, -1)
+        co = coeffs[ell]
+        A[0] += co.a.numerator * (den // co.a.denominator)
+        B[0] += co.b.numerator * (den // co.b.denominator)
+    return QuadPoly(c, IntPoly(A), IntPoly(B), den)
 
 
 class BezoutCertificate(_Record):
@@ -312,7 +337,8 @@ def bezout_certificate(c: int, k: int) -> BezoutCertificate:
     the k+1 values 1/P(j + sqrt(-c)); the two vectors must agree exactly
     before alpha is assembled in nested Newton form.  This is the standing
     defense against sign conventions drifting between conjugation and the
-    closed product formula.
+    closed product formula.  2d*alpha must be integral, and its split is
+    r + s*sqrt(-c).
     """
     p = shift_product_poly(c, k)
     closed = _closed_forms(c, k, QuadRat(0, 0, c), range(k + 1))
@@ -320,7 +346,9 @@ def bezout_certificate(c: int, k: int) -> BezoutCertificate:
         raise CertificateError("closed-form and sum-form Newton coefficients disagree")
     alpha = _newton_series(c, closed)
     d = content_multiple(c, k)
-    r, s = split_parts(alpha.scale(2 * d))
-    cert = BezoutCertificate(c=c, k=k, A=p.A, B=p.B, r=r, s=s, d=d)
+    scale, rem = divmod(2 * d, alpha.den)
+    if rem:  # alpha is in lowest terms, so 2d*alpha is integral exactly when den | 2d
+        raise CertificateError(f"2d*alpha is not integral: its denominator {alpha.den} does not divide 2d")
+    cert = BezoutCertificate(c=c, k=k, A=p.A, B=p.B, r=alpha.A.scale(scale), s=alpha.B.scale(scale), d=d)
     cert.verify()
     return cert

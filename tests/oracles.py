@@ -10,7 +10,9 @@ API, that no command runs; the tests compare the library against them.
 * The Bezout cofactor alpha summed in the Newton basis from the
   term-by-term alternating sums (`sum_form_alpha`), and the extended
   Euclidean route to it (`bezout_pair`); `shift` and both routes of
-  `forward_difference`.
+  `forward_difference`; the forward-difference table of the alternating
+  sums in QuadRat arithmetic (`difference_table_sums`), the route the
+  library's integer table replaced; `one_poly` and `split_parts`.
 * The bound logs in 128-bit mpf (`mpf_bound_logs`), mpmath's own log
   printer (`mpmath_log_str`), the bound prefactors in mpf and the Stirling
   check.
@@ -31,7 +33,7 @@ import mpmath
 from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content
 from quadlcm.bounds import TripleReport, floor_half_frontier, triple_report
 from quadlcm.fixedlog import _LOG_FACT, _extend_logs
-from quadlcm.poly import PoleError, QuadPoly, one_poly, shift_product_poly
+from quadlcm.poly import IntPoly, PoleError, QuadPoly, shift_product_poly
 
 
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
@@ -203,6 +205,37 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
         for d in diff_products:
             b = b * d
     return u, a, b
+
+
+def one_poly(c: int) -> QuadPoly:
+    return QuadPoly(c, IntPoly((1,)))
+
+
+def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
+    """Split p with Z[sqrt(-c)] coefficients as (A, B) with p = A + B*sqrt(-c)."""
+    if p.den != 1:
+        raise ValueError(f"coefficients are not in Z[sqrt(-c)]: common denominator {p.den}")
+    return p.A, p.B
+
+
+def difference_table_sums(c: int, p: QuadPoly, z: QuadRat, ells) -> list[QuadRat]:
+    """The library's `_alternating_sums` as a forward-difference table of QuadRat values.
+
+    Each 1/P(z + j + sqrt(-c)) is a QuadRat, and every entry of the table is
+    a QuadRat subtraction, so each is normalised in Fraction arithmetic; a
+    value of P that vanishes raises PoleError, as in the library.
+    """
+    row = []
+    for j in range(max(ells) + 1):
+        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
+        if val.is_zero():
+            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
+        row.append(val.inverse())
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return [heads[ell] * QuadRat(Fraction(1, factorial(ell)), 0, c) for ell in ells]
 
 
 def newton_basis(c: int, ell: int) -> QuadPoly:

@@ -12,7 +12,7 @@ import pytest
 
 import quadlcm.cli as cli
 from quadlcm.bounds import lcm_range, row_bound_reports, row_reports
-from quadlcm.poly import IntPoly, _alternating_sums, _closed_forms, bezout_certificate, one_poly, shift_product_poly
+from quadlcm.poly import IntPoly, _alternating_sums, _closed_forms, bezout_certificate, shift_product_poly
 from quadlcm.ring import QuadInt, QuadRat
 
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     lemma_instance,
     multiples_by_criterion,
     multiples_by_search,
+    one_poly,
     product_divides_ab,
     stirling_check,
     sum_form_alpha,

@@ -49,6 +49,7 @@ BEZOUT_SHA256 = {
     (3, 15): "9a9e1d015ff04a8ff935e90585d1465702ed0d298b42dffe53fc045be11d677c",
     (3, 25): "8dc2c9b7c35f96a6b9d2ddccffe56574c3e4fb0c9332ffd40d12bdff89eb30a7",
     (3, 60): "47ab0360d84fc0deb22e93c3ebe6ed48db2c2f96c4349ffabf5a66ddb520db72",
+    (3, 100): "e634dda738d03fb130f5b58a025d79ee7e62acbe65635da541f3404cce25f489",
     (4, 0): "5627442eae9b943872ae6261f75b68e59a5e606659ab25d7fca25918562dabcf",
     (4, 1): "adc4abee9e8f9408e6f22aa2cb76a0373bb6afa86866e320deba3905efa72564",
     (4, 2): "f424951f6244b688cf066c8595e2e7368480118035bdc73a149f4240738f3e40",
@@ -62,6 +63,7 @@ BEZOUT_SHA256 = {
     (5, 15): "5f64195ba5eeb3bc49fcfa277ce672e66cefd45de928d25b8e26ea7755f1c700",
     (5, 25): "7aebf24ecee2b673c84f2c32cbb113ac045b2a3b99e790e7fba98f83cb5d9c30",
     (5, 40): "4a9afc7faf0bb85e5cd1abb89b1ef953841cdd463950d184952695d77b248e85",
+    (5, 100): "8d3669abe257ef32697005192bee484b42edc68dde671e9426488d9bc28ab014",
 }
 
 
@@ -139,8 +141,8 @@ class TestVerify:
             r = real(c, m, n)
             return r._replace(divisor=r.divisor._replace(quotient_check=None), violations=("forged failure",))
 
-        real = cli.triple_report
-        monkeypatch.setattr(cli, "triple_report", forged)
+        real = bounds.triple_report
+        monkeypatch.setattr(bounds, "triple_report", forged)
         code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "3"], capsys)
         assert code == 2
         doc = json.loads(out)
@@ -164,11 +166,11 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+        assert lines[0] == ",".join(cli.sweep_columns())
         assert len(lines) == 1 + 6  # header + pairs m <= n for n <= 3
         row_113 = [ln for ln in lines[1:] if ln.startswith("1,1,3,")]
         assert len(row_113) == 1
-        cells = dict(zip(cli.SWEEP_COLUMNS, row_113[0].split(",")))
+        cells = dict(zip(cli.sweep_columns(), row_113[0].split(",")))
         assert cells["quotient"] == "8"
         assert cells["hc"] == "10"
         assert cells["final"] == "NA"
@@ -279,8 +281,8 @@ class TestSweep:
         def forged(c, n, ms):
             return [r._replace(violations=("forged sweep failure",)) for r in real(c, n, ms)]
 
-        real = cli.row_reports
-        monkeypatch.setattr(cli, "row_reports", forged)
+        real = bounds.row_reports
+        monkeypatch.setattr(bounds, "row_reports", forged)
         code, out, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"],
             capsys,
@@ -350,6 +352,19 @@ class TestBezout:
         code, _, _ = run(["bezout", "--c", "1", "--k", "-1"], capsys)
         assert code == 1
 
+    def test_k_past_the_limit_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # k = 500 is the last k built (here a stand-in certificate, so the test stays fast);
+        # 501 exits 1 in one line before anything is built and before --out is opened
+        asked, real = [], poly.bezout_certificate
+        monkeypatch.setattr(poly, "bezout_certificate", lambda c, k: asked.append(k) or real(c, 2))
+        code, out, err = run(["bezout", "--c", "3", "--k", "500"], capsys)
+        assert (code, asked, err) == (0, [500], "") and out
+        target = tmp_path / "cert.json"
+        code, out, err = run(["bezout", "--c", "3", "--k", "501", "--out", str(target)], capsys)
+        assert (code, out, asked) == (1, "", [500])
+        assert err.splitlines() == ["quadlcm: error: need k <= 500, got 501"]
+        assert not target.exists()
+
 
     @pytest.mark.parametrize("c, k", sorted(BEZOUT_SHA256))
     def test_golden_bytes(self, c, k, capsys):
@@ -392,11 +407,11 @@ class TestOutputErrors:
             raise AssertionError("work started before the output was opened")
 
         built = []
-        if work == "bezout_certificate":  # bezout imports its work from poly when it runs
+        if work == "bezout_certificate":  # each command imports its work from poly or bounds when it runs
             real = poly.bezout_certificate
             monkeypatch.setattr(poly, work, lambda c, k: built.append((c, k)) or real(c, k))
         else:
-            monkeypatch.setattr(cli, work, unreachable)
+            monkeypatch.setattr(bounds, work, unreachable)
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(argv + ["--out", str(target)], capsys)
         assert built == ([(1, 2)] if work == "bezout_certificate" else [])
@@ -433,7 +448,7 @@ class TestTable:
         assert header[:4] == ["c", "n", "m", "logL"]
         for line in lines[1:]:
             cells = dict(zip(header, line.split(",")))
-            for name in cli.BOUND_NAMES:
+            for name in bounds.BOUND_NAMES:
                 if cells[name] != "NA":
                     assert float(cells[name]) <= 1 + 1e-9
 
@@ -680,11 +695,11 @@ class TestForgedLcm:
 
 
 def _projected_row(report):
-    """The sweep row of one triple as the `verify` document projected onto SWEEP_COLUMNS."""
+    """The sweep row of one triple as the `verify` document projected onto the sweep columns."""
     doc = cli.report_to_json(report)
     cells = {**doc["bounds"], **doc["divisor"]}
     cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
-    return {col: cells.get(col) for col in cli.SWEEP_COLUMNS}
+    return {col: cells.get(col) for col in cli.sweep_columns()}
 
 
 def _forge_lcm(monkeypatch):
@@ -709,7 +724,7 @@ class TestSweepRowWriter:
         expected = io.StringIO()
         if fmt == "csv":
             writer = csv.writer(expected, lineterminator="\n")
-            writer.writerow(cli.SWEEP_COLUMNS)
+            writer.writerow(cli.sweep_columns())
             writer.writerows(["NA" if v is None else str(v) for v in cells.values()] for cells in projected)
         else:
             expected.writelines(json.dumps(cells) + "\n" for cells in projected)
@@ -729,7 +744,7 @@ class TestSweepRowWriter:
         code, written, err = run(["table", "--c", "2", "--n-max", "12"], capsys)
         expected, violations = io.StringIO(), []
         writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(("c", "n", "m", "logL") + cli.BOUND_NAMES)
+        writer.writerow(("c", "n", "m", "logL") + bounds.BOUND_NAMES)
         for n in range(1, 13):
             for r, failure in bounds.row_bound_reports(2, n):
                 writer.writerow([2, n, r.m, cli.fmt_log(r.logL)] + [
@@ -803,13 +818,24 @@ class TestColdStart:
 
     def test_import_loads_neither_dataclasses_nor_poly(self):
         modules = _python("import sys, quadlcm.cli; print(' '.join(sys.modules))").split()
-        assert "quadlcm.cli" in modules and "quadlcm.bounds" in modules
+        assert "quadlcm.cli" in modules and "quadlcm.fixedlog" in modules
+        assert "quadlcm.bounds" not in modules  # the commands that use it load it
         assert "dataclasses" not in modules
         assert "quadlcm.poly" not in modules
 
     def test_only_bezout_loads_poly(self):
         assert "quadlcm.poly" not in loaded_modules(["table", "--c", "1", "--n-max", "3"])
         assert "quadlcm.poly" in loaded_modules(["bezout", "--c", "1", "--k", "2"])
+
+    @pytest.mark.parametrize("argv, loads_bounds", [
+        (["bezout", "--c", "3", "--k", "5"], False),
+        (["verify", "--c", "1", "--m", "2", "--n", "9"], True),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3"], True),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3", "--format", "json"], True),
+        (["table", "--c", "1", "--n-max", "3"], True),
+    ], ids=["bezout", "verify", "sweep", "sweep-json", "table"])
+    def test_only_the_bound_commands_load_bounds(self, argv, loads_bounds):
+        assert ("quadlcm.bounds" in loaded_modules(argv)) is loads_bounds
 
 
 # runs each command line in one fresh interpreter under a profiler that records

@@ -16,9 +16,7 @@ from quadlcm.poly import (
     _alternating_sums,
     _closed_forms,
     bezout_certificate,
-    one_poly,
     shift_product_poly,
-    split_parts,
 )
 from quadlcm.ring import QuadRat, RingMismatchError, shifted_product
 
@@ -26,11 +24,14 @@ from oracles import (
     NonCoprimeError,
     alternating_sum,
     bezout_pair,
+    difference_table_sums,
     divmod_poly,
     falling,
     forward_difference,
     newton_basis,
+    one_poly,
     shift,
+    split_parts,
     sum_form_alpha,
 )
 
@@ -390,6 +391,31 @@ class TestReciprocalDifference:
                     expected = [alternating_sum(c, k, ell, z) for ell in range(k + 1)]
                     assert _alternating_sums(c, p, z, range(k + 1)) == expected
 
+    def test_integer_routes_match_the_quadrat_table(self):
+        # the QuadRat difference table the integer one replaced, at every certificate
+        # size of the acceptance suite, at z = 0 and at rational points off the real line
+        for c in range(1, 6):
+            for k in range(26):
+                p = shift_product_poly(c, k)
+                for z in (qr(c, 0), qr(c, Fraction(1, 2)), qr(c, Fraction(-7, 3), Fraction(1, 2))):
+                    expected = difference_table_sums(c, p, z, range(k + 1))
+                    assert _alternating_sums(c, p, z, range(k + 1)) == expected
+                    assert _closed_forms(c, k, z, range(k + 1)) == expected
+
+    def test_integer_routes_raise_where_the_quadrat_table_does(self):
+        # z = -2 - 2s puts z + j + s on the root j - 2 - s of P for j >= 2, and
+        # zeroes the closed form's factor (2 + 2s + z) from ell = 2 on
+        for c in range(1, 6):
+            for k in (2, 9, 25):
+                p, z = shift_product_poly(c, k), qr(c, -2, -2)
+                expected = difference_table_sums(c, p, z, range(2))
+                assert _alternating_sums(c, p, z, range(2)) == _closed_forms(c, k, z, range(2)) == expected
+                for route in (lambda: difference_table_sums(c, p, z, range(k + 1)),
+                              lambda: _alternating_sums(c, p, z, range(k + 1)),
+                              lambda: _closed_forms(c, k, z, range(k + 1))):
+                    with pytest.raises(PoleError):
+                        route()
+
     def test_difference_table_pole_matches_the_definition(self):
         # z = -2 - 2s puts z + j + s on the root j - 2 - s of P for j >= 2
         c, k = 2, 4
@@ -533,6 +559,12 @@ class TestCertificate:
         assert cert.alpha == QuadPoly(2, cert.r, cert.s, 2 * cert.d) == sum_form_alpha(2, 3)
         with pytest.raises(TypeError):
             cert._replace(alpha=cert.alpha)
+
+    def test_2d_alpha_must_be_integral(self, monkeypatch):
+        # with d = 1 in place of c * prod(l^2 + 4c), alpha's denominator 10 does not divide 2d
+        monkeypatch.setattr(poly_module, "content_multiple", lambda c, k: 1)
+        with pytest.raises(CertificateError, match=re.escape("2d*alpha is not integral: its denominator 10")):
+            bezout_certificate(1, 1)
 
     def test_bezout_identity_is_checked(self):
         # r + 2d, the split of alpha + 1, passes the degree, P and d checks,
