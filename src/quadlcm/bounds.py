@@ -21,16 +21,17 @@ Any other case is undecided, and reported as a violation, never as a pass.
 The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
 applicability gate, a log value and, where there is one, the exact bound.
 Each report is built first and checked once: `failures()` is the one check
-of a record.  A row (c, n) is the unit of work: `row_reports` takes one
-descending fold over m (`_row_fold`), which computes L, P, (n-m)! and the
-content multiple directly at the row's largest m and then with one lcm or
-multiplication each per step down, and builds and checks every claim of
-each m from them.  `triple_report` is the row of one m, so it computes L
-once; `row_bound_reports` builds the bound reports from the L part alone,
-`_lcm_fold`.  log L is not folded: each is floor(2^128 log L) of its own L,
-where a sum of floored logs could change a printed digit.  Every record
-comes from `row_reports` or `row_bound_reports`, and nothing here raises on
-a failed claim: its message is kept with the report that exposed it.
+of a record, and a bound report's one verdict pass serves every read.  A row
+(c, n) is the unit of work: `row_reports` takes one descending fold over m
+(`_row_fold`) from L, P, (n-m)! and the content multiple at the row's
+largest m, by one lcm or multiplication each per step down, and builds and
+checks every claim of each m from them.  That start is `_row_start`, or a
+sweep's `window.Window`.  `triple_report` is the row of one m, so it
+computes L once; `row_bound_reports` folds L alone.  log L is not folded:
+each is floor(2^128 log L) of its own L, where a sum of floored logs could
+change a printed digit.  Every record comes from `row_reports` or
+`row_bound_reports`, and nothing here raises on a failed claim: its message
+is kept with the report that exposed it.
 
 The exact quantity content_multiple lives in `ring`; it is imported here
 too.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
@@ -76,34 +77,30 @@ def _lcm_step(big_l: int, c: int, m: int) -> int:
     return lcm(big_l, m * m + c)
 
 
-def _lcm_fold(c: int, n: int, ms: range) -> Iterator[tuple[int, int]]:
-    """(m, L) at (c, m, n) for each m of ms (within 1..n), descending: one `lcm_range`, then `_lcm_step`s."""
+def _row_start(c: int, m: int, n: int) -> tuple[int, tuple[int, int], int, int]:
+    """(L, (A, B), (n-m)!, content_multiple(c, n-m)) at (c, m, n), P = A + B*sqrt(-c), from scratch."""
+    product, fact, multiple = _divisor_parts(c, m, n)
+    return lcm_range(c, m, n), (product.a, product.b), fact, multiple
+
+
+def _row_fold(c: int, n: int, ms: range, start: Callable = _row_start) -> Iterator[tuple[int, int, QuadInt, int, int]]:
+    """(m, L, P, (n-m)!, content_multiple(c, n-m)) at (c, m, n) for each m of ms, descending.
+
+    The largest m comes from `start`, as `_row_start` gives it, each lower m with d = n - m from
+    L <- `_lcm_step`, P <- P * (m + sqrt(-c)), (n-m)! <- (n-m+1)! * d and multiple <- multiple * (d^2 + 4c).
+    """
     if not ms:
         return
     _require_range(c, ms[0], n)
-    big_l = lcm_range(c, ms[-1], n)
-    yield ms[-1], big_l
+    big_l, (a, b), fact, multiple = start(c, ms[-1], n)
+    yield ms[-1], big_l, QuadInt(a, b, c), fact, multiple
     for m in reversed(ms[:-1]):
+        d = n - m
         big_l = _lcm_step(big_l, c, m)
-        yield m, big_l
-
-
-def _row_fold(c: int, n: int, ms: range) -> Iterator[tuple[int, int, QuadInt, int, int]]:
-    """(m, L, P, (n-m)!, content_multiple(c, n-m)) at (c, m, n) for each m of ms, descending.
-
-    L comes from `_lcm_fold`, the rest from `_divisor_parts` at the largest m and then, with d = n - m,
-    P <- P * (m + sqrt(-c)), (n-m)! <- (n-m+1)! * d and multiple <- multiple * (d^2 + 4c).
-    """
-    for m, big_l in _lcm_fold(c, n, ms):
-        if m == ms[-1]:
-            product, fact, multiple = _divisor_parts(c, m, n)
-            a, b = product.a, product.b
-        else:
-            d = n - m
-            # (a + b*sqrt(-c)) * (m + sqrt(-c))
-            a, b = a * m - c * b, a + b * m
-            fact *= d
-            multiple *= d * d + 4 * c
+        # (a + b*sqrt(-c)) * (m + sqrt(-c))
+        a, b = a * m - c * b, a + b * m
+        fact *= d
+        multiple *= d * d + 4 * c
         yield m, big_l, QuadInt(a, b, c), fact, multiple
 
 
@@ -258,15 +255,17 @@ class BoundReport(_Record):
     bounds: dict[str, Optional[tuple[int, int]]]  # name -> its row's (v, e), None where the gate fails
 
     def _failed(self) -> dict[str, str]:
-        """Name -> message of each applicable bound not shown to hold; one verdict pass.
+        """Name -> message of each applicable bound not shown to hold; one verdict pass per record.
 
         A row with an exact bound fails when L is below it.  A log row holds
         when the enclosures are ordered, logL - _E >= v + e, and fails when
         logL + _E < v - e; any other case is undecided, which is a failure
-        too, never a pass.
+        too, never a pass.  The pass is kept, so `holds` and `failures()` share it.
         """
+        if "_verdicts" in vars(self):
+            return vars(self)["_verdicts"]
         c, m, n = self.c, self.m, self.n
-        out = {}
+        out = vars(self)["_verdicts"] = {}
         for name, _, _, exact in _BOUNDS:
             bound = self.bounds[name]
             if bound is None:
@@ -285,7 +284,7 @@ class BoundReport(_Record):
 
     @property
     def holds(self) -> dict[str, Optional[bool]]:
-        """Whether each bound is shown to hold, None where it does not apply; one verdict pass per read."""
+        """Whether each bound is shown to hold, None where it does not apply."""
         failed = self._failed()
         return {name: None if b is None else name not in failed for name, b in self.bounds.items()}
 
@@ -322,10 +321,10 @@ def triple_report(c: int, m: int, n: int) -> TripleReport:
     return row_reports(c, n, range(m, m + 1))[0]
 
 
-def row_reports(c: int, n: int, ms: range) -> list[TripleReport]:
-    """`triple_report` at (c, m, n) for each m of ms, ascending, from one fold over m."""
+def row_reports(c: int, n: int, ms: range, start: Callable = _row_start) -> list[TripleReport]:
+    """`triple_report` at (c, m, n) for each m of ms, ascending, from one fold over m started by `start`."""
     reports = []
-    for m, big_l, product, fact, multiple in _row_fold(c, n, ms):
+    for m, big_l, product, fact, multiple in _row_fold(c, n, ms, start):
         divisor = _divisor_report(c, m, n, big_l, product, fact, multiple)
         bounds = _bound_report(c, m, n, big_l)
         messages = (_failure_message("divisor", divisor), _failure_message("bound", bounds))
@@ -336,10 +335,11 @@ def row_reports(c: int, n: int, ms: range) -> list[TripleReport]:
 def row_bound_reports(c: int, n: int) -> list[tuple[BoundReport, Optional[str]]]:
     """The bound report of every (c, m, n), m = 1..n ascending, with its failure message or None.
 
-    Each L comes from `_lcm_fold`, the fold over m that `row_reports` takes L from too.
+    Each L comes from one fold down over m: `lcm_range` at m = n, then the `_lcm_step`s `row_reports` takes.
     """
-    reports = []
-    for m, big_l in _lcm_fold(c, n, range(1, n + 1)):
+    big_l, reports = lcm_range(c, n, n), []
+    for m in range(n, 0, -1):
+        big_l = big_l if m == n else _lcm_step(big_l, c, m)
         report = _bound_report(c, m, n, big_l)
         reports.append((report, _failure_message("bound", report)))
     return reports[::-1]

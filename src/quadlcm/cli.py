@@ -1,19 +1,20 @@
 """Command-line front end: verify, sweep, bezout, table.
 
 Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
-past a limit, a sweep worker that raised or died, or an output that cannot
-be written), 2 a mathematical invariant failed, in a record or in a Bezout
-certificate.  `sweep` and `table` work row by row: one formatter per command
-turns a row into one record (text, violation text), and one loop writes the
-records and exits 2 if any violation text is non-empty.  A sweep row (c, n)
-is one fold over m that computes every m the --m-policy wants in that row.
-With --parallelism p above 1, p forked worker processes (at most 64, at most
-one per row) take rows w, w+p, w+2p, ... each and write each row's record to
-their own pipe; the parent reads the pipes round-robin, and a full pipe
-blocks its worker.  So the output is in (c, n, m) lexicographic order and
-byte-identical for a given configuration at any parallelism level.
-`verify`, `sweep` and `table` take c < 2^61, the range in which the log
-bounds are certified; `bezout` takes k <= 500.
+past a limit, a sweep worker that raised or died, a failed sweep window, or
+an output that cannot be written), 2 a mathematical invariant failed, in a
+record or in a Bezout certificate.  `sweep` and `table` work row by row: one
+formatter per command turns a row into one record (text, violation text),
+and one loop writes the records and exits 2 if any violation text is
+non-empty.  A sweep row (c, n) is one fold over m that computes every m the
+--m-policy wants in that row, from its process's `window.Window`.  With
+--parallelism p above 1, p forked workers (at most 64, at most one per row)
+take rows w, w+p, w+2p, ... each, slide their own copy of the window and
+write each row's record to their own pipe; the parent reads the pipes
+round-robin, and a full pipe blocks its worker.  So the output is in
+(c, n, m) lexicographic order and byte-identical for a given configuration
+at any parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the
+range in which the log bounds are certified; `bezout` takes k <= 500.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def _cells(report: TripleReport) -> tuple:
     ) + tuple(None if b is None else fmt_log(b[0]) for b in br.bounds.values())
 
 
-def _sweep_row(row: tuple[int, int, range]) -> list[tuple[tuple, tuple[str, ...]]]:
-    """One sweep work item, the row (c, n, ms): each m's cells, with its violations."""
+def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple[tuple, tuple[str, ...]]]:
+    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: each m's cells and violations."""
     from .bounds import row_reports
     return [(_cells(report), report.violations) for report in row_reports(*row)]
 
@@ -162,7 +163,7 @@ def _csv(cells: Iterable) -> str:
     return ",".join(["NA" if v is None else str(v) for v in cells]) + "\n"
 
 
-def _sweep_text(row: tuple[int, int, range], json_columns: Optional[tuple[str, ...]]) -> tuple[str, str]:
+def _sweep_text(row: tuple[int, int, range, Callable], json_columns: Optional[tuple[str, ...]]) -> tuple[str, str]:
     """The record of one sweep row: its CSV lines, or JSON lines keyed by `json_columns`, and its VIOLATION lines."""
     lines, bad = [], []
     for cells, violations in _sweep_row(row):
@@ -222,18 +223,23 @@ def cmd_sweep(args) -> int:
     _require(args.parallelism == 1 or hasattr(os, "fork"),
              f"need parallelism 1 where os.fork is missing, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
+    from .window import Window, WindowError
+    start = Window().move  # made before any fork: each worker slides its own copy over its rows
     # rows in canonical (c, n) order, each ascending in m
-    rows = ((c, n, m_range(n)) for c in range(args.c_min, args.c_max + 1)
+    rows = ((c, n, m_range(n), start) for c in range(args.c_min, args.c_max + 1)
             for n in range(args.n_min, args.n_max + 1))
     nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
     workers = min(args.parallelism, nrows)
-    columns = sweep_columns()  # loads `bounds` before any worker forks
+    columns = sweep_columns()
     header = _csv(columns) if args.format == "csv" else ""
     json_columns = columns if args.format == "json" else None
     row_text = lambda row: _sweep_text(row, json_columns)  # one formatter, serial or forked
     with _open_out(args.out) as out:
         if workers == 1:
-            return _write_rows(header, map(row_text, rows), out)
+            try:
+                return _write_rows(header, map(row_text, rows), out)
+            except WindowError as exc:  # in a worker, it is the worker's one-line reason
+                raise RunError(f"sweep window failed: {exc}") from None
         from .workers import WorkerFailed, forked  # only a parallel sweep loads the workers
         try:
             # the workers format the rows, and this process only copies their text

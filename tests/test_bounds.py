@@ -17,6 +17,7 @@ from quadlcm.bounds import (
     triple_report,
 )
 from quadlcm.ring import QuadInt, content, content_multiple, shifted_product
+from quadlcm.window import Window, WindowError
 from quadlcm.cli import _m_policy, fmt_log, main
 
 from oracles import (
@@ -567,6 +568,63 @@ class TestRowFold:
         reports = bounds.row_reports(1, 3, range(1, 4))
         assert [r.divisor.L for r in reports] == [1, 1, lcm_range(1, 3, 3)]
         assert [bool(r.violations) for r in reports] == [True, True, False]
+
+
+class TestWindow:
+    @staticmethod
+    def expected(c, m, n):
+        product, fact, multiple = bounds._divisor_parts(c, m, n)
+        return lcm_range(c, m, n), (product.a, product.b), fact, multiple
+
+    def test_moves_equal_the_rebuild(self, monkeypatch):
+        # random monotone windows with strides 1-4 (a forked worker's view), repeated moves, c changes,
+        # moves to the left and jumps past the window; only a slide skips `_divisor_parts`
+        rebuilds, real = [], bounds._divisor_parts
+        monkeypatch.setattr(bounds, "_divisor_parts", lambda c, m, n: rebuilds.append((c, m, n)) or real(c, m, n))
+        rng, kinds = random.Random(21), set()
+        for _ in range(120):
+            window, c, m, n = Window(), rng.randint(1, 9), 1, rng.randint(1, 30)
+            old = None
+            while n <= 300:
+                kind = rng.choice(["c", "left", "jump", "repeat"] + ["slide"] * 8) if old else "new"
+                if kind == "c":
+                    c = rng.choice([x for x in range(1, 10) if x != c])
+                elif kind == "left":
+                    m, n = rng.randint(1, max(1, m - 1)), rng.randint(max(m, n - 10), n)
+                elif kind == "jump":
+                    m = n + rng.randint(1, 20)
+                    n = m + rng.randint(0, 40)
+                elif kind == "slide":
+                    n += rng.randint(1, 4)
+                    m = rng.randint(m, n)
+                kinds.add(kind)
+                slides = old is not None and old[0] == c and old[1] <= m <= old[2] <= n
+                want = self.expected(c, m, n)
+                del rebuilds[:]
+                assert window.move(c, m, n) == want, (old, (c, m, n))
+                assert rebuilds == ([] if slides else [(c, m, n)])
+                old = (c, m, n)
+        assert kinds == {"new", "c", "left", "jump", "repeat", "slide"}
+
+    def test_rows_slide_the_window_they_are_given(self):
+        # a sweep's rows at parallelism 3: every third n of one c, the largest m of each row from the window
+        for policy in ("all", "half_ceil", "frontier", "fixed:7"):
+            m_range, start = _m_policy(policy), Window().move
+            for c in (1, 2):
+                for n in range(2, 120, 3):
+                    assert bounds.row_reports(c, n, m_range(n), start) == bounds.row_reports(c, n, m_range(n))
+
+    # window [4, 6] of c = 1 after a pop of 3 that filled the front: the pop of 4 divides P by
+    # 4 + i (norm 17), (n-m)! = 2 by 2, the multiple 40 by 2^2 + 4, and front_l by r_4 = 17
+    @pytest.mark.parametrize("field", ["a", "b", "fact", "multiple", "front_l"])
+    def test_forged_state_raises_on_the_next_pop(self, field, monkeypatch):
+        window = Window()
+        window.move(1, 3, 6)
+        window.move(1, 4, 6)
+        setattr(window, field, getattr(window, field) + 1)
+        monkeypatch.setattr(bounds, "_divisor_parts", None)  # no silent rebuild
+        with pytest.raises(WindowError, match=r"^pop of m=4 from the window \[4, 6\] of c=1 left a remainder$"):
+            window.move(1, 5, 6)
 
 
 class TestLogPrinter:

@@ -14,6 +14,7 @@ import pytest
 
 import quadlcm.cli as cli
 from quadlcm import bounds, poly
+from quadlcm.window import Window
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -158,6 +159,26 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(c, m, n)]
 
 
+class TestVerifyOnePass:
+    @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
+    def test_each_bound_is_decided_once(self, forged, capsys, monkeypatch):
+        # `failures()` and the document's `holds` read one verdict pass of the bound report: each exact
+        # bound that applies at (1, 1, 2), 2^n, m * C(n, m) and Farhi's, is evaluated once
+        def counted(name, bound):
+            return lambda *args: decided.append(name) or bound(*args)
+
+        if forged:
+            _forge_lcm(monkeypatch)
+        decided = []
+        monkeypatch.setattr(bounds, "_BOUNDS", tuple(
+            (name, gate, log_value, exact and (exact[0], counted(name, exact[1])))
+            for name, gate, log_value, exact in bounds._BOUNDS))
+        code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "2"], capsys)
+        assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
+        assert json.loads(out)["checks"] == {"binom_ok": True, "two_n_ok": not forged}  # L = 10 or 2 against 2 and 4
+        assert decided == ["oon_2n", "binom", "farhi"]
+
+
 class TestSweep:
     def test_row_count_and_content(self, capsys):
         code, out, _ = run(
@@ -277,9 +298,25 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(policy, n_max, fmt)]
 
+    @pytest.mark.parametrize("policy, n_max", [("all", 30), ("half_ceil", 90), ("frontier", 90), ("fixed:7", 90)])
+    def test_sliding_windows_at_any_parallelism_equal_rebuilt_ones(self, policy, n_max, tmp_path, monkeypatch):
+        argv = ["sweep", "--c-min", "1", "--c-max", "3", "--n-min", "1", "--n-max", str(n_max),
+                "--m-policy", policy, "--format", "json"]
+        outputs = []
+        for workers in (1, 2, 3):
+            target = tmp_path / f"sweep_{workers}.json"
+            assert cli.main(argv + ["--parallelism", str(workers), "--out", str(target)]) == 0
+            outputs.append(target.read_bytes())
+        # every row's start rebuilt from lcm_range and _divisor_parts, as `verify` computes it
+        real_move = Window.move
+        monkeypatch.setattr(Window, "move", lambda self, c, m, n: real_move(Window(), c, m, n))
+        target = tmp_path / "rebuilt.json"
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert outputs == [target.read_bytes()] * 3
+
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def forged(c, n, ms):
-            return [r._replace(violations=("forged sweep failure",)) for r in real(c, n, ms)]
+        def forged(c, n, ms, start):
+            return [r._replace(violations=("forged sweep failure",)) for r in real(c, n, ms, start)]
 
         real = bounds.row_reports
         monkeypatch.setattr(bounds, "row_reports", forged)
@@ -290,6 +327,35 @@ class TestSweep:
         assert code == 2
         assert "VIOLATION" in err
         assert len(out.strip().split("\n")) == 1 + 3  # rows still emitted
+
+
+class TestSweepWindowFailure:
+    # the window [1, 2] of c = 1 holds P = (1 + i)(2 + i) = 1 + 3i; forged to 2 + 3i, its next pop,
+    # (2 + 3i)(1 - i) / 2 = 5/2 + i/2, leaves a remainder: row n = 3 at parallelism 1, row n = 4 in
+    # worker 1 of 2
+    @pytest.mark.parametrize("workers, reason", [
+        (1, "sweep window failed: pop of m=1 from the window [1, 2] of c=1 left a remainder"),
+        (2, "sweep worker failed: WindowError: pop of m=1 from the window [1, 2] of c=1 left a remainder"),
+    ], ids=["serial", "forked"])
+    def test_forged_window_exits_1_in_one_line(self, workers, reason, capsys, monkeypatch):
+        def forging(self, c, m, n):
+            moved = real(self, c, m, n)
+            if (self.c, self.m, self.n) == (1, 1, 2):
+                self.a += 1
+            return moved
+
+        real, rebuilds = Window.move, []
+        monkeypatch.setattr(Window, "move", forging)
+        parts = bounds._divisor_parts
+        monkeypatch.setattr(bounds, "_divisor_parts", lambda c, m, n: rebuilds.append((c, m, n)) or parts(c, m, n))
+        code, out, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "6",
+                              "--m-policy", "half_ceil", "--parallelism", str(workers)], capsys)
+        assert code == 1
+        assert err.splitlines() == [f"quadlcm: error: {reason}"]
+        if workers == 1:  # rows n = 1 and 2 were written, and the window was built once, at n = 1
+            assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [["1", "1", "1"], ["1", "1", "2"]]
+            assert rebuilds == [(1, 1, 1)]
+        assert_no_child_left()
 
 
 class TestBezout:
@@ -479,7 +545,7 @@ class TestTable:
 
 # sweep rows that fail in a forked worker
 def _raising_row(row):
-    c, n, ms = row
+    c, n, ms, _ = row  # the row and its process's `Window.move`
     raise RuntimeError(f"forged worker failure at {(c, ms[0], n)}")
 
 
@@ -836,6 +902,11 @@ class TestColdStart:
     ], ids=["bezout", "verify", "sweep", "sweep-json", "table"])
     def test_only_the_bound_commands_load_bounds(self, argv, loads_bounds):
         assert ("quadlcm.bounds" in loaded_modules(argv)) is loads_bounds
+
+    def test_only_sweep_loads_the_window(self):
+        assert "quadlcm.window" in loaded_modules(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3"])
+        for argv in (["verify", "--c", "1", "--m", "2", "--n", "9"], ["table", "--c", "1", "--n-max", "3"]):
+            assert "quadlcm.window" not in loaded_modules(argv)
 
 
 # runs each command line in one fresh interpreter under a profiler that records
