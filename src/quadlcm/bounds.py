@@ -291,9 +291,6 @@ class BoundReport(_Record):
     def failures(self) -> list[str]:
         return list(self._failed().values())
 
-    def __hash__(self):  # bounds, the last field, is a dict: hashed as the set of its items
-        return hash(self._key(self)[:-1] + (frozenset(self.bounds.items()),))
-
 
 def _bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
     """Every bound of `_BOUNDS` at one triple whose lcm is big_l, built but not checked."""

@@ -126,12 +126,10 @@ def _m_policy(policy: str) -> Callable[[int], range]:
         from .bounds import floor_half_frontier
         return lambda n: _only(max(1, n - floor_half_frontier(n)), n)
     if policy.startswith("fixed:"):
-        try:
-            m = int(policy.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad m policy {policy!r}") from None
-        if m < 1:
-            raise UsageError(f"fixed m must be >= 1, got {m}")
+        digits = policy[len("fixed:"):]  # ASCII digits only: int() would also take " 7", "+7" and "1_0"
+        _require(digits.isascii() and digits.isdigit(), f"bad m policy {policy!r}")
+        m = int(digits)
+        _require(m >= 1, f"fixed m must be >= 1, got {m}")
         return lambda n: _only(m, n)
     raise UsageError(f"unknown m policy {policy!r}")
 

@@ -3,8 +3,10 @@
 A QuadPoly is (A + B*sqrt(-c)) / den, built from exactly these fields: A
 and B are IntPoly numerators and den >= 1 is one common denominator, and
 construction divides out gcd(den, A_i, B_i), so equality is structural and
-the zero polynomial is ((), (), 1).  Arithmetic runs as integer loops in
-IntPoly, the module's one integer coefficient-list kernel.
+the zero polynomial is ((), (), 1).  A QuadPoly is read, not computed with:
+its coefficients, degree, leading coefficient and values.  The arithmetic
+the certificate needs runs as integer loops in IntPoly and on coefficient
+lists.
 
 Builds the monic shift-product polynomials P whose values are the products
 (n-k + sqrt(-c)) ... (n + sqrt(-c)), and the unique degree-<=k Bezout
@@ -34,7 +36,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .ring import QuadInt, QuadRat, RingMismatchError, _check_same_ring, _Record, _set, content_multiple
+from .ring import QuadInt, QuadRat, _check_same_ring, _Record, _set, content_multiple
 
 
 class PoleError(ZeroDivisionError):
@@ -88,9 +90,8 @@ class QuadPoly(_Record):
     """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), built from its fields.
 
     QuadPoly(c, A, B, den) needs den >= 1 and normalises, dividing out
-    gcd(den, A_i, B_i); QuadPoly(c) is zero.  from_coeffs builds it from
-    QuadRat coefficients in ascending degree, and `coeffs` reads them back,
-    each in lowest terms.
+    gcd(den, A_i, B_i); QuadPoly(c) is zero.  `coeffs` reads the QuadRat
+    coefficients in ascending degree, each in lowest terms.
     """
 
     __slots__ = ("c", "A", "B", "den")
@@ -111,15 +112,6 @@ class QuadPoly(_Record):
         _set(self, "B", B)
         _set(self, "den", den)
 
-    @classmethod
-    def from_coeffs(cls, c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
-        """The polynomial with QuadRat coefficients `coeffs`, ascending degree; the inverse of `coeffs`."""
-        for co in coeffs:
-            if co.c != c:
-                raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
-        den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
-        return cls(c, IntPoly([int(co.a * den) for co in coeffs]), IntPoly([int(co.b * den) for co in coeffs]), den)
-
     @property
     def coeffs(self) -> tuple[QuadRat, ...]:
         return tuple(QuadRat(Fraction(a, self.den), Fraction(b, self.den), self.c)
@@ -138,33 +130,13 @@ class QuadPoly(_Record):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __add__(self, other: QuadPoly) -> QuadPoly:
-        _check_same_ring(self, other)
-        den = lcm(self.den, other.den)
-        x, y = den // self.den, den // other.den
-        return QuadPoly(self.c, self.A.scale(x) + other.A.scale(y), self.B.scale(x) + other.B.scale(y), den)
-
-    def __neg__(self) -> QuadPoly:
-        return QuadPoly(self.c, -self.A, -self.B, self.den)
-
-    def __sub__(self, other: QuadPoly) -> QuadPoly:
-        return self + (-other)
-
     def __mul__(self, other: QuadPoly) -> QuadPoly:
+        # no command multiplies polynomials: this stays because perfbench/tracer.py counts it by name.
         # sqrt(-c) * sqrt(-c) = -c
         _check_same_ring(self, other)
         a1, b1, a2, b2 = self.A, self.B, other.A, other.B
         return QuadPoly(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
                         self.den * other.den)
-
-    def scale(self, s: int | Fraction | QuadRat) -> QuadPoly:
-        if not isinstance(s, QuadRat):
-            s = QuadRat(s, 0, self.c)
-        return self * QuadPoly.from_coeffs(self.c, (s,))
-
-    def conj(self) -> QuadPoly:
-        """Conjugate every coefficient; a ring morphism on polynomials."""
-        return QuadPoly(self.c, self.A, -self.B, self.den)
 
     def eval(self, z: QuadRat) -> QuadRat:
         """Exact Horner evaluation in integers (`_horner`), then one division."""

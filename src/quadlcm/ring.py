@@ -28,9 +28,8 @@ class _Record:
     """Frozen value semantics, defined once; a class's fields are its own annotations.
 
     A record is built once from its fields, positionally or by keyword, and
-    never assigned to.  Equality (within one class only), the hash and the
-    repr use the fields outside `_hidden`; `_replace` builds a changed copy
-    through __init__, so nothing derived from the old fields carries over.
+    never assigned to.  Equality (within one class only) and the repr use the
+    fields outside `_hidden`; a record defines no hash, so it is unhashable.
     `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
     of the shown fields.  The records built once per triple (`DivisorReport`,
     `BoundReport`, `TripleReport`) use this __init__; the types built most
@@ -56,9 +55,6 @@ class _Record:
     def __eq__(self, other):
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key(self))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"
 
@@ -66,16 +62,6 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
-
-    def __setstate__(self, state: dict) -> None:  # pickle and copy set the fields as __init__ does
-        for name, value in state.items():
-            _set(self, name, value)
-
-    def _replace(self, **changes):
-        return type(self)(**{**self.__getstate__(), **changes})
 
 
 class _Quad(_Record):
@@ -93,17 +79,6 @@ class _Quad(_Record):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
-
-    def __add__(self, other):
-        _check_same_ring(self, other)
-        return type(self)(self.a + other.a, self.b + other.b, self.c)
-
-    def __sub__(self, other):
-        _check_same_ring(self, other)
-        return type(self)(self.a - other.a, self.b - other.b, self.c)
-
-    def __neg__(self):
-        return type(self)(-self.a, -self.b, self.c)
 
     def __mul__(self, other):
         # sqrt(-c) * sqrt(-c) = -c
@@ -134,9 +109,6 @@ class QuadInt(_Quad):
     b: int
     c: int
 
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+}√-{self.c}"
-
 
 class QuadRat(_Quad):
     """An element a + b*sqrt(-c) of Q(sqrt(-c)) with exact rational components."""
@@ -150,16 +122,6 @@ class QuadRat(_Quad):
         # Accept ints so call sites stay readable; Fraction keeps canonical form.
         super().__init__(a if isinstance(a, Fraction) else Fraction(a),
                          b if isinstance(b, Fraction) else Fraction(b), c)
-
-    def inverse(self) -> QuadRat:
-        """1 / (a + b*sqrt(-c)) = (a - b*sqrt(-c)) / (a^2 + c*b^2)."""
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadRat(self.a / n, -self.b / n, self.c)
-
-    def __str__(self) -> str:
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}√-{self.c}"
 
 
 def content(z: QuadInt) -> int:

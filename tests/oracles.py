@@ -3,6 +3,12 @@
 These are reference implementations, built on the public `ring` and `poly`
 API, that no command runs; the tests compare the library against them.
 
+* The arithmetic no command runs, as plain functions on the public fields:
+  `replace` for records, `quad_add`, `quad_sub`, `quad_neg` and
+  `quad_inverse` for QuadInt and QuadRat, and `from_coeffs`, `poly_add`,
+  `poly_sub`, `poly_neg`, `poly_mul`, `poly_scale` and `poly_conj` for
+  QuadPoly.
+
 * The divisibility lemma: the criterion norm(z)/content(z), exact division
   in Z[sqrt(-c)] and the product lemma checker.  `multiples_by_search`
   finds multiples by solving the quotient equations directly, so its
@@ -26,7 +32,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath
 
@@ -34,6 +40,88 @@ from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content
 from quadlcm.bounds import TripleReport, floor_half_frontier, triple_report
 from quadlcm.fixedlog import _LOG_FACT, _extend_logs
 from quadlcm.poly import IntPoly, PoleError, QuadPoly, shift_product_poly
+
+
+# --- the arithmetic no command runs -----------------------------------------
+
+
+def fields(record) -> dict:
+    """Field name -> value of a record, hidden fields included."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+def replace(record, **changes):
+    """A copy of `record` with `changes`, rebuilt through its __init__, so nothing derived from the old fields carries over."""
+    return type(record)(**{**fields(record), **changes})
+
+
+def _same_ring(x, y) -> None:
+    if x.c != y.c:
+        raise RingMismatchError(f"ring parameters differ: {x.c} != {y.c}")
+
+
+def quad_add(x, y):
+    """x + y, of x's type: QuadInt components stay ints, QuadRat ones Fractions."""
+    _same_ring(x, y)
+    return type(x)(x.a + y.a, x.b + y.b, x.c)
+
+
+def quad_neg(x):
+    return type(x)(-x.a, -x.b, x.c)
+
+
+def quad_sub(x, y):
+    return quad_add(x, quad_neg(y))
+
+
+def quad_inverse(x: QuadRat) -> QuadRat:
+    """1 / (a + b*sqrt(-c)) = (a - b*sqrt(-c)) / (a^2 + c*b^2)."""
+    n = x.norm()
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return QuadRat(x.a / n, -x.b / n, x.c)
+
+
+def from_coeffs(c: int, coeffs) -> QuadPoly:
+    """The polynomial with QuadRat coefficients `coeffs`, ascending degree; the inverse of `QuadPoly.coeffs`."""
+    for co in coeffs:
+        if co.c != c:
+            raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
+    den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
+    return QuadPoly(c, IntPoly([int(co.a * den) for co in coeffs]), IntPoly([int(co.b * den) for co in coeffs]), den)
+
+
+def poly_add(p: QuadPoly, q: QuadPoly) -> QuadPoly:
+    _same_ring(p, q)
+    den = lcm(p.den, q.den)
+    x, y = den // p.den, den // q.den
+    return QuadPoly(p.c, p.A.scale(x) + q.A.scale(y), p.B.scale(x) + q.B.scale(y), den)
+
+
+def poly_neg(p: QuadPoly) -> QuadPoly:
+    return QuadPoly(p.c, -p.A, -p.B, p.den)
+
+
+def poly_sub(p: QuadPoly, q: QuadPoly) -> QuadPoly:
+    return poly_add(p, poly_neg(q))
+
+
+def poly_mul(p: QuadPoly, q: QuadPoly) -> QuadPoly:
+    # sqrt(-c) * sqrt(-c) = -c
+    _same_ring(p, q)
+    return QuadPoly(p.c, p.A * q.A - (p.B * q.B).scale(p.c), p.A * q.B + p.B * q.A, p.den * q.den)
+
+
+def poly_scale(p: QuadPoly, s) -> QuadPoly:
+    """p times s, an int, a Fraction or a QuadRat."""
+    if not isinstance(s, QuadRat):
+        s = QuadRat(s, 0, p.c)
+    return poly_mul(p, from_coeffs(p.c, (s,)))
+
+
+def poly_conj(p: QuadPoly) -> QuadPoly:
+    """Conjugate every coefficient; a ring morphism on polynomials."""
+    return QuadPoly(p.c, p.A, -p.B, p.den)
 
 
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
@@ -140,7 +228,7 @@ def product_divides_ab(u: list[QuadInt], a: QuadInt, b: QuadInt) -> bool:
         diff = QuadInt(1, 0, a.c)
         for j, uj in enumerate(u):
             if j != i:
-                diff = diff * (ui - uj)
+                diff = diff * quad_sub(ui, uj)
         if diff.is_zero():
             # zero divides only zero
             if not b.is_zero():
@@ -196,7 +284,7 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
         d = QuadInt(1, 0, c)
         for j, uj in enumerate(u):
             if j != i:
-                d = d * (ui - uj)
+                d = d * quad_sub(ui, uj)
         diff_products.append(d)
     if any(d.is_zero() for d in diff_products):
         b = QuadInt(0, 0, c)
@@ -230,19 +318,19 @@ def difference_table_sums(c: int, p: QuadPoly, z: QuadRat, ells) -> list[QuadRat
         val = p.eval(QuadRat(z.a + j, z.b + 1, c))
         if val.is_zero():
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
-        row.append(val.inverse())
+        row.append(quad_inverse(val))
     heads = []
     while row:
         heads.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = [quad_sub(b, a) for a, b in zip(row, row[1:])]
     return [heads[ell] * QuadRat(Fraction(1, factorial(ell)), 0, c) for ell in ells]
 
 
 def newton_basis(c: int, ell: int) -> QuadPoly:
     """(X - s)(X - s - 1)...(X - s - ell + 1) with s = sqrt(-c); 1 when ell = 0."""
-    acc = QuadPoly.from_coeffs(c, (QuadRat(1, 0, c),))
+    acc = from_coeffs(c, (QuadRat(1, 0, c),))
     for j in range(ell):
-        acc = acc * QuadPoly.from_coeffs(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c)))
+        acc = poly_mul(acc, from_coeffs(c, (QuadRat(-j, -1, c), QuadRat(1, 0, c))))
     return acc
 
 
@@ -258,7 +346,7 @@ def alternating_sum(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
         val = p.eval(QuadRat(z.a + j, z.b + 1, c))
         if val.is_zero():
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
-        total = total + val.inverse() * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c)
+        total = quad_add(total, quad_inverse(val) * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c))
     return total * QuadRat(Fraction(1, factorial(ell)), 0, c)
 
 
@@ -274,16 +362,16 @@ def sum_form_alpha(c: int, k: int) -> QuadPoly:
     """The Bezout cofactor alpha as sum_ell alternating_sum(c, k, ell, 0) * newton_basis(c, ell)."""
     alpha = QuadPoly(c)
     for ell in range(k + 1):
-        alpha = alpha + newton_basis(c, ell).scale(alternating_sum(c, k, ell, QuadRat(0, 0, c)))
+        alpha = poly_add(alpha, poly_scale(newton_basis(c, ell), alternating_sum(c, k, ell, QuadRat(0, 0, c))))
     return alpha
 
 
 def shift(p: QuadPoly, h: int) -> QuadPoly:
     """p(X + h), composed by Horner's rule in QuadPoly arithmetic."""
-    x_plus_h = QuadPoly.from_coeffs(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
+    x_plus_h = from_coeffs(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
     acc = QuadPoly(p.c)
     for co in reversed(p.coeffs):
-        acc = acc * x_plus_h + QuadPoly.from_coeffs(p.c, (co,))
+        acc = poly_add(poly_mul(acc, x_plus_h), from_coeffs(p.c, (co,)))
     return acc
 
 
@@ -298,10 +386,10 @@ def forward_difference(p: QuadPoly, order: int) -> QuadPoly:
         raise ValueError(f"need order >= 0, got {order}")
     repeated = p
     for _ in range(order):
-        repeated = shift(repeated, 1) - repeated
+        repeated = poly_sub(shift(repeated, 1), repeated)
     binomial = QuadPoly(p.c)
     for m in range(order + 1):
-        binomial = binomial + shift(p, m).scale((-1) ** (order - m) * comb(order, m))
+        binomial = poly_add(binomial, poly_scale(shift(p, m), (-1) ** (order - m) * comb(order, m)))
     assert repeated == binomial, "forward-difference routes disagree"
     return repeated
 
@@ -317,15 +405,14 @@ def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     """Euclidean division in Q(sqrt(-c))[X]: num = q*den + r, deg r < deg den."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if num.c != den.c:
-        raise RingMismatchError(f"ring parameters differ: {num.c} != {den.c}")
+    _same_ring(num, den)
     q, rem = QuadPoly(num.c), num
-    inv_lead = den.leading().inverse()
+    inv_lead = quad_inverse(den.leading())
     while rem.degree >= den.degree:
         # the leading term of rem, divided by den's; subtracting it times den cancels it
         lead = rem.leading() * inv_lead
-        term = QuadPoly.from_coeffs(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
-        q, rem = q + term, rem - term * den
+        term = from_coeffs(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
+        q, rem = poly_add(q, term), poly_sub(rem, poly_mul(term, den))
     return q, rem
 
 
@@ -345,17 +432,17 @@ def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     while not r1.is_zero():
         quo, rem = divmod_poly(r0, r1)
         r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quo * u1
-        v0, v1 = v1, v0 - quo * v1
+        u0, u1 = u1, poly_sub(u0, poly_mul(quo, u1))
+        v0, v1 = v1, poly_sub(v0, poly_mul(quo, v1))
         if not r1.is_zero():
-            inv_lead = r1.leading().inverse()
-            r1, u1, v1 = r1.scale(inv_lead), u1.scale(inv_lead), v1.scale(inv_lead)
+            inv_lead = quad_inverse(r1.leading())
+            r1, u1, v1 = poly_scale(r1, inv_lead), poly_scale(u1, inv_lead), poly_scale(v1, inv_lead)
     if r0.degree >= 1:
         raise NonCoprimeError(f"common factor of degree {r0.degree}")
-    unit = r0.leading().inverse()
-    _, u_red = divmod_poly(u0.scale(unit), q)
-    _, v_red = divmod_poly(v0.scale(unit), p)
-    assert p * u_red + q * v_red == one_poly(c), "Bezout reduction lost exactness"
+    unit = quad_inverse(r0.leading())
+    _, u_red = divmod_poly(poly_scale(u0, unit), q)
+    _, v_red = divmod_poly(poly_scale(v0, unit), p)
+    assert poly_add(poly_mul(p, u_red), poly_mul(q, v_red)) == one_poly(c), "Bezout reduction lost exactness"
     return u_red, v_red
 
 

@@ -16,6 +16,8 @@ import quadlcm.cli as cli
 from quadlcm import bounds, poly
 from quadlcm.window import Window
 
+from oracles import quad_add, replace
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,7 +142,7 @@ class TestVerify:
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, m, n):
             r = real(c, m, n)
-            return r._replace(divisor=r.divisor._replace(quotient_check=None), violations=("forged failure",))
+            return replace(r, divisor=replace(r.divisor, quotient_check=None), violations=("forged failure",))
 
         real = bounds.triple_report
         monkeypatch.setattr(bounds, "triple_report", forged)
@@ -316,7 +318,7 @@ class TestSweep:
 
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, n, ms, start):
-            return [r._replace(violations=("forged sweep failure",)) for r in real(c, n, ms, start)]
+            return [replace(r, violations=("forged sweep failure",)) for r in real(c, n, ms, start)]
 
         real = bounds.row_reports
         monkeypatch.setattr(bounds, "row_reports", forged)
@@ -391,7 +393,7 @@ class TestBezout:
             if failure == "pole":
                 raise poly.PoleError("forged pole")
             coeffs = real(c, k, z, ells)
-            return [coeffs[0] + poly.QuadRat(1, 0, c)] + coeffs[1:]
+            return [quad_add(coeffs[0], poly.QuadRat(1, 0, c))] + coeffs[1:]
 
         monkeypatch.setattr(poly, "_closed_forms", forged)
         code, out, err = run(["bezout", "--c", "3", "--k", "5"], capsys)
@@ -494,6 +496,29 @@ class TestOutputErrors:
         assert out == ""
         assert "unknown m policy 'bogus'" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("policy, reason", [
+        ("fixed: 7", "bad m policy 'fixed: 7'"),
+        ("fixed:+7", "bad m policy 'fixed:+7'"),
+        ("fixed:1_0", "bad m policy 'fixed:1_0'"),  # int() reads it as 10
+        ("fixed:7 ", "bad m policy 'fixed:7 '"),
+        ("fixed:\u0667", "bad m policy 'fixed:\u0667'"),  # a non-ASCII digit seven
+        ("fixed:-7", "bad m policy 'fixed:-7'"),
+        ("fixed:", "bad m policy 'fixed:'"),
+        ("fixed:0", "fixed m must be >= 1, got 0"),
+    ])
+    def test_bad_fixed_m_opens_no_output(self, policy, reason, tmp_path, capsys):
+        # fixed:<m> takes ASCII digits only
+        target = tmp_path / "sweep.csv"
+        code, out, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2",
+                              "--m-policy", policy, "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == f"quadlcm: error: {reason}" and err.splitlines()[1].startswith("usage:")
+        assert not target.exists()
+
+    def test_fixed_m_takes_leading_zeros(self, capsys):
+        argv = ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "9"]
+        assert run(argv + ["--m-policy", "fixed:07"], capsys) == run(argv + ["--m-policy", "fixed:7"], capsys)
 
     def test_verify_beyond_int_str_limit(self, capsys):
         # the divisor record holds integers beyond Python's default
@@ -909,27 +934,39 @@ class TestColdStart:
             assert "quadlcm.window" not in loaded_modules(argv)
 
 
-# runs each command line in one fresh interpreter under a profiler that records
-# every Python function entered, then prints, for each library module, its
-# public module-level functions and those no command entered, and the same
-# for every module-level function of `cli`, private ones included
+# runs each command line in one fresh interpreter under a profiler, set before
+# the package is imported, that records every Python function entered; then
+# prints, for each module of the package, whether each of its module-level
+# functions was entered, and each method and property of its classes
 _REACH_PROBE = """
 import contextlib, inspect, io, json, sys
-import quadlcm.cli as cli
-from quadlcm import bounds, poly, ring
 entered = set()
 sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code) if event == "call" else None)
+import quadlcm.cli as cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, (argv, code)
 sys.setprofile(None)
+from quadlcm import bounds, fixedlog, poly, ring, window, workers
+
+def own(value, module):
+    value = inspect.unwrap(value) if callable(value) else value
+    return value if inspect.isfunction(value) and value.__module__ == module.__name__ else None
+
 report = {}
-for module in (ring, poly, bounds, cli):
-    defined = {name: inspect.unwrap(f) for name, f in vars(module).items()
-               if inspect.isfunction(f) and f.__module__ == module.__name__
-               and (module is cli or not name.startswith("_"))}
-    report[module.__name__] = [sorted(defined), sorted(n for n, f in defined.items() if f.__code__ not in entered)]
+for module in (ring, poly, bounds, window, fixedlog, cli, workers):
+    functions, methods = {}, {}
+    for name, value in vars(module).items():
+        if own(value, module):
+            functions[name] = own(value, module).__code__ in entered
+        elif inspect.isclass(value) and value.__module__ == module.__name__:
+            for attr, member in vars(value).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                member = own(member.fget if isinstance(member, property) else member, module)
+                if member:
+                    methods[f"{name}.{attr}"] = member.__code__ in entered
+    report[module.__name__] = {"functions": functions, "methods": methods}
 print(json.dumps(report))
 """
 
@@ -946,13 +983,44 @@ class TestDeadCode:
     def reached(self):
         return json.loads(_python(_REACH_PROBE, json.dumps(self.COMMANDS)))
 
+    LIBRARY = ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds", "quadlcm.window", "quadlcm.fixedlog")
+    # the methods no successful command runs that stay, each for its reason
+    UNRUN_METHODS = {
+        "quadlcm.ring": ["_Record.__delattr__",  # the frozen guard, with __setattr__: safety code
+                         "_Record.__repr__",  # pytest's failure messages read it
+                         "_Record.__setattr__"],
+        "quadlcm.cli": ["_Parser.error"],  # runs on bad input only
+        "quadlcm.poly": ["QuadPoly.__mul__"],  # perfbench/tracer.py counts it by name for poly.quadpoly_mul
+    }
+
+    @staticmethod
+    def unreached(found):
+        return sorted(name for name, entered in found.items() if not entered)
+
     def test_every_public_library_function_is_run_by_a_command(self, reached):
-        report = {module: reached[module] for module in ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds")}
-        assert all(public for public, _ in report.values())
-        assert {module: unreached for module, (_, unreached) in report.items() if unreached} == {}
+        report = {module: {name: entered for name, entered in reached[module]["functions"].items()
+                           if not name.startswith("_")}
+                  for module in ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds")}
+        assert all(report.values())
+        assert {module: self.unreached(found) for module, found in report.items() if self.unreached(found)} == {}
+
+    def test_every_private_library_function_is_run_by_a_command(self, reached):
+        report = {module: {name: entered for name, entered in reached[module]["functions"].items()
+                           if name.startswith("_")}
+                  for module in self.LIBRARY}
+        assert {"_row_fold", "_times_linear", "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
+        assert {module: self.unreached(found) for module, found in report.items() if self.unreached(found)} == {}
 
     def test_every_cli_function_is_run_by_a_command(self, reached):
         # private helpers too, so that no writer outlives its caller
-        defined, unreached = reached["quadlcm.cli"]
-        assert {"main", "_open_out", "_sweep_row"} <= set(defined)
-        assert unreached == []
+        functions = reached["quadlcm.cli"]["functions"]
+        assert {"main", "_open_out", "_sweep_row"} <= set(functions)
+        assert self.unreached(functions) == []
+
+    def test_every_method_is_run_by_a_command(self, reached):
+        # every class of the package, properties and dunder methods included
+        methods = {module: report["methods"] for module, report in reached.items()}
+        assert {"Window.move", "BoundReport.holds", "BezoutCertificate.alpha", "_Record.__init_subclass__",
+                "_Record.__eq__"} <= set().union(*methods.values())
+        unreached = {module: self.unreached(found) for module, found in methods.items()}
+        assert {module: names for module, names in unreached.items() if names} == self.UNRUN_METHODS
