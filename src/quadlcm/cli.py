@@ -3,18 +3,19 @@
 Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
 past a limit, a sweep worker that raised or died, a failed sweep window, or
 an output that cannot be written), 2 a mathematical invariant failed, in a
-record or in a Bezout certificate.  `sweep` and `table` work row by row: one
-formatter per command turns a row into one record (text, violation text),
-and one loop writes the records and exits 2 if any violation text is
-non-empty.  A sweep row (c, n) is one fold over m that computes every m the
---m-policy wants in that row, from its process's `window.Window`.  With
---parallelism p above 1, p forked workers (at most 64, at most one per row)
-take rows w, w+p, w+2p, ... each, slide their own copy of the window and
-write each row's record to their own pipe; the parent reads the pipes
-round-robin, and a full pipe blocks its worker.  So the output is in
-(c, n, m) lexicographic order and byte-identical for a given configuration
-at any parallelism level.  `verify`, `sweep` and `table` take c < 2^61, the
-range in which the log bounds are certified; `bezout` takes k <= 500.
+record or in a Bezout certificate, 130 interrupted (SIGINT).  `sweep` and
+`table` work row by row: one formatter per command turns a row into one
+record (text, violation text), and one loop writes the records and exits 2
+if any violation text is non-empty.  A sweep row (c, n) is one fold over m
+that computes every m the --m-policy wants in that row, from its process's
+`window.Window`.  With --parallelism p above 1, p forked workers (at most
+64, at most one per row) take rows w, w+p, w+2p, ... each, slide their own
+copy of the window and write each row's record to their own pipe; the
+parent reads the pipes round-robin, and a full pipe blocks its worker.  So
+the output is in (c, n, m) lexicographic order and byte-identical for a
+given configuration at any parallelism level.  `verify`, `sweep` and `table`
+take c < 2^61, the range in which the log bounds are certified; `bezout`
+takes k <= 500.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ if TYPE_CHECKING:  # `bounds` loads in the commands that use it, so `bezout` nev
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _MAX_PARALLELISM = 64  # every worker forks before the first row; the output is the same at any parallelism
 _MAX_BEZOUT_K = 500  # `bezout --k 500` takes 7-9 s end to end on a 2-vCPU host, and the time grows about as k^4
@@ -251,10 +253,10 @@ def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
     _require(args.k <= _MAX_BEZOUT_K, f"need k <= {_MAX_BEZOUT_K}, got {args.k}", RunError)
-    from .poly import CertificateError, PoleError, bezout_certificate  # only bezout pays for loading poly
+    from .poly import CertificateError, bezout_certificate  # only bezout pays for loading poly
     try:
         cert = bezout_certificate(args.c, args.k)
-    except (CertificateError, PoleError) as exc:
+    except CertificateError as exc:
         print(f"VIOLATION at (c,k)={(args.c, args.k)}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     with _open_out(args.out) as out:  # only a certificate that passed opens --out
@@ -349,6 +351,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, RunError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # a parallel sweep's workers are already killed and reaped
+        print(f"{parser.prog}: error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -1,29 +1,31 @@
-"""Exact polynomial arithmetic over Q(sqrt(-c)), fraction-free.
+"""Exact polynomials over Q(sqrt(-c)), and the Bezout certificate in Z[sqrt(-c)].
 
 A QuadPoly is (A + B*sqrt(-c)) / den, built from exactly these fields: A
 and B are IntPoly numerators and den >= 1 is one common denominator, and
 construction divides out gcd(den, A_i, B_i), so equality is structural and
 the zero polynomial is ((), (), 1).  A QuadPoly is read, not computed with:
-its coefficients, degree, leading coefficient and values.  The arithmetic
-the certificate needs runs as integer loops in IntPoly and on coefficient
-lists.
+it holds P, and its `coeffs` read alpha for the JSON document.
 
 Builds the monic shift-product polynomials P whose values are the products
-(n-k + sqrt(-c)) ... (n + sqrt(-c)), and the unique degree-<=k Bezout
-cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1.  Two independent
-routes to alpha's Newton coefficients are kept, and their exact agreement is
-the module's main correctness check: the closed product formula, built in
-one pass, and the alternating-sum definition, read off one
-forward-difference table of 1/P.  The extended Euclidean algorithm on P and
-conj(P) is a third route, kept in the tests as an oracle.  The certificate
-stores alpha only as the integer split 2d*alpha = r + s*sqrt(-c).
+(n-k + sqrt(-c)) ... (n + sqrt(-c)), and the certificate of the unique
+degree-<=k Bezout cofactor alpha with alpha*P + conj(alpha)*conj(P) = 1: the
+integer split 2d*alpha = r + s*sqrt(-c), d = c * prod_{l=1..k} (l^2 + 4c).
 
-The certificate is built in integers: P one linear factor at a time on
-integer coefficient lists; each closed-form coefficient from one QuadInt
-denominator; the difference table on integer numerators over one common
-denominator; alpha in nested Newton form over one common denominator.
-Only the Newton coefficients themselves, which the two routes compare,
-are QuadRat values.
+With s = sqrt(-c), alpha interpolates f(j) = 1/P(j + s) at the roots j + s,
+j = 0..k, of conj(P): alpha = sum_ell a_ell (X - s)(X - s - 1)...(X - s - ell + 1)
+with a_ell = Delta^ell f(0) / ell!, whose closed product form is
+    a_ell = (-1)^(k+ell) C(k+ell, ell) / (2s prod_{u=1..k} (u - 2s) prod_{u=1..ell} (u + 2s)).
+As (u - 2s)(u + 2s) = u^2 + 4c and c/s = -s, that is
+    2d * a_ell = (-1)^(k+ell+1) C(k+ell, ell) * s * prod_{u=ell+1..k} (u + 2s),
+an element of Z[s].  `_scaled_newton_terms` builds these k+1 integer pairs in
+one pass, and `bezout_certificate` nests them into r and s on integer lists.
+The independent route is the definition, one integer forward-difference
+table of 1/P(j + s), each P(j + s) from integer Horner (`_value`); the two
+must agree term by term.  That check is also the proof that alpha's
+denominator divides 2d, which a divmod used to test.  No factor u + 2s and
+no P(j + s) = prod_t (j - t + 2s) can vanish: each factor has sqrt-part 2.
+Both routes at rational points, and the extended Euclidean route, are test
+oracles.
 
 The module depends on `ring` only: the certificate's d = content_multiple
 is an exact ring quantity defined there.
@@ -36,11 +38,7 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .ring import QuadInt, QuadRat, _check_same_ring, _Record, _set, content_multiple
-
-
-class PoleError(ZeroDivisionError):
-    """A denominator factor vanished at the requested evaluation point."""
+from .ring import QuadRat, _check_same_ring, _Record, _set, content_multiple
 
 
 class CertificateError(RuntimeError):
@@ -62,9 +60,6 @@ class IntPoly(_Record):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other: IntPoly) -> IntPoly:
         return IntPoly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
@@ -117,19 +112,6 @@ class QuadPoly(_Record):
         return tuple(QuadRat(Fraction(a, self.den), Fraction(b, self.den), self.c)
                      for a, b in zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return max(self.A.degree, self.B.degree)
-
-    def is_zero(self) -> bool:
-        return self.A.is_zero() and self.B.is_zero()
-
-    def leading(self) -> QuadRat:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __mul__(self, other: QuadPoly) -> QuadPoly:
         # no command multiplies polynomials: this stays because perfbench/tracer.py counts it by name.
         # sqrt(-c) * sqrt(-c) = -c
@@ -138,29 +120,20 @@ class QuadPoly(_Record):
         return QuadPoly(self.c, a1 * a2 - (b1 * b2).scale(self.c), a1 * b2 + b1 * a2,
                         self.den * other.den)
 
-    def eval(self, z: QuadRat) -> QuadRat:
-        """Exact Horner evaluation in integers (`_horner`), then one division."""
-        a, b, t = self._horner(z)
-        return QuadRat(Fraction(a, t), Fraction(b, t), self.c)
-
-    def _horner(self, z: QuadRat) -> tuple[int, int, int]:
-        """Integers (a, b, t) with self(z) = (a + b*sqrt(-c)) / t, t = den * e^(deg+1) for z = w/e, by Horner."""
-        _check_same_ring(self, z)
-        e = lcm(z.a.denominator, z.b.denominator)
-        p, q, c = int(z.a * e), int(z.b * e), self.c
-        acc_a = acc_b = 0
-        power = 1
-        for a, b in reversed(list(zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))):
-            acc_a, acc_b = acc_a * p - c * acc_b * q + a * power, acc_a * q + acc_b * p + b * power
-            power *= e
-        return acc_a * e, acc_b * e, self.den * power
-
 
 def _times_linear(c: int, A: list[int], B: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
     """(A + B*s)(X + a + b*s) on ascending integer coefficient lists, s = sqrt(-c): s*s = -c."""
     A1, B1 = A + [0], B + [0]
     return ([x + a * y - c * b * w for x, y, w in zip([0] + A, A1, B1)],
             [x + a * y + b * w for x, y, w in zip([0] + B, B1, A1)])
+
+
+def _value(c: int, A: Sequence[int], B: Sequence[int], x: int, y: int) -> tuple[int, int]:
+    """The pair (a, b) with (A + B*s)(x + y*s) = a + b*s, s = sqrt(-c), by integer Horner."""
+    a = b = 0
+    for u, v in reversed(list(zip_longest(A, B, fillvalue=0))):
+        a, b = a * x - c * b * y + u, a * y + b * x + v
+    return a, b
 
 
 def shift_product_poly(c: int, k: int) -> QuadPoly:
@@ -177,83 +150,18 @@ def shift_product_poly(c: int, k: int) -> QuadPoly:
     return QuadPoly(c, IntPoly(A), IntPoly(B))
 
 
-def _alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
-    """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)) for each ell in ells.
+def _scaled_newton_terms(c: int, k: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) of 2d * a_ell = a + b*s, s = sqrt(-c), indexed by ell = 0..k.
 
-    That is Delta^ell f(0) / ell! for f(j) = 1/P(z + j + sqrt(-c)), and Delta^ell f(0) is the
-    head of row ell of f's forward-difference table, built by subtractions only.  Each value
-    P(z + j + s) = (a + b*s)/t comes from integer Horner, with an exact zero test (PoleError),
-    so f(j) = t*(a - b*s)/norm; the table runs on the integer numerators over one common
-    denominator, the lcm of the norms, and each head becomes one QuadRat.
+    One pass down from ell = k keeps x + y*s = prod_{u=ell+1..k} (u + 2s); the
+    term is (-1)^(k+ell+1) C(k+ell, ell) * s * (x + y*s), as the module docstring derives.
     """
-    values = []  # (a, b, norm) of each P(z + j + s) = (a + b*s)/t; t is the same at every j
-    for j in range(max(ells) + 1):
-        a, b, t = p._horner(QuadRat(z.a + j, z.b + 1, c))
-        if not (a or b):
-            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
-        values.append((a, b, a * a + c * b * b))
-    den = lcm(*(norm for _, _, norm in values))
-    row_a = [a * (den // norm) for a, _, norm in values]
-    row_b = [-b * (den // norm) for _, b, norm in values]
-    heads = []
-    while row_a:
-        heads.append((row_a[0], row_b[0]))
-        row_a = [y - x for x, y in zip(row_a, row_a[1:])]
-        row_b = [y - x for x, y in zip(row_b, row_b[1:])]
-    out = []
-    for ell in ells:
-        a, b = heads[ell]
-        scale = den * factorial(ell)
-        out.append(QuadRat(Fraction(a * t, scale), Fraction(b * t, scale), c))
-    return out
-
-
-def _closed_forms(c: int, k: int, z: QuadRat, ells: Sequence[int]) -> list[QuadRat]:
-    """_alternating_sums(c, P, z, ells) in closed product form, for ascending ells, in one pass.
-
-    The value at ell is (-1)^(k+ell) C(k+ell, ell) / ((z + 2s) (k - 2s - z)^falling_k
-    (ell + 2s + z)^falling_ell) with s = sqrt(-c) and P = shift_product_poly(c, k).
-    With z = w/e, each of the k+1+ell factors is an integer pair over e, so the
-    denominator is e^-(k+1+ell) times a QuadInt den, built once: (w + 2es) times
-    each (e(k - t) - 2es - w), then one factor (e*ell + 2es + w) more per ell.
-    Each factor gets an exact zero test (PoleError) before it is multiplied in,
-    and each value is the one pair e^(k+1+ell) * (+-C) * conj(den) / norm(den).
-    """
-    e = lcm(z.a.denominator, z.b.denominator)
-    p, q = int(z.a * e), int(z.b * e) + 2 * e
-
-    def factor(a: int, b: int) -> QuadInt:
-        if not (a or b):
-            raise PoleError(f"denominator factor vanishes at z = {z}")
-        return QuadInt(a, b, c)
-
-    den = factor(p, q)
-    for t in range(k):
-        den = den * factor(e * (k - t) - p, -q)
-    out, ell = [], 0
-    for target in ells:
-        while ell < target:
-            ell += 1
-            den = den * factor(e * ell + p, q)
-        num, norm = den.conj(), den.norm()
-        scale = (-1) ** (k + ell) * comb(k + ell, ell) * e ** (k + 1 + ell)
-        out.append(QuadRat(Fraction(scale * num.a, norm), Fraction(scale * num.b, norm), c))
-    return out
-
-
-def _newton_series(c: int, coeffs: Sequence[QuadRat]) -> QuadPoly:
-    """sum_ell coeffs[ell] (X - s)...(X - s - ell + 1), s = sqrt(-c), nested: a0 + (X - s)(a1 + ...).
-
-    Runs on integer numerators over one common denominator, the lcm of the coefficients'.
-    """
-    den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
-    A, B = [], []
-    for ell in reversed(range(len(coeffs))):
-        A, B = _times_linear(c, A, B, -ell, -1)
-        co = coeffs[ell]
-        A[0] += co.a.numerator * (den // co.a.denominator)
-        B[0] += co.b.numerator * (den // co.b.denominator)
-    return QuadPoly(c, IntPoly(A), IntPoly(B), den)
+    terms, x, y = [], 1, 0
+    for ell in range(k, -1, -1):
+        t = comb(k + ell, ell) if (k + ell) % 2 else -comb(k + ell, ell)
+        terms.append((-c * y * t, x * t))  # s * (x + y*s) = -c*y + x*s
+        x, y = x * ell - 2 * c * y, 2 * x + y * ell  # times (ell + 2s)
+    return terms[::-1]
 
 
 class BezoutCertificate(_Record):
@@ -280,19 +188,18 @@ class BezoutCertificate(_Record):
     def verify(self) -> None:
         """Re-check every certificate invariant exactly; raise CertificateError.
 
-        deg r and deg s, so deg alpha, must be at most k.  P = A + B*sqrt(-c) must
-        be monic of degree k+1 with the k+1 distinct roots j - sqrt(-c), j = 0..k, which pins it
-        down; then d, and the one identity r*A - c*s*B = d.  As 2d*alpha = r + s*sqrt(-c), that
-        is d times the Bezout identity alpha*P + conj(alpha)*conj(P) = 1, since
-        2d*(alpha*P + conj(alpha)*conj(P)) = 2*(r*A - c*s*B).
+        deg r and deg s, so deg alpha, must be at most k.  P = A + B*sqrt(-c) must be monic of
+        degree k+1 (deg A = k+1, leading 1, deg B <= k) with the k+1 distinct roots j - sqrt(-c),
+        j = 0..k, which pins it down; then d, and the one identity r*A - c*s*B = d.  As
+        2d*alpha = r + s*sqrt(-c), that is d times the Bezout identity alpha*P + conj(alpha)*conj(P) = 1,
+        since 2d*(alpha*P + conj(alpha)*conj(P)) = 2*(r*A - c*s*B).
         """
-        c, k = self.c, self.k
+        c, k, A, B = self.c, self.k, self.A.coeffs, self.B.coeffs
         degree = max(self.r.degree, self.s.degree)
         if degree > k:
             raise CertificateError(f"deg alpha = {degree} exceeds k = {k}")
-        p = QuadPoly(c, self.A, self.B)
-        if (p.degree != k + 1 or p.leading() != QuadRat(1, 0, c)
-                or not all(p.eval(QuadRat(j, -1, c)).is_zero() for j in range(k + 1))):
+        if (len(A) != k + 2 or A[-1] != 1 or len(B) > k + 1
+                or any(_value(c, A, B, j, -1) != (0, 0) for j in range(k + 1))):
             raise CertificateError("A, B do not split the shift product polynomial")
         d = content_multiple(c, k)
         if d != self.d:
@@ -304,23 +211,29 @@ class BezoutCertificate(_Record):
 def bezout_certificate(c: int, k: int) -> BezoutCertificate:
     """Build the certificate for parameters (c, k) and verify it once.
 
-    P is built once.  The Newton coefficients of alpha come from the closed
-    product formula and, independently, from the forward-difference table of
-    the k+1 values 1/P(j + sqrt(-c)); the two vectors must agree exactly
-    before alpha is assembled in nested Newton form.  This is the standing
-    defense against sign conventions drifting between conjugation and the
-    closed product formula.  2d*alpha must be integral, and its split is
-    r + s*sqrt(-c).
+    The integer terms 2d * a_ell are checked against the difference table of
+    f(j) = 1/P(j + s): each P(j + s) = a + b*s gives f(j) = (a - b*s)/norm, the table runs
+    on the integer numerators over den, the lcm of the norms, and 2d times its head at ell
+    must equal the term times den * ell!.  The terms then nest, for ell = k..0, as
+    2d * a_ell plus (X - s - ell) times the inner sum.
     """
     p = shift_product_poly(c, k)
-    closed = _closed_forms(c, k, QuadRat(0, 0, c), range(k + 1))
-    if closed != _alternating_sums(c, p, QuadRat(0, 0, c), range(k + 1)):
-        raise CertificateError("closed-form and sum-form Newton coefficients disagree")
-    alpha = _newton_series(c, closed)
     d = content_multiple(c, k)
-    scale, rem = divmod(2 * d, alpha.den)
-    if rem:  # alpha is in lowest terms, so 2d*alpha is integral exactly when den | 2d
-        raise CertificateError(f"2d*alpha is not integral: its denominator {alpha.den} does not divide 2d")
-    cert = BezoutCertificate(c=c, k=k, A=p.A, B=p.B, r=alpha.A.scale(scale), s=alpha.B.scale(scale), d=d)
+    terms = _scaled_newton_terms(c, k)
+    values = [_value(c, p.A.coeffs, p.B.coeffs, j, 1) for j in range(k + 1)]
+    norms = [a * a + c * b * b for a, b in values]
+    den = lcm(*norms)
+    row = [(a * (den // norm), -b * (den // norm)) for (a, b), norm in zip(values, norms)]
+    for ell, (ta, tb) in enumerate(terms):
+        (ha, hb), scale = row[0], den * factorial(ell)
+        if 2 * d * ha != ta * scale or 2 * d * hb != tb * scale:
+            raise CertificateError("closed-form and sum-form Newton coefficients disagree")
+        row = [(a1 - a0, b1 - b0) for (a0, b0), (a1, b1) in zip(row, row[1:])]
+    r, s = [], []
+    for ell in range(k, -1, -1):
+        r, s = _times_linear(c, r, s, -ell, -1)
+        r[0] += terms[ell][0]
+        s[0] += terms[ell][1]
+    cert = BezoutCertificate(c=c, k=k, A=p.A, B=p.B, r=IntPoly(r), s=IntPoly(s), d=d)
     cert.verify()
     return cert

@@ -89,10 +89,6 @@ class _Quad(_Record):
             self.c,
         )
 
-    def conj(self):
-        """a + b*sqrt(-c) -> a - b*sqrt(-c)."""
-        return type(self)(self.a, -self.b, self.c)
-
     def norm(self):
         """Squared complex modulus a^2 + c*b^2; multiplicative."""
         return self.a * self.a + self.c * self.b * self.b

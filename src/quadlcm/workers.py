@@ -84,8 +84,8 @@ def _receive(pipes: list[BinaryIO], pids: list[Optional[int]], w: int):
     try:
         record = marshal.load(pipes[w])
     except EOFError:
-        _, status = os.waitpid(pids[w], 0)
-        pids[w] = None
+        pid, pids[w] = pids[w], None  # before the wait: a signal right after it must not leave a reaped pid to kill
+        _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
         how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
         raise WorkerFailed(f"worker {w} {how} before it finished") from None

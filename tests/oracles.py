@@ -4,21 +4,26 @@ These are reference implementations, built on the public `ring` and `poly`
 API, that no command runs; the tests compare the library against them.
 
 * The arithmetic no command runs, as plain functions on the public fields:
-  `replace` for records, `quad_add`, `quad_sub`, `quad_neg` and
-  `quad_inverse` for QuadInt and QuadRat, and `from_coeffs`, `poly_add`,
-  `poly_sub`, `poly_neg`, `poly_mul`, `poly_scale` and `poly_conj` for
-  QuadPoly.
+  `replace` for records, `quad_add`, `quad_sub`, `quad_neg`, `quad_conj`
+  and `quad_inverse` for QuadInt and QuadRat, and `from_coeffs`,
+  `poly_add`, `poly_sub`, `poly_neg`, `poly_mul`, `poly_scale`,
+  `poly_conj`, `poly_degree`, `poly_is_zero`, `poly_leading`, `poly_horner`
+  and `poly_eval` for QuadPoly.
 
 * The divisibility lemma: the criterion norm(z)/content(z), exact division
   in Z[sqrt(-c)] and the product lemma checker.  `multiples_by_search`
   finds multiples by solving the quotient equations directly, so its
   agreement with the criterion is a real two-sided check.
-* The Bezout cofactor alpha summed in the Newton basis from the
-  term-by-term alternating sums (`sum_form_alpha`), and the extended
-  Euclidean route to it (`bezout_pair`); `shift` and both routes of
-  `forward_difference`; the forward-difference table of the alternating
-  sums in QuadRat arithmetic (`difference_table_sums`), the route the
-  library's integer table replaced; `one_poly` and `split_parts`.
+* The Newton coefficients of the Bezout cofactor alpha at any rational
+  point z, in integers: the closed product form (`closed_forms`) and the
+  forward-difference table of 1/P (`alternating_sums`), each raising
+  PoleError where a factor vanishes; the library builds the certificate
+  from their z = 0 cases scaled by 2d, in Z[sqrt(-c)].  alpha summed in
+  the Newton basis from the term-by-term alternating sums
+  (`sum_form_alpha`), and the extended Euclidean route to it
+  (`bezout_pair`); `shift` and both routes of `forward_difference`; the
+  forward-difference table in QuadRat arithmetic
+  (`difference_table_sums`); `one_poly` and `split_parts`.
 * The bound logs in 128-bit mpf (`mpf_bound_logs`), mpmath's own log
   printer (`mpmath_log_str`), the bound prefactors in mpf and the Stirling
   check.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, lcm
 
 import mpmath
@@ -39,7 +45,7 @@ import mpmath
 from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content
 from quadlcm.bounds import TripleReport, floor_half_frontier, triple_report
 from quadlcm.fixedlog import _LOG_FACT, _extend_logs
-from quadlcm.poly import IntPoly, PoleError, QuadPoly, shift_product_poly
+from quadlcm.poly import IntPoly, QuadPoly, shift_product_poly
 
 
 # --- the arithmetic no command runs -----------------------------------------
@@ -124,6 +130,45 @@ def poly_conj(p: QuadPoly) -> QuadPoly:
     return QuadPoly(p.c, p.A, -p.B, p.den)
 
 
+def quad_conj(x):
+    """a + b*sqrt(-c) -> a - b*sqrt(-c), of x's type."""
+    return type(x)(x.a, -x.b, x.c)
+
+
+def poly_degree(p: QuadPoly) -> int:
+    """Degree, with the zero polynomial at -1."""
+    return max(p.A.degree, p.B.degree)
+
+
+def poly_is_zero(p: QuadPoly) -> bool:
+    return poly_degree(p) == -1
+
+
+def poly_leading(p: QuadPoly) -> QuadRat:
+    if poly_is_zero(p):
+        raise ValueError("zero polynomial has no leading coefficient")
+    return p.coeffs[-1]
+
+
+def poly_horner(p: QuadPoly, z: QuadRat) -> tuple[int, int, int]:
+    """Integers (a, b, t) with p(z) = (a + b*sqrt(-c)) / t, t = den * e^(deg+1) for z = w/e, by Horner."""
+    _same_ring(p, z)
+    e = lcm(z.a.denominator, z.b.denominator)
+    x, y, c = int(z.a * e), int(z.b * e), p.c
+    acc_a = acc_b = 0
+    power = 1
+    for a, b in reversed(list(zip_longest(p.A.coeffs, p.B.coeffs, fillvalue=0))):
+        acc_a, acc_b = acc_a * x - c * acc_b * y + a * power, acc_a * y + acc_b * x + b * power
+        power *= e
+    return acc_a * e, acc_b * e, p.den * power
+
+
+def poly_eval(p: QuadPoly, z: QuadRat) -> QuadRat:
+    """p(z): exact Horner evaluation in integers (`poly_horner`), then one division."""
+    a, b, t = poly_horner(p, z)
+    return QuadRat(Fraction(a, t), Fraction(b, t), p.c)
+
+
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
     """`triple_report(c, m, n)`, with every claim asserted to hold."""
     report = triple_report(c, m, n)
@@ -200,7 +245,7 @@ def divide_exact(w: QuadInt, z: QuadInt) -> QuadInt:
     """
     if z.is_zero():
         raise ZeroDivisionError("division by zero in Z[sqrt(-c)]")
-    num, n = w * z.conj(), z.norm()
+    num, n = w * quad_conj(z), z.norm()
     qa, ra = divmod(num.a, n)
     qb, rb = divmod(num.b, n)
     if ra or rb:
@@ -306,16 +351,86 @@ def split_parts(p: QuadPoly) -> tuple[IntPoly, IntPoly]:
     return p.A, p.B
 
 
+class PoleError(ZeroDivisionError):
+    """A denominator factor vanished at the requested evaluation point."""
+
+
+def alternating_sums(c: int, p: QuadPoly, z: QuadRat, ells) -> list[QuadRat]:
+    """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)) for each ell in ells.
+
+    That is Delta^ell f(0) / ell! for f(j) = 1/P(z + j + sqrt(-c)), and Delta^ell f(0) is the
+    head of row ell of f's forward-difference table, built by subtractions only.  Each value
+    P(z + j + s) = (a + b*s)/t comes from integer Horner, with an exact zero test (PoleError),
+    so f(j) = t*(a - b*s)/norm; the table runs on the integer numerators over one common
+    denominator, the lcm of the norms, and each head becomes one QuadRat.  At z = 0 this is
+    the table `poly.bezout_certificate` checks the certificate against.
+    """
+    values = []  # (a, b, norm) of each P(z + j + s) = (a + b*s)/t; t is the same at every j
+    for j in range(max(ells) + 1):
+        a, b, t = poly_horner(p, QuadRat(z.a + j, z.b + 1, c))
+        if not (a or b):
+            raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
+        values.append((a, b, a * a + c * b * b))
+    den = lcm(*(norm for _, _, norm in values))
+    row_a = [a * (den // norm) for a, _, norm in values]
+    row_b = [-b * (den // norm) for _, b, norm in values]
+    heads = []
+    while row_a:
+        heads.append((row_a[0], row_b[0]))
+        row_a = [y - x for x, y in zip(row_a, row_a[1:])]
+        row_b = [y - x for x, y in zip(row_b, row_b[1:])]
+    out = []
+    for ell in ells:
+        a, b = heads[ell]
+        scale = den * factorial(ell)
+        out.append(QuadRat(Fraction(a * t, scale), Fraction(b * t, scale), c))
+    return out
+
+
+def closed_forms(c: int, k: int, z: QuadRat, ells) -> list[QuadRat]:
+    """alternating_sums(c, P, z, ells) in closed product form, for ascending ells, in one pass.
+
+    The value at ell is (-1)^(k+ell) C(k+ell, ell) / ((z + 2s) (k - 2s - z)^falling_k
+    (ell + 2s + z)^falling_ell) with s = sqrt(-c) and P = shift_product_poly(c, k).
+    With z = w/e, each of the k+1+ell factors is an integer pair over e, so the
+    denominator is e^-(k+1+ell) times a QuadInt den, built once: (w + 2es) times
+    each (e(k - t) - 2es - w), then one factor (e*ell + 2es + w) more per ell.
+    Each factor gets an exact zero test (PoleError) before it is multiplied in,
+    and each value is the one pair e^(k+1+ell) * (+-C) * conj(den) / norm(den).
+    At z = 0, 2d times the value at ell is `poly._scaled_newton_terms(c, k)[ell]`.
+    """
+    e = lcm(z.a.denominator, z.b.denominator)
+    p, q = int(z.a * e), int(z.b * e) + 2 * e
+
+    def factor(a: int, b: int) -> QuadInt:
+        if not (a or b):
+            raise PoleError(f"denominator factor vanishes at z = {z}")
+        return QuadInt(a, b, c)
+
+    den = factor(p, q)
+    for t in range(k):
+        den = den * factor(e * (k - t) - p, -q)
+    out, ell = [], 0
+    for target in ells:
+        while ell < target:
+            ell += 1
+            den = den * factor(e * ell + p, q)
+        num, norm = quad_conj(den), den.norm()
+        scale = (-1) ** (k + ell) * comb(k + ell, ell) * e ** (k + 1 + ell)
+        out.append(QuadRat(Fraction(scale * num.a, norm), Fraction(scale * num.b, norm), c))
+    return out
+
+
 def difference_table_sums(c: int, p: QuadPoly, z: QuadRat, ells) -> list[QuadRat]:
-    """The library's `_alternating_sums` as a forward-difference table of QuadRat values.
+    """`alternating_sums` as a forward-difference table of QuadRat values.
 
     Each 1/P(z + j + sqrt(-c)) is a QuadRat, and every entry of the table is
     a QuadRat subtraction, so each is normalised in Fraction arithmetic; a
-    value of P that vanishes raises PoleError, as in the library.
+    value of P that vanishes raises PoleError, as `alternating_sums` does.
     """
     row = []
     for j in range(max(ells) + 1):
-        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
+        val = poly_eval(p, QuadRat(z.a + j, z.b + 1, c))
         if val.is_zero():
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
         row.append(quad_inverse(val))
@@ -338,12 +453,12 @@ def alternating_sum(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
     """(1/ell!) sum_j (-1)^(ell-j) C(ell, j) / P(z + j + sqrt(-c)), P = shift_product_poly(c, k).
 
     The definition of the Newton coefficient, summed term by term; a value
-    of P that vanishes raises PoleError, as in the library.
+    of P that vanishes raises PoleError, as `alternating_sums` does.
     """
     p = shift_product_poly(c, k)
     total = QuadRat(0, 0, c)
     for j in range(ell + 1):
-        val = p.eval(QuadRat(z.a + j, z.b + 1, c))
+        val = poly_eval(p, QuadRat(z.a + j, z.b + 1, c))
         if val.is_zero():
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
         total = quad_add(total, quad_inverse(val) * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c))
@@ -403,15 +518,15 @@ class NonCoprimeError(ValueError):
 
 def divmod_poly(num: QuadPoly, den: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     """Euclidean division in Q(sqrt(-c))[X]: num = q*den + r, deg r < deg den."""
-    if den.is_zero():
+    if poly_is_zero(den):
         raise ZeroDivisionError("polynomial division by zero")
     _same_ring(num, den)
     q, rem = QuadPoly(num.c), num
-    inv_lead = quad_inverse(den.leading())
-    while rem.degree >= den.degree:
+    inv_lead = quad_inverse(poly_leading(den))
+    while poly_degree(rem) >= poly_degree(den):
         # the leading term of rem, divided by den's; subtracting it times den cancels it
-        lead = rem.leading() * inv_lead
-        term = from_coeffs(num.c, (QuadRat(0, 0, num.c),) * (rem.degree - den.degree) + (lead,))
+        lead = poly_leading(rem) * inv_lead
+        term = from_coeffs(num.c, (QuadRat(0, 0, num.c),) * (poly_degree(rem) - poly_degree(den)) + (lead,))
         q, rem = poly_add(q, term), poly_sub(rem, poly_mul(term, den))
     return q, rem
 
@@ -423,23 +538,23 @@ def bezout_pair(p: QuadPoly, q: QuadPoly) -> tuple[QuadPoly, QuadPoly]:
     coefficient growth, then one division each to reduce the degrees.
     Raises NonCoprimeError when a common factor of degree >= 1 survives.
     """
-    if p.degree < 1 or q.degree < 1:
+    if poly_degree(p) < 1 or poly_degree(q) < 1:
         raise ValueError("both polynomials must be non-constant")
     c = p.c
     r0, r1 = p, q
     u0, u1 = one_poly(c), QuadPoly(c)
     v0, v1 = QuadPoly(c), one_poly(c)
-    while not r1.is_zero():
+    while not poly_is_zero(r1):
         quo, rem = divmod_poly(r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, poly_sub(u0, poly_mul(quo, u1))
         v0, v1 = v1, poly_sub(v0, poly_mul(quo, v1))
-        if not r1.is_zero():
-            inv_lead = quad_inverse(r1.leading())
+        if not poly_is_zero(r1):
+            inv_lead = quad_inverse(poly_leading(r1))
             r1, u1, v1 = poly_scale(r1, inv_lead), poly_scale(u1, inv_lead), poly_scale(v1, inv_lead)
-    if r0.degree >= 1:
-        raise NonCoprimeError(f"common factor of degree {r0.degree}")
-    unit = quad_inverse(r0.leading())
+    if poly_degree(r0) >= 1:
+        raise NonCoprimeError(f"common factor of degree {poly_degree(r0)}")
+    unit = quad_inverse(poly_leading(r0))
     _, u_red = divmod_poly(poly_scale(u0, unit), q)
     _, v_red = divmod_poly(poly_scale(v0, unit), p)
     assert poly_add(poly_mul(p, u_red), poly_mul(q, v_red)) == one_poly(c), "Bezout reduction lost exactness"

@@ -12,11 +12,13 @@ import pytest
 
 import quadlcm.cli as cli
 from quadlcm.bounds import lcm_range, row_bound_reports, row_reports
-from quadlcm.poly import IntPoly, _alternating_sums, _closed_forms, bezout_certificate, shift_product_poly
+from quadlcm.poly import IntPoly, bezout_certificate, shift_product_poly
 from quadlcm.ring import QuadInt, QuadRat
 
 from oracles import (
+    alternating_sums,
     bezout_pair,
+    closed_forms,
     lemma_instance,
     multiples_by_criterion,
     multiples_by_search,
@@ -114,7 +116,7 @@ def test_criterion_4_reciprocal_difference_identity():
             for ell in range(0, k + 1):
                 for _ in range(50):
                     z = QuadRat(Fraction(rng.randint(-30, 30), rng.randint(1, 8)), Fraction(0), c)
-                    assert _alternating_sums(c, p, z, [ell]) == _closed_forms(c, k, z, [ell])
+                    assert alternating_sums(c, p, z, [ell]) == closed_forms(c, k, z, [ell])
                     points += 1
     _pass(4, f"sum form equals closed form at {points} rational points, exact equality")
 

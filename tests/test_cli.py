@@ -16,7 +16,7 @@ import quadlcm.cli as cli
 from quadlcm import bounds, poly
 from quadlcm.window import Window
 
-from oracles import quad_add, replace
+from oracles import replace
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -69,6 +69,9 @@ BEZOUT_SHA256 = {
     (5, 100): "8d3669abe257ef32697005192bee484b42edc68dde671e9426488d9bc28ab014",
 }
 
+# sha256 of the `bezout` stdout of every c <= 5, k <= 40 in turn, captured
+# while alpha's Newton coefficients were still QuadRat values
+BEZOUT_GRID_SHA256 = "024d1ce738218aa49d1755f15c4dc7ad02494259991edb1be996f229ff1ac180"
 
 # sha256 of `quadlcm table` / `quadlcm sweep` stdout, captured before the
 # bound prefactors were memoised; table c=1 and the `all` and `half_ceil`
@@ -384,28 +387,25 @@ class TestBezout:
             doc = json.loads(out)
             assert len(doc["alpha"]) <= k + 1
 
-    @pytest.mark.parametrize("failure", ["disagreement", "pole"])
+    @pytest.mark.parametrize("failure", ["disagreement"])
     def test_failed_certificate_exits_2_in_one_line(self, failure, capsys, monkeypatch):
-        # a wrong closed-form vector, or a pole where there is none: one VIOLATION line, no traceback
-        real = poly._closed_forms
+        # a wrong closed-form term 2d * a_0: one VIOLATION line, no traceback
+        real = poly._scaled_newton_terms
 
-        def forged(c, k, z, ells):
-            if failure == "pole":
-                raise poly.PoleError("forged pole")
-            coeffs = real(c, k, z, ells)
-            return [quad_add(coeffs[0], poly.QuadRat(1, 0, c))] + coeffs[1:]
+        def forged(c, k):
+            (a, b), *rest = real(c, k)
+            return [(a + 1, b)] + rest
 
-        monkeypatch.setattr(poly, "_closed_forms", forged)
+        monkeypatch.setattr(poly, "_scaled_newton_terms", forged)
         code, out, err = run(["bezout", "--c", "3", "--k", "5"], capsys)
-        reason = "forged pole" if failure == "pole" else "closed-form and sum-form Newton coefficients disagree"
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"VIOLATION at (c,k)=(3, 5): {reason}"]
+        assert err.splitlines() == ["VIOLATION at (c,k)=(3, 5): closed-form and sum-form Newton coefficients disagree"]
 
     @pytest.mark.parametrize("existing", [None, b"an earlier certificate\n"], ids=["absent", "present"])
     def test_failed_certificate_leaves_out_as_it_was(self, existing, tmp_path, capsys, monkeypatch):
         # the certificate is built and verified before --out is opened
-        real = poly._closed_forms
-        monkeypatch.setattr(poly, "_closed_forms", lambda c, k, z, ells: real(c, k, z, ells)[::-1])
+        real = poly._scaled_newton_terms
+        monkeypatch.setattr(poly, "_scaled_newton_terms", lambda c, k: real(c, k)[::-1])
         target = tmp_path / "cert.json"
         if existing is not None:
             target.write_bytes(existing)
@@ -439,6 +439,15 @@ class TestBezout:
         code, out, _ = run(["bezout", "--c", str(c), "--k", str(k)], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BEZOUT_SHA256[(c, k)]
+
+    def test_golden_grid_digest(self):
+        # one sha256 over the `bezout` documents of every c <= 5, k <= 40, in process
+        digest = hashlib.sha256()
+        for c in range(1, 6):
+            for k in range(41):
+                doc = cli.certificate_to_json(poly.bezout_certificate(c, k))
+                digest.update((json.dumps(doc, indent=2) + "\n").encode())
+        assert digest.hexdigest() == BEZOUT_GRID_SHA256
 
 
 class TestCertifiedC:
@@ -618,6 +627,37 @@ class TestSweepWorkerFailure:
         assert code == 1
         assert err.splitlines() == [
             "quadlcm: error: sweep worker failed: RuntimeError: forged worker failure at (1, 1, 1)"]
+        assert_no_child_left()
+
+
+def _interrupted(*args):
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    # Ctrl-C ends a command with exit 130 and one line, never a traceback
+    def test_serial_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "row_reports", _interrupted)
+        code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4"], capsys)
+        assert code == 130
+        assert err.splitlines() == ["quadlcm: error: interrupted"]
+
+    def test_right_after_a_dead_worker_is_reaped(self, capsys, monkeypatch):
+        # the interrupt lands between the wait that reaps worker 0 and the end of the stream,
+        # so the cleanup must not signal or wait for that worker again
+        real = os.waitpid
+
+        def wait_then_interrupt(pid, options):
+            monkeypatch.setattr(os, "waitpid", real)
+            real(pid, options)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_sweep_row", _dying_row)
+        monkeypatch.setattr(os, "waitpid", wait_then_interrupt)
+        code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
+                            "--parallelism", "2"], capsys)
+        assert code == 130
+        assert err.splitlines() == ["quadlcm: error: interrupted"]
         assert_no_child_left()
 
 
@@ -1008,8 +1048,13 @@ class TestDeadCode:
         report = {module: {name: entered for name, entered in reached[module]["functions"].items()
                            if name.startswith("_")}
                   for module in self.LIBRARY}
-        assert {"_row_fold", "_times_linear", "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
+        assert {"_row_fold", "_times_linear", "_scaled_newton_terms", "_value",
+                "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
         assert {module: self.unreached(found) for module, found in report.items() if self.unreached(found)} == {}
+
+    def test_rational_routes_left_the_library(self):
+        # the Newton coefficients at rational points are test oracles; a certificate stays in Z[sqrt(-c)]
+        assert not {"_closed_forms", "_alternating_sums", "_newton_series", "PoleError"} & set(vars(poly))
 
     def test_every_cli_function_is_run_by_a_command(self, reached):
         # private helpers too, so that no writer outlives its caller

@@ -8,22 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadlcm.poly as poly_module
-from quadlcm.poly import (
-    CertificateError,
-    IntPoly,
-    PoleError,
-    QuadPoly,
-    _alternating_sums,
-    _closed_forms,
-    bezout_certificate,
-    shift_product_poly,
-)
-from quadlcm.ring import QuadRat, RingMismatchError, shifted_product
+from quadlcm.poly import CertificateError, IntPoly, QuadPoly, bezout_certificate, shift_product_poly
+from quadlcm.ring import QuadRat, RingMismatchError, content_multiple, shifted_product
 
 from oracles import (
     NonCoprimeError,
+    PoleError,
     alternating_sum,
+    alternating_sums,
     bezout_pair,
+    closed_forms,
     difference_table_sums,
     divmod_poly,
     falling,
@@ -33,6 +27,10 @@ from oracles import (
     one_poly,
     poly_add,
     poly_conj,
+    poly_degree,
+    poly_eval,
+    poly_is_zero,
+    poly_leading,
     poly_mul,
     poly_neg,
     poly_scale,
@@ -93,10 +91,10 @@ class TestArithmetic:
             c = rng.randint(1, 3)
             p = from_coeffs(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
             q = from_coeffs(c, tuple(qr(c, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
-            if p.is_zero() or q.is_zero():
-                assert poly_mul(p, q).is_zero()
+            if poly_is_zero(p) or poly_is_zero(q):
+                assert poly_is_zero(poly_mul(p, q))
             else:
-                assert poly_mul(p, q).degree == p.degree + q.degree
+                assert poly_degree(poly_mul(p, q)) == poly_degree(p) + poly_degree(q)
 
     @given(quad_polys(), quad_polys())
     def test_conj_is_morphism(self, p, q):
@@ -146,7 +144,7 @@ class TestRepresentation:
         z = qr(p.c, Fraction(h, 3), Fraction(h + 1, 2))
         assert poly_add(p, q) == ref_add(p, q)
         assert poly_mul(p, q) == p * q == ref_mul(p, q)
-        assert p.eval(z) == ref_eval(p, z)
+        assert poly_eval(p, z) == ref_eval(p, z)
 
     @given(quad_polys(), quad_polys(), st.integers(-5, 5))
     def test_normal_form_kept(self, p, q, h):
@@ -162,7 +160,7 @@ class TestRepresentation:
         for zero in (poly_sub(p, p), poly_scale(p, 0), QuadPoly(2), from_coeffs(2, (qr(2, 0), qr(2, 0)))):
             assert (zero.A, zero.B, zero.den) == (IntPoly(()), IntPoly(()), 1)
             assert zero == QuadPoly(2)
-            assert zero.degree == -1
+            assert poly_degree(zero) == -1
 
     def test_built_from_quadrat_equals_fraction_free(self):
         for c, k in [(1, 0), (2, 3), (5, 7)]:
@@ -189,7 +187,7 @@ class TestRepresentation:
         with pytest.raises(RingMismatchError):
             poly_mul(one_poly(1), one_poly(2))
         with pytest.raises(RingMismatchError):
-            one_poly(1).eval(qr(3, 1))
+            poly_eval(one_poly(1), qr(3, 1))
 
 
 class TestConjEval:
@@ -205,10 +203,10 @@ class TestConjEval:
 
     def test_eval_examples(self):
         p1 = shift_product_poly(1, 1)
-        assert p1.eval(qr(1, 0, 1)) == qr(1, -4, -2)
-        assert poly(1, (9, 4), (1, 1), (2, 2)).eval(qr(1, 0)) == qr(1, 9, 4)
+        assert poly_eval(p1, qr(1, 0, 1)) == qr(1, -4, -2)
+        assert poly_eval(poly(1, (9, 4), (1, 1), (2, 2)), qr(1, 0)) == qr(1, 9, 4)
         p0 = shift_product_poly(2, 0)
-        assert p0.eval(qr(2, 0, -1)).is_zero()
+        assert poly_eval(p0, qr(2, 0, -1)).is_zero()
 
 
 class TestShiftProductPoly:
@@ -220,18 +218,18 @@ class TestShiftProductPoly:
         for c in (1, 3):
             for k in range(0, 8):
                 p = shift_product_poly(c, k)
-                assert p.degree == k + 1
-                assert p.leading() == qr(c, 1)
+                assert poly_degree(p) == k + 1
+                assert poly_leading(p) == qr(c, 1)
 
     def test_eval_matches_shifted_product(self):
         z = shifted_product(1, 1, 3)
-        assert shift_product_poly(1, 2).eval(QuadRat(3, 0, 1)) == QuadRat(z.a, z.b, z.c)
+        assert poly_eval(shift_product_poly(1, 2), QuadRat(3, 0, 1)) == QuadRat(z.a, z.b, z.c)
         rng = random.Random(11)
         for _ in range(40):
             c = rng.randint(1, 5)
             k = rng.randint(0, 7)
             n = rng.randint(k + 1, k + 12)
-            got = shift_product_poly(c, k).eval(QuadRat(n, 0, c))
+            got = poly_eval(shift_product_poly(c, k), QuadRat(n, 0, c))
             z = shifted_product(c, n - k, n)
             assert got == QuadRat(z.a, z.b, c)
 
@@ -277,7 +275,7 @@ class TestForwardDifference:
     def test_kills_degree(self):
         for c in (1, 2):
             for k in range(0, 5):
-                assert forward_difference(shift_product_poly(c, k), k + 2).is_zero()
+                assert poly_is_zero(forward_difference(shift_product_poly(c, k), k + 2))
 
     @given(quad_polys(max_degree=12), st.integers(min_value=0, max_value=8))
     @settings(max_examples=60)
@@ -304,19 +302,19 @@ class TestNewtonBasis:
             ell = rng.randint(0, 6)
             z = QuadRat(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), Fraction(rng.randint(-9, 9)), c)
             shifted = QuadRat(z.a, z.b - 1, c)  # z - sqrt(-c)
-            assert newton_basis(c, ell).eval(z) == falling(shifted, ell)
+            assert poly_eval(newton_basis(c, ell), z) == falling(shifted, ell)
 
 
 class TestNewtonCoeffs:
     def test_sum_form_examples(self):
-        assert _alternating_sums(1, shift_product_poly(1, 0), qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
-        assert _alternating_sums(1, shift_product_poly(1, 1), qr(1, 0), [0, 1]) == [
+        assert alternating_sums(1, shift_product_poly(1, 0), qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
+        assert alternating_sums(1, shift_product_poly(1, 1), qr(1, 0), [0, 1]) == [
             qr(1, Fraction(-1, 5), Fraction(1, 10)), qr(1, 0, Fraction(-1, 5))]
 
     def test_closed_form_examples(self):
-        assert _closed_forms(1, 0, qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
-        assert _closed_forms(1, 1, qr(1, 0), [1]) == [qr(1, 0, Fraction(-1, 5))]
-        assert _closed_forms(1, 1, qr(1, 0), [0]) == [qr(1, Fraction(-1, 5), Fraction(1, 10))]
+        assert closed_forms(1, 0, qr(1, 0), [0]) == [qr(1, 0, Fraction(-1, 2))]
+        assert closed_forms(1, 1, qr(1, 0), [1]) == [qr(1, 0, Fraction(-1, 5))]
+        assert closed_forms(1, 1, qr(1, 0), [0]) == [qr(1, Fraction(-1, 5), Fraction(1, 10))]
 
 
 def ref_closed(c, k, ell):
@@ -333,19 +331,27 @@ class TestClosedFormVector:
     def test_one_pass_matches_per_coefficient(self):
         for c in range(1, 6):
             for k in range(26):
-                vector = _closed_forms(c, k, qr(c, 0), range(k + 1))
-                assert vector == [_closed_forms(c, k, qr(c, 0), [ell])[0] for ell in range(k + 1)]
+                vector = closed_forms(c, k, qr(c, 0), range(k + 1))
+                assert vector == [closed_forms(c, k, qr(c, 0), [ell])[0] for ell in range(k + 1)]
                 assert vector == [ref_closed(c, k, ell) for ell in range(k + 1)]
+
+    def test_scaled_terms_are_2d_times_theclosed_forms(self):
+        # the certificate's integer terms against the rational closed form at z = 0
+        for c in range(1, 6):
+            for k in range(31):
+                two_d = 2 * content_multiple(c, k)
+                expected = [(two_d * co.a, two_d * co.b) for co in closed_forms(c, k, qr(c, 0), range(k + 1))]
+                assert poly_module._scaled_newton_terms(c, k) == expected
 
     def test_pole_reached_only_by_its_own_factor(self):
         # z = -3 - 2s annihilates the factor (3 + 2s + z) of the ell >= 3 coefficients
         c, k = 2, 5
         z = qr(c, -3, -2)
         with pytest.raises(PoleError):
-            _closed_forms(c, k, z, range(k + 1))
-        assert _closed_forms(c, k, z, range(3)) == [_closed_forms(c, k, z, [ell])[0] for ell in range(3)]
+            closed_forms(c, k, z, range(k + 1))
+        assert closed_forms(c, k, z, range(3)) == [closed_forms(c, k, z, [ell])[0] for ell in range(3)]
         with pytest.raises(PoleError):
-            _closed_forms(c, k, z, [3])
+            closed_forms(c, k, z, [3])
 
 
 class TestReciprocalDifference:
@@ -356,41 +362,32 @@ class TestReciprocalDifference:
             k = rng.randint(0, 5)
             z = qr(c, Fraction(rng.randint(-15, 15), rng.randint(1, 4)))
             p = shift_product_poly(c, k)
-            assert _alternating_sums(c, p, z, [0]) == [quad_inverse(p.eval(QuadRat(z.a, z.b + 1, c)))]
+            assert alternating_sums(c, p, z, [0]) == [quad_inverse(poly_eval(p, QuadRat(z.a, z.b + 1, c)))]
 
     def test_matches_closed_at_zero(self):
         z0 = qr(1, 0)
-        assert _alternating_sums(1, shift_product_poly(1, 1), z0, [1]) == _closed_forms(1, 1, z0, [1])
-        assert _closed_forms(1, 1, z0, [1]) == [qr(1, 0, Fraction(-1, 5))]
+        assert alternating_sums(1, shift_product_poly(1, 1), z0, [1]) == closed_forms(1, 1, z0, [1])
+        assert closed_forms(1, 1, z0, [1]) == [qr(1, 0, Fraction(-1, 5))]
 
     def test_matches_closed_at_rational_points(self):
         z = qr(2, 3)
-        assert _alternating_sums(2, shift_product_poly(2, 2), z, [1]) == _closed_forms(2, 2, z, [1])
+        assert alternating_sums(2, shift_product_poly(2, 2), z, [1]) == closed_forms(2, 2, z, [1])
         rng = random.Random(17)
         for _ in range(60):
             c = rng.randint(1, 3)
             k = rng.randint(0, 5)
             ell = rng.randint(0, k)
             z = qr(c, Fraction(rng.randint(-20, 20), rng.randint(1, 8)))
-            assert _alternating_sums(c, shift_product_poly(c, k), z, [ell]) == _closed_forms(c, k, z, [ell])
-
-    def test_pole_in_certificate_sum_route(self, monkeypatch):
-        # a stand-in P that vanishes at 1 + sqrt(-c), the j = 1 point of the
-        # evaluations the certificate's sum route caches
-        c = 2
-        vanishing = poly_mul(poly(c, (-1, -1), (1, 0)), shift_product_poly(c, 1))
-        monkeypatch.setattr(poly_module, "shift_product_poly", lambda c_, k_: vanishing)
-        with pytest.raises(PoleError):
-            bezout_certificate(c, 2)
+            assert alternating_sums(c, shift_product_poly(c, k), z, [ell]) == closed_forms(c, k, z, [ell])
 
     def test_pole_detection(self):
         # z = -2*sqrt(-c) annihilates P at the j = 0 shift and the closed
         # form's leading denominator factor
         z = QuadRat(Fraction(0), Fraction(-2), 1)
         with pytest.raises(PoleError):
-            _alternating_sums(1, shift_product_poly(1, 0), z, [0])
+            alternating_sums(1, shift_product_poly(1, 0), z, [0])
         with pytest.raises(PoleError):
-            _closed_forms(1, 0, z, [0])
+            closed_forms(1, 0, z, [0])
 
     def test_difference_table_matches_the_definition(self):
         for c in range(1, 4):
@@ -398,18 +395,18 @@ class TestReciprocalDifference:
                 p = shift_product_poly(c, k)
                 for z in (qr(c, 0), qr(c, Fraction(1, 2)), qr(c, Fraction(-7, 3)), qr(c, 5)):
                     expected = [alternating_sum(c, k, ell, z) for ell in range(k + 1)]
-                    assert _alternating_sums(c, p, z, range(k + 1)) == expected
+                    assert alternating_sums(c, p, z, range(k + 1)) == expected
 
     def test_integer_routes_match_the_quadrat_table(self):
-        # the QuadRat difference table the integer one replaced, at every certificate
+        # the integer oracles against the QuadRat difference table, at every certificate
         # size of the acceptance suite, at z = 0 and at rational points off the real line
         for c in range(1, 6):
             for k in range(26):
                 p = shift_product_poly(c, k)
                 for z in (qr(c, 0), qr(c, Fraction(1, 2)), qr(c, Fraction(-7, 3), Fraction(1, 2))):
                     expected = difference_table_sums(c, p, z, range(k + 1))
-                    assert _alternating_sums(c, p, z, range(k + 1)) == expected
-                    assert _closed_forms(c, k, z, range(k + 1)) == expected
+                    assert alternating_sums(c, p, z, range(k + 1)) == expected
+                    assert closed_forms(c, k, z, range(k + 1)) == expected
 
     def test_integer_routes_raise_where_the_quadrat_table_does(self):
         # z = -2 - 2s puts z + j + s on the root j - 2 - s of P for j >= 2, and
@@ -418,10 +415,10 @@ class TestReciprocalDifference:
             for k in (2, 9, 25):
                 p, z = shift_product_poly(c, k), qr(c, -2, -2)
                 expected = difference_table_sums(c, p, z, range(2))
-                assert _alternating_sums(c, p, z, range(2)) == _closed_forms(c, k, z, range(2)) == expected
+                assert alternating_sums(c, p, z, range(2)) == closed_forms(c, k, z, range(2)) == expected
                 for route in (lambda: difference_table_sums(c, p, z, range(k + 1)),
-                              lambda: _alternating_sums(c, p, z, range(k + 1)),
-                              lambda: _closed_forms(c, k, z, range(k + 1))):
+                              lambda: alternating_sums(c, p, z, range(k + 1)),
+                              lambda: closed_forms(c, k, z, range(k + 1))):
                     with pytest.raises(PoleError):
                         route()
 
@@ -430,14 +427,14 @@ class TestReciprocalDifference:
         c, k = 2, 4
         z = qr(c, -2, -2)
         p = shift_product_poly(c, k)
-        assert _alternating_sums(c, p, z, range(2)) == [alternating_sum(c, k, ell, z) for ell in range(2)]
+        assert alternating_sums(c, p, z, range(2)) == [alternating_sum(c, k, ell, z) for ell in range(2)]
         with pytest.raises(PoleError):
-            _alternating_sums(c, p, z, range(k + 1))
+            alternating_sums(c, p, z, range(k + 1))
         for ell in range(2, k + 1):
             with pytest.raises(PoleError):
                 alternating_sum(c, k, ell, z)
             with pytest.raises(PoleError):
-                _alternating_sums(c, p, z, [ell])
+                alternating_sums(c, p, z, [ell])
 
 
 class TestBezoutPoly:
@@ -451,7 +448,7 @@ class TestBezoutPoly:
     def test_degree_bound(self):
         for c in range(1, 6):
             for k in range(0, 11):
-                assert bezout_certificate(c, k).alpha.degree <= k
+                assert poly_degree(bezout_certificate(c, k).alpha) <= k
 
     def test_interp_agrees(self):
         for c, k in [(1, 0), (1, 1), (3, 4), (2, 6), (5, 3)]:
@@ -472,7 +469,7 @@ class TestBezoutPoly:
                 p = shift_product_poly(c, k)
                 for s in range(0, k + 1):
                     at = QuadRat(Fraction(s), Fraction(1), c)
-                    assert alpha.eval(at) == quad_inverse(p.eval(at))
+                    assert poly_eval(alpha, at) == quad_inverse(poly_eval(p, at))
 
 
 class TestBezoutPair:
@@ -507,11 +504,11 @@ class TestBezoutPair:
             c = rng.randint(1, 3)
             num = from_coeffs(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))))
             den = from_coeffs(c, tuple(qr(c, rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))))
-            if den.is_zero():
+            if poly_is_zero(den):
                 continue
             q, r = divmod_poly(num, den)
             assert poly_add(poly_mul(q, den), r) == num
-            assert r.degree < den.degree
+            assert poly_degree(r) < poly_degree(den)
 
 
 class TestCertificate:
@@ -556,6 +553,27 @@ class TestCertificate:
             with pytest.raises(CertificateError):
                 tampered.verify()
 
+    def test_unit_multiples_of_p_detected(self):
+        # 2P and (1 + sqrt(-c))P vanish at every j - sqrt(-c), but are not monic
+        cert = bezout_certificate(2, 3)
+        for forged in (replace(cert, A=cert.A.scale(2), B=cert.B.scale(2)),
+                       replace(cert, A=cert.A - cert.B.scale(2), B=cert.B + cert.A)):
+            with pytest.raises(CertificateError, match="A, B do not split"):
+                forged.verify()
+
+    def test_each_forged_term_disagrees_with_the_difference_table(self, monkeypatch):
+        real = poly_module._scaled_newton_terms
+        for ell in range(5):
+            for part in (0, 1):
+                def forged(c, k, ell=ell, part=part):
+                    terms = [list(t) for t in real(c, k)]
+                    terms[ell][part] += 1
+                    return [tuple(t) for t in terms]
+
+                monkeypatch.setattr(poly_module, "_scaled_newton_terms", forged)
+                with pytest.raises(CertificateError, match="closed-form and sum-form Newton coefficients disagree"):
+                    bezout_certificate(2, 4)
+
     def test_degree_above_k_detected(self):
         cert = bezout_certificate(2, 3)
         forged = replace(cert, r=cert.r + IntPoly((0, 0, 0, 0, 1)))
@@ -570,9 +588,10 @@ class TestCertificate:
             replace(cert, alpha=cert.alpha)
 
     def test_2d_alpha_must_be_integral(self, monkeypatch):
-        # with d = 1 in place of c * prod(l^2 + 4c), alpha's denominator 10 does not divide 2d
+        # with d = 1 in place of c * prod(l^2 + 4c), alpha's denominator 10 does not divide 2d:
+        # the integer terms 2d * a_ell cannot equal 2d times the difference table's coefficients
         monkeypatch.setattr(poly_module, "content_multiple", lambda c, k: 1)
-        with pytest.raises(CertificateError, match=re.escape("2d*alpha is not integral: its denominator 10")):
+        with pytest.raises(CertificateError, match="closed-form and sum-form Newton coefficients disagree"):
             bezout_certificate(1, 1)
 
     def test_bezout_identity_is_checked(self):

@@ -21,6 +21,7 @@ from oracles import (
     multiples_by_search,
     product_divides_ab,
     quad_add,
+    quad_conj,
     quad_neg,
     quad_sub,
     replace,
@@ -85,9 +86,9 @@ class TestArithmetic:
     @given(quadint_tuples(count=2))
     def test_conj_morphism(self, xs):
         x, y = xs
-        assert quad_add(x, y).conj() == quad_add(x.conj(), y.conj())
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert x.conj().conj() == x
+        assert quad_conj(quad_add(x, y)) == quad_add(quad_conj(x), quad_conj(y))
+        assert quad_conj(x * y) == quad_conj(x) * quad_conj(y)
+        assert quad_conj(quad_conj(x)) == x
 
 
 class TestSharedArithmetic:
@@ -98,7 +99,7 @@ class TestSharedArithmetic:
         "sub": quad_sub,
         "mul": lambda x, y: x * y,
         "neg": lambda x, y: quad_neg(x),
-        "conj": lambda x, y: x.conj(),
+        "conj": lambda x, y: quad_conj(x),
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -128,11 +129,11 @@ class TestSharedArithmetic:
 
 class TestConjNorm:
     def test_conj_examples(self):
-        assert QuadInt(1, 3, 1).conj() == QuadInt(1, -3, 1)
-        assert QuadInt(5, 0, 2).conj() == QuadInt(5, 0, 2)
+        assert quad_conj(QuadInt(1, 3, 1)) == QuadInt(1, -3, 1)
+        assert quad_conj(QuadInt(5, 0, 2)) == QuadInt(5, 0, 2)
         prod = QuadInt(1, 1, 1) * QuadInt(2, 1, 1)
-        assert prod.conj() == QuadInt(1, 1, 1).conj() * QuadInt(2, 1, 1).conj()
-        assert prod.conj() == QuadInt(1, -3, 1)
+        assert quad_conj(prod) == quad_conj(QuadInt(1, 1, 1)) * quad_conj(QuadInt(2, 1, 1))
+        assert quad_conj(prod) == QuadInt(1, -3, 1)
 
     def test_norm_examples(self):
         assert QuadInt(1, 3, 1).norm() == 10
@@ -142,7 +143,7 @@ class TestConjNorm:
             for k in range(0, 10):
                 z = QuadInt(k, 1, c)
                 assert z.norm() == k * k + c
-                assert z * z.conj() == QuadInt(k * k + c, 0, c)
+                assert z * quad_conj(z) == QuadInt(k * k + c, 0, c)
 
 
 class TestContent:
@@ -160,7 +161,7 @@ class TestContent:
         (x,) = xs
         if x.is_zero():
             return
-        prod = x * x.conj()
+        prod = x * quad_conj(x)
         assert prod == QuadInt(x.norm(), 0, x.c)
         assert content(prod) == x.norm()
 
