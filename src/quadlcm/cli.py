@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .fixedlog import C_LIMIT, PRECISION_BITS
 from .fixedlog import _log_str as fmt_log  # a fixed-point log (v / 2^128) as 15 significant digits
 
-if TYPE_CHECKING:  # `bounds` loads in the commands that use it, so `bezout` never loads it
-    from .bounds import TripleReport
+if TYPE_CHECKING:
     from .poly import BezoutCertificate
 
 EXIT_OK = 0
@@ -46,6 +45,7 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 _TRIPLE_COLUMNS = ("c", "m", "n", "L", "D_num", "D_den", "quotient", "hc", "hc_bound", "star_x", "star_y", "logL")
+_LOG_CELL = _TRIPLE_COLUMNS.index("logL")  # the integers come before it, the fixed-point logs from it on
 
 
 class UsageError(Exception):
@@ -74,25 +74,26 @@ def sweep_columns() -> tuple[str, ...]:
     return _TRIPLE_COLUMNS + BOUND_NAMES
 
 
-def report_to_json(r: TripleReport) -> dict:
-    """The `verify` document of one triple, read off its sweep cells."""
-    cells, dr, holds, columns = _cells(r), r.divisor, r.bounds.holds, sweep_columns()
-    i = columns.index("logL")  # the divisor's cells come before logL, the bounds' from it on
-    divisor = dict(zip(columns[:4], cells), numerator=js_int(dr.numerator),
-                   denominator=js_int(dr.denominator), **dict(zip(columns[4:i], cells[4:i])))
+def report_to_json(row: tuple) -> dict:
+    """The `verify` document of one triple, a tuple of `bounds.row_checks`, read off its sweep cells."""
+    values, numerator, denominator, holds, violations = row
+    cells, columns = _cells(values), sweep_columns()
+    divisor = dict(zip(columns[:4], cells), numerator=js_int(numerator), denominator=js_int(denominator),
+                   **dict(zip(columns[4:_LOG_CELL], cells[4:_LOG_CELL])))
+    holds = dict(zip(columns[_LOG_CELL + 1:], holds))
     doc = {
         "divisor": divisor,
         "bounds": {
             **dict(zip(columns[:3], cells)),
-            "logL": cells[i],
+            "logL": cells[_LOG_CELL],
             "bounds": {name: {"applicable": v is not None, "log_value": v}
-                       for name, v in zip(columns[i + 1:], cells[i + 1:])},
+                       for name, v in zip(columns[_LOG_CELL + 1:], cells[_LOG_CELL + 1:])},
         },
         "checks": {"binom_ok": holds["binom"], "two_n_ok": holds["oon_2n"]},
-        "ok": not r.violations,
+        "ok": not violations,
     }
-    if r.violations:
-        doc["violations"] = list(r.violations)
+    if violations:
+        doc["violations"] = list(violations)
     return doc
 
 
@@ -141,21 +142,16 @@ def _only(m: int, n: int) -> range:
     return range(m, min(m, n) + 1)
 
 
-def _cells(report: TripleReport) -> tuple:
-    """One triple's cells in `sweep_columns()` order, None where a value is absent."""
-    dr, br = report.divisor, report.bounds
-    return (
-        dr.c, dr.m, dr.n, js_int(dr.L), js_int(dr.D.numerator), js_int(dr.D.denominator),
-        None if dr.quotient_check is None else js_int(dr.quotient_check),
-        js_int(dr.hc_value), js_int(dr.hc_bound), js_int(dr.star_x), js_int(dr.star_y),
-        fmt_log(br.logL),
-    ) + tuple(None if b is None else fmt_log(b[0]) for b in br.bounds.values())
+def _cells(values: tuple) -> tuple:
+    """One triple's values, as `bounds.row_checks` gives them, as cells in `sweep_columns()` order; None stays."""
+    return (tuple(None if v is None else js_int(v) for v in values[:_LOG_CELL])
+            + tuple(None if v is None else fmt_log(v) for v in values[_LOG_CELL:]))
 
 
 def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple[tuple, tuple[str, ...]]]:
     """One sweep work item, a row (c, n, ms) with its process's `Window.move`: each m's cells and violations."""
-    from .bounds import row_reports
-    return [(_cells(report), report.violations) for report in row_reports(*row)]
+    from .bounds import row_checks
+    return [(_cells(values), violations) for values, _, _, _, violations in row_checks(*row)]
 
 
 def _csv(cells: Iterable) -> str:
@@ -174,15 +170,14 @@ def _sweep_text(row: tuple[int, int, range, Callable], json_columns: Optional[tu
 
 def _table_text(c: int, n: int) -> tuple[str, str]:
     """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
-    from .bounds import row_bound_reports
+    from .bounds import row_checks
     lines, bad = [], []
-    for br, failure in row_bound_reports(c, n):
-        if failure is not None:
-            bad.append(f"VIOLATION at (c,m,n)={(c, br.m, n)}: {failure}\n")
+    for values, _, _, _, violations in row_checks(c, n, range(1, n + 1), None):
+        m, log_l = values[1], values[_LOG_CELL]
+        bad += [f"VIOLATION at (c,m,n)={(c, m, n)}: {v}\n" for v in violations]
         # the ratio log(bound) / log(L), itself in fixed point
-        ratios = [None if b is None else fmt_log((b[0] << PRECISION_BITS) // br.logL)
-                  for b in br.bounds.values()]
-        lines.append(_csv([c, n, br.m, fmt_log(br.logL)] + ratios))
+        ratios = [None if v is None else fmt_log((v << PRECISION_BITS) // log_l) for v in values[_LOG_CELL + 1:]]
+        lines.append(_csv([c, n, m, fmt_log(log_l)] + ratios))
     return "".join(lines), "".join(bad)
 
 
@@ -206,11 +201,11 @@ def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
-    from .bounds import triple_report
+    from .bounds import row_checks
     with _open_out(args.out) as out:
-        report = triple_report(args.c, args.m, args.n)
-        out.write(json.dumps(report_to_json(report), indent=2) + "\n")
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+        row = row_checks(args.c, args.n, range(args.m, args.m + 1))[0]
+        out.write(json.dumps(report_to_json(row), indent=2) + "\n")
+    return EXIT_VIOLATION if row[-1] else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

@@ -7,8 +7,6 @@ values from rings with different c never mix silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from operator import attrgetter
 
 
@@ -31,9 +29,8 @@ class _Record:
     never assigned to.  Equality (within one class only) and the repr use the
     fields outside `_hidden`; a record defines no hash, so it is unhashable.
     `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
-    of the shown fields.  The records built once per triple (`DivisorReport`,
-    `BoundReport`, `TripleReport`) use this __init__; the types built most
-    often (`QuadInt`, `QuadRat`, `IntPoly`) have their own.
+    of the shown fields.  `BezoutCertificate` uses this __init__; the types
+    built most often (`QuadInt`, `QuadRat`, `IntPoly`) have their own.
     """
 
     __slots__ = ()
@@ -81,6 +78,7 @@ class _Quad(_Record):
         _set(self, "c", c)
 
     def __mul__(self, other):
+        # no command multiplies elements: this stays because perfbench/tracer.py counts it by name.
         # sqrt(-c) * sqrt(-c) = -c
         _check_same_ring(self, other)
         return type(self)(
@@ -88,13 +86,6 @@ class _Quad(_Record):
             self.a * other.b + self.b * other.a,
             self.c,
         )
-
-    def norm(self):
-        """Squared complex modulus a^2 + c*b^2; multiplicative."""
-        return self.a * self.a + self.c * self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 class QuadInt(_Quad):
@@ -115,16 +106,11 @@ class QuadRat(_Quad):
     c: int
 
     def __init__(self, a, b, c: int) -> None:
-        # Accept ints so call sites stay readable; Fraction keeps canonical form.
+        # Accept ints so call sites stay readable; Fraction keeps canonical form.  Imported here, so
+        # that `verify`, `sweep` and `table`, which build no QuadRat, never load `fractions`.
+        from fractions import Fraction
         super().__init__(a if isinstance(a, Fraction) else Fraction(a),
                          b if isinstance(b, Fraction) else Fraction(b), c)
-
-
-def content(z: QuadInt) -> int:
-    """gcd of the two components of a nonzero element; gcd(0, t) = |t|."""
-    if z.is_zero():
-        raise ValueError("content is undefined at zero")
-    return gcd(z.a, z.b)
 
 
 def shifted_product(c: int, m: int, n: int) -> QuadInt:

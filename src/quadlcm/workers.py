@@ -7,7 +7,8 @@ round-robin, so it gets the records in row order.  A full pipe blocks its
 worker, so memory is bounded by the pipes' capacity, not by the number of
 rows.  A worker's exception comes back as its one-line reason, and a worker
 that dies shows up as EOF before its end marker; both raise WorkerFailed.
-However the stream ends, every worker is killed and reaped.  Only
+However the stream ends, every worker is killed and reaped, even when an
+interrupt lands during the cleanup.  Only
 `quadlcm sweep` with a parallelism above 1 loads this module.
 """
 
@@ -46,10 +47,23 @@ def forked(rows: Iterator, nrows: int, workers: int,
         # after the end markers each worker is exiting; after a failure some may still run
         for pipe in pipes:
             pipe.close()
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, SIGKILL)
+        _kill_and_reap([pid for pid in pids if pid is not None])
+
+
+def _kill_and_reap(pids: list[int]) -> None:
+    """SIGKILL every worker, then reap each; an interrupt meanwhile is raised again once all are reaped."""
+    interrupt = None
+    for pid in pids:
+        os.kill(pid, SIGKILL)
+    for pid in pids:
+        while True:
+            try:
                 os.waitpid(pid, 0)
+                break
+            except KeyboardInterrupt as exc:  # a second Ctrl-C, or the group's SIGINT from `timeout -s INT`
+                interrupt = exc
+    if interrupt is not None:
+        raise interrupt
 
 
 def _work(rows: Iterator, format_row: Callable[[Any], tuple], fd: int, inherited: list[int]) -> NoReturn:

@@ -4,12 +4,17 @@ These are reference implementations, built on the public `ring` and `poly`
 API, that no command runs; the tests compare the library against them.
 
 * The arithmetic no command runs, as plain functions on the public fields:
-  `replace` for records, `quad_add`, `quad_sub`, `quad_neg`, `quad_conj`
-  and `quad_inverse` for QuadInt and QuadRat, and `from_coeffs`,
-  `poly_add`, `poly_sub`, `poly_neg`, `poly_mul`, `poly_scale`,
-  `poly_conj`, `poly_degree`, `poly_is_zero`, `poly_leading`, `poly_horner`
-  and `poly_eval` for QuadPoly.
-
+  `replace` for records, `quad_add`, `quad_sub`, `quad_neg`, `quad_conj`,
+  `quad_inverse`, `quad_norm`, `quad_is_zero` and `content` for QuadInt
+  and QuadRat, and `from_coeffs`, `poly_add`, `poly_sub`, `poly_neg`,
+  `poly_mul`, `poly_scale`, `poly_conj`, `poly_degree`, `poly_is_zero`,
+  `poly_leading`, `poly_horner` and `poly_eval` for QuadPoly.
+* The per-triple records `DivisorReport`, `BoundReport` and `TripleReport`,
+  each with its own `failures()`: the independent re-check of
+  `bounds.row_checks`, which builds no record.  `pass_tuple` writes a
+  record as the pass's tuple.  `checked_triple` is how the tests read the
+  records of one triple: `triple_report`, asserted to hold every claim and
+  to equal the library's pass.
 * The divisibility lemma: the criterion norm(z)/content(z), exact division
   in Z[sqrt(-c)] and the product lemma checker.  `multiples_by_search`
   finds multiples by solving the quotient equations directly, so its
@@ -27,9 +32,6 @@ API, that no command runs; the tests compare the library against them.
 * The bound logs in 128-bit mpf (`mpf_bound_logs`), mpmath's own log
   printer (`mpmath_log_str`), the bound prefactors in mpf and the Stirling
   check.
-
-`checked_triple` is how the tests read the records of one triple:
-`triple_report`, asserted to hold every claim.
 """
 
 from __future__ import annotations
@@ -38,13 +40,15 @@ import random
 from functools import lru_cache
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
+from typing import Optional
 
 import mpmath
 
-from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, content
-from quadlcm.bounds import TripleReport, floor_half_frontier, triple_report
-from quadlcm.fixedlog import _LOG_FACT, _extend_logs
+from quadlcm import bounds
+from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, _Record, content_multiple, shifted_product
+from quadlcm.bounds import floor_half_frontier
+from quadlcm.fixedlog import _E, _LOG_FACT, _extend_logs, _log_fixed, _log_str
 from quadlcm.poly import IntPoly, QuadPoly, shift_product_poly
 
 
@@ -82,7 +86,7 @@ def quad_sub(x, y):
 
 def quad_inverse(x: QuadRat) -> QuadRat:
     """1 / (a + b*sqrt(-c)) = (a - b*sqrt(-c)) / (a^2 + c*b^2)."""
-    n = x.norm()
+    n = quad_norm(x)
     if n == 0:
         raise ZeroDivisionError("inverse of zero")
     return QuadRat(x.a / n, -x.b / n, x.c)
@@ -169,10 +173,185 @@ def poly_eval(p: QuadPoly, z: QuadRat) -> QuadRat:
     return QuadRat(Fraction(a, t), Fraction(b, t), p.c)
 
 
+def quad_norm(x):
+    """Squared complex modulus a^2 + c*b^2 of a QuadInt or QuadRat, of its component type; multiplicative."""
+    return x.a * x.a + x.c * x.b * x.b
+
+
+def quad_is_zero(x) -> bool:
+    return x.a == 0 and x.b == 0
+
+
+def content(z: QuadInt) -> int:
+    """gcd of the two components of a nonzero element; gcd(0, t) = |t|."""
+    if quad_is_zero(z):
+        raise ValueError("content is undefined at zero")
+    return gcd(z.a, z.b)
+
+
+# --- the per-triple records: the independent re-check of `bounds.row_checks` -
+# Each claim of one triple as a record with its own `failures()`, built from
+# `lcm_range`, `shifted_product`, `factorial` and `content_multiple` in
+# QuadInt and Fraction arithmetic, with the exact bounds as Fractions: no fold,
+# window or integer shortcut of the library's pass.  `pass_tuple` writes a
+# record as the tuple the pass gives, so the two compare with ==.
+
+
+class DivisorReport(_Record):
+    """Exact verification record of the divisor claims at one (c, m, n)."""
+
+    _hidden = ("product",)  # kept for the star check; not compared, shown or serialized
+    c: int
+    m: int
+    n: int
+    L: int
+    numerator: int
+    denominator: int
+    D: Fraction
+    quotient_check: Optional[int]  # None when L/D is not an integer
+    hc_value: int
+    hc_bound: int
+    star_x: int
+    star_y: int
+    product: QuadInt  # (m + sqrt(-c)) ... (n + sqrt(-c))
+
+    def failures(self) -> list[str]:
+        """All violated invariants, empty when the record is consistent."""
+        out = []
+        if self.quotient_check is None:
+            out.append("L/D is not an integer")
+        elif self.quotient_check * self.D.numerator != self.L * self.D.denominator:
+            out.append("quotient_check * D != L")
+        if self.hc_bound % self.hc_value != 0:
+            out.append("hc_value does not divide hc_bound")
+        fact = factorial(self.n - self.m)
+        star = QuadInt(self.star_x, self.star_y, self.c)
+        if star * self.product != QuadInt(self.L * fact, 0, self.c):
+            out.append("(star_x + star_y*sqrt(-c)) * product != L * (n-m)!")
+        return out
+
+
+# name -> (text, exact bound) of the rows that L itself decides
+_EXACT_BOUNDS = {
+    "oon_2n": ("2^n", lambda c, m, n: 2**n),
+    "binom": ("m * C(n, m)", lambda c, m, n: m * comb(n, m)),
+    "farhi": ("0.32 * 1.442^n", lambda c, m, n: Fraction(8, 25) * Fraction(721, 500) ** n),
+}
+
+
+class BoundReport(_Record):
+    """Every lower bound at one triple, with the exact lcm and its log."""
+
+    c: int
+    m: int
+    n: int
+    L: int
+    logL: int  # fixed point, within _E of log(L) * 2^128
+    bounds: dict[str, Optional[tuple[int, int]]]  # name -> its row's (v, e), None where the gate fails
+
+    def _failed(self) -> dict[str, str]:
+        """Name -> message of each applicable bound not shown to hold; one verdict pass per record.
+
+        A row with an exact bound fails when L is below it.  A log row holds
+        when the enclosures are ordered, logL - _E >= v + e, and fails when
+        logL + _E < v - e; any other case is undecided, which is a failure
+        too, never a pass.  The pass is kept, so `holds` and `failures()` share it.
+        """
+        if "_verdicts" in vars(self):
+            return vars(self)["_verdicts"]
+        out = vars(self)["_verdicts"] = {}
+        for name, bound in self.bounds.items():
+            if bound is None:
+                continue
+            v, e = bound
+            if name in _EXACT_BOUNDS:
+                text, exact = _EXACT_BOUNDS[name]
+                if self.L < exact(self.c, self.m, self.n):
+                    out[name] = f"bound {name}: L < {text}"
+            elif self.logL - _E < v + e:
+                if self.logL + _E < v - e:
+                    out[name] = (f"bound {name}: log_value {_log_str(v)} "
+                                 f"exceeds logL {_log_str(self.logL)}")
+                else:
+                    out[name] = f"bound {name}: undecided"
+        return out
+
+    @property
+    def holds(self) -> dict[str, Optional[bool]]:
+        """Whether each bound is shown to hold, None where it does not apply."""
+        failed = self._failed()
+        return {name: None if b is None else name not in failed for name, b in self.bounds.items()}
+
+    def failures(self) -> list[str]:
+        return list(self._failed().values())
+
+
+class TripleReport(_Record):
+    """Every claim checked at one (c, m, n), all from one computation of L; both records whole."""
+
+    divisor: DivisorReport
+    bounds: BoundReport
+    violations: tuple[str, ...]  # empty when every claim holds
+
+
+def divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
+    """The divisor record of one triple whose lcm is big_l, built but not checked.
+
+    The quotient L/D is None when it is not an integer, and the star witness
+    is L*(n-m)! * conj(P) / norm(P) floored, so a false claim still gives a
+    whole record for `failures()` to reject.
+    """
+    product, fact, multiple = shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
+    num, den = quad_norm(product), fact * multiple
+    quotient, rem = divmod(big_l * den, num)
+    scaled = big_l * fact
+    return DivisorReport(c, m, n, big_l, num, den, Fraction(num, den), None if rem else quotient,
+                         content(product), multiple, scaled * product.a // num, -scaled * product.b // num, product)
+
+
+def bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
+    """Every bound of `bounds._BOUNDS` at one triple whose lcm is big_l, built but not checked."""
+    d = n - m
+    _extend_logs(n)
+    values = {name: log_value(c, m, n, d) if applies(c, m, n, d) else None
+              for name, applies, log_value, _ in bounds._BOUNDS}
+    return BoundReport(c, m, n, big_l, _log_fixed(big_l), values)
+
+
+def failure_message(kind: str, report) -> Optional[str]:
+    """One line naming every failure of a divisor or bound report, None when it has none."""
+    bad = report.failures()
+    if bad:
+        return f"{kind} invariants failed at (c={report.c}, m={report.m}, n={report.n}): {bad}"
+    return None
+
+
+def triple_report(c: int, m: int, n: int) -> TripleReport:
+    """The divisor record and bound report of one triple, from one `bounds.lcm_range`, each checked once."""
+    big_l = bounds.lcm_range(c, m, n)
+    divisor, bound = divisor_report(c, m, n, big_l), bound_report(c, m, n, big_l)
+    messages = (failure_message("divisor", divisor), failure_message("bound", bound))
+    return TripleReport(divisor, bound, tuple(filter(None, messages)))
+
+
+def pass_tuple(report: TripleReport, divisor: bool = True) -> tuple:
+    """The tuple `bounds.row_checks` gives for the triple of `report`; with divisor False, as `table` asks for it."""
+    dr, br = report.divisor, report.bounds
+    if divisor:
+        exact = (dr.D.numerator, dr.D.denominator, dr.quotient_check, dr.hc_value, dr.hc_bound, dr.star_x, dr.star_y)
+        unreduced, violations = (dr.numerator, dr.denominator), report.violations
+    else:
+        exact, unreduced = (None,) * 7, (None, None)
+        violations = tuple(v for v in report.violations if v.startswith("bound "))
+    logs = tuple(None if bv is None else bv[0] for bv in br.bounds.values())
+    return ((dr.c, dr.m, dr.n, dr.L) + exact + (br.logL,) + logs, *unreduced, tuple(br.holds.values()), violations)
+
+
 def checked_triple(c: int, m: int, n: int) -> TripleReport:
-    """`triple_report(c, m, n)`, with every claim asserted to hold."""
+    """`triple_report(c, m, n)`, with every claim asserted to hold and the library's pass asserted to agree."""
     report = triple_report(c, m, n)
     assert report.violations == (), report.violations
+    assert bounds.row_checks(c, n, range(m, m + 1)) == [pass_tuple(report)]
     return report
 
 
@@ -185,7 +364,7 @@ def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
     and complete.
     """
     a, b, c = z.a, z.b, z.c
-    if z.is_zero():
+    if quad_is_zero(z):
         raise ValueError("zero has no multiples set")
     found = {0}
     if b == 0:
@@ -194,7 +373,7 @@ def multiples_by_search(z: QuadInt, limit: int) -> set[int]:
             found.add(n_val)
             found.add(-n_val)
         return found
-    nrm = z.norm()
+    nrm = quad_norm(z)
     ymax = (limit * abs(b)) // nrm
     for y in range(-ymax, ymax + 1):
         if (a * y) % b != 0:
@@ -234,7 +413,7 @@ def divisibility_criterion(z: QuadInt) -> int:
     integer divides N.  The quotient is always integral because gcd(a, b)
     divides a^2 + c*b^2 componentwise.
     """
-    return z.norm() // content(z)
+    return quad_norm(z) // content(z)
 
 
 def divide_exact(w: QuadInt, z: QuadInt) -> QuadInt:
@@ -243,9 +422,9 @@ def divide_exact(w: QuadInt, z: QuadInt) -> QuadInt:
     Computed as w * conj(z) / norm(z) with both rational components
     required to be integers.
     """
-    if z.is_zero():
+    if quad_is_zero(z):
         raise ZeroDivisionError("division by zero in Z[sqrt(-c)]")
-    num, n = w * quad_conj(z), z.norm()
+    num, n = w * quad_conj(z), quad_norm(z)
     qa, ra = divmod(num.a, n)
     qb, rb = divmod(num.b, n)
     if ra or rb:
@@ -264,7 +443,7 @@ def product_divides_ab(u: list[QuadInt], a: QuadInt, b: QuadInt) -> bool:
     if not u:
         raise ValueError("need at least one element u_i")
     for i, ui in enumerate(u):
-        if ui.is_zero():
+        if quad_is_zero(ui):
             raise ValueError(f"u[{i}] is zero")
         try:
             divide_exact(a, ui)
@@ -274,9 +453,9 @@ def product_divides_ab(u: list[QuadInt], a: QuadInt, b: QuadInt) -> bool:
         for j, uj in enumerate(u):
             if j != i:
                 diff = diff * quad_sub(ui, uj)
-        if diff.is_zero():
+        if quad_is_zero(diff):
             # zero divides only zero
-            if not b.is_zero():
+            if not quad_is_zero(b):
                 raise DivisibilityHypothesisError(f"difference product at i={i} is zero but b={b} is not")
         else:
             try:
@@ -298,7 +477,7 @@ def product_divides_ab(u: list[QuadInt], a: QuadInt, b: QuadInt) -> bool:
 def _nonzero_quadint(rng: random.Random, c: int, span: int) -> QuadInt:
     while True:
         z = QuadInt(rng.randint(-span, span), rng.randint(-span, span), c)
-        if not z.is_zero():
+        if not quad_is_zero(z):
             return z
 
 
@@ -331,7 +510,7 @@ def lemma_instance(rng: random.Random) -> tuple[list[QuadInt], QuadInt, QuadInt]
             if j != i:
                 d = d * quad_sub(ui, uj)
         diff_products.append(d)
-    if any(d.is_zero() for d in diff_products):
+    if any(quad_is_zero(d) for d in diff_products):
         b = QuadInt(0, 0, c)
     else:
         b = QuadInt(rng.randint(-3, 3), rng.randint(-3, 3), c)
@@ -415,7 +594,7 @@ def closed_forms(c: int, k: int, z: QuadRat, ells) -> list[QuadRat]:
         while ell < target:
             ell += 1
             den = den * factor(e * ell + p, q)
-        num, norm = quad_conj(den), den.norm()
+        num, norm = quad_conj(den), quad_norm(den)
         scale = (-1) ** (k + ell) * comb(k + ell, ell) * e ** (k + 1 + ell)
         out.append(QuadRat(Fraction(scale * num.a, norm), Fraction(scale * num.b, norm), c))
     return out
@@ -431,7 +610,7 @@ def difference_table_sums(c: int, p: QuadPoly, z: QuadRat, ells) -> list[QuadRat
     row = []
     for j in range(max(ells) + 1):
         val = poly_eval(p, QuadRat(z.a + j, z.b + 1, c))
-        if val.is_zero():
+        if quad_is_zero(val):
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
         row.append(quad_inverse(val))
     heads = []
@@ -459,7 +638,7 @@ def alternating_sum(c: int, k: int, ell: int, z: QuadRat) -> QuadRat:
     total = QuadRat(0, 0, c)
     for j in range(ell + 1):
         val = poly_eval(p, QuadRat(z.a + j, z.b + 1, c))
-        if val.is_zero():
+        if quad_is_zero(val):
             raise PoleError(f"P vanishes at z + {j} + sqrt(-{c})")
         total = quad_add(total, quad_inverse(val) * QuadRat((-1) ** (ell - j) * comb(ell, j), 0, c))
     return total * QuadRat(Fraction(1, factorial(ell)), 0, c)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm.bounds import lcm_range, row_bound_reports, row_reports
+from quadlcm.bounds import lcm_range, row_checks
 from quadlcm.poly import IntPoly, bezout_certificate, shift_product_poly
 from quadlcm.ring import QuadInt, QuadRat
 
@@ -55,23 +55,24 @@ def _lcms_by_n(c: int, n_max: int):
 
 @pytest.fixture(scope="module")
 def divisor_sweep():
-    """All divisor reports for c <= 5, 1 <= m <= n <= 60, from the row folds (verified on build)."""
-    reports = {}
+    """Every triple's values for c <= 5, 1 <= m <= n <= 60, by sweep column, from the row passes (checked there)."""
+    cells = {}
     for c in range(1, C_MAX + 1):
         for n, ls in _lcms_by_n(c, N_MAX_EXACT):
-            rows = row_reports(c, n, range(1, n + 1))
-            assert [r.divisor.L for r in rows] == ls
-            for r in rows:
-                assert r.violations == ()
-                reports[(c, r.divisor.m, n)] = r.divisor
-    return reports
+            rows = row_checks(c, n, range(1, n + 1))
+            assert [values[3] for values, *_ in rows] == ls
+            for values, *_, violations in rows:
+                assert violations == ()
+                cells[(c, values[1], n)] = dict(zip(cli.sweep_columns(), values))
+    return cells
 
 
 def test_criterion_1_divisor_theorem(divisor_sweep):
     checked = 0
     for (c, m, n), r in divisor_sweep.items():
-        assert r.quotient_check * r.D == r.L  # L/D is an exact integer
-        assert r.quotient_check >= 1
+        assert r["quotient"] * r["D_num"] == r["L"] * r["D_den"]  # L/D is an exact integer
+        assert math.gcd(r["D_num"], r["D_den"]) == 1
+        assert r["quotient"] >= 1
         checked += 1
     assert checked == C_MAX * N_MAX_EXACT * (N_MAX_EXACT + 1) // 2
     _pass(1, f"L/D integral for all {checked} triples, c<=5, n<=60, zero tolerance")
@@ -79,10 +80,10 @@ def test_criterion_1_divisor_theorem(divisor_sweep):
 
 def test_criterion_2_content_divides_multiple(divisor_sweep):
     for (c, m, n), r in divisor_sweep.items():
-        assert r.hc_bound % r.hc_value == 0
+        assert r["hc_bound"] % r["hc"] == 0
     anchors = divisor_sweep[(1, 1, 3)], divisor_sweep[(1, 2, 3)]
-    assert (anchors[0].hc_value, anchors[0].hc_bound) == (10, 40)
-    assert (anchors[1].hc_value, anchors[1].hc_bound) == (5, 5)
+    assert (anchors[0]["hc"], anchors[0]["hc_bound"]) == (10, 40)
+    assert (anchors[1]["hc"], anchors[1]["hc_bound"]) == (5, 5)
     _pass(2, f"content divides c*prod(l^2+4c) for all {len(divisor_sweep)} triples incl. anchors 10|40, 5|5")
 
 
@@ -127,7 +128,7 @@ def test_criterion_5_two_n_and_binomial(divisor_sweep):
             m = (n + 1) // 2
             assert lcm_range(c, m, n) >= 2**n
     for (c, m, n), r in divisor_sweep.items():
-        assert r.L >= m * math.comb(n, m)
+        assert r["L"] >= m * math.comb(n, m)
     _pass(5, f"L >= 2^n at m=ceil(n/2) for n<=300 and L >= m*C(n,m) for n<=60, exact integers")
 
 
@@ -143,11 +144,11 @@ def test_criterion_7_log_bounds_sweep():
     applicable = 0
     for c in range(1, C_MAX + 1):
         for n, ls in _lcms_by_n(c, N_MAX_BOUNDS):
-            row = row_bound_reports(c, n)
-            assert [r.L for r, _ in row] == ls  # every bound decided on an L found by two routes
-            for r, failure in row:
-                assert failure is None
-                applicable += sum(1 for bv in r.bounds.values() if bv is not None)
+            rows = row_checks(c, n, range(1, n + 1), None)
+            assert [values[3] for values, *_ in rows] == ls  # every bound decided on an L found by two routes
+            for values, _, _, holds, violations in rows:
+                assert violations == ()
+                applicable += sum(1 for held in holds if held is not None)
     _pass(7, f"{applicable} applicable bound instances verified over c<=5, n<=200, "
           "decided exactly or by certified enclosures")
 

@@ -9,21 +9,23 @@ import pytest
 
 from quadlcm import bounds, fixedlog
 from quadlcm.bounds import (
+    BOUND_NAMES,
     PRECISION_BITS,
-    TripleReport,
     floor_half_frontier,
     icbrt,
     lcm_range,
-    triple_report,
 )
-from quadlcm.ring import QuadInt, content, content_multiple, shifted_product
+from quadlcm.ring import QuadInt, content_multiple, shifted_product
 from quadlcm.window import Window, WindowError
 from quadlcm.cli import _m_policy, fmt_log, main
 
 from oracles import (
+    TripleReport,
     checked_triple,
+    content,
     exp_bound_const,
     factorial_bound_const,
+    failure_message,
     frontier_bound_const,
     mpf_bound_logs,
     mpf_ratio,
@@ -32,8 +34,10 @@ from oracles import (
     mpmath_log_consts,
     mpmath_log_fixed,
     mpmath_log_str,
+    pass_tuple,
     replace,
     stirling_check,
+    triple_report,
 )
 
 
@@ -46,6 +50,26 @@ def log_factorial(k: int) -> int:
 def _mpf(v: int) -> mpmath.mpf:
     """The fixed-point log v as the mpf v / 2^128, exactly."""
     return mpmath.ldexp(v, -PRECISION_BITS)
+
+
+def forged_pass(monkeypatch, c, m, n, big_l=None, log_l=None, start=bounds._row_start):
+    """The library's pass at one triple with its inputs forged: L from `lcm_range`, log L from `_log_fixed`."""
+    with monkeypatch.context() as patch:
+        if big_l is not None:
+            patch.setattr(bounds, "lcm_range", lambda *args: big_l)
+        if log_l is not None:
+            patch.setattr(bounds, "_log_fixed", lambda x: log_l)
+        return bounds.row_checks(c, n, range(m, m + 1), start)[0]
+
+
+def holds(row) -> dict:
+    """Bound name -> True, False or None, from one tuple of the pass."""
+    return dict(zip(BOUND_NAMES, row[3]))
+
+
+def bound_line(row):
+    """The bound violation line of one tuple of the pass, None when every bound holds."""
+    return next((v for v in row[4] if v.startswith("bound ")), None)
 
 
 class TestLcmRange:
@@ -89,6 +113,9 @@ class TestRationalDivisor:
                     assert r.D == Fraction(num, den)
 
 
+STAR_MESSAGE = "(star_x + star_y*sqrt(-c)) * product != L * (n-m)!"
+
+
 class TestVerifyDivisor:
     def test_1_1_3(self):
         r = checked_triple(1, 1, 3).divisor
@@ -114,6 +141,23 @@ class TestVerifyDivisor:
         assert replace(good, quotient_check=7).failures()
         assert replace(good, hc_value=3).failures()
         assert replace(good, star_x=1).failures()
+
+    @pytest.mark.parametrize("field, forged_record", [
+        ("fact", {"star_x": 1}),
+        ("multiple", {"hc_bound": 41, "quotient_check": None}),
+    ], ids=["fact", "multiple"])
+    def test_forged_window_field_detected_by_the_pass(self, field, forged_record, monkeypatch):
+        # the window [1, 3] of c = 1 holds P = 10i, (n-m)! = 2 and the multiple 40.  (n-m)! forged to 3
+        # leaves L/D = 12 integral, but the star witness then misses L * 2!, which the pass takes afresh
+        # from m and n; the multiple forged to 41 is not a multiple of the content 10, and L/D = 8.2
+        window = Window()
+        window.move(1, 1, 3)
+        setattr(window, field, getattr(window, field) + 1)
+        row = bounds.row_checks(1, 3, range(1, 2), window.move)[0]
+        bad = replace(checked_triple(1, 1, 3).divisor, **forged_record)
+        assert row[4] == (failure_message("divisor", bad),)
+        assert bad.failures() == ([STAR_MESSAGE] if field == "fact" else
+                                  ["L/D is not an integer", "hc_value does not divide hc_bound"])
 
     def test_equality_and_repr_ignore_the_product(self):
         good = checked_triple(1, 1, 3).divisor
@@ -184,7 +228,7 @@ class TestCombinatorialChecks:
             for n in range(1, 31):
                 for m in range(1, n + 1):
                     big_l = math.lcm(*(k * k + c for k in range(m, n + 1)))
-                    checks = report_to_json(triple_report(c, m, n))["checks"]
+                    checks = report_to_json(bounds.row_checks(c, n, range(m, m + 1))[0])["checks"]
                     assert checks == {
                         "binom_ok": big_l >= m * math.comb(n, m),
                         "two_n_ok": big_l >= 2**n if m <= (n + 1) // 2 else None,
@@ -302,6 +346,11 @@ class TestBoundReport:
         bad = replace(r, logL=-100 << PRECISION_BITS)
         assert bad.failures()
 
+    def test_forged_log_detected_by_the_pass(self, monkeypatch):
+        bad = replace(checked_triple(1, 1, 10).bounds, logL=-100 << PRECISION_BITS)
+        row = forged_pass(monkeypatch, 1, 1, 10, log_l=-100 << PRECISION_BITS)
+        assert row[4] == (failure_message("bound", bad),)
+
     def test_replace_rederives_the_verdicts(self):
         r = checked_triple(1, 1, 10).bounds
         assert r.failures() == [] and r.holds["t7"] is True and r.holds["oon_2n"] is True
@@ -313,7 +362,18 @@ class TestBoundReport:
         assert [f.split(":")[0] for f in by_l.failures()] == ["bound oon_2n", "bound binom", "bound farhi"]
         assert r.failures() == [] and r.holds["t7"] is True
 
-    def test_failures_compare_at_working_precision(self):
+    def test_forged_inputs_rederive_the_pass_verdicts(self, monkeypatch):
+        # the pass's counterpart: log L forged at `_log_fixed`, then L forged at `lcm_range` with its true log
+        r = checked_triple(1, 1, 10).bounds
+        by_log = forged_pass(monkeypatch, 1, 1, 10, log_l=-100 << PRECISION_BITS)
+        assert holds(by_log) == replace(r, logL=-100 << PRECISION_BITS).holds
+        assert bound_line(by_log) == failure_message("bound", replace(r, logL=-100 << PRECISION_BITS))
+        by_l = forged_pass(monkeypatch, 1, 1, 10, big_l=1, log_l=r.logL)
+        assert holds(by_l) == replace(r, L=1).holds
+        assert bound_line(by_l) == failure_message("bound", replace(r, L=1))
+        assert forged_pass(monkeypatch, 1, 1, 10) == pass_tuple(triple_report(1, 1, 10))
+
+    def test_failures_compare_at_working_precision(self, monkeypatch):
         # logL's upper end forged 1 unit of 2^-128 below t7's lower end: a
         # relative 2^-128 gap, decided by the integers at any mpmath precision
         r = checked_triple(1, 4, 7).bounds
@@ -326,6 +386,9 @@ class TestBoundReport:
         assert [f for f in bad.failures() if f.startswith("bound t7:")] == [
             f"bound t7: log_value {fmt_log(t7[0])} exceeds logL {fmt_log(forged)}"
         ]
+        row = forged_pass(monkeypatch, 1, 4, 7, log_l=forged)
+        assert holds(row)["t7"] is False
+        assert bound_line(row) == failure_message("bound", bad)
 
 
 class TestCertifiedVerdicts:
@@ -345,6 +408,22 @@ class TestCertifiedVerdicts:
         messages = [f for f in bad.failures() if f.startswith("bound t7:")]
         assert messages == ([] if holds else ["bound t7: undecided"])
 
+    @pytest.mark.parametrize("forge", [
+        lambda v, e, E: v + e + E,
+        lambda v, e, E: v + e + E - 1,
+        lambda v, e, E: v,
+        lambda v, e, E: v - e - E,
+    ], ids=["touching", "overlap-top", "inside", "overlap-bottom"])
+    def test_t7_enclosure_boundaries_in_the_pass(self, forge, monkeypatch):
+        # the same boundaries with log L forged at the pass's input, `_log_fixed`
+        r = checked_triple(1, 4, 7).bounds
+        t7 = r.bounds["t7"]
+        forged = forge(t7[0], t7[1], bounds._E)
+        bad = replace(r, logL=forged)
+        row = forged_pass(monkeypatch, 1, 4, 7, log_l=forged)
+        assert holds(row) == bad.holds
+        assert bound_line(row) == failure_message("bound", bad)
+
     def test_every_row_decided_at_1_1_1(self):
         r = checked_triple(1, 1, 1).bounds
         applicable = [name for name, bv in r.bounds.items() if bv is not None]
@@ -354,7 +433,7 @@ class TestCertifiedVerdicts:
             bv = r.bounds[name]
             assert r.logL - bounds._E >= bv[0] + bv[1]
 
-    def test_failure_messages_are_15_digit_decimals(self):
+    def test_failure_messages_are_15_digit_decimals(self, monkeypatch):
         r = checked_triple(1, 1, 10).bounds
         forged = -100 << PRECISION_BITS
         bad = replace(r, logL=forged)
@@ -367,6 +446,7 @@ class TestCertifiedVerdicts:
             assert str(v) not in " ".join(failures)
             with mpmath.workprec(PRECISION_BITS):
                 assert fmt_log(v) == mpmath.nstr(_mpf(v), 15)
+        assert bound_line(forged_pass(monkeypatch, 1, 1, 10, log_l=forged)) == failure_message("bound", bad)
 
     def test_sources_within_their_errors_at_512_bits(self):
         _clear_log_caches()
@@ -397,7 +477,7 @@ class TestCertifiedVerdicts:
             for v, x in zip(bounds._fixed_consts(), (2, mpmath.mpf("0.32"), mpmath.mpf("1.442"))):
                 within(v, mpmath.log(x), e)
 
-    def test_farhi_decided_exactly_up_to_300(self):
+    def test_farhi_decided_exactly_up_to_300(self, monkeypatch):
         # a stricter sibling of acceptance criterion 6: no tolerance, and L itself decides
         big_l = 1
         for n in range(1, 301):
@@ -407,6 +487,7 @@ class TestCertifiedVerdicts:
             assert big_l >= Fraction(8, 25) * Fraction(721, 500) ** n
             assert r.holds["farhi"] is True
             assert replace(r, logL=-1 << PRECISION_BITS).holds["farhi"] is True
+            assert holds(forged_pass(monkeypatch, 1, 1, n, log_l=-1 << PRECISION_BITS))["farhi"] is True
 
 
 class TestParityOracle:
@@ -442,7 +523,7 @@ class TestExactRows:
         (2, 9, 12, "binom", 9 * math.comb(12, 9)),
         (1, 1, 50, "farhi", math.ceil(Fraction(8, 25) * Fraction(721, 500) ** 50)),
     ], ids=["oon_2n", "binom", "farhi"])
-    def test_one_below_the_bound_fails(self, c, m, n, row, bound):
+    def test_one_below_the_bound_fails(self, c, m, n, row, bound, monkeypatch):
         r = checked_triple(c, m, n).bounds
         assert r.holds[row] is True
         bad = replace(r, L=bound - 1)
@@ -451,14 +532,20 @@ class TestExactRows:
         assert any(f.startswith(f"bound {row}: L < ") for f in bad.failures())
         # the log rows still see the true logL
         assert all(bad.holds[name] is not False for name in ("t7", "t9", "c5", "final"))
+        # the pass, with L forged at `lcm_range` and its log at `_log_fixed`
+        forged = forged_pass(monkeypatch, c, m, n, big_l=bound - 1, log_l=r.logL)
+        assert holds(forged) == bad.holds
+        assert bound_line(forged) == failure_message("bound", bad)
 
-    def test_oon_2n_at_slack_zero_is_exact(self):
+    def test_oon_2n_at_slack_zero_is_exact(self, monkeypatch):
         r = checked_triple(1, 1, 1).bounds
         assert r.L == 2 == 2**1
         assert r.holds["oon_2n"] is True
         # decided by L itself, not by logL
         assert replace(r, logL=-1 << PRECISION_BITS).holds["oon_2n"] is True
         assert replace(r, L=1).holds["oon_2n"] is False
+        assert holds(forged_pass(monkeypatch, 1, 1, 1, log_l=-1 << PRECISION_BITS))["oon_2n"] is True
+        assert holds(forged_pass(monkeypatch, 1, 1, 1, big_l=1, log_l=r.logL))["oon_2n"] is False
 
     def test_verdicts_computed_once(self, monkeypatch):
         r = checked_triple(1, 2, 9).bounds
@@ -487,19 +574,21 @@ class TestTripleReport:
         for triple in triples:
             triple_report(*triple)
         assert calls == triples
+        del calls[:]
+        for c, m, n in triples:  # the library's pass at one m, as `verify` runs it
+            bounds.row_checks(c, n, range(m, m + 1))
+        assert calls == triples
 
     def test_parts_match_separate_builders(self):
-        # each m of a row's fold against triple_report, which takes its own lcm_range
+        # each m of a row's pass against the oracle records, which take their own lcm_range
         for c in (1, 2, 5):
             for n in range(1, 13):
-                for r in bounds.row_reports(c, n, range(1, n + 1)):
-                    m = r.divisor.m
-                    expected = triple_report(c, m, n)
-                    assert (r.divisor, r.bounds) == (expected.divisor, expected.bounds)
-                    big_l = r.bounds.L
-                    assert r.bounds.holds["binom"] is (big_l >= m * math.comb(n, m))
-                    assert r.bounds.holds["oon_2n"] is (big_l >= 2**n if m <= (n + 1) // 2 else None)
-                    assert r.violations == ()
+                for row in bounds.row_checks(c, n, range(1, n + 1)):
+                    m, big_l = row[0][1], row[0][3]
+                    assert row == pass_tuple(triple_report(c, m, n))
+                    assert holds(row)["binom"] is (big_l >= m * math.comb(n, m))
+                    assert holds(row)["oon_2n"] is (big_l >= 2**n if m <= (n + 1) // 2 else None)
+                    assert row[4] == ()
 
     def test_built_from_exactly_its_fields(self):
         r = triple_report(1, 1, 3)
@@ -525,17 +614,75 @@ class TestTripleReport:
         assert "'L/D is not an integer'" in r.violations[0]
         assert r.violations[1].startswith("bound invariants failed at (c=1, m=1, n=3)")
         assert "L < m * C(n, m)" in r.violations[1] and "L < 2^n" in r.violations[1]
+        # the pass keeps the same two lines with every value of the triple
+        row = bounds.row_checks(1, 3, range(1, 2))[0]
+        assert row == pass_tuple(r)
+        assert row[4] == r.violations and row[0][6] is None
+
+
+class TestRowChecks:
+    def test_equal_the_oracle_records_up_to_40(self):
+        # every value, verdict and message of the pass against the oracle records, c <= 5, n <= 40,
+        # every m; the table's bound-only pass against the records' bound half
+        for c in range(1, 6):
+            for n in range(1, 41):
+                reports = [triple_report(c, m, n) for m in range(1, n + 1)]
+                assert bounds.row_checks(c, n, range(1, n + 1)) == [pass_tuple(r) for r in reports]
+                assert bounds.row_checks(c, n, range(1, n + 1), None) == [pass_tuple(r, divisor=False) for r in reports]
+
+    def test_equal_the_oracle_records_with_a_forged_lcm(self, monkeypatch):
+        # L forged to 2 at the pass's two inputs: almost every triple fails some claim, and each message matches
+        monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
+        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+        failing = 0
+        for c in (1, 2):
+            for n in range(1, 13):
+                reports = [triple_report(c, m, n) for m in range(1, n + 1)]
+                failing += sum(bool(r.violations) for r in reports)
+                assert bounds.row_checks(c, n, range(1, n + 1)) == [pass_tuple(r) for r in reports]
+                assert bounds.row_checks(c, n, range(1, n + 1), None) == [pass_tuple(r, divisor=False) for r in reports]
+        assert failing >= 150  # of the 156 triples
+
+    def test_no_record_fraction_or_quadint_per_triple(self, monkeypatch):
+        # a sweep's rows, slid by one window, and table's rows build at most one QuadInt per row (the
+        # shifted product of a window that starts over) and no record or Fraction at all
+        from fractions import Fraction as RealFraction
+
+        from quadlcm import ring
+
+        built = []
+        for cls in (ring._Record, ring._Quad):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__:
+                                built.append(type(self)) or _init(self, *args))
+        real_new = RealFraction.__new__
+        monkeypatch.setattr(RealFraction, "__new__", lambda cls, *args, **kwargs: built.append(cls) or real_new(cls, *args, **kwargs))
+        rows = 0
+        for policy in ("all", "half_ceil", "frontier", "fixed:7"):
+            m_range, start = _m_policy(policy), Window().move
+            for c in (1, 2, 3):
+                for n in range(1, 41):
+                    bounds.row_checks(c, n, m_range(n), start)  # a sweep row
+                    bounds.row_checks(c, n, range(1, n + 1), None)  # a table row
+                    rows += 2
+        assert built and set(built) == {QuadInt}
+        assert len(built) <= rows
+        triple_report(1, 1, 3)  # the counters see what the oracle builds
+        assert {RealFraction, TripleReport} <= set(built)
 
 
 class TestRowFold:
     def test_parts_match_direct_computation(self):
         for c in (1, 2, 3):
             for n in range(1, 61):
-                steps = list(bounds._row_fold(c, n, range(1, n + 1)))
+                steps = list(bounds._row_fold(c, n, range(1, n + 1), bounds._row_start))
                 assert [step[0] for step in steps] == list(range(n, 0, -1))
-                for m, big_l, product, fact, multiple in steps:
+                for m, big_l, pair, fact, multiple in steps:
                     assert big_l == lcm_range(c, m, n)
-                    assert (product, fact, multiple) == bounds._divisor_parts(c, m, n)
+                    product = shifted_product(c, m, n)
+                    assert (pair, fact, multiple) == ((product.a, product.b), math.factorial(n - m),
+                                                      content_multiple(c, n - m))
+                assert [step[:2] for step in bounds._row_fold(c, n, range(1, n + 1), None)] == [
+                    step[:2] for step in steps]
 
     @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
     def test_row_reports_equal_triple_reports(self, policy):
@@ -543,32 +690,34 @@ class TestRowFold:
         for c in (1, 2, 3):
             for n in range(1, 61):
                 ms = m_range(n)
-                reports = bounds.row_reports(c, n, ms)
-                assert [(r.divisor.m, r.bounds.m) for r in reports] == [(m, m) for m in ms]
-                for r in reports:
-                    expected = triple_report(c, r.divisor.m, n)
-                    assert (r.divisor, r.bounds, r.violations) == (expected.divisor, expected.bounds, ())
-                    assert r.divisor.product == expected.divisor.product
+                rows = bounds.row_checks(c, n, ms)
+                assert [row[0][1] for row in rows] == list(ms)
+                for row in rows:
+                    assert row == pass_tuple(checked_triple(c, row[0][1], n))
                 if policy == "fixed:7":
-                    assert len(reports) == (n >= 7)
+                    assert len(rows) == (n >= 7)
 
     def test_bound_rows_equal_bound_reports(self):
         for c in (1, 2):
             for n in range(1, 41):
-                row = bounds.row_bound_reports(c, n)
-                assert [r for r, _ in row] == [triple_report(c, m, n).bounds for m in range(1, n + 1)]
-                assert all(failure is None for _, failure in row)
+                row = bounds.row_checks(c, n, range(1, n + 1), None)
+                assert row == [pass_tuple(checked_triple(c, m, n), divisor=False) for m in range(1, n + 1)]
+                assert all(violations == () for *_, violations in row)
 
     def test_bound_rows_fold_only_l(self, monkeypatch):
         # table reads no P, (n-m)! or content multiple, so its fold builds none of them
         monkeypatch.setattr(bounds, "_divisor_parts", None)
-        assert [r.L for r, _ in bounds.row_bound_reports(2, 9)] == [lcm_range(2, m, 9) for m in range(1, 10)]
+        assert [row[0][3] for row in bounds.row_checks(2, 9, range(1, 10), None)] == [
+            lcm_range(2, m, 9) for m in range(1, 10)]
 
     def test_forged_step_reaches_each_lower_m(self, monkeypatch):
         monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 1)
-        reports = bounds.row_reports(1, 3, range(1, 4))
-        assert [r.divisor.L for r in reports] == [1, 1, lcm_range(1, 3, 3)]
-        assert [bool(r.violations) for r in reports] == [True, True, False]
+        rows = bounds.row_checks(1, 3, range(1, 4))
+        assert [row[0][3] for row in rows] == [1, 1, lcm_range(1, 3, 3)]
+        assert [bool(row[4]) for row in rows] == [True, True, False]
+        # the same messages as the oracle records with that L
+        monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 1 if m < 3 else lcm_range(c, m, n))
+        assert rows == [pass_tuple(triple_report(1, m, 3)) for m in range(1, 4)]
 
 
 class TestWindow:
@@ -613,7 +762,7 @@ class TestWindow:
             m_range, start = _m_policy(policy), Window().move
             for c in (1, 2):
                 for n in range(2, 120, 3):
-                    assert bounds.row_reports(c, n, m_range(n), start) == bounds.row_reports(c, n, m_range(n))
+                    assert bounds.row_checks(c, n, m_range(n), start) == bounds.row_checks(c, n, m_range(n))
 
     # window [4, 6] of c = 1 after a pop of 3 that filled the front: the pop of 4 divides P by
     # 4 + i (norm 17), (n-m)! = 2 by 2, the multiple 40 by 2^2 + 4, and front_l by r_4 = 17
@@ -668,11 +817,11 @@ class TestLogPrinter:
     def test_every_log_and_ratio_up_to_40(self):
         for c in range(1, 6):
             for n in range(1, 41):
-                for r, _ in bounds.row_bound_reports(c, n):
-                    logs = [r.logL] + [bv[0] for bv in r.bounds.values() if bv is not None]
-                    ratios = [(v << PRECISION_BITS) // r.logL for v in logs[1:]]
+                for values, *_ in bounds.row_checks(c, n, range(1, n + 1), None):
+                    logs = [v for v in values[11:] if v is not None]
+                    ratios = [(v << PRECISION_BITS) // logs[0] for v in logs[1:]]
                     for v in logs + ratios:
-                        assert fmt_log(v) == mpmath_log_str(v), (c, r.m, n, v)
+                        assert fmt_log(v) == mpmath_log_str(v), (c, values[1], n, v)
 
 
 class TestLogEngine:

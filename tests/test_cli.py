@@ -16,8 +16,6 @@ import quadlcm.cli as cli
 from quadlcm import bounds, poly
 from quadlcm.window import Window
 
-from oracles import replace
-
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,12 +141,12 @@ class TestVerify:
         assert "usage:" in err
 
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def forged(c, m, n):
-            r = real(c, m, n)
-            return replace(r, divisor=replace(r.divisor, quotient_check=None), violations=("forged failure",))
+        def forged(c, n, ms):
+            [(values, numerator, denominator, holds, _)] = real(c, n, ms)
+            return [(values[:6] + (None,) + values[7:], numerator, denominator, holds, ("forged failure",))]
 
-        real = bounds.triple_report
-        monkeypatch.setattr(bounds, "triple_report", forged)
+        real = bounds.row_checks
+        monkeypatch.setattr(bounds, "row_checks", forged)
         code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "3"], capsys)
         assert code == 2
         doc = json.loads(out)
@@ -167,7 +165,7 @@ class TestVerify:
 class TestVerifyOnePass:
     @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
     def test_each_bound_is_decided_once(self, forged, capsys, monkeypatch):
-        # `failures()` and the document's `holds` read one verdict pass of the bound report: each exact
+        # the violations and the document's `checks` read the one verdict of the row pass: each exact
         # bound that applies at (1, 1, 2), 2^n, m * C(n, m) and Farhi's, is evaluated once
         def counted(name, bound):
             return lambda *args: decided.append(name) or bound(*args)
@@ -321,10 +319,10 @@ class TestSweep:
 
     def test_violation_exit_2(self, capsys, monkeypatch):
         def forged(c, n, ms, start):
-            return [replace(r, violations=("forged sweep failure",)) for r in real(c, n, ms, start)]
+            return [row[:4] + (("forged sweep failure",),) for row in real(c, n, ms, start)]
 
-        real = bounds.row_reports
-        monkeypatch.setattr(bounds, "row_reports", forged)
+        real = bounds.row_checks
+        monkeypatch.setattr(bounds, "row_checks", forged)
         code, out, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"],
             capsys,
@@ -474,10 +472,10 @@ class TestOutputErrors:
     # the certificate is built and verified, so a failed one leaves --out as
     # it was, and an unopenable --out is reported after the build
     @pytest.mark.parametrize("argv, work", [
-        (["verify", "--c", "1", "--m", "1", "--n", "3"], "triple_report"),
-        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "row_reports"),
+        (["verify", "--c", "1", "--m", "1", "--n", "3"], "row_checks"),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "2"], "row_checks"),
         (["bezout", "--c", "1", "--k", "2"], "bezout_certificate"),
-        (["table", "--c", "1", "--n-max", "3"], "row_bound_reports"),
+        (["table", "--c", "1", "--n-max", "3"], "row_checks"),
     ])
     def test_missing_directory(self, argv, work, tmp_path, capsys, monkeypatch):
         def unreachable(*args):
@@ -637,7 +635,7 @@ def _interrupted(*args):
 class TestInterrupt:
     # Ctrl-C ends a command with exit 130 and one line, never a traceback
     def test_serial_sweep(self, capsys, monkeypatch):
-        monkeypatch.setattr(bounds, "row_reports", _interrupted)
+        monkeypatch.setattr(bounds, "row_checks", _interrupted)
         code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4"], capsys)
         assert code == 130
         assert err.splitlines() == ["quadlcm: error: interrupted"]
@@ -656,6 +654,23 @@ class TestInterrupt:
         monkeypatch.setattr(os, "waitpid", wait_then_interrupt)
         code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
                             "--parallelism", "2"], capsys)
+        assert code == 130
+        assert err.splitlines() == ["quadlcm: error: interrupted"]
+        assert_no_child_left()
+
+    def test_second_interrupt_while_reaping(self, capsys, monkeypatch):
+        # a second Ctrl-C lands in the cleanup's first wait, before that worker is reaped: every worker
+        # is killed before any wait, the cleanup still reaps all three, and then the interrupt ends the run
+        real = os.waitpid
+
+        def interrupted_once(pid, options):
+            monkeypatch.setattr(os, "waitpid", real)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "waitpid", interrupted_once)
+        code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "6",
+                            "--parallelism", "3"], capsys)
+        assert os.waitpid is real  # the forged wait ran, in the cleanup: no worker failed before it
         assert code == 130
         assert err.splitlines() == ["quadlcm: error: interrupted"]
         assert_no_child_left()
@@ -825,9 +840,9 @@ class TestForgedLcm:
             assert "VIOLATION at (c,m,n)=(1, 1, 2): divisor invariants failed" in err
 
 
-def _projected_row(report):
+def _projected_row(row):
     """The sweep row of one triple as the `verify` document projected onto the sweep columns."""
-    doc = cli.report_to_json(report)
+    doc = cli.report_to_json(row)
     cells = {**doc["bounds"], **doc["divisor"]}
     cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
     return {col: cells.get(col) for col in cli.sweep_columns()}
@@ -850,8 +865,8 @@ class TestSweepRowWriter:
             _forge_lcm(monkeypatch)
         code, written, err = run(["sweep", "--c-min", "1", "--c-max", "3", "--n-min", "1", "--n-max", "12",
                                   "--format", fmt, "--parallelism", "1"], capsys)
-        reports = [r for c in (1, 2, 3) for n in range(1, 13) for r in bounds.row_reports(c, n, range(1, n + 1))]
-        projected = [_projected_row(r) for r in reports]
+        rows = [row for c in (1, 2, 3) for n in range(1, 13) for row in bounds.row_checks(c, n, range(1, n + 1))]
+        projected = [_projected_row(row) for row in rows]
         expected = io.StringIO()
         if fmt == "csv":
             writer = csv.writer(expected, lineterminator="\n")
@@ -860,8 +875,8 @@ class TestSweepRowWriter:
         else:
             expected.writelines(json.dumps(cells) + "\n" for cells in projected)
         assert written == expected.getvalue()
-        assert err == "".join(f"VIOLATION at (c,m,n)={(r.divisor.c, r.divisor.m, r.divisor.n)}: {v}\n"
-                              for r in reports for v in r.violations)
+        assert err == "".join(f"VIOLATION at (c,m,n)={values[:3]}: {v}\n"
+                              for values, *_, violations in rows for v in violations)
         assert len(projected) == 3 * 12 * 13 // 2
         assert any(cells["farhi"] is None for cells in projected)  # an inapplicable bound
         assert any(cells["quotient"] is None for cells in projected) is forged
@@ -877,12 +892,11 @@ class TestSweepRowWriter:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("c", "n", "m", "logL") + bounds.BOUND_NAMES)
         for n in range(1, 13):
-            for r, failure in bounds.row_bound_reports(2, n):
-                writer.writerow([2, n, r.m, cli.fmt_log(r.logL)] + [
-                    "NA" if b is None else cli.fmt_log((b[0] << bounds.PRECISION_BITS) // r.logL)
-                    for b in r.bounds.values()])
-                if failure is not None:
-                    violations.append(f"VIOLATION at (c,m,n)={(2, r.m, n)}: {failure}\n")
+            for values, *_, failures in bounds.row_checks(2, n, range(1, n + 1), None):
+                m, log_l, logs = values[1], values[11], values[12:]
+                writer.writerow([2, n, m, cli.fmt_log(log_l)] + [
+                    "NA" if v is None else cli.fmt_log((v << bounds.PRECISION_BITS) // log_l) for v in logs])
+                violations += [f"VIOLATION at (c,m,n)={(2, m, n)}: {failure}\n" for failure in failures]
         assert written == expected.getvalue()
         assert "NA" in written
         assert err == "".join(violations)
@@ -940,6 +954,15 @@ class TestColdStart:
         assert "quadlcm.workers" not in doc["modules"]
         # the same stdout when mpmath cannot be imported at all
         assert probe(argv, block_mpmath=True)["out"] == doc["out"] != ""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6"],
+        ["table", "--c", "2", "--n-max", "6"],
+        ["verify", "--c", "3", "--m", "5", "--n", "60"],
+    ], ids=["sweep", "table", "verify"])
+    def test_bound_commands_load_neither_fractions_nor_decimal(self, argv):
+        # every claim is decided in integers, Farhi's bound as 25 * 500^n * L >= 8 * 721^n
+        assert not {"fractions", "decimal", "numbers"} & loaded_modules(argv)
 
     def test_forked_sweep_loads_neither_futures_nor_multiprocessing(self):
         modules = loaded_modules(["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6",
@@ -1026,11 +1049,16 @@ class TestDeadCode:
     LIBRARY = ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds", "quadlcm.window", "quadlcm.fixedlog")
     # the methods no successful command runs that stay, each for its reason
     UNRUN_METHODS = {
-        "quadlcm.ring": ["_Record.__delattr__",  # the frozen guard, with __setattr__: safety code
+        "quadlcm.ring": ["_Quad.__mul__",  # perfbench/tracer.py counts it by name for ring.quadint_mul
+                         "_Record.__delattr__",  # the frozen guard, with __setattr__: safety code
                          "_Record.__repr__",  # pytest's failure messages read it
                          "_Record.__setattr__"],
         "quadlcm.cli": ["_Parser.error"],  # runs on bad input only
         "quadlcm.poly": ["QuadPoly.__mul__"],  # perfbench/tracer.py counts it by name for poly.quadpoly_mul
+    }
+    # the private functions no successful command runs that stay, each for its reason
+    UNRUN_PRIVATE = {
+        "quadlcm.ring": ["_check_same_ring"],  # the ring guard of the two `__mul__` methods above
     }
 
     @staticmethod
@@ -1048,9 +1076,10 @@ class TestDeadCode:
         report = {module: {name: entered for name, entered in reached[module]["functions"].items()
                            if name.startswith("_")}
                   for module in self.LIBRARY}
-        assert {"_row_fold", "_times_linear", "_scaled_newton_terms", "_value",
+        assert {"_row_fold", "_divisor_checks", "_times_linear", "_scaled_newton_terms", "_value",
                 "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
-        assert {module: self.unreached(found) for module, found in report.items() if self.unreached(found)} == {}
+        assert {module: self.unreached(found) for module, found in report.items()
+                if self.unreached(found)} == self.UNRUN_PRIVATE
 
     def test_rational_routes_left_the_library(self):
         # the Newton coefficients at rational points are test oracles; a certificate stays in Z[sqrt(-c)]
@@ -1065,7 +1094,7 @@ class TestDeadCode:
     def test_every_method_is_run_by_a_command(self, reached):
         # every class of the package, properties and dunder methods included
         methods = {module: report["methods"] for module, report in reached.items()}
-        assert {"Window.move", "BoundReport.holds", "BezoutCertificate.alpha", "_Record.__init_subclass__",
+        assert {"Window.move", "QuadPoly.coeffs", "BezoutCertificate.alpha", "_Record.__init_subclass__",
                 "_Record.__eq__"} <= set().union(*methods.values())
         unreached = {module: self.unreached(found) for module, found in methods.items()}
         assert {module: names for module, names in unreached.items() if names} == self.UNRUN_METHODS
