@@ -34,12 +34,11 @@ taken afresh from m and n, not from the fold.  Each m gives one plain
 tuple, no record, and nothing here raises on a failed claim: its message
 stays in the tuple of the triple that exposed it.  log L is not folded:
 each is floor(2^128 log L) of its own L, where a sum of floored logs could
-change a printed digit.  The record classes `DivisorReport`, `BoundReport`
-and `TripleReport` of `tests/oracles.py` re-check every claim
-independently.
-
-The exact quantity content_multiple lives in `ring`; it is imported here
-too.
+change a printed digit; an m whose L equals the previous m's reuses that
+log, as the same integer has the same floor.  The record classes
+`DivisorReport`, `BoundReport` and `TripleReport` of `tests/oracles.py`
+re-check every claim independently.  The exact quantity content_multiple
+lives in `ring`; it is imported here too.
 """
 
 from __future__ import annotations
@@ -63,9 +62,12 @@ def _require_range(c: int, m: int, n: int) -> None:
 
 
 def lcm_range(c: int, m: int, n: int) -> int:
-    """lcm of m^2+c, (m+1)^2+c, ..., n^2+c, exact."""
+    """lcm of m^2+c, (m+1)^2+c, ..., n^2+c, exact, as a balanced tree of pairwise lcms."""
     _require_range(c, m, n)
-    return lcm(*(k * k + c for k in range(m, n + 1)))
+    terms = [k * k + c for k in range(m, n + 1)]
+    while len(terms) > 1:  # each level joins neighbours, so no big lcm meets many small terms one by one
+        terms = [*map(lcm, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
+    return terms[0]
 
 
 def _divisor_parts(c: int, m: int, n: int) -> tuple[QuadInt, int, int]:
@@ -119,20 +121,21 @@ def _divisor_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], f
     a, b = pair
     num, den = a * a + c * b * b, fact * multiple
     g, (quotient, rem), hc = gcd(num, den), divmod(big_l * den, num), gcd(a, b)
+    num_g, den_g = num // g, den // g
     scaled = big_l * fact
     x, y = scaled * a // num, -scaled * b // num
     bad = []
     if rem:
         quotient = None
         bad.append("L/D is not an integer")
-    elif quotient * (num // g) != big_l * (den // g):
+    elif quotient * num_g != big_l * den_g:
         bad.append("quotient_check * D != L")
     if multiple % hc:
         bad.append("hc_value does not divide hc_bound")
     # (x + y*sqrt(-c)) * (A + B*sqrt(-c)) == L * (n-m)!
     if x * a - c * y * b != big_l * factorial(n - m) or x * b + y * a:
         bad.append("(star_x + star_y*sqrt(-c)) * product != L * (n-m)!")
-    return (big_l, num // g, den // g, quotient, hc, multiple, x, y), num, den, bad
+    return (big_l, num_g, den_g, quotient, hc, multiple, x, y), num, den, bad
 
 
 def icbrt(x: int) -> int:
@@ -230,7 +233,7 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     and the divisor values but L are None.
     """
     _extend_logs(n)
-    rows = []
+    rows, last_l = [], None
     for m, big_l, pair, fact, multiple in _row_fold(c, n, ms, start):
         d, violations = n - m, []
         if pair is None:
@@ -239,7 +242,9 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
             divisor, num, den, bad = _divisor_checks(c, m, n, big_l, pair, fact, multiple)
             if bad:
                 violations.append(f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}")
-        log_l, logs, holds, bad = _log_fixed(big_l), [], [], []
+        if big_l != last_l:  # the fold leaves L unchanged at many m: one log per distinct L
+            last_l, log_l = big_l, _log_fixed(big_l)
+        logs, holds, bad = [], [], []
         for name, applies, log_value, exact in _BOUNDS:
             if not applies(c, m, n, d):
                 logs.append(None)

@@ -5,10 +5,11 @@ past a limit, a sweep worker that raised or died, a failed sweep window, or
 an output that cannot be written), 2 a mathematical invariant failed, in a
 record or in a Bezout certificate, 130 interrupted (SIGINT).  `sweep` and
 `table` work row by row: one formatter per command turns a row into one
-record (text, violation text), and one loop writes the records and exits 2
-if any violation text is non-empty.  A sweep row (c, n) is one fold over m
-that computes every m the --m-policy wants in that row, from its process's
-`window.Window`.  With --parallelism p above 1, p forked workers (at most
+record (text, violation text), printing each distinct log of the row once
+from a memo that lives for that row only, and one loop writes the records
+and exits 2 if any violation text is non-empty.  A sweep row (c, n) is one
+fold over m that computes every m the --m-policy wants in that row, from its
+process's `window.Window`.  With --parallelism p above 1, p forked workers (at most
 64, at most one per row) take rows w, w+p, w+2p, ... each, slide their own
 copy of the window and write each row's record to their own pipe; the
 parent reads the pipes round-robin, and a full pipe blocks its worker.  So
@@ -74,10 +75,18 @@ def sweep_columns() -> tuple[str, ...]:
     return _TRIPLE_COLUMNS + BOUND_NAMES
 
 
+class _Logs(dict):
+    """One row's printed logs, {fixed-point log: fmt_log of it}, each printed on its first lookup."""
+
+    def __missing__(self, v: int) -> str:
+        self[v] = text = fmt_log(v)
+        return text
+
+
 def report_to_json(row: tuple) -> dict:
     """The `verify` document of one triple, a tuple of `bounds.row_checks`, read off its sweep cells."""
     values, numerator, denominator, holds, violations = row
-    cells, columns = _cells(values), sweep_columns()
+    cells, columns = _cells(values, _Logs({None: None})), sweep_columns()
     divisor = dict(zip(columns[:4], cells), numerator=js_int(numerator), denominator=js_int(denominator),
                    **dict(zip(columns[4:_LOG_CELL], cells[4:_LOG_CELL])))
     holds = dict(zip(columns[_LOG_CELL + 1:], holds))
@@ -142,42 +151,41 @@ def _only(m: int, n: int) -> range:
     return range(m, min(m, n) + 1)
 
 
-def _cells(values: tuple) -> tuple:
-    """One triple's values, as `bounds.row_checks` gives them, as cells in `sweep_columns()` order; None stays."""
+def _cells(values: tuple, logs: _Logs) -> tuple:
+    """One triple's values from `bounds.row_checks` as JSON cells in `sweep_columns()` order, logs from `logs`."""
     return (tuple(None if v is None else js_int(v) for v in values[:_LOG_CELL])
-            + tuple(None if v is None else fmt_log(v) for v in values[_LOG_CELL:]))
+            + tuple(logs[v] for v in values[_LOG_CELL:]))
 
 
-def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple[tuple, tuple[str, ...]]]:
-    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: each m's cells and violations."""
+def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple]:
+    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: its tuples of `bounds.row_checks`."""
     from .bounds import row_checks
-    return [(_cells(values), violations) for values, _, _, _, violations in row_checks(*row)]
-
-
-def _csv(cells: Iterable) -> str:
-    """One CSV line, NA for None; no cell (an int, a digit string or a decimal log) needs quoting."""
-    return ",".join(["NA" if v is None else str(v) for v in cells]) + "\n"
+    return row_checks(*row)
 
 
 def _sweep_text(row: tuple[int, int, range, Callable], json_columns: Optional[tuple[str, ...]]) -> tuple[str, str]:
     """The record of one sweep row: its CSV lines, or JSON lines keyed by `json_columns`, and its VIOLATION lines."""
-    lines, bad = [], []
-    for cells, violations in _sweep_row(row):
-        lines.append(_csv(cells) if json_columns is None else json.dumps(dict(zip(json_columns, cells))) + "\n")
-        bad += [f"VIOLATION at (c,m,n)={cells[:3]}: {v}\n" for v in violations]
+    lines, bad, logs = [], [], _Logs({None: "NA" if json_columns is None else None})
+    for values, _, _, _, violations in _sweep_row(row):
+        if json_columns is None:
+            lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]]
+                                  + [logs[v] for v in values[_LOG_CELL:]]) + "\n")
+        else:
+            lines.append(json.dumps(dict(zip(json_columns, _cells(values, logs)))) + "\n")
+        bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
     return "".join(lines), "".join(bad)
 
 
 def _table_text(c: int, n: int) -> tuple[str, str]:
     """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
     from .bounds import row_checks
-    lines, bad = [], []
+    lines, bad, logs = [], [], _Logs()  # one memo for the row's logs and ratios
     for values, _, _, _, violations in row_checks(c, n, range(1, n + 1), None):
         m, log_l = values[1], values[_LOG_CELL]
         bad += [f"VIOLATION at (c,m,n)={(c, m, n)}: {v}\n" for v in violations]
         # the ratio log(bound) / log(L), itself in fixed point
-        ratios = [None if v is None else fmt_log((v << PRECISION_BITS) // log_l) for v in values[_LOG_CELL + 1:]]
-        lines.append(_csv([c, n, m, fmt_log(log_l)] + ratios))
+        ratios = ["NA" if v is None else logs[(v << PRECISION_BITS) // log_l] for v in values[_LOG_CELL + 1:]]
+        lines.append(",".join([f"{c},{n},{m}", logs[log_l], *ratios]) + "\n")
     return "".join(lines), "".join(bad)
 
 
@@ -226,7 +234,7 @@ def cmd_sweep(args) -> int:
     nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
     workers = min(args.parallelism, nrows)
     columns = sweep_columns()
-    header = _csv(columns) if args.format == "csv" else ""
+    header = ",".join(columns) + "\n" if args.format == "csv" else ""
     json_columns = columns if args.format == "json" else None
     row_text = lambda row: _sweep_text(row, json_columns)  # one formatter, serial or forked
     with _open_out(args.out) as out:
@@ -265,7 +273,7 @@ def cmd_table(args) -> int:
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
     from .bounds import BOUND_NAMES
     with _open_out(args.out) as out:
-        return _write_rows(_csv(("c", "n", "m", "logL") + BOUND_NAMES),
+        return _write_rows(",".join(("c", "n", "m", "logL") + BOUND_NAMES) + "\n",
                            (_table_text(args.c, n) for n in range(1, args.n_max + 1)), out)
 
 

@@ -141,12 +141,10 @@ def _log_consts(c: int) -> tuple[int, int, int]:
 _LOG2_10 = log(10, 2)  # a float on purpose: see _log_str
 
 
-@lru_cache(maxsize=None)
-def _scale(bits: int) -> tuple[int, int, int]:
-    """(fixprec, fixdps, 10^fixdps) of `_log_str` at a bit length of |v| up to PRECISION_BITS + 69."""
-    fixprec = max(69 - (bits - PRECISION_BITS), 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    return fixprec, fixdps, 10**fixdps
+# (shift, fixprec, fixdps, 10^fixdps) of `_log_str` by the bit length of |v|, up to PRECISION_BITS + 69
+_SCALES = [(fixprec - PRECISION_BITS, fixprec, fixdps, 10**fixdps)
+           for fixprec in (max(69 - (bits - PRECISION_BITS), 0) for bits in range(PRECISION_BITS + 70))
+           for fixdps in (int(fixprec / _LOG2_10 + 0.5),)]
 
 
 def _log_str(v: int) -> str:
@@ -159,14 +157,14 @@ def _log_str(v: int) -> str:
     of 9s; fixed notation for decimal exponents -4..14, `e` notation
     otherwise; trailing zeros stripped.  Equal to mpmath's string for every
     |x| below 2^3500, beyond which mpmath first divides by a power of ten.
-    The scale depends only on the bit length of |x|: `_scale` caches it, in
-    at most 197 entries, as fixprec is 0 from PRECISION_BITS + 69 = 197 bits.
+    The scale depends only on the bit length of |x|: `_SCALES` holds it, in
+    198 entries, as fixprec is 0 from PRECISION_BITS + 69 = 197 bits on.
     """
     if v == 0:
         return "0.0"
     sign, x = ("-", -v) if v < 0 else ("", v)
-    fixprec, fixdps, power = _scale(min(x.bit_length(), PRECISION_BITS + 69))
-    shift = fixprec - PRECISION_BITS
+    bits = x.bit_length()
+    shift, fixprec, fixdps, power = _SCALES[-1] if bits >= len(_SCALES) else _SCALES[bits]
     fixed = x << shift if shift >= 0 else x >> -shift
     digits = str(fixed * power >> fixprec)
     exponent = len(digits) - fixdps - 1

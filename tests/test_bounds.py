@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -89,6 +90,15 @@ class TestLcmRange:
             for n in (5, 12, 20):
                 values = [lcm_range(c, m, n) for m in range(1, n + 1)]
                 assert all(x >= y for x, y in zip(values, values[1:]))
+
+    def test_pairwise_tree_equals_the_left_fold(self):
+        # lcm_range joins neighbours level by level; the left fold is its oracle
+        rng = random.Random(7)
+        for length in (1, 2, 3, 4, 7, 8, 31, 64, 129):
+            for _ in range(4):
+                c, m = rng.randrange(1, 50), rng.randrange(1, 300)
+                terms = [k * k + c for k in range(m, m + length)]
+                assert lcm_range(c, m, m + length - 1) == functools.reduce(math.lcm, terms), (c, m, length)
 
 
 class TestRationalDivisor:
@@ -669,6 +679,25 @@ class TestRowChecks:
         triple_report(1, 1, 3)  # the counters see what the oracle builds
         assert {RealFraction, TripleReport} <= set(built)
 
+    def test_log_l_once_per_distinct_l(self, monkeypatch):
+        # an m whose L equals the previous m's reuses that log: every logL cell is still the floored log of
+        # its own L, and _log_fixed runs once per change of L along the descending fold
+        calls = []
+        real = bounds._log_fixed
+        monkeypatch.setattr(bounds, "_log_fixed", lambda x: calls.append(x) or real(x))
+        repeats = 0
+        for c in range(1, 6):
+            for n in range(1, 61):
+                for start in (bounds._row_start, None):
+                    calls.clear()
+                    rows = bounds.row_checks(c, n, range(1, n + 1), start)
+                    ls = [values[3] for values, *_ in rows]
+                    assert [values[11] for values, *_ in rows] == [real(big_l) for big_l in ls]
+                    changes = [big_l for big_l, above in zip(ls, ls[1:] + [None]) if big_l != above]
+                    assert calls == changes[::-1]
+                    repeats += n - len(changes)
+        assert repeats > 1000  # L repeats at many triples, so the reuse is exercised
+
 
 class TestRowFold:
     def test_parts_match_direct_computation(self):
@@ -806,7 +835,7 @@ class TestLogPrinter:
         assert fmt_log((10**16 - 5) << PRECISION_BITS) == "1.0e+16"
 
     def test_every_bit_length_boundary(self):
-        # the printer's scale is cached per bit length of |v|, and one entry
+        # the printer's scale is one table entry per bit length of |v|, and one entry
         # serves every length from PRECISION_BITS + 69 on, where mpmath's
         # fixed precision reaches 0
         for k in range(1, PRECISION_BITS + 81):

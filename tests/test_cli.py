@@ -904,6 +904,32 @@ class TestSweepRowWriter:
         assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_each_printed_log_is_fmt_log_once_per_row(self, fmt, monkeypatch):
+        # every log cell of a row is fmt_log of its value, each distinct value printed once per row; the
+        # memo lives for one row only, so the same row formatted again prints its logs again
+        c, n, columns = 2, 30, cli.sweep_columns()
+        if fmt == "table":
+            logs = [[v[11]] + [None if x is None else (x << bounds.PRECISION_BITS) // v[11] for x in v[12:]]
+                    for v, *_ in bounds.row_checks(c, n, range(1, n + 1), None)]
+            text = lambda: cli._table_text(c, n)[0]
+            cells = lambda line: line.split(",")[3:]
+        else:
+            logs = [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
+            json_columns = columns if fmt == "json" else None
+            text = lambda: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_columns)[0]
+            cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
+                     (lambda line: [json.loads(line)[col] for col in columns[11:]]))
+        printed, real = [], cli.fmt_log
+        monkeypatch.setattr(cli, "fmt_log", lambda v: printed.append(v) or real(v))
+        lines = text().splitlines()
+        none = None if fmt == "json" else "NA"
+        assert [cells(line) for line in lines] == [[none if v is None else real(v) for v in row] for row in logs]
+        distinct = {v for row in logs for v in row if v is not None}
+        assert sorted(printed) == sorted(distinct) and len(distinct) < sum(v is not None for row in logs for v in row)
+        assert text().splitlines() == lines and sorted(printed) == sorted(2 * list(distinct))
+
+
 # runs one command in a fresh interpreter and prints its exit code, its
 # stdout and every module it loaded; with "block" first, importing mpmath fails
 _MODULES_PROBE = """
