@@ -22,10 +22,11 @@ Any other case is undecided, and reported as a violation, never as a pass.
 The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
 applicability gate, a log value and, where there is one, the exact bound.
 A row (c, n) is the unit of work, and `row_checks` is its one pass: one
-descending fold over m (`_row_fold`) from L, P = A + B*sqrt(-c), (n-m)! and
-the content multiple at the row's largest m, by one lcm or multiplication
-each per step down, that checks every claim of each m once, in integers.
-That start is `_row_start`, or a sweep's `window.Window`; a row without a
+descending fold over m from L, P = A + B*sqrt(-c), (n-m)! and the content
+multiple at the row's largest m, by one lcm or multiplication each per step
+down, that checks every claim of each m once, in integers, as it steps.
+That start is `_row_start`, from `lcm_range` and the integer pair of
+`ring.shifted_product`, or a sweep's `window.Window`; a row without a
 start (`table`) folds L alone and checks only the bounds.  The divisor
 claims are read off (A, B): the numerator is norm(P) = A^2 + c*B^2, D is
 reduced by one gcd, the content is gcd(A, B), and the floored star witness
@@ -45,11 +46,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
-from .ring import QuadInt, content_multiple, shifted_product
+from .ring import content_multiple, shifted_product
 
 _ONE = 1 << PRECISION_BITS
 
@@ -70,14 +71,6 @@ def lcm_range(c: int, m: int, n: int) -> int:
     return terms[0]
 
 
-def _divisor_parts(c: int, m: int, n: int) -> tuple[QuadInt, int, int]:
-    """P = (m + sqrt(-c)) ... (n + sqrt(-c)), (n-m)! and content_multiple(c, n-m).
-
-    The divisor is norm(P) / ((n-m)! * content_multiple(c, n-m)); norm(P) = prod(k^2+c).
-    """
-    return shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
-
-
 def _lcm_step(big_l: int, c: int, m: int) -> int:
     """lcm(big_l, m^2+c): L at (c, m, n) from L at (c, m+1, n), the one lcm step of a row's fold."""
     return lcm(big_l, m * m + c)
@@ -85,29 +78,7 @@ def _lcm_step(big_l: int, c: int, m: int) -> int:
 
 def _row_start(c: int, m: int, n: int) -> tuple[int, tuple[int, int], int, int]:
     """(L, (A, B), (n-m)!, content_multiple(c, n-m)) at (c, m, n), P = A + B*sqrt(-c), from scratch."""
-    product, fact, multiple = _divisor_parts(c, m, n)
-    return lcm_range(c, m, n), (product.a, product.b), fact, multiple
-
-
-def _row_fold(c: int, n: int, ms: range, start: Optional[Callable]) -> Iterator[tuple]:
-    """(m, L, (A, B), (n-m)!, content_multiple(c, n-m)) at (c, m, n) for each m of ms, descending.
-
-    The largest m comes from `start`, as `_row_start` gives it, each lower m with d = n - m from
-    L <- `_lcm_step`, P <- P * (m + sqrt(-c)), (n-m)! <- (n-m+1)! * d and multiple <- multiple * (d^2 + 4c).
-    With start None, L comes from `lcm_range` and is all that is folded: the other three are None.
-    """
-    if not ms:
-        return
-    _require_range(c, ms[0], n)
-    big_l, pair, fact, multiple = (lcm_range(c, ms[-1], n), None, None, None) if start is None else start(c, ms[-1], n)
-    yield ms[-1], big_l, pair, fact, multiple
-    for m in reversed(ms[:-1]):
-        big_l = _lcm_step(big_l, c, m)
-        if pair is not None:
-            d, (a, b) = n - m, pair
-            # (a + b*sqrt(-c)) * (m + sqrt(-c))
-            pair, fact, multiple = (a * m - c * b, a + b * m), fact * d, multiple * (d * d + 4 * c)
-        yield m, big_l, pair, fact, multiple
+    return lcm_range(c, m, n), shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
 
 
 def _divisor_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], fact: int,
@@ -219,7 +190,7 @@ BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
 
 
 def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start) -> list[tuple]:
-    """Every claim at (c, m, n) for each m of ms, ascending, each checked once in one pass over `_row_fold`.
+    """Every claim at (c, m, n) for each m of ms, ascending, each checked once in one descending fold.
 
     Each m gives (values, numerator, denominator, holds, violations).  The
     values are exact, in the order of `cli.sweep_columns()`: c, m, n, L,
@@ -229,13 +200,28 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     unreduced; holds is True, False or None (the gate fails) per bound of
     BOUND_NAMES; violations has one line per kind of claim, divisor or bound,
     that failed.  An exact row fails when L is below its bound, a log row as
-    the module docstring says.  With start None only the bounds are checked,
-    and the divisor values but L are None.
+    the module docstring says.
+
+    The largest m's L, (A, B), (n-m)! and multiple come from `start(c, m, n)`,
+    as `_row_start` gives them; each lower m, d = n - m, steps L by
+    `_lcm_step`, P by the factor m + sqrt(-c), the factorial by d and the
+    multiple by d^2 + 4c.  With start None, L alone comes from `lcm_range`
+    and is folded: only the bounds are checked, and the divisor values but L
+    are None.  An empty ms gives [] and calls no start.
     """
+    if not ms:
+        return []
+    _require_range(c, ms[0], n)
     _extend_logs(n)
-    rows, last_l = [], None
-    for m, big_l, pair, fact, multiple in _row_fold(c, n, ms, start):
+    top, rows, last_l = ms[-1], [], None
+    big_l, pair, fact, multiple = (lcm_range(c, top, n), None, None, None) if start is None else start(c, top, n)
+    for m in reversed(ms):
         d, violations = n - m, []
+        if m < top:  # one step down the fold, from m + 1
+            big_l = _lcm_step(big_l, c, m)
+            if pair is not None:
+                a, b = pair  # P <- (a + b*sqrt(-c)) * (m + sqrt(-c))
+                pair, fact, multiple = (a * m - c * b, a + b * m), fact * d, multiple * (d * d + 4 * c)
         if pair is None:
             divisor, num, den = (big_l,) + (None,) * 7, None, None
         else:

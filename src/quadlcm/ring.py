@@ -30,7 +30,8 @@ class _Record:
     fields outside `_hidden`; a record defines no hash, so it is unhashable.
     `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
     of the shown fields.  `BezoutCertificate` uses this __init__; the types
-    built most often (`QuadInt`, `QuadRat`, `IntPoly`) have their own.
+    built most often (`IntPoly`, and `QuadRat` for `bezout`'s alpha) and
+    `QuadInt`, which no command builds, have their own.
     """
 
     __slots__ = ()
@@ -113,15 +114,15 @@ class QuadRat(_Quad):
                          b if isinstance(b, Fraction) else Fraction(b), c)
 
 
-def shifted_product(c: int, m: int, n: int) -> QuadInt:
-    """The product (m + sqrt(-c)) (m+1 + sqrt(-c)) ... (n + sqrt(-c))."""
-    if m > n:
-        raise ValueError(f"need m <= n, got m={m}, n={n}")
+def shifted_product(c: int, m: int, n: int) -> tuple[int, int]:
+    """(A, B) with A + B*sqrt(-c) = (m + sqrt(-c)) (m+1 + sqrt(-c)) ... (n + sqrt(-c))."""
+    if c < 1 or m > n:
+        raise ValueError(f"need c >= 1 and m <= n, got c={c}, m={m}, n={n}")
     a, b = 1, 0
     for k in range(m, n + 1):
         # (a + b*sqrt(-c)) * (k + sqrt(-c))
         a, b = a * k - c * b, a + b * k
-    return QuadInt(a, b, c)
+    return a, b
 
 
 def content_multiple(c: int, k: int) -> int:

@@ -28,7 +28,9 @@ class Window:
     def move(self, c: int, m: int, n: int) -> tuple[int, tuple[int, int], int, int]:
         """(L, (A, B), (n-m)!, content_multiple(c, n-m)) at [m, n] of c, as `bounds._row_start` gives them.
 
-        A new c, a move left or a jump past the window starts over from `bounds._row_start`.
+        A sweep passes this to `bounds.row_checks` as its rows' start.  A new c, a move left or a jump
+        past the window starts over from `bounds._row_start`, the default start, which builds them from
+        scratch.
         """
         if c != self.c or m < self.m or n < self.n or m > self.n:
             self.back_l, (self.a, self.b), self.fact, self.multiple = bounds._row_start(c, m, n)

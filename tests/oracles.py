@@ -301,7 +301,7 @@ def divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
     is L*(n-m)! * conj(P) / norm(P) floored, so a false claim still gives a
     whole record for `failures()` to reject.
     """
-    product, fact, multiple = shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
+    product, fact, multiple = QuadInt(*shifted_product(c, m, n), c), factorial(n - m), content_multiple(c, n - m)
     num, den = quad_norm(product), fact * multiple
     quotient, rem = divmod(big_l * den, num)
     scaled = big_l * fact

@@ -190,16 +190,16 @@ class TestVerifyDivisor:
         for c, m, n in [(1, 1, 3), (2, 3, 9), (5, 2, 8)]:
             r = checked_triple(c, m, n).divisor
             star = QuadInt(r.star_x, r.star_y, c)
-            assert star * shifted_product(c, m, n) == QuadInt(r.L * math.factorial(n - m), 0, c)
+            assert star * QuadInt(*shifted_product(c, m, n), c) == QuadInt(r.L * math.factorial(n - m), 0, c)
 
 
 class TestContentHelpers:
     def test_product_content_examples(self):
-        assert content(shifted_product(1, 1, 3)) == 10
-        assert content(shifted_product(1, 2, 3)) == 5
+        assert content(QuadInt(*shifted_product(1, 1, 3), 1)) == 10
+        assert content(QuadInt(*shifted_product(1, 2, 3), 1)) == 5
         for c in (1, 2, 4):
             for m in (1, 6, 13):
-                assert content(shifted_product(c, m, m)) == 1
+                assert content(QuadInt(*shifted_product(c, m, m), c)) == 1
 
     def test_content_multiple_is_the_ring_quantity(self):
         from quadlcm import poly, ring
@@ -218,7 +218,7 @@ class TestContentHelpers:
         for c in (1, 2, 3):
             for n in range(1, 16):
                 for m in range(1, n + 1):
-                    assert content_multiple(c, n - m) % content(shifted_product(c, m, n)) == 0
+                    assert content_multiple(c, n - m) % content(QuadInt(*shifted_product(c, m, n), c)) == 0
 
 
 class TestCombinatorialChecks:
@@ -654,8 +654,8 @@ class TestRowChecks:
         assert failing >= 150  # of the 156 triples
 
     def test_no_record_fraction_or_quadint_per_triple(self, monkeypatch):
-        # a sweep's rows, slid by one window, and table's rows build at most one QuadInt per row (the
-        # shifted product of a window that starts over) and no record or Fraction at all
+        # a sweep's rows, slid by one window that also starts over at each new c, table's rows and
+        # verify's row build no record, QuadInt or Fraction at all, not even one per row
         from fractions import Fraction as RealFraction
 
         from quadlcm import ring
@@ -666,16 +666,15 @@ class TestRowChecks:
                                 built.append(type(self)) or _init(self, *args))
         real_new = RealFraction.__new__
         monkeypatch.setattr(RealFraction, "__new__", lambda cls, *args, **kwargs: built.append(cls) or real_new(cls, *args, **kwargs))
-        rows = 0
+        triples = 0
         for policy in ("all", "half_ceil", "frontier", "fixed:7"):
             m_range, start = _m_policy(policy), Window().move
             for c in (1, 2, 3):
                 for n in range(1, 41):
-                    bounds.row_checks(c, n, m_range(n), start)  # a sweep row
-                    bounds.row_checks(c, n, range(1, n + 1), None)  # a table row
-                    rows += 2
-        assert built and set(built) == {QuadInt}
-        assert len(built) <= rows
+                    triples += len(bounds.row_checks(c, n, m_range(n), start))  # a sweep row
+                    triples += len(bounds.row_checks(c, n, range(1, n + 1), None))  # a table row
+        triples += len(bounds.row_checks(3, 60, range(5, 6)))  # verify's row
+        assert triples > 3000 and built == []
         triple_report(1, 1, 3)  # the counters see what the oracle builds
         assert {RealFraction, TripleReport} <= set(built)
 
@@ -701,17 +700,37 @@ class TestRowChecks:
 
 class TestRowFold:
     def test_parts_match_direct_computation(self):
+        # L, norm(P) and (n-m)! * multiple of every m of the fold, under each of its three starts
         for c in (1, 2, 3):
+            window = Window()
             for n in range(1, 61):
-                steps = list(bounds._row_fold(c, n, range(1, n + 1), bounds._row_start))
-                assert [step[0] for step in steps] == list(range(n, 0, -1))
-                for m, big_l, pair, fact, multiple in steps:
-                    assert big_l == lcm_range(c, m, n)
-                    product = shifted_product(c, m, n)
-                    assert (pair, fact, multiple) == ((product.a, product.b), math.factorial(n - m),
-                                                      content_multiple(c, n - m))
-                assert [step[:2] for step in bounds._row_fold(c, n, range(1, n + 1), None)] == [
-                    step[:2] for step in steps]
+                want = [(lcm_range(c, m, n), math.prod(k * k + c for k in range(m, n + 1)),
+                         math.factorial(n - m) * content_multiple(c, n - m)) for m in range(1, n + 1)]
+                for start in (bounds._row_start, window.move):
+                    rows = bounds.row_checks(c, n, range(1, n + 1), start)
+                    assert [row[0][1] for row in rows] == list(range(1, n + 1))
+                    assert [(row[0][3], row[1], row[2]) for row in rows] == want
+                rows = bounds.row_checks(c, n, range(1, n + 1), None)
+                assert [(row[0][3], row[1], row[2]) for row in rows] == [(big_l, None, None) for big_l, *_ in want]
+
+    @pytest.mark.parametrize("start", ["row_start", "window", None])
+    def test_empty_row_calls_no_start(self, start, monkeypatch):
+        # fixed:9 below n = 9: no m, so no start is called and the window keeps [7, 9] of c = 2 as it was
+        window, calls, real = Window(), [], bounds._row_start
+        window.move(2, 7, 9)
+        state = repr(vars(window))
+        monkeypatch.setattr(bounds, "_row_start", None)  # a window that starts over fails
+        starts = {"row_start": lambda c, m, n: calls.append((c, m, n)) or real(c, m, n),
+                  "window": lambda c, m, n: calls.append((c, m, n)) or window.move(c, m, n), None: None}
+        m_range = _m_policy("fixed:9")
+        for n in range(1, 9):
+            assert bounds.row_checks(2, n, m_range(n), starts[start]) == []
+        assert calls == [] and repr(vars(window)) == state
+        # the next row slides the window from [7, 9] to [9, 10]: a start over would call the None above
+        want = bounds.row_checks(2, 10, range(9, 10), None if start is None else real)
+        assert bounds.row_checks(2, 10, m_range(10), starts[start]) == want
+        assert calls == ([] if start is None else [(2, 9, 10)])
+        assert (window.c, window.m, window.n) == ((2, 9, 10) if start == "window" else (2, 7, 9))
 
     @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
     def test_row_reports_equal_triple_reports(self, policy):
@@ -735,7 +754,8 @@ class TestRowFold:
 
     def test_bound_rows_fold_only_l(self, monkeypatch):
         # table reads no P, (n-m)! or content multiple, so its fold builds none of them
-        monkeypatch.setattr(bounds, "_divisor_parts", None)
+        for name in ("_row_start", "shifted_product", "content_multiple"):
+            monkeypatch.setattr(bounds, name, None)
         assert [row[0][3] for row in bounds.row_checks(2, 9, range(1, 10), None)] == [
             lcm_range(2, m, 9) for m in range(1, 10)]
 
@@ -752,14 +772,13 @@ class TestRowFold:
 class TestWindow:
     @staticmethod
     def expected(c, m, n):
-        product, fact, multiple = bounds._divisor_parts(c, m, n)
-        return lcm_range(c, m, n), (product.a, product.b), fact, multiple
+        return lcm_range(c, m, n), shifted_product(c, m, n), math.factorial(n - m), content_multiple(c, n - m)
 
     def test_moves_equal_the_rebuild(self, monkeypatch):
         # random monotone windows with strides 1-4 (a forked worker's view), repeated moves, c changes,
-        # moves to the left and jumps past the window; only a slide skips `_divisor_parts`
-        rebuilds, real = [], bounds._divisor_parts
-        monkeypatch.setattr(bounds, "_divisor_parts", lambda c, m, n: rebuilds.append((c, m, n)) or real(c, m, n))
+        # moves to the left and jumps past the window; only a slide skips `_row_start`
+        rebuilds, real = [], bounds._row_start
+        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: rebuilds.append((c, m, n)) or real(c, m, n))
         rng, kinds = random.Random(21), set()
         for _ in range(120):
             window, c, m, n = Window(), rng.randint(1, 9), 1, rng.randint(1, 30)
@@ -801,7 +820,7 @@ class TestWindow:
         window.move(1, 3, 6)
         window.move(1, 4, 6)
         setattr(window, field, getattr(window, field) + 1)
-        monkeypatch.setattr(bounds, "_divisor_parts", None)  # no silent rebuild
+        monkeypatch.setattr(bounds, "_row_start", None)  # no silent rebuild
         with pytest.raises(WindowError, match=r"^pop of m=4 from the window \[4, 6\] of c=1 left a remainder$"):
             window.move(1, 5, 6)
 

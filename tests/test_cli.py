@@ -310,7 +310,7 @@ class TestSweep:
             target = tmp_path / f"sweep_{workers}.json"
             assert cli.main(argv + ["--parallelism", str(workers), "--out", str(target)]) == 0
             outputs.append(target.read_bytes())
-        # every row's start rebuilt from lcm_range and _divisor_parts, as `verify` computes it
+        # every row's start rebuilt by `bounds._row_start`, as `verify` computes it
         real_move = Window.move
         monkeypatch.setattr(Window, "move", lambda self, c, m, n: real_move(Window(), c, m, n))
         target = tmp_path / "rebuilt.json"
@@ -349,8 +349,8 @@ class TestSweepWindowFailure:
 
         real, rebuilds = Window.move, []
         monkeypatch.setattr(Window, "move", forging)
-        parts = bounds._divisor_parts
-        monkeypatch.setattr(bounds, "_divisor_parts", lambda c, m, n: rebuilds.append((c, m, n)) or parts(c, m, n))
+        start = bounds._row_start
+        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: rebuilds.append((c, m, n)) or start(c, m, n))
         code, out, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "6",
                               "--m-policy", "half_ceil", "--parallelism", str(workers)], capsys)
         assert code == 1
@@ -1102,7 +1102,7 @@ class TestDeadCode:
         report = {module: {name: entered for name, entered in reached[module]["functions"].items()
                            if name.startswith("_")}
                   for module in self.LIBRARY}
-        assert {"_row_fold", "_divisor_checks", "_times_linear", "_scaled_newton_terms", "_value",
+        assert {"_row_start", "_lcm_step", "_divisor_checks", "_times_linear", "_scaled_newton_terms", "_value",
                 "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
         assert {module: self.unreached(found) for module, found in report.items()
                 if self.unreached(found)} == self.UNRUN_PRIVATE

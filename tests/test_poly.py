@@ -223,16 +223,14 @@ class TestShiftProductPoly:
                 assert poly_leading(p) == qr(c, 1)
 
     def test_eval_matches_shifted_product(self):
-        z = shifted_product(1, 1, 3)
-        assert poly_eval(shift_product_poly(1, 2), QuadRat(3, 0, 1)) == QuadRat(z.a, z.b, z.c)
+        assert poly_eval(shift_product_poly(1, 2), QuadRat(3, 0, 1)) == QuadRat(*shifted_product(1, 1, 3), 1)
         rng = random.Random(11)
         for _ in range(40):
             c = rng.randint(1, 5)
             k = rng.randint(0, 7)
             n = rng.randint(k + 1, k + 12)
             got = poly_eval(shift_product_poly(c, k), QuadRat(n, 0, c))
-            z = shifted_product(c, n - k, n)
-            assert got == QuadRat(z.a, z.b, c)
+            assert got == QuadRat(*shifted_product(c, n - k, n), c)
 
 
 class TestSplitParts:
