@@ -29,9 +29,11 @@ That start is `_row_start`, from `lcm_range` and the integer pair of
 `ring.shifted_product`, or a sweep's `window.Window`; a row without a
 start (`table`) folds L alone and checks only the bounds.  The divisor
 claims are read off (A, B): the numerator is norm(P) = A^2 + c*B^2, D is
-reduced by one gcd, the content is gcd(A, B), and the floored star witness
-(x, y) must satisfy x*A - c*y*B = L*(n-m)! and x*B + y*A = 0, with (n-m)!
-taken afresh from m and n, not from the fold.  Each m gives one plain
+reduced by one gcd, D | L is decided on the reduced form and the quotient
+cross-checked on the unreduced one, the content is gcd(A, B), and the
+floored star witness (x, y) must satisfy x*A - c*y*B = L*(n-m)! and
+x*B + y*A = 0, with L*(n-m)! from the fold and the fold's (n-m)! compared
+with factorial(n - m), taken afresh from m and n.  Each m gives one plain
 tuple, no record, and nothing here raises on a failed claim: its message
 stays in the tuple of the triple that exposed it.  log L is not folded:
 each is floor(2^128 log L) of its own L, where a sum of floored logs could
@@ -88,23 +90,28 @@ def _divisor_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], f
     The values are L, D_num, D_den, the quotient L/D (None when it is not an
     integer), the content gcd(A, B), the multiple, and the star witness
     L*(n-m)! * conj(P) / norm(P) floored, so a false claim still gives every value.
+    D | L is decided by dividing L * D_den by D_num, the reduced form, and the
+    quotient is cross-checked against the unreduced form, quotient * norm(P)
+    == L * (n-m)! * multiple.  The star identity reuses the fold's L * (n-m)!,
+    and the fold's (n-m)! is itself compared with factorial(n - m).
     """
     a, b = pair
     num, den = a * a + c * b * b, fact * multiple
-    g, (quotient, rem), hc = gcd(num, den), divmod(big_l * den, num), gcd(a, b)
+    g, hc = gcd(num, den), gcd(a, b)
     num_g, den_g = num // g, den // g
+    quotient, rem = divmod(big_l * den_g, num_g)
     scaled = big_l * fact
     x, y = scaled * a // num, -scaled * b // num
     bad = []
     if rem:
         quotient = None
         bad.append("L/D is not an integer")
-    elif quotient * num_g != big_l * den_g:
+    elif quotient * num != big_l * den:
         bad.append("quotient_check * D != L")
     if multiple % hc:
         bad.append("hc_value does not divide hc_bound")
     # (x + y*sqrt(-c)) * (A + B*sqrt(-c)) == L * (n-m)!
-    if x * a - c * y * b != big_l * factorial(n - m) or x * b + y * a:
+    if fact != factorial(n - m) or x * a - c * y * b != scaled or x * b + y * a:
         bad.append("(star_x + star_y*sqrt(-c)) * product != L * (n-m)!")
     return (big_l, num_g, den_g, quotient, hc, multiple, x, y), num, den, bad
 

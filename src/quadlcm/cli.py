@@ -14,9 +14,12 @@ process's `window.Window`.  With --parallelism p above 1, p forked workers (at m
 copy of the window and write each row's record to their own pipe; the
 parent reads the pipes round-robin, and a full pipe blocks its worker.  So
 the output is in (c, n, m) lexicographic order and byte-identical for a
-given configuration at any parallelism level.  `verify`, `sweep` and `table`
-take c < 2^61, the range in which the log bounds are certified; `bezout`
-takes k <= 500.
+given configuration at any parallelism level.  A JSON sweep line is built
+straight from the row's integers, by one `%` template with the keys built in;
+`_cells`, the JSON cells of a triple, serves `verify` only.  `verify`, `sweep`
+and `table` take c < 2^61, the range in which the log bounds are certified,
+and n <= 10^6 (`verify --n`, `sweep --n-max`, `table --n-max`), past which a
+run would first spend minutes growing its log table; `bezout` takes k <= 500.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ EXIT_VIOLATION = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _MAX_PARALLELISM = 64  # every worker forks before the first row; the output is the same at any parallelism
+_MAX_N = 10**6  # `verify --c 1 --m 995000 --n 1000000` takes 5-7 s on a 2-vCPU host, most of it in the log table
 _MAX_BEZOUT_K = 500  # `bezout --k 500` takes 7-9 s end to end on a 2-vCPU host, and the time grows about as k^4
 
 _INT64_MIN = -(2**63)
@@ -80,6 +84,14 @@ class _Logs(dict):
 
     def __missing__(self, v: int) -> str:
         self[v] = text = fmt_log(v)
+        return text
+
+
+class _JsonLogs(dict):
+    """One JSON row's log cells, {fixed-point log: fmt_log of it in quotes}, each printed on its first lookup."""
+
+    def __missing__(self, v: int) -> str:
+        self[v] = text = f'"{fmt_log(v)}"'
         return text
 
 
@@ -152,7 +164,10 @@ def _only(m: int, n: int) -> range:
 
 
 def _cells(values: tuple, logs: _Logs) -> tuple:
-    """One triple's values from `bounds.row_checks` as JSON cells in `sweep_columns()` order, logs from `logs`."""
+    """One triple's values from `bounds.row_checks` as JSON cells in `sweep_columns()` order, logs from `logs`.
+
+    Only `verify` reads them; `_sweep_text` writes the same text from the integers.
+    """
     return (tuple(None if v is None else js_int(v) for v in values[:_LOG_CELL])
             + tuple(logs[v] for v in values[_LOG_CELL:]))
 
@@ -163,15 +178,25 @@ def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple]:
     return row_checks(*row)
 
 
-def _sweep_text(row: tuple[int, int, range, Callable], json_columns: Optional[tuple[str, ...]]) -> tuple[str, str]:
-    """The record of one sweep row: its CSV lines, or JSON lines keyed by `json_columns`, and its VIOLATION lines."""
-    lines, bad, logs = [], [], _Logs({None: "NA" if json_columns is None else None})
+def _json_line(columns: Sequence[str]) -> str:
+    """The `%` template of a JSON sweep line: each key as `json.dumps` writes it, then a cell's JSON text."""
+    return "{" + ", ".join(f"{json.dumps(col)}: %s" for col in columns) + "}\n"
+
+
+def _sweep_text(row: tuple[int, int, range, Callable], json_line: Optional[str]) -> tuple[str, str]:
+    """The record of one sweep row: its CSV lines, or JSON lines filled into `json_line`, and its VIOLATION lines.
+
+    A JSON cell is null, a decimal within int64, or a quoted decimal or log, as `json.dumps` of `_cells` writes it.
+    """
+    lines, bad = [], []
+    logs = _Logs({None: "NA"}) if json_line is None else _JsonLogs({None: "null"})
     for values, _, _, _, violations in _sweep_row(row):
-        if json_columns is None:
-            lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]]
-                                  + [logs[v] for v in values[_LOG_CELL:]]) + "\n")
+        printed = [logs[v] for v in values[_LOG_CELL:]]
+        if json_line is None:
+            lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]] + printed) + "\n")
         else:
-            lines.append(json.dumps(dict(zip(json_columns, _cells(values, logs)))) + "\n")
+            lines.append(json_line % (*["null" if v is None else str(v) if _INT64_MIN <= v <= _INT64_MAX else f'"{v}"'
+                                        for v in values[:_LOG_CELL]], *printed))
         bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
     return "".join(lines), "".join(bad)
 
@@ -205,10 +230,15 @@ def _require_c_certified(c: int, name: str = "c") -> None:
     _require(c < C_LIMIT, f"need {name} < 2^61 for certified log bounds, got {c}", RunError)
 
 
+def _require_n_capped(n: int, name: str = "n") -> None:
+    _require(n <= _MAX_N, f"need {name} <= 10^6, got {n}", RunError)
+
+
 def cmd_verify(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
+    _require_n_capped(args.n)
     from .bounds import row_checks
     with _open_out(args.out) as out:
         row = row_checks(args.c, args.n, range(args.m, args.m + 1))[0]
@@ -220,6 +250,7 @@ def cmd_sweep(args) -> int:
     _require(1 <= args.c_min <= args.c_max, f"need 1 <= c_min <= c_max, got {args.c_min}..{args.c_max}")
     _require_c_certified(args.c_max, "c_max")
     _require(1 <= args.n_min <= args.n_max, f"need 1 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
+    _require_n_capped(args.n_max, "n_max")
     _require(args.parallelism >= 1, f"need parallelism >= 1, got {args.parallelism}")
     _require(args.parallelism <= _MAX_PARALLELISM,
              f"need parallelism <= {_MAX_PARALLELISM}, got {args.parallelism}", RunError)
@@ -235,8 +266,8 @@ def cmd_sweep(args) -> int:
     workers = min(args.parallelism, nrows)
     columns = sweep_columns()
     header = ",".join(columns) + "\n" if args.format == "csv" else ""
-    json_columns = columns if args.format == "json" else None
-    row_text = lambda row: _sweep_text(row, json_columns)  # one formatter, serial or forked
+    json_line = _json_line(columns) if args.format == "json" else None
+    row_text = lambda row: _sweep_text(row, json_line)  # one formatter, serial or forked
     with _open_out(args.out) as out:
         if workers == 1:
             try:
@@ -271,6 +302,7 @@ def cmd_table(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
     _require_c_certified(args.c)
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
+    _require_n_capped(args.n_max, "n_max")
     from .bounds import BOUND_NAMES
     with _open_out(args.out) as out:
         return _write_rows(",".join(("c", "n", "m", "logL") + BOUND_NAMES) + "\n",
@@ -305,7 +337,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check one (c, m, n) triple and print JSON")
     p_verify.add_argument("--c", type=int, required=True)
     p_verify.add_argument("--m", type=int, required=True)
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=int, required=True, help="at most 10^6")
     p_verify.add_argument("--out", default="stdout")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -313,7 +345,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--c-min", type=int, required=True)
     p_sweep.add_argument("--c-max", type=int, required=True)
     p_sweep.add_argument("--n-min", type=int, required=True)
-    p_sweep.add_argument("--n-max", type=int, required=True)
+    p_sweep.add_argument("--n-max", type=int, required=True, help="at most 10^6")
     p_sweep.add_argument("--m-policy", default="all",
                          help="all | half_ceil | fixed:<m> | frontier")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -330,7 +362,7 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="bound tightness ratios log(bound)/log(L), CSV")
     p_table.add_argument("--c", type=int, required=True)
-    p_table.add_argument("--n-max", type=int, required=True)
+    p_table.add_argument("--n-max", type=int, required=True, help="at most 10^6")
     p_table.add_argument("--out", default="stdout")
     p_table.set_defaults(func=cmd_table)
 

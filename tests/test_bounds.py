@@ -169,6 +169,38 @@ class TestVerifyDivisor:
         assert bad.failures() == ([STAR_MESSAGE] if field == "fact" else
                                   ["L/D is not an integer", "hc_value does not divide hc_bound"])
 
+    @pytest.mark.parametrize("c, m, n", [(1, 1, 3), (2, 3, 9), (3, 130, 260)])
+    def test_fold_factorial_doubled_gives_the_star_violation(self, c, m, n):
+        # (n-m)! doubled halves D and doubles the witness, so L/D stays integral and the witness meets
+        # 2 * L * (n-m)!: only the comparison of the fold's (n-m)! with factorial(n - m) exposes it
+        big_l, pair, fact, multiple = bounds._row_start(c, m, n)
+        values, num, den, bad = bounds._divisor_checks(c, m, n, big_l, pair, 2 * fact, multiple)
+        assert bad == [STAR_MESSAGE]
+        assert values[3] == 2 * checked_triple(c, m, n).divisor.quotient_check and den == 2 * fact * multiple
+        # in the fold, every m below a forged start carries the doubled (n-m)!
+        start, ms = (lambda c, m, n: (big_l, pair, 2 * fact, multiple)), range(max(1, m - 3), m + 1)
+        assert [row[4] for row in bounds.row_checks(c, n, ms, start)] == [
+            (f"divisor invariants failed at (c={c}, m={k}, n={n}): {[STAR_MESSAGE]}",) for k in ms]
+
+    @pytest.mark.parametrize("g, failure", [
+        (lambda g: 2 * g, "quotient_check * D != L"),  # D_num/D_den = 2/2: 10 * 2 / 2 is integral
+        (lambda g: 30, "L/D is not an integer"),  # D_num/D_den = 3/2: 10 * 2 / 3 is not
+    ], ids=["divides", "does-not-divide"])
+    def test_forged_reduced_divisor_is_detected(self, g, failure, monkeypatch):
+        # at (1, 1, 3), norm(P) = 100 and the denominator 80 reduce by 20 to D = 5/4; a forged reduction
+        # is caught by the division of the reduced form or by its unreduced cross-check
+        big_l, pair, fact, multiple = bounds._row_start(1, 1, 3)
+        monkeypatch.setattr(bounds, "gcd", lambda x, y: g(math.gcd(x, y)) if (x, y) == (100, 80) else math.gcd(x, y))
+        assert bounds._divisor_checks(1, 1, 3, big_l, pair, fact, multiple)[3] == [failure]
+
+    def test_forged_quotient_is_detected_by_the_unreduced_cross_check(self, monkeypatch):
+        # a division that returns L/D + 1 with no remainder misses quotient * norm(P) == L * denominator
+        big_l, pair, fact, multiple = bounds._row_start(2, 3, 9)
+        quotient = checked_triple(2, 3, 9).divisor.quotient_check
+        monkeypatch.setattr(bounds, "divmod", lambda x, y: (x // y + 1, 0), raising=False)
+        values, _, _, bad = bounds._divisor_checks(2, 3, 9, big_l, pair, fact, multiple)
+        assert bad == ["quotient_check * D != L"] and values[3] == quotient + 1
+
     def test_equality_and_repr_ignore_the_product(self):
         good = checked_triple(1, 1, 3).divisor
         other = replace(good, product=QuadInt(7, 7, 1))

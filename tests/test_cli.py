@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import bounds, poly
+from quadlcm import bounds, fixedlog, poly
 from quadlcm.window import Window
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -211,6 +211,21 @@ class TestSweep:
         assert len(rows) == 10
         for row in rows:
             jsonschema.validate(row, schema)
+
+    def test_json_rows_of_failing_triples_validate(self, capsys, monkeypatch):
+        # L forged to 2: the quotient is null where L/D is not an integer, and the row still validates
+        _forge_lcm(monkeypatch)
+        code, out, err = run(["sweep", "--c-min", "2", "--c-max", "2", "--n-min", "1", "--n-max", "4",
+                              "--format", "json"], capsys)
+        assert code == cli.EXIT_VIOLATION
+        schema = load_schema("sweep_row.schema.json")
+        rows = [json.loads(line) for line in out.strip().split("\n")]
+        assert len(rows) == 10
+        for row in rows:
+            jsonschema.validate(row, schema)
+        failing = [(row["c"], row["m"], row["n"]) for row in rows if row["quotient"] is None]
+        assert failing and all(f"VIOLATION at (c,m,n)={triple}: divisor invariants failed" in err
+                               for triple in failing)
 
     def test_m_policies(self, capsys):
         code, out, _ = run(
@@ -464,6 +479,42 @@ class TestCertifiedC:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"quadlcm: error: need {name} < 2^61 for certified log bounds, got {2**61}"]
         assert not target.exists()
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestCappedN:
+    # n is capped at 10^6: past it, each log command exits 1 with one line before --out
+    # opens or the log table grows; at it, the command reaches its first row pass, here stopped
+    @pytest.mark.parametrize("argv, name, first", [
+        (lambda n: ["verify", "--c", "1", "--m", "1", "--n", str(n)], "n", 10**6),
+        (lambda n: ["table", "--c", "1", "--n-max", str(n)], "n_max", 1),  # rows n = 1 .. n_max
+        (lambda n: ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", str(n), "--n-max", str(n)], "n_max", 10**6),
+    ], ids=["verify", "table", "sweep"])
+    def test_the_cap_passes_and_the_next_exits_1(self, argv, name, first, tmp_path, capsys, monkeypatch):
+        target, logged = tmp_path / "out.txt", len(fixedlog._LOG_FACT)
+        code, out, err = run(argv(10**6 + 1) + ["--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"quadlcm: error: need {name} <= 10^6, got {10**6 + 1}"]
+        assert not target.exists() and len(fixedlog._LOG_FACT) == logged
+
+        def stop(c, n, ms, *start):
+            reached.append((c, n))
+            raise _Reached
+
+        reached = []
+        monkeypatch.setattr(bounds, "row_checks", stop)
+        with pytest.raises(_Reached):
+            cli.main(argv(10**6))
+        assert reached == [(1, first)]
+
+    def test_the_cap_is_in_the_help(self, capsys):
+        for argv in (["verify", "--help"], ["sweep", "--help"], ["table", "--help"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+            assert "at most 10^6" in capsys.readouterr().out
 
 
 class TestOutputErrors:
@@ -916,8 +967,8 @@ class TestSweepRowWriter:
             cells = lambda line: line.split(",")[3:]
         else:
             logs = [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
-            json_columns = columns if fmt == "json" else None
-            text = lambda: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_columns)[0]
+            json_line = cli._json_line(columns) if fmt == "json" else None
+            text = lambda: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_line)[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
         printed, real = [], cli.fmt_log
@@ -928,6 +979,39 @@ class TestSweepRowWriter:
         distinct = {v for row in logs for v in row if v is not None}
         assert sorted(printed) == sorted(distinct) and len(distinct) < sum(v is not None for row in logs for v in row)
         assert text().splitlines() == lines and sorted(printed) == sorted(2 * list(distinct))
+
+    @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
+    def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
+        # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
+        columns, ms = cli.sweep_columns(), cli._m_policy(policy)
+        json_line, window, quoted = cli._json_line(columns), Window(), 0
+        for c in (1, 2, 3):
+            for n in range(1, 61):
+                text, _ = cli._sweep_text((c, n, ms(n), window.move), json_line)
+                logs = cli._Logs({None: None})
+                expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
+                            for values, *_ in bounds.row_checks(c, n, ms(n))]
+                assert text == "".join(expected), (c, n)
+                quoted += text.count('"L": "')
+        assert quoted  # some L lies beyond int64
+
+    def test_json_cells_at_the_int64_edges(self, monkeypatch):
+        # None is null, an int within int64 is bare and one beyond it is quoted, in every integer column
+        edges = [None, -2**63, 2**63 - 1, -2**63 - 1, 2**63, 0, -1]
+        logs = [None, 0, 1 << 128, -(5 << 127), 10**50, 7]
+        tuples = [(tuple(edges[(i + j) % len(edges)] for j in range(11))
+                   + tuple(logs[(i + j) % len(logs)] for j in range(8)), None, None, (), ())
+                  for i in range(len(edges))]
+        monkeypatch.setattr(cli, "_sweep_row", lambda row: tuples)
+        columns = cli.sweep_columns()
+        text, bad = cli._sweep_text((1, 3, range(1, 4), None), cli._json_line(columns))
+        oracle = cli._Logs({None: None})
+        assert text == "".join(json.dumps(dict(zip(columns, cli._cells(values, oracle)))) + "\n"
+                               for values, *_ in tuples)
+        assert bad == ""
+        assert '"c": -9223372036854775808, ' in text and '"c": 9223372036854775807, ' in text
+        assert '"c": "-9223372036854775809", ' in text and '"c": "9223372036854775808", ' in text
+        assert '"c": null, ' in text and '"logL": null, ' in text
 
 
 # runs one command in a fresh interpreter and prints its exit code, its
@@ -1064,6 +1148,7 @@ class TestDeadCode:
     COMMANDS = [
         ["verify", "--c", "3", "--m", "5", "--n", "60"],
         ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "12", "--m-policy", "frontier"],
+        ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4", "--format", "json"],
         ["table", "--c", "2", "--n-max", "8"],
         ["bezout", "--c", "3", "--k", "5"],
     ]
