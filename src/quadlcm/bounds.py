@@ -3,6 +3,7 @@
 Divisibility claims are settled in exact integer arithmetic only.  So are
 three of the seven lower bounds: `oon_2n`, `binom` and `farhi` compare L
 itself with 2^n, m*C(n, m) and 0.32 * 1.442^n, the last as
+L >= ceil(8 * 721^n / (25 * 500^n)), for an integer L the same test as
 25 * 500^n * L >= 8 * 721^n.  The other four, `t7`, `t9`, `c5` and
 `final`, involve e and pi; they are decided in log space by certified
 enclosures, with no tolerance.
@@ -19,15 +20,23 @@ bound is the matching sum and multiples of theirs; the one halving,
 A log row holds when logL - _E >= v + e and fails when logL + _E < v - e.
 Any other case is undecided, and reported as a violation, never as a pass.
 
-The seven bounds are data: rows of `_BOUNDS`, each a name, an exact integer
-applicability gate, a log value and, where there is one, the exact bound.
-A row (c, n) is the unit of work, and `row_checks` is its one pass: one
+A row (c, n) is the unit of work, and `row_checks` is its one pass.  It
+first plans the row: each bound's gate is an exact m-interval (oon_2n at
+m <= (n+1)//2, t9 at m < n, c5 and final on either side of the frontier,
+from one integer cube root, farhi at m = 1 when c = 1), and each value that
+depends on (c, n) only is built once, and only when some m of the row lies
+in its bound's interval: the logs of oon_2n, c5 and farhi, the terms t7, t9
+and final share, and the exact thresholds of oon_2n and farhi.  Then one
 descending fold over m from L, P = A + B*sqrt(-c), (n-m)! and the content
 multiple at the row's largest m, by one lcm or multiplication each per step
-down, that checks every claim of each m once, in integers, as it steps.
-That start is `_row_start`, from `lcm_range` and the integer pair of
+down, checks every claim of each m once, in integers, as it steps.  That
+start is `_row_start`, from `lcm_range` and the integer pair of
 `ring.shifted_product`, or a sweep's `window.Window`; a row without a
-start (`table`) folds L alone and checks only the bounds.  The divisor
+start (`table`) folds L alone and checks only the bounds.  The seven
+bounds of an m are one straight-line pass in BOUND_NAMES order, whose
+m-dependent logs are integer expressions and whose failure messages are
+built only when a verdict is False; `tests/oracles.py` keeps the bounds as
+a per-triple table, to re-check the pass.  The divisor
 claims are read off (A, B): the numerator is norm(P) = A^2 + c*B^2, D is
 reduced by one gcd, D | L is decided on the reduced form and the quotient
 cross-checked on the unreduced one, the content is gcd(A, B), and the
@@ -145,55 +154,29 @@ def _c5_term(n: int) -> int:
     return (_ln(frontier, _W + 1) + floor_half_frontier(n) * (_ln(2) + (3 << _W))) >> _GUARD
 
 
-# One row per lower bound: (name, applies(c, m, n, d), log_value(c, m, n, d),
-# exact) with d = n - m, where exact is None or (text, below(L, c, m, n, d)),
-# below true when L is less than the exact bound.
-# Gates are exact integer comparisons (8*(n-m)^3 vs n^2 for the frontier
-# split) so no triple is misclassified by rounding.  A log value is a pair
-# (v, e) of integers, v the fixed-point log and e its error bound, built by
-# integer adds and multiples of the sources; it is evaluated only where its
-# gate holds, after _LOG_INT and _LOG_FACT reach n.  A row with an exact
-# bound is decided by L itself; the others by the enclosures of their logs.
-_BOUNDS = (
-    ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
-     lambda c, m, n, d: (n * _fixed_consts()[0], _E * n),
-     ("2^n", lambda big_l, c, m, n, d: big_l < 2**n)),
-    ("binom", lambda c, m, n, d: True,
-     lambda c, m, n, d: (
-         _LOG_INT[m] + _LOG_FACT[n] - _LOG_FACT[m] - _LOG_FACT[d],
-         _E * (1 + n + m + d),
-     ),
-     ("m * C(n, m)", lambda big_l, c, m, n, d: big_l < m * comb(n, m))),
-    ("t7", lambda c, m, n, d: True,
-     lambda c, m, n, d: (
-         _log_consts(c)[0] + 2 * _LOG_INT[m] + 2 * _LOG_FACT[n] - 2 * _LOG_FACT[m] - 3 * _LOG_FACT[d],
-         _E * (3 + 2 * n + 2 * m + 3 * d),
-     ), None),
-    ("t9", lambda c, m, n, d: m < n,
-     lambda c, m, n, d: (
-         _log_consts(c)[1]
-         + _LOG_INT[n]
-         + _LOG_INT[m]
-         - ((3 * _LOG_INT[d]) >> 1)
-         + d * (2 * _LOG_INT[m] - 3 * _LOG_INT[d])
-         + 3 * d * _ONE,
-         _E * (3 + 5 * d) + 3 * _E // 2 + 1,
-     ), None),
-    # The frontier m = n - n^(2/3)/2 separates the regimes of c5 and final.  A frontier width of order
-    # n^a is near-optimal for the exponential-form bound when a sits just below 2/3 (around
-    # 2/3 - 1/log n): guidance for choosing sweep policies, not an asserted claim.
-    # m <= n - n^(2/3)/2  <=>  8*(n-m)^3 >= n^2, exactly
-    ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
-     lambda c, m, n, d: (_log_consts(c)[2] + _c5_term(n), 2 * _E), None),
-    # n - n^(2/3)/2 <= m  <=>  8*(n-m)^3 <= n^2, exactly
-    ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
-     lambda c, m, n, d: (_log_consts(c)[1] + _LOG_INT[n] + 3 * d * _ONE, 2 * _E), None),
-    ("farhi", lambda c, m, n, d: c == 1 and m == 1,
-     lambda c, m, n, d: (_fixed_consts()[1] + n * _fixed_consts()[2], _E * (1 + n)),
-     ("0.32 * 1.442^n", lambda big_l, c, m, n, d: 25 * 500**n * big_l < 8 * 721**n)),
-)
+BOUND_NAMES = ("oon_2n", "binom", "t7", "t9", "c5", "final", "farhi")
 
-BOUND_NAMES = tuple(row[0] for row in _BOUNDS)
+# the bound that L itself is compared with, as a failure message names it, for each exact row
+_EXACT_TEXT = {"oon_2n": "2^n", "binom": "m * C(n, m)", "farhi": "0.32 * 1.442^n"}
+
+
+# The frontier m = n - n^(2/3)/2 separates the regimes of c5 and final.  A frontier width of order
+# n^a is near-optimal for the exponential-form bound when a sits just below 2/3 (around
+# 2/3 - 1/log n): guidance for choosing sweep policies, not an asserted claim.
+def _frontier_gates(n: int) -> tuple[int, int]:
+    """(last, first): c5 applies at m <= last, 8*(n-m)^3 >= n^2, and final at m >= first, 8*(n-m)^3 <= n^2.
+
+    Exact, from one cube root: 8d^3 <= n^2 iff d^3 <= n^2 // 8, so t = icbrt(n^2 // 8) is the largest d
+    with 8d^3 <= n^2; the least d with 8d^3 >= n^2 is t on a tie, 8t^3 = n^2, where both apply, and t + 1
+    otherwise.
+    """
+    t = icbrt(n * n // 8)
+    return n - t - (8 * t**3 != n * n), n - t
+
+
+def _farhi_bound(n: int) -> int:
+    """ceil(0.32 * 1.442^n) = ceil(8 * 721^n / (25 * 500^n)): an integer L is below it iff 25 * 500^n * L < 8 * 721^n."""
+    return -(-8 * 721**n // (25 * 500**n))
 
 
 def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start) -> list[tuple]:
@@ -209,6 +192,13 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     that failed.  An exact row fails when L is below its bound, a log row as
     the module docstring says.
 
+    The row is planned once, before the fold: each gate is an m-interval,
+    and each (c, n)-only value, a log or an exact threshold, is built only
+    when some m of ms lies in its bound's interval.  Then each m is one
+    straight-line pass over the seven bounds, in BOUND_NAMES order, with its
+    m-dependent logs as integer expressions and its messages built only
+    when some verdict is False.
+
     The largest m's L, (A, B), (n-m)! and multiple come from `start(c, m, n)`,
     as `_row_start` gives them; each lower m, d = n - m, steps L by
     `_lcm_step`, P by the factor m + sqrt(-c), the factorial by d and the
@@ -218,12 +208,24 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     """
     if not ms:
         return []
-    _require_range(c, ms[0], n)
+    bottom, top = ms[0], ms[-1]
+    _require_range(c, bottom, n)
     _extend_logs(n)
-    top, rows, last_l = ms[-1], [], None
+    # The plan.  Gates: oon_2n at m <= half, t9 at m < n, c5 at m <= c5_last, final at m >= final_first
+    # and farhi at m <= farhi_last, that is at m = 1 when c = 1.
+    half, farhi_last = (n + 1) // 2, 1 if c == 1 else 0
+    c5_last, final_first = _frontier_gates(n)
+    k_t7, k_exp, k_c5 = _log_consts(c)
+    lfn = _LOG_FACT[n]
+    k_exp += _LOG_INT[n]  # t9 and final both add log n to the exponential prefactor
+    v_oon, two_n = (n * _fixed_consts()[0], 1 << n) if bottom <= half else (None, None)
+    v_c5 = k_c5 + _c5_term(n) if bottom <= c5_last else None
+    v_farhi, farhi = ((_fixed_consts()[1] + n * _fixed_consts()[2], _farhi_bound(n)) if bottom <= farhi_last
+                      else (None, None))
+    rows, last_l = [], None
     big_l, pair, fact, multiple = (lcm_range(c, top, n), None, None, None) if start is None else start(c, top, n)
     for m in reversed(ms):
-        d, violations = n - m, []
+        d, violations = n - m, ()
         if m < top:  # one step down the fold, from m + 1
             big_l = _lcm_step(big_l, c, m)
             if pair is not None:
@@ -234,29 +236,37 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
         else:
             divisor, num, den, bad = _divisor_checks(c, m, n, big_l, pair, fact, multiple)
             if bad:
-                violations.append(f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}")
+                violations = (f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}",)
         if big_l != last_l:  # the fold leaves L unchanged at many m: one log per distinct L
             last_l, log_l = big_l, _log_fixed(big_l)
-        logs, holds, bad = [], [], []
-        for name, applies, log_value, exact in _BOUNDS:
-            if not applies(c, m, n, d):
-                logs.append(None)
-                holds.append(None)
-                continue
-            v, e = log_value(c, m, n, d)
-            if exact is not None:
-                failed = f"bound {name}: L < {exact[0]}" if exact[1](big_l, c, m, n, d) else None
-            elif log_l - _E >= v + e:
-                failed = None
-            elif log_l + _E < v - e:
-                failed = f"bound {name}: log_value {_log_str(v)} exceeds logL {_log_str(log_l)}"
-            else:
-                failed = f"bound {name}: undecided"
-            logs.append(v)
-            holds.append(failed is None)
-            if failed is not None:
-                bad.append(failed)
-        if bad:
-            violations.append(f"bound invariants failed at (c={c}, m={m}, n={n}): {bad}")
-        rows.append(((c, m, n) + divisor + (log_l, *logs), num, den, tuple(holds), tuple(violations)))
+            low = log_l - _E  # a log row holds when this lower end of log L's enclosure is >= v + e
+        # the logs of binom, t7, t9 and final depend on m; t7's and t9's error bounds too, c5's and final's are 2 _E
+        lm, lfd = _LOG_INT[m], _LOG_FACT[d]
+        v_binom = lm + lfn - _LOG_FACT[m] - lfd
+        v_t7, e_t7 = k_t7 + 2 * v_binom - lfd, _E * (3 + 2 * n + 2 * m + 3 * d)  # 2 log m + 2 log n!/m! - 3 log d!
+        if m < n:
+            ld = _LOG_INT[d]
+            v_t9 = k_exp + lm - ((3 * ld) >> 1) + d * (2 * lm - 3 * ld) + 3 * d * _ONE
+            e_t9 = _E * (3 + 5 * d) + 3 * _E // 2 + 1
+            t9 = low >= v_t9 + e_t9
+        else:
+            v_t9 = e_t9 = t9 = None
+        v_final = k_exp + 3 * d * _ONE if m >= final_first else None
+        logs = (v_oon if m <= half else None, v_binom, v_t7, v_t9, v_c5 if m <= c5_last else None, v_final,
+                v_farhi if m <= farhi_last else None)
+        holds = (big_l >= two_n if m <= half else None,
+                 big_l >= m * comb(n, m),
+                 low >= v_t7 + e_t7,
+                 t9,
+                 low >= v_c5 + 2 * _E if m <= c5_last else None,
+                 None if v_final is None else low >= v_final + 2 * _E,
+                 big_l >= farhi if m <= farhi_last else None)
+        if False in holds:
+            errors = (None, None, e_t7, e_t9, 2 * _E, 2 * _E, None)  # None for the rows that L decides
+            bad = [f"bound {name}: L < {_EXACT_TEXT[name]}" if e is None
+                   else f"bound {name}: log_value {_log_str(v)} exceeds logL {_log_str(log_l)}" if log_l + _E < v - e
+                   else f"bound {name}: undecided"
+                   for name, v, held, e in zip(BOUND_NAMES, logs, holds, errors) if held is False]
+            violations += (f"bound invariants failed at (c={c}, m={m}, n={n}): {bad}",)
+        rows.append(((c, m, n, *divisor, log_l, *logs), num, den, holds, violations))
     return rows[::-1]

@@ -7,8 +7,9 @@ record or in a Bezout certificate, 130 interrupted (SIGINT).  `sweep` and
 `table` work row by row: one formatter per command turns a row into one
 record (text, violation text), printing each distinct log of the row once
 from a memo that lives for that row only, and one loop writes the records
-and exits 2 if any violation text is non-empty.  A sweep row (c, n) is one
-fold over m that computes every m the --m-policy wants in that row, from its
+and exits 2 if any violation text is non-empty.  A sweep's (m, n)-only
+columns oon_2n, binom and farhi share one memo per process instead: 10490
+strings, 1.4 MB, at c <= 5, n <= 200, all.  A sweep row (c, n) is one fold over m that computes every m the --m-policy wants in that row, from its
 process's `window.Window`.  With --parallelism p above 1, p forked workers (at most
 64, at most one per row) take rows w, w+p, w+2p, ... each, slide their own
 copy of the window and write each row's record to their own pipe; the
@@ -19,7 +20,8 @@ straight from the row's integers, by one `%` template with the keys built in;
 `_cells`, the JSON cells of a triple, serves `verify` only.  `verify`, `sweep`
 and `table` take c < 2^61, the range in which the log bounds are certified,
 and n <= 10^6 (`verify --n`, `sweep --n-max`, `table --n-max`), past which a
-run would first spend minutes growing its log table; `bezout` takes k <= 500.
+run would first spend minutes growing its log table; `verify` takes
+n - m <= 2*10^4, as its work grows about as (n - m)^2.1; `bezout` takes k <= 500.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from operator import getitem
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .fixedlog import C_LIMIT, PRECISION_BITS
@@ -44,6 +47,7 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _MAX_PARALLELISM = 64  # every worker forks before the first row; the output is the same at any parallelism
 _MAX_N = 10**6  # `verify --c 1 --m 995000 --n 1000000` takes 5-7 s on a 2-vCPU host, most of it in the log table
+_MAX_VERIFY_WIDTH = 2 * 10**4  # `verify --c 1 --m 1 --n 20001` takes 5-7 s on a 2-vCPU host
 _MAX_BEZOUT_K = 500  # `bezout --k 500` takes 7-9 s end to end on a 2-vCPU host, and the time grows about as k^4
 
 _INT64_MIN = -(2**63)
@@ -51,6 +55,7 @@ _INT64_MAX = 2**63 - 1
 
 _TRIPLE_COLUMNS = ("c", "m", "n", "L", "D_num", "D_den", "quotient", "hc", "hc_bound", "star_x", "star_y", "logL")
 _LOG_CELL = _TRIPLE_COLUMNS.index("logL")  # the integers come before it, the fixed-point logs from it on
+_C_FREE = ("oon_2n", "binom", "farhi")  # the bound columns whose log values depend on (m, n) only
 
 
 class UsageError(Exception):
@@ -183,21 +188,28 @@ def _json_line(columns: Sequence[str]) -> str:
     return "{" + ", ".join(f"{json.dumps(col)}: %s" for col in columns) + "}\n"
 
 
-def _sweep_text(row: tuple[int, int, range, Callable], json_line: Optional[str]) -> tuple[str, str]:
+def _sweep_memo(json_line: Optional[str]) -> dict:
+    """An empty memo of printed log cells, CSV (`json_line` None) or JSON."""
+    return _Logs({None: "NA"}) if json_line is None else _JsonLogs({None: "null"})
+
+
+def _sweep_text(row: tuple[int, int, range, Callable], json_line: Optional[str], shared: dict) -> tuple[str, str]:
     """The record of one sweep row: its CSV lines, or JSON lines filled into `json_line`, and its VIOLATION lines.
 
     A JSON cell is null, a decimal within int64, or a quoted decimal or log, as `json.dumps` of `_cells` writes it.
+    The logs of the c-free columns come from `shared`, the process's memo, and the others from one of this row.
     """
-    lines, bad = [], []
-    logs = _Logs({None: "NA"}) if json_line is None else _JsonLogs({None: "null"})
+    lines, bad, logs = [], [], _sweep_memo(json_line)
+    memos = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]]
     for values, _, _, _, violations in _sweep_row(row):
-        printed = [logs[v] for v in values[_LOG_CELL:]]
+        printed = [*map(getitem, memos, values[_LOG_CELL:])]
         if json_line is None:
             lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]] + printed) + "\n")
         else:
             lines.append(json_line % (*["null" if v is None else str(v) if _INT64_MIN <= v <= _INT64_MAX else f'"{v}"'
                                         for v in values[:_LOG_CELL]], *printed))
-        bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
+        if violations:
+            bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
     return "".join(lines), "".join(bad)
 
 
@@ -239,6 +251,7 @@ def cmd_verify(args) -> int:
     _require_c_certified(args.c)
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     _require_n_capped(args.n)
+    _require(args.n - args.m <= _MAX_VERIFY_WIDTH, f"need n - m <= 2*10^4, got {args.n - args.m}", RunError)
     from .bounds import row_checks
     with _open_out(args.out) as out:
         row = row_checks(args.c, args.n, range(args.m, args.m + 1))[0]
@@ -267,7 +280,8 @@ def cmd_sweep(args) -> int:
     columns = sweep_columns()
     header = ",".join(columns) + "\n" if args.format == "csv" else ""
     json_line = _json_line(columns) if args.format == "json" else None
-    row_text = lambda row: _sweep_text(row, json_line)  # one formatter, serial or forked
+    shared = _sweep_memo(json_line)  # made before any fork: each worker fills its own copy
+    row_text = lambda row: _sweep_text(row, json_line, shared)  # one formatter, serial or forked
     with _open_out(args.out) as out:
         if workers == 1:
             try:
@@ -336,7 +350,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check one (c, m, n) triple and print JSON")
     p_verify.add_argument("--c", type=int, required=True)
-    p_verify.add_argument("--m", type=int, required=True)
+    p_verify.add_argument("--m", type=int, required=True, help="at least n - 2*10^4")
     p_verify.add_argument("--n", type=int, required=True, help="at most 10^6")
     p_verify.add_argument("--out", default="stdout")
     p_verify.set_defaults(func=cmd_verify)

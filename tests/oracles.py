@@ -11,8 +11,10 @@ API, that no command runs; the tests compare the library against them.
   `poly_leading`, `poly_horner` and `poly_eval` for QuadPoly.
 * The per-triple records `DivisorReport`, `BoundReport` and `TripleReport`,
   each with its own `failures()`: the independent re-check of
-  `bounds.row_checks`, which builds no record.  `pass_tuple` writes a
-  record as the pass's tuple.  `checked_triple` is how the tests read the
+  `bounds.row_checks`, which builds no record.  A `BoundReport`'s values
+  come from `_BOUND_ROWS`, the seven bounds as a per-triple table of exact
+  gates and log values; the pass plans them once per row instead.
+  `pass_tuple` writes a record as the pass's tuple.  `checked_triple` is how the tests read the
   records of one triple: `triple_report`, asserted to hold every claim and
   to equal the library's pass.
 * The divisibility lemma: the criterion norm(z)/content(z), exact division
@@ -48,7 +50,7 @@ import mpmath
 from quadlcm import bounds
 from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, _Record, content_multiple, shifted_product
 from quadlcm.bounds import floor_half_frontier
-from quadlcm.fixedlog import _E, _LOG_FACT, _extend_logs, _log_fixed, _log_str
+from quadlcm.fixedlog import PRECISION_BITS, _E, _LOG_FACT, _LOG_INT, _extend_logs, _log_fixed, _log_str
 from quadlcm.poly import IntPoly, QuadPoly, shift_product_poly
 
 
@@ -309,12 +311,45 @@ def divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
                          content(product), multiple, scaled * product.a // num, -scaled * product.b // num, product)
 
 
+# One row per lower bound, in `bounds.BOUND_NAMES` order: (name, applies(c, m, n, d), log_value(c, m, n, d))
+# with d = n - m, each triple taken on its own.  Gates are the exact integer comparisons (8*(n-m)^3 vs n^2
+# for the frontier split), where `bounds.row_checks` plans a row's gates as m-intervals; a log value is a
+# pair (v, e), v the fixed-point log as the sum and multiples of the library's floored sources and e its
+# error bound, where the pass hoists a row's (c, n)-only terms.  The exact bounds are `_EXACT_BOUNDS`.
+_BOUND_ROWS = (
+    ("oon_2n", lambda c, m, n, d: m <= (n + 1) // 2,
+     lambda c, m, n, d: (n * bounds._fixed_consts()[0], _E * n)),
+    ("binom", lambda c, m, n, d: True,
+     lambda c, m, n, d: (_LOG_INT[m] + _LOG_FACT[n] - _LOG_FACT[m] - _LOG_FACT[d], _E * (1 + n + m + d))),
+    ("t7", lambda c, m, n, d: True,
+     lambda c, m, n, d: (
+         bounds._log_consts(c)[0] + 2 * _LOG_INT[m] + 2 * _LOG_FACT[n] - 2 * _LOG_FACT[m] - 3 * _LOG_FACT[d],
+         _E * (3 + 2 * n + 2 * m + 3 * d),
+     )),
+    ("t9", lambda c, m, n, d: m < n,
+     lambda c, m, n, d: (
+         bounds._log_consts(c)[1]
+         + _LOG_INT[n]
+         + _LOG_INT[m]
+         - ((3 * _LOG_INT[d]) >> 1)
+         + d * (2 * _LOG_INT[m] - 3 * _LOG_INT[d])
+         + (3 * d << PRECISION_BITS),
+         _E * (3 + 5 * d) + 3 * _E // 2 + 1,
+     )),
+    ("c5", lambda c, m, n, d: 8 * d**3 >= n * n,
+     lambda c, m, n, d: (bounds._log_consts(c)[2] + bounds._c5_term(n), 2 * _E)),
+    ("final", lambda c, m, n, d: 8 * d**3 <= n * n,
+     lambda c, m, n, d: (bounds._log_consts(c)[1] + _LOG_INT[n] + (3 * d << PRECISION_BITS), 2 * _E)),
+    ("farhi", lambda c, m, n, d: c == 1 and m == 1,
+     lambda c, m, n, d: (bounds._fixed_consts()[1] + n * bounds._fixed_consts()[2], _E * (1 + n))),
+)
+
+
 def bound_report(c: int, m: int, n: int, big_l: int) -> BoundReport:
-    """Every bound of `bounds._BOUNDS` at one triple whose lcm is big_l, built but not checked."""
+    """Every bound of `_BOUND_ROWS` at one triple whose lcm is big_l, built but not checked."""
     d = n - m
     _extend_logs(n)
-    values = {name: log_value(c, m, n, d) if applies(c, m, n, d) else None
-              for name, applies, log_value, _ in bounds._BOUNDS}
+    values = {name: log_value(c, m, n, d) if applies(c, m, n, d) else None for name, applies, log_value in _BOUND_ROWS}
     return BoundReport(c, m, n, big_l, _log_fixed(big_l), values)
 
 

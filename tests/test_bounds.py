@@ -730,6 +730,62 @@ class TestRowChecks:
         assert repeats > 1000  # L repeats at many triples, so the reuse is exercised
 
 
+class TestRowPlan:
+    # `row_checks` plans each row once: every gate as an m-interval, and each (c, n)-only value built only
+    # when some m of the row lies in its bound's interval
+    def test_frontier_intervals_equal_the_exact_gates(self):
+        # c5 applies at m <= last and final at m >= first; the gates are monotone in d = n - m, so each
+        # interval is exact when 8d^3 >= n^2 holds at d = n - last and fails one below, and 8d^3 <= n^2
+        # holds at d = n - first and fails one above
+        for n in range(1, 10**5 + 1):
+            last, first = bounds._frontier_gates(n)
+            d0, t = n - last, n - first
+            assert 8 * d0**3 >= n * n > 8 * (d0 - 1) ** 3 and 8 * t**3 <= n * n < 8 * (t + 1) ** 3, n
+        for s in range(1, 24):  # the ties n = 8s^3 <= 10^5, where d = 2s^2 meets both gates
+            n = 8 * s**3
+            assert bounds._frontier_gates(n) == (n - 2 * s * s, n - 2 * s * s), n
+
+    def test_every_gate_at_each_interval_edge(self):
+        # each bound's applicability in the pass against its exact integer gate, at the m on both sides of
+        # every interval edge: m <= (n+1)//2, m < n, 8d^3 >= n^2, 8d^3 <= n^2 and c = 1, m = 1
+        for c in (1, 2):
+            for n in range(1, 301):
+                half, (last, first) = (n + 1) // 2, bounds._frontier_gates(n)
+                for m in {1, 2, half, half + 1, last, last + 1, first - 1, first, n - 1, n} & set(range(1, n + 1)):
+                    d = n - m
+                    gates = (m <= half, True, True, m < n, 8 * d**3 >= n * n, 8 * d**3 <= n * n, c == 1 and m == 1)
+                    values, _, _, verdicts, _ = bounds.row_checks(c, n, range(m, m + 1), None)[0]
+                    assert tuple(v is not None for v in values[12:]) == gates, (c, m, n)
+                    assert tuple(h is not None for h in verdicts) == gates, (c, m, n)
+
+    def test_farhi_threshold_is_the_exact_comparison(self):
+        # L < ceil(8 * 721^n / (25 * 500^n)) agrees with 25 * 500^n * L < 8 * 721^n on both sides of it
+        for n in range(1, 401):
+            t = bounds._farhi_bound(n)
+            assert t == math.ceil(Fraction(8, 25) * Fraction(721, 500) ** n), n
+            for big_l in (t - 1, t):
+                assert (big_l < t) is (25 * 500**n * big_l < 8 * 721**n), (n, big_l)
+
+    @pytest.mark.parametrize("policy", ["half_ceil", "frontier", "fixed:1"])
+    def test_one_m_rows_equal_the_oracle(self, policy, monkeypatch):
+        # one-m rows, slid by a window and bound-only, against the per-triple oracle records; Farhi's
+        # threshold and c5's n-only term are built only for the rows whose m lies in their intervals
+        ms, built, expected = _m_policy(policy), [], []
+        reports = {(c, n): triple_report(c, ms(n)[0], n) for c in (1, 2, 3) for n in range(1, 301)}
+        for name in ("_farhi_bound", "_c5_term"):  # the oracle reads _c5_term too: patched after its records
+            monkeypatch.setattr(bounds, name, lambda n, _name=name, _real=getattr(bounds, name):
+                                built.append((_name, n)) or _real(n))
+        for c in (1, 2, 3):
+            window = Window()
+            for n in range(1, 301):
+                m, report = ms(n)[0], reports[c, n]
+                assert bounds.row_checks(c, n, ms(n), window.move) == [pass_tuple(report)], (c, m, n)
+                assert bounds.row_checks(c, n, ms(n), None) == [pass_tuple(report, divisor=False)], (c, m, n)
+                expected += 2 * ([("_farhi_bound", n)] if c == 1 and m == 1 else [])
+                expected += 2 * ([("_c5_term", n)] if 8 * (n - m) ** 3 >= n * n else [])
+        assert sorted(built) == sorted(expected) and built
+
+
 class TestRowFold:
     def test_parts_match_direct_computation(self):
         # L, norm(P) and (n-m)! * multiple of every m of the fold, under each of its three starts

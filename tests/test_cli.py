@@ -2,11 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -165,21 +167,34 @@ class TestVerify:
 class TestVerifyOnePass:
     @pytest.mark.parametrize("forged", [False, True], ids=["true-L", "forged-L"])
     def test_each_bound_is_decided_once(self, forged, capsys, monkeypatch):
-        # the violations and the document's `checks` read the one verdict of the row pass: each exact
-        # bound that applies at (1, 1, 2), 2^n, m * C(n, m) and Farhi's, is evaluated once
-        def counted(name, bound):
-            return lambda *args: decided.append(name) or bound(*args)
+        # the violations and the document's `checks` read the one verdict of the row pass: within the pass,
+        # each exact bound that applies at (1, 1, 2), 2^n, m * C(n, m) and Farhi's, is compared with L once,
+        # in BOUND_NAMES order, and C(n, m) and Farhi's threshold are built once; L records every comparison
+        class Compared(int):
+            def __lt__(self, other):
+                return compared.append(other) or int(self) < other
 
-        if forged:
-            _forge_lcm(monkeypatch)
-        decided = []
-        monkeypatch.setattr(bounds, "_BOUNDS", tuple(
-            (name, gate, log_value, exact and (exact[0], counted(name, exact[1])))
-            for name, gate, log_value, exact in bounds._BOUNDS))
+            def __le__(self, other):
+                return compared.append(other) or int(self) <= other
+
+            def __gt__(self, other):
+                return compared.append(other) or int(self) > other
+
+            def __ge__(self, other):
+                return compared.append(other) or int(self) >= other
+
+        compared, in_pass, built = [], [], []
+        big_l = Compared(2 if forged else 10)  # lcm(2, 5), or forged
+        monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: big_l)
+        real_pass, real_comb, real_farhi = bounds.row_checks, bounds.comb, bounds._farhi_bound
+        monkeypatch.setattr(bounds, "row_checks", lambda *args: (real_pass(*args), in_pass.extend(compared))[0])
+        monkeypatch.setattr(bounds, "comb", lambda n, m: built.append("binom") or real_comb(n, m))
+        monkeypatch.setattr(bounds, "_farhi_bound", lambda n: built.append("farhi") or real_farhi(n))
         code, out, _ = run(["verify", "--c", "1", "--m", "1", "--n", "2"], capsys)
         assert code == (cli.EXIT_VIOLATION if forged else cli.EXIT_OK)
         assert json.loads(out)["checks"] == {"binom_ok": True, "two_n_ok": not forged}  # L = 10 or 2 against 2 and 4
-        assert decided == ["oon_2n", "binom", "farhi"]
+        assert in_pass == [2**2, 1 * math.comb(2, 1), math.ceil(Fraction(8, 25) * Fraction(721, 500) ** 2)]
+        assert built == ["farhi", "binom"]  # Farhi's threshold with the row's plan, then the triple's C(n, m)
 
 
 class TestSweep:
@@ -489,7 +504,7 @@ class TestCappedN:
     # n is capped at 10^6: past it, each log command exits 1 with one line before --out
     # opens or the log table grows; at it, the command reaches its first row pass, here stopped
     @pytest.mark.parametrize("argv, name, first", [
-        (lambda n: ["verify", "--c", "1", "--m", "1", "--n", str(n)], "n", 10**6),
+        (lambda n: ["verify", "--c", "1", "--m", str(n - 1), "--n", str(n)], "n", 10**6),  # within the n - m cap
         (lambda n: ["table", "--c", "1", "--n-max", str(n)], "n_max", 1),  # rows n = 1 .. n_max
         (lambda n: ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", str(n), "--n-max", str(n)], "n_max", 10**6),
     ], ids=["verify", "table", "sweep"])
@@ -514,7 +529,30 @@ class TestCappedN:
         for argv in (["verify", "--help"], ["sweep", "--help"], ["table", "--help"]):
             with pytest.raises(SystemExit):
                 cli.main(argv)
-            assert "at most 10^6" in capsys.readouterr().out
+            help_text = capsys.readouterr().out
+            assert "at most 10^6" in help_text
+            assert ("at least n - 2*10^4" in help_text) is (argv[0] == "verify")
+
+    def test_verify_width_cap_passes_and_the_next_exits_1(self, tmp_path, capsys, monkeypatch):
+        # verify's exact work grows about as (n - m)^2.1, so n - m is capped at 2*10^4: past it, the command
+        # exits 1 with one line before --out opens or the log table grows; at it, it reaches its row pass
+        cap, target, logged = cli._MAX_VERIFY_WIDTH, tmp_path / "out.txt", len(fixedlog._LOG_FACT)
+        assert cap == 2 * 10**4
+        code, out, err = run(["verify", "--c", "1", "--m", "1", "--n", str(cap + 2), "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"quadlcm: error: need n - m <= 2*10^4, got {cap + 1}"]
+        assert not target.exists() and len(fixedlog._LOG_FACT) == logged
+
+        def stop(c, n, ms, *start):
+            reached.append((c, ms[0], n))
+            raise _Reached
+
+        reached = []
+        monkeypatch.setattr(bounds, "row_checks", stop)
+        for m, n in ((1, cap + 1), (995000, 10**6)):
+            with pytest.raises(_Reached):
+                cli.main(["verify", "--c", "1", "--m", str(m), "--n", str(n)])
+        assert reached == [(1, 1, cap + 1), (1, 995000, 10**6)]
 
 
 class TestOutputErrors:
@@ -957,28 +995,41 @@ class TestSweepRowWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_each_printed_log_is_fmt_log_once_per_row(self, fmt, monkeypatch):
-        # every log cell of a row is fmt_log of its value, each distinct value printed once per row; the
-        # memo lives for one row only, so the same row formatted again prints its logs again
-        c, n, columns = 2, 30, cli.sweep_columns()
+        # every log cell of a row is fmt_log of its value, each distinct value printed once per memo.  A table
+        # row's memo lives for that row only, so the same row formatted again prints its logs again.  A sweep
+        # keeps the columns oon_2n, binom and farhi, c-free, in one memo for the process, and the others in
+        # one per row: formatted again, or at another c, a row prints its other logs again, and of its
+        # c-free ones only those that no earlier row printed
+        n, columns = 30, cli.sweep_columns()
+        c_free = [i for i, col in enumerate(columns[11:]) if col in ("oon_2n", "binom", "farhi")]
         if fmt == "table":
-            logs = [[v[11]] + [None if x is None else (x << bounds.PRECISION_BITS) // v[11] for x in v[12:]]
-                    for v, *_ in bounds.row_checks(c, n, range(1, n + 1), None)]
-            text = lambda: cli._table_text(c, n)[0]
+            c_free = []
+            row_logs = lambda c: [[v[11]] + [None if x is None else (x << bounds.PRECISION_BITS) // v[11]
+                                             for x in v[12:]] for v, *_ in bounds.row_checks(c, n, range(1, n + 1), None)]
+            text = lambda c: cli._table_text(c, n)[0]
             cells = lambda line: line.split(",")[3:]
         else:
-            logs = [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
+            row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
             json_line = cli._json_line(columns) if fmt == "json" else None
-            text = lambda: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_line)[0]
+            shared = cli._sweep_memo(json_line)
+            text = lambda c: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_line, shared)[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
-        printed, real = [], cli.fmt_log
+        printed, real, seen = [], cli.fmt_log, set()
         monkeypatch.setattr(cli, "fmt_log", lambda v: printed.append(v) or real(v))
-        lines = text().splitlines()
         none = None if fmt == "json" else "NA"
-        assert [cells(line) for line in lines] == [[none if v is None else real(v) for v in row] for row in logs]
-        distinct = {v for row in logs for v in row if v is not None}
-        assert sorted(printed) == sorted(distinct) and len(distinct) < sum(v is not None for row in logs for v in row)
-        assert text().splitlines() == lines and sorted(printed) == sorted(2 * list(distinct))
+        for c in (2, 2, 3):
+            logs = row_logs(c)
+            printed.clear()
+            lines = text(c).splitlines()
+            assert [cells(line) for line in lines] == [[none if v is None else real(v) for v in row] for row in logs]
+            own, common = ({v for row in logs for i, v in enumerate(row) if v is not None and (i in c_free) is kind}
+                           for kind in (False, True))
+            assert sorted(printed) == sorted([*own, *(common - seen)]), c
+            assert len(own) < sum(v is not None for row in logs for i, v in enumerate(row) if i not in c_free)
+            if fmt != "table":  # after the first row, no c-free value is new
+                assert common and (common <= seen) is bool(seen)
+            seen |= common
 
     @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
@@ -987,7 +1038,7 @@ class TestSweepRowWriter:
         json_line, window, quoted = cli._json_line(columns), Window(), 0
         for c in (1, 2, 3):
             for n in range(1, 61):
-                text, _ = cli._sweep_text((c, n, ms(n), window.move), json_line)
+                text, _ = cli._sweep_text((c, n, ms(n), window.move), json_line, cli._sweep_memo(json_line))
                 logs = cli._Logs({None: None})
                 expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
                             for values, *_ in bounds.row_checks(c, n, ms(n))]
@@ -1004,7 +1055,8 @@ class TestSweepRowWriter:
                   for i in range(len(edges))]
         monkeypatch.setattr(cli, "_sweep_row", lambda row: tuples)
         columns = cli.sweep_columns()
-        text, bad = cli._sweep_text((1, 3, range(1, 4), None), cli._json_line(columns))
+        json_line = cli._json_line(columns)
+        text, bad = cli._sweep_text((1, 3, range(1, 4), None), json_line, cli._sweep_memo(json_line))
         oracle = cli._Logs({None: None})
         assert text == "".join(json.dumps(dict(zip(columns, cli._cells(values, oracle)))) + "\n"
                                for values, *_ in tuples)
