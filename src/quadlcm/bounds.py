@@ -36,21 +36,21 @@ start (`table`) folds L alone and checks only the bounds.  The seven
 bounds of an m are one straight-line pass in BOUND_NAMES order, whose
 m-dependent logs are integer expressions and whose failure messages are
 built only when a verdict is False; `tests/oracles.py` keeps the bounds as
-a per-triple table, to re-check the pass.  The divisor
-claims are read off (A, B): the numerator is norm(P) = A^2 + c*B^2, D is
-reduced by one gcd, D | L is decided on the reduced form and the quotient
-cross-checked on the unreduced one, the content is gcd(A, B), and the
-floored star witness (x, y) must satisfy x*A - c*y*B = L*(n-m)! and
-x*B + y*A = 0, with L*(n-m)! from the fold and the fold's (n-m)! compared
-with factorial(n - m), taken afresh from m and n.  Each m gives one plain
-tuple, no record, and nothing here raises on a failed claim: its message
-stays in the tuple of the triple that exposed it.  log L is not folded:
-each is floor(2^128 log L) of its own L, where a sum of floored logs could
-change a printed digit; an m whose L equals the previous m's reuses that
-log, as the same integer has the same floor.  The record classes
-`DivisorReport`, `BoundReport` and `TripleReport` of `tests/oracles.py`
-re-check every claim independently.  The exact quantity content_multiple
-lives in `ring`; it is imported here too.
+a per-triple table, to re-check the pass.
+
+The divisor claims of each m are checked by `divisor._carried_checks`.
+It proves the witness that the fold carries down by `divisor._grow`, and
+takes the direct route, `divisor._divisor_checks`, where none is carried
+(the row's top m, unless its start carries one) or the carried one fails.
+
+Each m gives one plain tuple, no record, and nothing here raises on a
+failed claim: its message stays in the tuple of the triple that exposed it.
+log L is not folded: each is floor(2^128 log L) of its own L, where a sum
+of floored logs could change a printed digit; an m whose L equals the
+previous m's reuses that log, as the same integer has the same floor.  The
+record classes `DivisorReport`, `BoundReport` and `TripleReport` of
+`tests/oracles.py` re-check every claim independently.  The exact quantity
+content_multiple lives in `ring`; it is imported here too.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Callable, Optional
 
+from .divisor import _carried_checks, _grow
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
 from .ring import content_multiple, shifted_product
@@ -92,39 +93,6 @@ def _row_start(c: int, m: int, n: int) -> tuple[int, tuple[int, int], int, int]:
     return lcm_range(c, m, n), shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
 
 
-def _divisor_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], fact: int,
-                    multiple: int) -> tuple[tuple, int, int, list[str]]:
-    """The divisor values of one triple, its unreduced numerator and denominator, and its failed claims.
-
-    The values are L, D_num, D_den, the quotient L/D (None when it is not an
-    integer), the content gcd(A, B), the multiple, and the star witness
-    L*(n-m)! * conj(P) / norm(P) floored, so a false claim still gives every value.
-    D | L is decided by dividing L * D_den by D_num, the reduced form, and the
-    quotient is cross-checked against the unreduced form, quotient * norm(P)
-    == L * (n-m)! * multiple.  The star identity reuses the fold's L * (n-m)!,
-    and the fold's (n-m)! is itself compared with factorial(n - m).
-    """
-    a, b = pair
-    num, den = a * a + c * b * b, fact * multiple
-    g, hc = gcd(num, den), gcd(a, b)
-    num_g, den_g = num // g, den // g
-    quotient, rem = divmod(big_l * den_g, num_g)
-    scaled = big_l * fact
-    x, y = scaled * a // num, -scaled * b // num
-    bad = []
-    if rem:
-        quotient = None
-        bad.append("L/D is not an integer")
-    elif quotient * num != big_l * den:
-        bad.append("quotient_check * D != L")
-    if multiple % hc:
-        bad.append("hc_value does not divide hc_bound")
-    # (x + y*sqrt(-c)) * (A + B*sqrt(-c)) == L * (n-m)!
-    if fact != factorial(n - m) or x * a - c * y * b != scaled or x * b + y * a:
-        bad.append("(star_x + star_y*sqrt(-c)) * product != L * (n-m)!")
-    return (big_l, num_g, den_g, quotient, hc, multiple, x, y), num, den, bad
-
-
 def icbrt(x: int) -> int:
     """Integer cube root: the largest t with t^3 <= x."""
     if x < 0:
@@ -147,7 +115,7 @@ def floor_half_frontier(n: int) -> int:
     return icbrt(n * n) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # a sweep's rows reuse it across their c's; past the bound, it is rebuilt
 def _c5_term(n: int) -> int:
     """The n-only part of c5, log(n - n^(2/3)/2) + floor(n^(2/3)/2) * (log 2 + 3), in fixed point within _E."""
     frontier = (n << (_W + 1)) - icbrt(n * n << 3 * _W)  # 2^(_W+1) * (n - n^(2/3)/2), floored
@@ -200,11 +168,13 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     when some verdict is False.
 
     The largest m's L, (A, B), (n-m)! and multiple come from `start(c, m, n)`,
-    as `_row_start` gives them; each lower m, d = n - m, steps L by
-    `_lcm_step`, P by the factor m + sqrt(-c), the factorial by d and the
-    multiple by d^2 + 4c.  With start None, L alone comes from `lcm_range`
-    and is folded: only the bounds are checked, and the divisor values but L
-    are None.  An empty ms gives [] and calls no start.
+    as `_row_start` gives them, and a start may append the divisor witness
+    at that m, as a sweep's `window.Window` does; each lower m, d = n - m,
+    steps L by `_lcm_step`, P by the factor m + sqrt(-c), the factorial by
+    d, the multiple by d^2 + 4c and the witness by `_grow`.  With start
+    None, L alone comes from `lcm_range` and is folded: only the bounds are
+    checked, and the divisor values but L are None.  An empty ms gives []
+    and calls no start.
     """
     if not ms:
         return []
@@ -223,18 +193,22 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     v_farhi, farhi = ((_fixed_consts()[1] + n * _fixed_consts()[2], _farhi_bound(n)) if bottom <= farhi_last
                       else (None, None))
     rows, last_l = [], None
-    big_l, pair, fact, multiple = (lcm_range(c, top, n), None, None, None) if start is None else start(c, top, n)
+    begun = (lcm_range(c, top, n), None, None, None) if start is None else start(c, top, n)
+    big_l, pair, fact, multiple, witness = (*begun, None)[:5]  # a start may append the top m's witness
     for m in reversed(ms):
         d, violations = n - m, ()
         if m < top:  # one step down the fold, from m + 1
-            big_l = _lcm_step(big_l, c, m)
             if pair is not None:
                 a, b = pair  # P <- (a + b*sqrt(-c)) * (m + sqrt(-c))
                 pair, fact, multiple = (a * m - c * b, a + b * m), fact * d, multiple * (d * d + 4 * c)
+                if witness is not None:
+                    u = m * m + c
+                    witness = _grow(witness, c, m, d, u // gcd(big_l, u))
+            big_l = _lcm_step(big_l, c, m)
         if pair is None:
             divisor, num, den = (big_l,) + (None,) * 7, None, None
         else:
-            divisor, num, den, bad = _divisor_checks(c, m, n, big_l, pair, fact, multiple)
+            divisor, num, den, bad, witness = _carried_checks(c, m, n, big_l, pair, fact, multiple, witness)
             if bad:
                 violations = (f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}",)
         if big_l != last_l:  # the fold leaves L unchanged at many m: one log per distinct L

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from operator import getitem
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -171,16 +172,22 @@ def _only(m: int, n: int) -> range:
 def _cells(values: tuple, logs: _Logs) -> tuple:
     """One triple's values from `bounds.row_checks` as JSON cells in `sweep_columns()` order, logs from `logs`.
 
-    Only `verify` reads them; `_sweep_text` writes the same text from the integers.
+    Only `verify` reads them; `_sweep_formatter` writes the same text from the integers.
     """
     return (tuple(None if v is None else js_int(v) for v in values[:_LOG_CELL])
             + tuple(logs[v] for v in values[_LOG_CELL:]))
 
 
 def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple]:
-    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: its tuples of `bounds.row_checks`."""
-    from .bounds import row_checks
-    return row_checks(*row)
+    """One sweep work item, a row (c, n, ms) with its process's `Window`: its tuples of `bounds.row_checks`."""
+    return _bounds().row_checks(*row)
+
+
+@lru_cache(maxsize=None)
+def _bounds():
+    """The module `bounds`, imported once by the first sweep row that needs it: `bezout` never loads it."""
+    from . import bounds
+    return bounds
 
 
 def _json_line(columns: Sequence[str]) -> str:
@@ -193,24 +200,33 @@ def _sweep_memo(json_line: Optional[str]) -> dict:
     return _Logs({None: "NA"}) if json_line is None else _JsonLogs({None: "null"})
 
 
-def _sweep_text(row: tuple[int, int, range, Callable], json_line: Optional[str], shared: dict) -> tuple[str, str]:
-    """The record of one sweep row: its CSV lines, or JSON lines filled into `json_line`, and its VIOLATION lines.
+def _sweep_formatter(json_line: Optional[str]) -> Callable[[tuple], tuple[str, str]]:
+    """One sweep's formatter: a row's CSV lines, or JSON lines filled into `json_line`, and its VIOLATION lines.
 
     A JSON cell is null, a decimal within int64, or a quoted decimal or log, as `json.dumps` of `_cells` writes it.
-    The logs of the c-free columns come from `shared`, the process's memo, and the others from one of this row.
+    The memos and which column reads which are built once per command: the logs of the c-free columns come
+    from one memo for the process, made before any fork so that each worker fills its own copy, and the
+    others from one that each row empties.
     """
-    lines, bad, logs = [], [], _sweep_memo(json_line)
-    memos = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]]
-    for values, _, _, _, violations in _sweep_row(row):
-        printed = [*map(getitem, memos, values[_LOG_CELL:])]
-        if json_line is None:
-            lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]] + printed) + "\n")
-        else:
-            lines.append(json_line % (*["null" if v is None else str(v) if _INT64_MIN <= v <= _INT64_MAX else f'"{v}"'
-                                        for v in values[:_LOG_CELL]], *printed))
-        if violations:
-            bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
-    return "".join(lines), "".join(bad)
+    shared, logs = _sweep_memo(json_line), _sweep_memo(json_line)
+    memos, none = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]], logs[None]
+
+    def row_text(row: tuple[int, int, range, Callable]) -> tuple[str, str]:
+        lines, bad = [], []
+        logs.clear()
+        logs[None] = none
+        for values, _, _, _, violations in _sweep_row(row):
+            printed = [*map(getitem, memos, values[_LOG_CELL:])]
+            if json_line is None:
+                lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]] + printed) + "\n")
+            else:
+                lines.append(json_line % (*["null" if v is None else str(v) if _INT64_MIN <= v <= _INT64_MAX
+                                            else f'"{v}"' for v in values[:_LOG_CELL]], *printed))
+            if violations:
+                bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
+        return "".join(lines), "".join(bad)
+
+    return row_text
 
 
 def _table_text(c: int, n: int) -> tuple[str, str]:
@@ -271,7 +287,7 @@ def cmd_sweep(args) -> int:
              f"need parallelism 1 where os.fork is missing, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
     from .window import Window, WindowError
-    start = Window().move  # made before any fork: each worker slides its own copy over its rows
+    start = Window()  # made before any fork: each worker slides its own copy over its rows
     # rows in canonical (c, n) order, each ascending in m
     rows = ((c, n, m_range(n), start) for c in range(args.c_min, args.c_max + 1)
             for n in range(args.n_min, args.n_max + 1))
@@ -280,8 +296,7 @@ def cmd_sweep(args) -> int:
     columns = sweep_columns()
     header = ",".join(columns) + "\n" if args.format == "csv" else ""
     json_line = _json_line(columns) if args.format == "json" else None
-    shared = _sweep_memo(json_line)  # made before any fork: each worker fills its own copy
-    row_text = lambda row: _sweep_text(row, json_line, shared)  # one formatter, serial or forked
+    row_text = _sweep_formatter(json_line)  # made before any fork: one formatter, serial or forked
     with _open_out(args.out) as out:
         if workers == 1:
             try:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from quadlcm import bounds, fixedlog
+from quadlcm import bounds, divisor, fixedlog
 from quadlcm.bounds import (
     BOUND_NAMES,
     PRECISION_BITS,
@@ -174,7 +174,7 @@ class TestVerifyDivisor:
         # (n-m)! doubled halves D and doubles the witness, so L/D stays integral and the witness meets
         # 2 * L * (n-m)!: only the comparison of the fold's (n-m)! with factorial(n - m) exposes it
         big_l, pair, fact, multiple = bounds._row_start(c, m, n)
-        values, num, den, bad = bounds._divisor_checks(c, m, n, big_l, pair, 2 * fact, multiple)
+        values, num, den, bad = divisor._divisor_checks(c, m, n, big_l, pair, 2 * fact, multiple)
         assert bad == [STAR_MESSAGE]
         assert values[3] == 2 * checked_triple(c, m, n).divisor.quotient_check and den == 2 * fact * multiple
         # in the fold, every m below a forged start carries the doubled (n-m)!
@@ -190,15 +190,15 @@ class TestVerifyDivisor:
         # at (1, 1, 3), norm(P) = 100 and the denominator 80 reduce by 20 to D = 5/4; a forged reduction
         # is caught by the division of the reduced form or by its unreduced cross-check
         big_l, pair, fact, multiple = bounds._row_start(1, 1, 3)
-        monkeypatch.setattr(bounds, "gcd", lambda x, y: g(math.gcd(x, y)) if (x, y) == (100, 80) else math.gcd(x, y))
-        assert bounds._divisor_checks(1, 1, 3, big_l, pair, fact, multiple)[3] == [failure]
+        monkeypatch.setattr(divisor, "gcd", lambda x, y: g(math.gcd(x, y)) if (x, y) == (100, 80) else math.gcd(x, y))
+        assert divisor._divisor_checks(1, 1, 3, big_l, pair, fact, multiple)[3] == [failure]
 
     def test_forged_quotient_is_detected_by_the_unreduced_cross_check(self, monkeypatch):
         # a division that returns L/D + 1 with no remainder misses quotient * norm(P) == L * denominator
         big_l, pair, fact, multiple = bounds._row_start(2, 3, 9)
         quotient = checked_triple(2, 3, 9).divisor.quotient_check
-        monkeypatch.setattr(bounds, "divmod", lambda x, y: (x // y + 1, 0), raising=False)
-        values, _, _, bad = bounds._divisor_checks(2, 3, 9, big_l, pair, fact, multiple)
+        monkeypatch.setattr(divisor, "divmod", lambda x, y: (x // y + 1, 0), raising=False)
+        values, _, _, bad = divisor._divisor_checks(2, 3, 9, big_l, pair, fact, multiple)
         assert bad == ["quotient_check * D != L"] and values[3] == quotient + 1
 
     def test_equality_and_repr_ignore_the_product(self):
@@ -913,6 +913,98 @@ class TestWindow:
             window.move(1, 5, 6)
 
 
+POLICIES = ("all", "half_ceil", "frontier", "fixed:7")
+
+
+class TestWitness:
+    # the divisor witness (D_num, D_den, quotient, star_x, star_y) that the fold and the window carry
+
+    @staticmethod
+    def strides(rng, stride):
+        """The rows n <= 90 of one worker: every n serially, else n advancing by random steps of 1 to 4."""
+        n = 0
+        while True:
+            n += 1 if stride is None else rng.randint(1, 4)
+            if n > 90:
+                return
+            yield n
+
+    @pytest.mark.parametrize("stride", [None, "random"], ids=["serial", "strides"])
+    def test_carried_values_equal_the_direct_route(self, stride):
+        # every triple with c <= 5 and n <= 90, under each policy, as a one-m row that `_divisor_checks`
+        # builds from scratch; the window's witness after each move equals the direct route's at its [m, n]
+        rng, direct = random.Random(29), {}
+        for c in range(1, 6):
+            for n in range(1, 91):
+                for m in range(1, n + 1):
+                    direct[c, m, n] = bounds.row_checks(c, n, range(m, m + 1))[0]
+        for policy in POLICIES:
+            ms = _m_policy(policy)
+            for c in range(1, 6):
+                window = Window()
+                for n in self.strides(rng, stride):
+                    rows = bounds.row_checks(c, n, ms(n), window)
+                    assert rows == [direct[c, m, n] for m in ms(n)], (policy, c, n)
+                    if rows:
+                        m = ms(n)[-1]
+                        begun = bounds._row_start(c, m, n)
+                        assert window.witness == divisor._carried_checks(c, m, n, *begun, None)[4], (policy, c, m, n)
+
+    def test_direct_route_once_per_start_over(self, monkeypatch):
+        # a serial sweep's window builds the witness from scratch at each start over, and every other triple,
+        # at the top of a row or below it in the fold, reads the carried one
+        starts, direct = [], []
+        real_start, real_direct = bounds._row_start, divisor._divisor_checks
+        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: starts.append((c, m, n)) or real_start(c, m, n))
+        monkeypatch.setattr(divisor, "_divisor_checks", lambda c, m, n, *args: direct.append((c, m, n))
+                            or real_direct(c, m, n, *args))
+        triples = 0
+        for policy in POLICIES:
+            ms, window = _m_policy(policy), Window()
+            for c in (1, 2, 3):
+                for n in range(1, 121):
+                    triples += len(bounds.row_checks(c, n, ms(n), window))
+        assert direct == starts and 10 * len(starts) < triples
+
+    @pytest.mark.parametrize("field", range(5), ids=["D_num", "D_den", "quotient", "star_x", "star_y"])
+    def test_forged_witness_gives_way_to_the_direct_route(self, field, monkeypatch):
+        # each entry of the witness off by one fails an identity, so the triple's values and messages are the
+        # oracle records', from `_divisor_checks`; the fold below it carries that triple's witness on
+        def forged(witness):
+            return witness[:field] + (witness[field] + 1,) + witness[field + 1:]
+
+        calls, real = [], divisor._divisor_checks
+        monkeypatch.setattr(divisor, "_divisor_checks", lambda c, m, n, *args: calls.append((c, m, n))
+                            or real(c, m, n, *args))
+        c, n, want = 2, 9, [pass_tuple(triple_report(2, m, 9)) for m in range(1, 10)]
+        # in a start: the row's top m, 5, reads the forged witness
+        begun = bounds._row_start(c, 5, n)
+        witness = forged(divisor._carried_checks(c, 5, n, *begun, None)[4])
+        calls.clear()
+        assert bounds.row_checks(c, n, range(1, 6), lambda c, m, n: (*begun, witness)) == want[:5]
+        assert calls == [(c, 5, n)]
+        # in a window, read where it stands, and carried by one pop and one push to the next row
+        window = Window()
+        window(c, 4, n - 1)
+        window.witness = forged(window.witness)
+        calls.clear()
+        assert bounds.row_checks(c, n - 1, range(4, 5), window) == [pass_tuple(triple_report(c, 4, n - 1))]
+        assert bounds.row_checks(c, n, range(5, 6), window) == want[4:5]
+        # a floored step may mend the entry (the quotient's here), which the identities then prove
+        assert calls in ([(c, 4, n - 1), (c, 5, n)], [(c, 4, n - 1)])
+
+    def test_lowest_terms_by_construction(self):
+        # `_times` from a fraction in lowest terms gives num_d * up / (den_d * down), again in lowest terms
+        rng = random.Random(30)
+        for _ in range(5000):
+            num_d, den_d = rng.randrange(1, 10**30), rng.randrange(1, 10**30)
+            g = math.gcd(num_d, den_d)
+            num_d, den_d, up, down = num_d // g, den_d // g, rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+            got = divisor._times(num_d, den_d, up, down)
+            assert Fraction(*got) == Fraction(num_d * up, den_d * down), (num_d, den_d, up, down)
+            assert math.gcd(*got) == 1, (num_d, den_d, up, down)
+
+
 class TestLogPrinter:
     # the integer printer against mpmath's to_str, the routine nstr calls
     def test_random_values(self):
@@ -1064,6 +1156,18 @@ class TestLogCaches:
         assert low.logL == high.logL
         assert low.bounds == high.bounds
         assert any(bv is not None for bv in low.bounds.values())
+
+    def test_c5_term_cache_is_bounded(self):
+        # the n-only term of c5 is kept for at most maxsize values of n; one past the bound is rebuilt, equal
+        bound = bounds._c5_term.cache_info().maxsize
+        assert bound is not None and 0 < bound <= 4096
+        bounds._c5_term.cache_clear()
+        first = [bounds._c5_term(n) for n in range(1, 2 * bound + 1)]
+        assert bounds._c5_term.cache_info().currsize == bound
+        again = [bounds._c5_term(n) for n in range(1, 2 * bound + 1)]
+        assert bounds._c5_term.cache_info().hits == 0  # the first half was evicted before the second pass
+        assert again == first == [bounds._c5_term.__wrapped__(n) for n in range(1, 2 * bound + 1)]
+        assert first[-1] == mpmath_c5_term(2 * bound)
 
     def test_log_factorial_first_call_precision_does_not_leak(self):
         values = []

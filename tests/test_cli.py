@@ -90,6 +90,10 @@ SWEEP_SHA256 = {
     ("all", 40, "json"): "72df32b3684017d935615859a0b769d9c5e65b456cc30d5e78e607c4849c1e24",
     ("frontier", 220, "json"): "398d6fa2e0f0710f9c3fafabe31730d99a979a20b12f90d00fd08a365bde4148",
 }
+# sha256 of `quadlcm sweep --c-min 1 --c-max 2 --n-min 1 --n-max 100 --m-policy all --format json`
+# stdout, captured before the fold and the window carried the divisor witness: the fold over
+# integers of up to about 1600 bits, where SWEEP_SHA256's `all` sweeps stop at n = 40
+SWEEP_FOLD_SHA256 = "3dc6135837104c445bf99c88e9d07c754e92dbff71c0c8390705556f705a4c05"
 # sha256 of `quadlcm verify --c C --m M --n N` stdout, captured before the
 # three parts of a triple's record were built from one L
 VERIFY_SHA256 = {
@@ -330,6 +334,16 @@ class TestSweep:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(policy, n_max, fmt)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_golden_bytes_of_the_fold_at_big_integers(self, workers, capsys):
+        code, out, _ = run(
+            ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "100",
+             "--m-policy", "all", "--format", "json", "--parallelism", str(workers)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_FOLD_SHA256
 
     @pytest.mark.parametrize("policy, n_max", [("all", 30), ("half_ceil", 90), ("frontier", 90), ("fixed:7", 90)])
     def test_sliding_windows_at_any_parallelism_equal_rebuilt_ones(self, policy, n_max, tmp_path, monkeypatch):
@@ -666,7 +680,7 @@ class TestTable:
 
 # sweep rows that fail in a forked worker
 def _raising_row(row):
-    c, n, ms, _ = row  # the row and its process's `Window.move`
+    c, n, ms, _ = row  # the row and its process's `Window`
     raise RuntimeError(f"forged worker failure at {(c, ms[0], n)}")
 
 
@@ -1010,9 +1024,8 @@ class TestSweepRowWriter:
             cells = lambda line: line.split(",")[3:]
         else:
             row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
-            json_line = cli._json_line(columns) if fmt == "json" else None
-            shared = cli._sweep_memo(json_line)
-            text = lambda c: cli._sweep_text((c, n, range(1, n + 1), Window().move), json_line, shared)[0]
+            row_text = cli._sweep_formatter(cli._json_line(columns) if fmt == "json" else None)
+            text = lambda c: row_text((c, n, range(1, n + 1), Window()))[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
         printed, real, seen = [], cli.fmt_log, set()
@@ -1035,10 +1048,10 @@ class TestSweepRowWriter:
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
         # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
         columns, ms = cli.sweep_columns(), cli._m_policy(policy)
-        json_line, window, quoted = cli._json_line(columns), Window(), 0
+        row_text, window, quoted = cli._sweep_formatter(cli._json_line(columns)), Window(), 0
         for c in (1, 2, 3):
             for n in range(1, 61):
-                text, _ = cli._sweep_text((c, n, ms(n), window.move), json_line, cli._sweep_memo(json_line))
+                text, _ = row_text((c, n, ms(n), window))
                 logs = cli._Logs({None: None})
                 expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
                             for values, *_ in bounds.row_checks(c, n, ms(n))]
@@ -1055,8 +1068,7 @@ class TestSweepRowWriter:
                   for i in range(len(edges))]
         monkeypatch.setattr(cli, "_sweep_row", lambda row: tuples)
         columns = cli.sweep_columns()
-        json_line = cli._json_line(columns)
-        text, bad = cli._sweep_text((1, 3, range(1, 4), None), json_line, cli._sweep_memo(json_line))
+        text, bad = cli._sweep_formatter(cli._json_line(columns))((1, 3, range(1, 4), None))
         oracle = cli._Logs({None: None})
         assert text == "".join(json.dumps(dict(zip(columns, cli._cells(values, oracle)))) + "\n"
                                for values, *_ in tuples)
@@ -1173,14 +1185,14 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     assert code == 0, (argv, code)
 sys.setprofile(None)
-from quadlcm import bounds, fixedlog, poly, ring, window, workers
+from quadlcm import bounds, divisor, fixedlog, poly, ring, window, workers
 
 def own(value, module):
     value = inspect.unwrap(value) if callable(value) else value
     return value if inspect.isfunction(value) and value.__module__ == module.__name__ else None
 
 report = {}
-for module in (ring, poly, bounds, window, fixedlog, cli, workers):
+for module in (ring, poly, bounds, divisor, window, fixedlog, cli, workers):
     functions, methods = {}, {}
     for name, value in vars(module).items():
         if own(value, module):
@@ -1209,7 +1221,8 @@ class TestDeadCode:
     def reached(self):
         return json.loads(_python(_REACH_PROBE, json.dumps(self.COMMANDS)))
 
-    LIBRARY = ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds", "quadlcm.window", "quadlcm.fixedlog")
+    LIBRARY = ("quadlcm.ring", "quadlcm.poly", "quadlcm.bounds", "quadlcm.divisor", "quadlcm.window",
+               "quadlcm.fixedlog")
     # the methods no successful command runs that stay, each for its reason
     UNRUN_METHODS = {
         "quadlcm.ring": ["_Quad.__mul__",  # perfbench/tracer.py counts it by name for ring.quadint_mul
