@@ -27,21 +27,20 @@ from one integer cube root, farhi at m = 1 when c = 1), and each value that
 depends on (c, n) only is built once, and only when some m of the row lies
 in its bound's interval: the logs of oon_2n, c5 and farhi, the terms t7, t9
 and final share, and the exact thresholds of oon_2n and farhi.  Then one
-descending fold over m from L, P = A + B*sqrt(-c), (n-m)! and the content
-multiple at the row's largest m, by one lcm or multiplication each per step
-down, checks every claim of each m once, in integers, as it steps.  That
-start is `_row_start`, from `lcm_range` and the integer pair of
-`ring.shifted_product`, or a sweep's `window.Window`; a row without a
-start (`table`) folds L alone and checks only the bounds.  The seven
-bounds of an m are one straight-line pass in BOUND_NAMES order, whose
-m-dependent logs are integer expressions and whose failure messages are
-built only when a verdict is False; `tests/oracles.py` keeps the bounds as
-a per-triple table, to re-check the pass.
-
-The divisor claims of each m are checked by `divisor._carried_checks`.
-It proves the witness that the fold carries down by `divisor._grow`, and
-takes the direct route, `divisor._divisor_checks`, where none is carried
-(the row's top m, unless its start carries one) or the carried one fails.
+descending fold over m checks every claim of each m once, in integers, as
+it steps.  It starts from the state of `divisor` at the row's largest m,
+(L, (A, B), (n-m)!, content multiple, witness) with P = A + B*sqrt(-c),
+and steps down by `divisor._join`, the step a sweep's window pushes with.
+That start is `_row_start`, which builds the state from scratch from
+`lcm_range`, the integer pair of `ring.shifted_product` and
+`divisor._witness`, or a sweep's `window.Window.move`; a row without a
+start (`table`) folds L alone by `divisor._lcm_step`, the L step of
+`_join`, and checks only the bounds.  The divisor claims of each m are
+proved once, by `divisor._divisor_checks` from the witness of its state.
+The seven bounds of an m are one straight-line pass in BOUND_NAMES order,
+whose m-dependent logs are integer expressions and whose failure messages
+are built only when a verdict is False; `tests/oracles.py` keeps the bounds
+as a per-triple table, to re-check the pass.
 
 Each m gives one plain tuple, no record, and nothing here raises on a
 failed claim: its message stays in the tuple of the triple that exposed it.
@@ -56,10 +55,10 @@ content_multiple lives in `ring`; it is imported here too.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Callable, Optional
 
-from .divisor import _carried_checks, _grow
+from . import divisor
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
 from .ring import content_multiple, shifted_product
@@ -83,14 +82,10 @@ def lcm_range(c: int, m: int, n: int) -> int:
     return terms[0]
 
 
-def _lcm_step(big_l: int, c: int, m: int) -> int:
-    """lcm(big_l, m^2+c): L at (c, m, n) from L at (c, m+1, n), the one lcm step of a row's fold."""
-    return lcm(big_l, m * m + c)
-
-
-def _row_start(c: int, m: int, n: int) -> tuple[int, tuple[int, int], int, int]:
-    """(L, (A, B), (n-m)!, content_multiple(c, n-m)) at (c, m, n), P = A + B*sqrt(-c), from scratch."""
-    return lcm_range(c, m, n), shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
+def _row_start(c: int, m: int, n: int) -> tuple:
+    """The state of `divisor` at (c, m, n) from scratch: (L, (A, B), (n-m)!, content_multiple(c, n-m), witness)."""
+    begun = lcm_range(c, m, n), shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
+    return (*begun, divisor._witness(c, *begun))
 
 
 def icbrt(x: int) -> int:
@@ -167,14 +162,14 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     m-dependent logs as integer expressions and its messages built only
     when some verdict is False.
 
-    The largest m's L, (A, B), (n-m)! and multiple come from `start(c, m, n)`,
-    as `_row_start` gives them, and a start may append the divisor witness
-    at that m, as a sweep's `window.Window` does; each lower m, d = n - m,
-    steps L by `_lcm_step`, P by the factor m + sqrt(-c), the factorial by
-    d, the multiple by d^2 + 4c and the witness by `_grow`.  With start
-    None, L alone comes from `lcm_range` and is folded: only the bounds are
-    checked, and the divisor values but L are None.  An empty ms gives []
-    and calls no start.
+    The largest m's state, (L, (A, B), (n-m)!, multiple, witness) as
+    `divisor` defines it, comes from `start(c, m, n)`: `_row_start` by
+    default, a sweep's `window.Window.move`.  Each lower m steps it by
+    `divisor._join` with d = n - m, and `divisor._divisor_checks` proves
+    the claims of each m from it, handing down the witness that stood.  With
+    start None, L alone comes from `lcm_range` and is folded by
+    `divisor._lcm_step`: only the bounds are checked, and the divisor values
+    but L are None.  An empty ms gives [] and calls no start.
     """
     if not ms:
         return []
@@ -193,22 +188,22 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     v_farhi, farhi = ((_fixed_consts()[1] + n * _fixed_consts()[2], _farhi_bound(n)) if bottom <= farhi_last
                       else (None, None))
     rows, last_l = [], None
-    begun = (lcm_range(c, top, n), None, None, None) if start is None else start(c, top, n)
-    big_l, pair, fact, multiple, witness = (*begun, None)[:5]  # a start may append the top m's witness
+    if start is None:  # L alone
+        big_l, state = lcm_range(c, top, n), None
+    else:
+        state = start(c, top, n)
+    lcm_step, join, checks = divisor._lcm_step, divisor._join, divisor._divisor_checks
     for m in reversed(ms):
         d, violations = n - m, ()
-        if m < top:  # one step down the fold, from m + 1
-            if pair is not None:
-                a, b = pair  # P <- (a + b*sqrt(-c)) * (m + sqrt(-c))
-                pair, fact, multiple = (a * m - c * b, a + b * m), fact * d, multiple * (d * d + 4 * c)
-                if witness is not None:
-                    u = m * m + c
-                    witness = _grow(witness, c, m, d, u // gcd(big_l, u))
-            big_l = _lcm_step(big_l, c, m)
-        if pair is None:
-            divisor, num, den = (big_l,) + (None,) * 7, None, None
+        if state is None:
+            if m < top:  # one step down the fold, from m + 1, as `divisor._join` steps L
+                big_l = lcm_step(big_l, m * m + c)[0]
+            values, num, den = (big_l,) + (None,) * 7, None, None
         else:
-            divisor, num, den, bad, witness = _carried_checks(c, m, n, big_l, pair, fact, multiple, witness)
+            if m < top:
+                state = join(state, c, m, d)
+            values, num, den, bad, state = checks(c, m, n, state)
+            big_l = state[0]
             if bad:
                 violations = (f"divisor invariants failed at (c={c}, m={m}, n={n}): {bad}",)
         if big_l != last_l:  # the fold leaves L unchanged at many m: one log per distinct L
@@ -242,5 +237,5 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
                    else f"bound {name}: undecided"
                    for name, v, held, e in zip(BOUND_NAMES, logs, holds, errors) if held is False]
             violations += (f"bound invariants failed at (c={c}, m={m}, n={n}): {bad}",)
-        rows.append(((c, m, n, *divisor, log_l, *logs), num, den, holds, violations))
+        rows.append(((c, m, n, *values, log_l, *logs), num, den, holds, violations))
     return rows[::-1]

@@ -10,7 +10,7 @@ from a memo that lives for that row only, and one loop writes the records
 and exits 2 if any violation text is non-empty.  A sweep's (m, n)-only
 columns oon_2n, binom and farhi share one memo per process instead: 10490
 strings, 1.4 MB, at c <= 5, n <= 200, all.  A sweep row (c, n) is one fold over m that computes every m the --m-policy wants in that row, from its
-process's `window.Window`.  With --parallelism p above 1, p forked workers (at most
+process's `window.Window`, moved by its `move`.  With --parallelism p above 1, p forked workers (at most
 64, at most one per row) take rows w, w+p, w+2p, ... each, slide their own
 copy of the window and write each row's record to their own pipe; the
 parent reads the pipes round-robin, and a full pipe blocks its worker.  So
@@ -21,7 +21,8 @@ straight from the row's integers, by one `%` template with the keys built in;
 and `table` take c < 2^61, the range in which the log bounds are certified,
 and n <= 10^6 (`verify --n`, `sweep --n-max`, `table --n-max`), past which a
 run would first spend minutes growing its log table; `verify` takes
-n - m <= 2*10^4, as its work grows about as (n - m)^2.1; `bezout` takes k <= 500.
+n - m <= 2*10^4, as its work grows about as (n - m)^2.1; `bezout` takes c < 2^61, the same cap, and
+k <= 500.
 """
 
 from __future__ import annotations
@@ -179,13 +180,13 @@ def _cells(values: tuple, logs: _Logs) -> tuple:
 
 
 def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple]:
-    """One sweep work item, a row (c, n, ms) with its process's `Window`: its tuples of `bounds.row_checks`."""
+    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: its tuples of `bounds.row_checks`."""
     return _bounds().row_checks(*row)
 
 
 @lru_cache(maxsize=None)
 def _bounds():
-    """The module `bounds`, imported once by the first sweep row that needs it: `bezout` never loads it."""
+    """The module `bounds`, imported once by the first sweep or table row that needs it: `bezout` never loads it."""
     from . import bounds
     return bounds
 
@@ -231,9 +232,8 @@ def _sweep_formatter(json_line: Optional[str]) -> Callable[[tuple], tuple[str, s
 
 def _table_text(c: int, n: int) -> tuple[str, str]:
     """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
-    from .bounds import row_checks
     lines, bad, logs = [], [], _Logs()  # one memo for the row's logs and ratios
-    for values, _, _, _, violations in row_checks(c, n, range(1, n + 1), None):
+    for values, _, _, _, violations in _bounds().row_checks(c, n, range(1, n + 1), None):
         m, log_l = values[1], values[_LOG_CELL]
         bad += [f"VIOLATION at (c,m,n)={(c, m, n)}: {v}\n" for v in violations]
         # the ratio log(bound) / log(L), itself in fixed point
@@ -287,7 +287,7 @@ def cmd_sweep(args) -> int:
              f"need parallelism 1 where os.fork is missing, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
     from .window import Window, WindowError
-    start = Window()  # made before any fork: each worker slides its own copy over its rows
+    start = Window().move  # made before any fork: each worker slides its own copy over its rows
     # rows in canonical (c, n) order, each ascending in m
     rows = ((c, n, m_range(n), start) for c in range(args.c_min, args.c_max + 1)
             for n in range(args.n_min, args.n_max + 1))
@@ -314,6 +314,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bezout(args) -> int:
     _require(args.c >= 1, f"need c >= 1, got {args.c}")
+    _require(args.c < C_LIMIT, f"need c < 2^61, got {args.c}", RunError)
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
     _require(args.k <= _MAX_BEZOUT_K, f"need k <= {_MAX_BEZOUT_K}, got {args.k}", RunError)
     from .poly import CertificateError, bezout_certificate  # only bezout pays for loading poly
@@ -384,7 +385,7 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bezout = sub.add_parser("bezout", help="emit the certificate for (c, k) as JSON")
-    p_bezout.add_argument("--c", type=int, required=True)
+    p_bezout.add_argument("--c", type=int, required=True, help="below 2^61")
     p_bezout.add_argument("--k", type=int, required=True, help=f"at most {_MAX_BEZOUT_K}")
     p_bezout.add_argument("--out", default="stdout")
     p_bezout.set_defaults(func=cmd_bezout)

@@ -1,4 +1,4 @@
-"""The paper's divisor claims at one triple (c, m, n), and the witness a fold carries from triple to triple.
+"""The state of a window [m, n] of one c, the one rule that steps it, and the one proof of the divisor claims.
 
 D = prod(k^2+c) / (c (n-m)! prod(l^2+4c)), k = m..n and l = 1..n-m, must
 divide L = lcm(m^2+c, ..., n^2+c); the content gcd(A, B) of P = A +
@@ -7,35 +7,39 @@ and the star witness L*(n-m)!/P must lie in Z[sqrt(-c)].  The claims are
 read off (A, B), whose numerator is norm(P) = A^2 + c*B^2 over the
 denominator (n-m)! * multiple.
 
-`_divisor_checks` is the direct route: D reduced by one gcd, D | L decided
-on the reduced form and the quotient cross-checked on the unreduced one, and
-the star witness floored from L*(n-m)!*conj(P)/norm(P), which must satisfy
-the star identity.  It is the start of each fold or window and the fallback
-of every triple.
+The state of a window [m, n] is one tuple, (L, (A, B), (n-m)!, multiple,
+witness).  The witness is (D_num, D_den, quotient, star_x, star_y): D =
+D_num/D_den in lowest terms, the quotient q = L/D, None when it is not an
+integer, and the star witness beta = x + y*sqrt(-c).  `_witness` builds it
+from scratch and checks nothing: D reduced by one gcd, q from
+divmod(L * D_den, D_num), and beta floored from L*(n-m)!*conj(P)/norm(P).
 
-Between triples the fold of `bounds.row_checks` and a sweep's
-`window.Window` carry the witness instead: D = D_num/D_den in lowest terms,
-the quotient q = L/D and the star witness beta = x + y*sqrt(-c).  From one triple
-to the next each changes by a small factor.  With u = k^2+c for the term k
-that joins at width d, w = d(d^2+4c) and t = u/gcd(u, L), D becomes D*u/w,
-q becomes q*t*w/u and the star witness beta*t*d*(k - sqrt(-c))/u (`_grow`);
-a window's pop of k is the inverse, with e = u/gcd(u, L') for the L' that
-remains (`_shrink`).  D stays in lowest terms by construction: `_times`
-cancels g1 = gcd(D_num, w), then g2 = gcd(u, D_den*w/g1), and what is left
-of the numerator is prime to what is left of the denominator.  The
-divisions of q and of the star witness are floored.  `_carried_checks`
-then proves the carried values at each triple with exact products:
-q * norm(P) == L * (n-m)! * multiple proves D | L and that q is L/D;
+`_join` adds the term k at width d, as a row's fold steps down in m and as
+a sweep's window pushes n + 1.  With u = k^2+c, t = u/gcd(u, L) from
+`_lcm_step`, the one step of L, and w = d(d^2+4c): L becomes L*t, P becomes
+P*(k + sqrt(-c)), (n-m)! becomes (n-m)!*d, the multiple becomes
+multiple*(d^2+4c), D becomes D*u/w, q becomes q*t*w/u and beta becomes
+beta*t*d*(k - sqrt(-c))/u.  `_leave` is its inverse, a window's pop of k,
+with e = u/gcd(u, L') for the L' that remains in place of t; it divides
+with divmod and returns a flag that is set when a division left a
+remainder.  D stays in lowest terms by construction: `_times` cancels g1 =
+gcd(D_num, w), then g2 = gcd(u, D_den*w/g1), and what is left of the
+numerator is prime to what is left of the denominator.  The steps of q and
+beta are floored, so a step that should have been inexact gives a value
+whose identity fails.  A step costs a few products of a big integer by a
+small one instead of a big gcd and three big divisions.
+
+`_divisor_checks` is the one proof.  A witness stands when its identities
+hold: q * norm(P) == L * (n-m)! * multiple proves D | L and that q is L/D;
 D_den * norm(P) == D_num * (n-m)! * multiple that D_num/D_den is D; x*A -
-c*y*B == L*(n-m)! and x*B + y*A == 0 that (x, y) is the star witness.  The
-content and the fold's (n-m)!, compared with factorial(n - m) taken afresh
-from m and n, are checked as the direct route checks them.  Where no
-witness is carried, or a carried value fails its identity, the triple takes
-the direct route, whose values and messages stand, byte for byte, and whose
-witness is carried on.  The two routes agree wherever the identities hold,
-as each identity pins its value down; a carried step costs a few products
-of a big integer by a small one instead of a big gcd and three big
-divisions.  Nothing here raises on a failed claim: its message is returned.
+c*y*B == L*(n-m)! and x*B + y*A == 0 that (x, y) is the star witness.  Each
+identity pins its value down, so a witness that stands is the one
+`_witness` builds.  Otherwise `_witness` rebuilds it, and the claims the
+rebuilt witness fails are reported: L/D is not an integer when the divmod
+leaves a remainder, and the quotient is cross-checked on the unreduced
+form.  Either way the content gcd(A, B) must divide the multiple, and the
+state's (n-m)! is compared with factorial(n - m), taken afresh from m and
+n.  Nothing here raises on a failed claim: its message is returned.
 
 This is a module apart from `bounds` to keep each source file below 2048
 parser tokens: past that, Python 3.11 compiling a module from source
@@ -46,71 +50,89 @@ command's peak RSS by about 0.11 MiB.
 from __future__ import annotations
 
 from math import factorial, gcd
-from typing import Optional
 
 
 _CONTENT_FAILURE = "hc_value does not divide hc_bound"
 _STAR_FAILURE = "(star_x + star_y*sqrt(-c)) * product != L * (n-m)!"
 
 
-def _divisor_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], fact: int,
-                    multiple: int) -> tuple[tuple, int, int, list[str]]:
-    """The divisor values of one triple, its unreduced numerator and denominator, and its failed claims.
+def _witness(c: int, big_l: int, pair: tuple[int, int], fact: int, multiple: int) -> tuple:
+    """(D_num, D_den, quotient, star_x, star_y) from scratch: one gcd, one divmod and two floors, no check.
 
-    The values are L, D_num, D_den, the quotient L/D (None when it is not an
-    integer), the content gcd(A, B), the multiple, and the star witness
-    L*(n-m)! * conj(P) / norm(P) floored, so a false claim still gives every value.
-    D | L is decided by dividing L * D_den by D_num, the reduced form, and the
-    quotient is cross-checked against the unreduced form, quotient * norm(P)
-    == L * (n-m)! * multiple.  The star identity reuses the fold's L * (n-m)!,
-    and the fold's (n-m)! is itself compared with factorial(n - m).
+    The quotient is None when L * D_den leaves a remainder modulo D_num, that is when L/D is not an integer.
     """
     a, b = pair
     num, den = a * a + c * b * b, fact * multiple
-    g, hc = gcd(num, den), gcd(a, b)
+    g = gcd(num, den)
     num_g, den_g = num // g, den // g
     quotient, rem = divmod(big_l * den_g, num_g)
     scaled = big_l * fact
-    x, y = scaled * a // num, -scaled * b // num
-    bad = []
-    if rem:
-        quotient = None
-        bad.append("L/D is not an integer")
-    elif quotient * num != big_l * den:
-        bad.append("quotient_check * D != L")
+    return num_g, den_g, None if rem else quotient, scaled * a // num, -scaled * b // num
+
+
+def _lcm_step(big_l: int, u: int) -> tuple[int, int]:
+    """(lcm(L, u), t), t = u / gcd(u, L): the one step of L, for `_join` and the L-only fold of `bounds`."""
+    t = u // gcd(u, big_l)
+    return big_l * t, t
+
+
+def _join(state: tuple, c: int, k: int, d: int) -> tuple:
+    """The state after the term k joins at width d, every entry stepped as the module docstring says."""
+    big_l, (a, b), fact, multiple, (num_d, den_d, quotient, x, y) = state
+    u, v = k * k + c, d * d + 4 * c
+    big_l, t = _lcm_step(big_l, u)
+    w, td = d * v, t * d
+    return (big_l, (a * k - c * b, a + b * k), fact * d, multiple * v,
+            (*_times(num_d, den_d, u, w), None if quotient is None else quotient * t * w // u,
+             td * (x * k + c * y) // u, td * (y * k - x) // u))
+
+
+def _leave(state: tuple, c: int, k: int, d: int, e: int) -> tuple[tuple, int]:
+    """The state after the term k leaves from width d and L shrinks by e, and the remainders' flag: `_join` undone.
+
+    P is divided by k + sqrt(-c) as P * (k - sqrt(-c)) / (k^2 + c), and (n-m)!, the multiple and L by d,
+    d^2 + 4c and e, each with divmod; the flag is nonzero when one of them left a remainder.
+    """
+    big_l, (a, b), fact, multiple, (num_d, den_d, quotient, x, y) = state
+    u, v = k * k + c, d * d + 4 * c
+    w, ed = d * v, e * d
+    (a, ra), (b, rb) = divmod(a * k + c * b, u), divmod(b * k - a, u)
+    (fact, rf), (multiple, rm), (big_l, rl) = divmod(fact, d), divmod(multiple, v), divmod(big_l, e)
+    return (big_l, (a, b), fact, multiple,
+            (*_times(num_d, den_d, w, u), None if quotient is None else quotient * u // (e * w),
+             (x * k - c * y) // ed, (x + y * k) // ed)), ra or rb or rf or rm or rl
+
+
+def _divisor_checks(c: int, m: int, n: int, state: tuple) -> tuple[tuple, int, int, list[str], tuple]:
+    """The divisor values of (c, m, n), its unreduced numerator and denominator, its failed claims, and its state.
+
+    The values are L, D_num, D_den, the quotient L/D (None when it is not
+    an integer), the content gcd(A, B), the multiple and the star witness,
+    read off the state's witness where it stands, and off the one `_witness`
+    rebuilds where it does not; the state returned holds the witness read.
+    numerator and denominator are norm(P) and (n-m)! * multiple.
+    """
+    big_l, (a, b), fact, multiple, (num_d, den_d, quotient, x, y) = state
+    num, den, scaled = a * a + c * b * b, fact * multiple, big_l * fact
+    bad, star = [], True
+    # the witness stands when its identities hold; otherwise the rebuilt one's failed claims are reported
+    if not (quotient is not None and quotient * num == big_l * den and den_d * num == num_d * den
+            and x * a - c * y * b == scaled and x * b + y * a == 0):
+        begun = state[:4]
+        state = (*begun, _witness(c, *begun))
+        num_d, den_d, quotient, x, y = state[4]
+        if quotient is None:
+            bad.append("L/D is not an integer")
+        elif quotient * num != big_l * den:
+            bad.append("quotient_check * D != L")
+        # (x + y*sqrt(-c)) * (A + B*sqrt(-c)) == L * (n-m)!
+        star = x * a - c * y * b == scaled and x * b + y * a == 0
+    hc = gcd(a, b)
     if multiple % hc:
         bad.append(_CONTENT_FAILURE)
-    # (x + y*sqrt(-c)) * (A + B*sqrt(-c)) == L * (n-m)!
-    if fact != factorial(n - m) or x * a - c * y * b != scaled or x * b + y * a:
+    if fact != factorial(n - m) or not star:
         bad.append(_STAR_FAILURE)
-    return (big_l, num_g, den_g, quotient, hc, multiple, x, y), num, den, bad
-
-
-def _carried_checks(c: int, m: int, n: int, big_l: int, pair: tuple[int, int], fact: int, multiple: int,
-                    witness: Optional[tuple]) -> tuple[tuple, int, int, list[str], Optional[tuple]]:
-    """What `_divisor_checks` gives for one triple, read off a carried witness where it proves itself, and the witness.
-
-    The witness is (D_num, D_den, quotient, star_x, star_y).  It stands when
-    quotient * norm(P) == L * (n-m)! * multiple, D_den * norm(P) == D_num *
-    (n-m)! * multiple and the star identity hold; the content and the
-    factorial comparison are then checked as `_divisor_checks` checks them.
-    A witness that is None or fails an identity gives way to
-    `_divisor_checks`, whose values and messages stand, and whose witness is
-    carried on unless it has no quotient.
-    """
-    if witness is not None:
-        num_d, den_d, quotient, x, y = witness
-        a, b = pair
-        num, den, scaled = a * a + c * b * b, fact * multiple, big_l * fact
-        if (quotient * num == scaled * multiple and den_d * num == num_d * den
-                and x * a - c * y * b == scaled and x * b + y * a == 0):
-            hc = gcd(a, b)
-            bad = [] if multiple % hc == 0 else [_CONTENT_FAILURE]
-            if fact != factorial(n - m):
-                bad.append(_STAR_FAILURE)
-            return (big_l, num_d, den_d, quotient, hc, multiple, x, y), num, den, bad, witness
-    values, num, den, bad = _divisor_checks(c, m, n, big_l, pair, fact, multiple)
-    return values, num, den, bad, None if values[3] is None else values[1:4] + values[6:]
+    return (big_l, num_d, den_d, quotient, hc, multiple, x, y), num, den, bad, state
 
 
 def _times(num_d: int, den_d: int, up: int, down: int) -> tuple[int, int]:
@@ -125,25 +147,3 @@ def _times(num_d: int, den_d: int, up: int, down: int) -> tuple[int, int]:
     num_d, down = num_d // g, down // g
     g = gcd(up, den_d % up * down)
     return num_d * (up // g), den_d * down // g
-
-
-def _grow(witness: tuple, c: int, k: int, d: int, t: int) -> tuple:
-    """The witness after the term u = k^2+c joins at width d and L grows by t = u / gcd(u, L).
-
-    With w = d(d^2+4c), D becomes D*u/w, the quotient q*t*w/u and the star witness beta*t*d*(k - sqrt(-c))/u,
-    the last two floored: a division that leaves a remainder gives a value whose identity fails.
-    """
-    num_d, den_d, quotient, x, y = witness
-    u, w, td = k * k + c, d * (d * d + 4 * c), t * d
-    return (*_times(num_d, den_d, u, w), quotient * t * w // u, td * (x * k + c * y) // u, td * (y * k - x) // u)
-
-
-def _shrink(witness: tuple, c: int, k: int, d: int, e: int) -> tuple:
-    """The witness after the term u = k^2+c leaves from width d and L shrinks by e = u / gcd(u, L'), L' what remains.
-
-    With w = d(d^2+4c), D becomes D*w/u, the quotient q*u/(e*w) and the star witness beta*(k + sqrt(-c))/(e*d),
-    floored as `_grow` floors them.
-    """
-    num_d, den_d, quotient, x, y = witness
-    u, w, ed = k * k + c, d * (d * d + 4 * c), e * d
-    return (*_times(num_d, den_d, w, u), quotient * u // (e * w), (x * k - c * y) // ed, (x + y * k) // ed)

@@ -73,6 +73,14 @@ def bound_line(row):
     return next((v for v in row[4] if v.startswith("bound ")), None)
 
 
+def forged_state(state, field):
+    """A state of `divisor` with one of A, B, (n-m)! and the multiple, named by `field`, off by one."""
+    big_l, (a, b), fact, multiple, witness = state
+    entries = {"a": a, "b": b, "fact": fact, "multiple": multiple}
+    entries[field] += 1
+    return big_l, (entries["a"], entries["b"]), entries["fact"], entries["multiple"], witness
+
+
 class TestLcmRange:
     def test_examples(self):
         assert lcm_range(1, 1, 1) == 2
@@ -162,7 +170,7 @@ class TestVerifyDivisor:
         # from m and n; the multiple forged to 41 is not a multiple of the content 10, and L/D = 8.2
         window = Window()
         window.move(1, 1, 3)
-        setattr(window, field, getattr(window, field) + 1)
+        window.state = forged_state(window.state, field)
         row = bounds.row_checks(1, 3, range(1, 2), window.move)[0]
         bad = replace(checked_triple(1, 1, 3).divisor, **forged_record)
         assert row[4] == (failure_message("divisor", bad),)
@@ -172,13 +180,15 @@ class TestVerifyDivisor:
     @pytest.mark.parametrize("c, m, n", [(1, 1, 3), (2, 3, 9), (3, 130, 260)])
     def test_fold_factorial_doubled_gives_the_star_violation(self, c, m, n):
         # (n-m)! doubled halves D and doubles the witness, so L/D stays integral and the witness meets
-        # 2 * L * (n-m)!: only the comparison of the fold's (n-m)! with factorial(n - m) exposes it
-        big_l, pair, fact, multiple = bounds._row_start(c, m, n)
-        values, num, den, bad = divisor._divisor_checks(c, m, n, big_l, pair, 2 * fact, multiple)
+        # 2 * L * (n-m)!: only the comparison of the fold's (n-m)! with factorial(n - m) exposes it.  The
+        # state's witness, built for the true (n-m)!, fails its identities, so the proof rebuilds it
+        big_l, pair, fact, multiple, witness = bounds._row_start(c, m, n)
+        doubled = (big_l, pair, 2 * fact, multiple, witness)
+        values, num, den, bad, _ = divisor._divisor_checks(c, m, n, doubled)
         assert bad == [STAR_MESSAGE]
         assert values[3] == 2 * checked_triple(c, m, n).divisor.quotient_check and den == 2 * fact * multiple
         # in the fold, every m below a forged start carries the doubled (n-m)!
-        start, ms = (lambda c, m, n: (big_l, pair, 2 * fact, multiple)), range(max(1, m - 3), m + 1)
+        start, ms = (lambda c, m, n: doubled), range(max(1, m - 3), m + 1)
         assert [row[4] for row in bounds.row_checks(c, n, ms, start)] == [
             (f"divisor invariants failed at (c={c}, m={k}, n={n}): {[STAR_MESSAGE]}",) for k in ms]
 
@@ -188,17 +198,17 @@ class TestVerifyDivisor:
     ], ids=["divides", "does-not-divide"])
     def test_forged_reduced_divisor_is_detected(self, g, failure, monkeypatch):
         # at (1, 1, 3), norm(P) = 100 and the denominator 80 reduce by 20 to D = 5/4; a forged reduction
-        # is caught by the division of the reduced form or by its unreduced cross-check
-        big_l, pair, fact, multiple = bounds._row_start(1, 1, 3)
+        # is caught by the division of the reduced form or by its unreduced cross-check.  The start's witness
+        # and the proof's rebuild of it both take the forged reduction
         monkeypatch.setattr(divisor, "gcd", lambda x, y: g(math.gcd(x, y)) if (x, y) == (100, 80) else math.gcd(x, y))
-        assert divisor._divisor_checks(1, 1, 3, big_l, pair, fact, multiple)[3] == [failure]
+        assert divisor._divisor_checks(1, 1, 3, bounds._row_start(1, 1, 3))[3] == [failure]
 
     def test_forged_quotient_is_detected_by_the_unreduced_cross_check(self, monkeypatch):
-        # a division that returns L/D + 1 with no remainder misses quotient * norm(P) == L * denominator
-        big_l, pair, fact, multiple = bounds._row_start(2, 3, 9)
+        # a division that returns L/D + 1 with no remainder misses quotient * norm(P) == L * denominator, in
+        # the start's witness and in the proof's rebuild of it
         quotient = checked_triple(2, 3, 9).divisor.quotient_check
         monkeypatch.setattr(divisor, "divmod", lambda x, y: (x // y + 1, 0), raising=False)
-        values, _, _, bad = divisor._divisor_checks(2, 3, 9, big_l, pair, fact, multiple)
+        values, _, _, bad, _ = divisor._divisor_checks(2, 3, 9, bounds._row_start(2, 3, 9))
         assert bad == ["quotient_check * D != L"] and values[3] == quotient + 1
 
     def test_equality_and_repr_ignore_the_product(self):
@@ -675,7 +685,7 @@ class TestRowChecks:
     def test_equal_the_oracle_records_with_a_forged_lcm(self, monkeypatch):
         # L forged to 2 at the pass's two inputs: almost every triple fails some claim, and each message matches
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
-        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+        monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (2, 1))
         failing = 0
         for c in (1, 2):
             for n in range(1, 13):
@@ -848,7 +858,7 @@ class TestRowFold:
             lcm_range(2, m, 9) for m in range(1, 10)]
 
     def test_forged_step_reaches_each_lower_m(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 1)
+        monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (1, 1))
         rows = bounds.row_checks(1, 3, range(1, 4))
         assert [row[0][3] for row in rows] == [1, 1, lcm_range(1, 3, 3)]
         assert [bool(row[4]) for row in rows] == [True, True, False]
@@ -860,7 +870,8 @@ class TestRowFold:
 class TestWindow:
     @staticmethod
     def expected(c, m, n):
-        return lcm_range(c, m, n), shifted_product(c, m, n), math.factorial(n - m), content_multiple(c, n - m)
+        begun = lcm_range(c, m, n), shifted_product(c, m, n), math.factorial(n - m), content_multiple(c, n - m)
+        return (*begun, divisor._witness(c, *begun))
 
     def test_moves_equal_the_rebuild(self, monkeypatch):
         # random monotone windows with strides 1-4 (a forked worker's view), repeated moves, c changes,
@@ -907,7 +918,10 @@ class TestWindow:
         window = Window()
         window.move(1, 3, 6)
         window.move(1, 4, 6)
-        setattr(window, field, getattr(window, field) + 1)
+        if field == "front_l":
+            window.front_l += 1
+        else:
+            window.state = forged_state(window.state, field)
         monkeypatch.setattr(bounds, "_row_start", None)  # no silent rebuild
         with pytest.raises(WindowError, match=r"^pop of m=4 from the window \[4, 6\] of c=1 left a remainder$"):
             window.move(1, 5, 6)
@@ -917,7 +931,8 @@ POLICIES = ("all", "half_ceil", "frontier", "fixed:7")
 
 
 class TestWitness:
-    # the divisor witness (D_num, D_den, quotient, star_x, star_y) that the fold and the window carry
+    # the state (L, (A, B), (n-m)!, multiple, witness) of `divisor`, whose witness (D_num, D_den, quotient,
+    # star_x, star_y) the fold and the window carry by the one step rule `_join` and its inverse `_leave`
 
     @staticmethod
     def strides(rng, stride):
@@ -931,8 +946,9 @@ class TestWitness:
 
     @pytest.mark.parametrize("stride", [None, "random"], ids=["serial", "strides"])
     def test_carried_values_equal_the_direct_route(self, stride):
-        # every triple with c <= 5 and n <= 90, under each policy, as a one-m row that `_divisor_checks`
-        # builds from scratch; the window's witness after each move equals the direct route's at its [m, n]
+        # every triple with c <= 5 and n <= 90, under each policy, as a one-m row whose state `_row_start`
+        # builds from scratch; the window's state after each move, witness included, equals the one built
+        # from scratch at its [m, n]
         rng, direct = random.Random(29), {}
         for c in range(1, 6):
             for n in range(1, 91):
@@ -943,55 +959,116 @@ class TestWitness:
             for c in range(1, 6):
                 window = Window()
                 for n in self.strides(rng, stride):
-                    rows = bounds.row_checks(c, n, ms(n), window)
+                    rows = bounds.row_checks(c, n, ms(n), window.move)
                     assert rows == [direct[c, m, n] for m in ms(n)], (policy, c, n)
                     if rows:
                         m = ms(n)[-1]
-                        begun = bounds._row_start(c, m, n)
-                        assert window.witness == divisor._carried_checks(c, m, n, *begun, None)[4], (policy, c, m, n)
+                        assert window.state == bounds._row_start(c, m, n), (policy, c, m, n)
 
     def test_direct_route_once_per_start_over(self, monkeypatch):
         # a serial sweep's window builds the witness from scratch at each start over, and every other triple,
         # at the top of a row or below it in the fold, reads the carried one
-        starts, direct = [], []
-        real_start, real_direct = bounds._row_start, divisor._divisor_checks
-        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: starts.append((c, m, n)) or real_start(c, m, n))
-        monkeypatch.setattr(divisor, "_divisor_checks", lambda c, m, n, *args: direct.append((c, m, n))
-                            or real_direct(c, m, n, *args))
+        starts, built = [], []
+        real_start, real_witness = bounds._row_start, divisor._witness
+
+        def start(c, m, n):
+            state = real_start(c, m, n)
+            starts.append((c, *state[:4]))
+            return state
+
+        monkeypatch.setattr(bounds, "_row_start", start)
+        monkeypatch.setattr(divisor, "_witness", lambda *args: built.append(args) or real_witness(*args))
         triples = 0
         for policy in POLICIES:
             ms, window = _m_policy(policy), Window()
             for c in (1, 2, 3):
                 for n in range(1, 121):
-                    triples += len(bounds.row_checks(c, n, ms(n), window))
-        assert direct == starts and 10 * len(starts) < triples
+                    triples += len(bounds.row_checks(c, n, ms(n), window.move))
+        assert built == starts and 10 * len(starts) < triples
+
+    def test_factorial_and_content_once_per_triple(self, monkeypatch):
+        # a sweep's rows under each policy, and rows from `_row_start` as `verify` runs them: the proof takes
+        # factorial(n - m) and the content gcd(A, B) once per triple, at a window's start over too
+        facts, gcds = [], []
+        real_factorial, real_gcd = math.factorial, math.gcd
+        monkeypatch.setattr(divisor, "factorial", lambda k: facts.append(k) or real_factorial(k))
+        # each gcd with its caller's name: `_witness`, `_lcm_step` and `_times` take gcds of their own
+        monkeypatch.setattr(divisor, "gcd", lambda x, y: gcds.append((sys._getframe(1).f_code.co_name, x, y))
+                            or real_gcd(x, y))
+        triples = 0
+        for policy in POLICIES:
+            ms, window = _m_policy(policy), Window()
+            for c in (1, 2, 3):
+                for n in range(1, 61):
+                    for start in (window.move, bounds._row_start):
+                        facts.clear(), gcds.clear()
+                        rows = bounds.row_checks(c, n, ms(n), start)
+                        pairs = [shifted_product(c, m, n) for m in ms(n)]
+                        assert sorted(facts) == sorted(n - m for m in ms(n)), (policy, c, n)
+                        content = [args for caller, *args in gcds if caller == "_divisor_checks"]
+                        assert sorted(map(tuple, content)) == sorted(pairs), (policy, c, n)
+                        triples += len(rows)
+        assert triples > 3000
+
+    @staticmethod
+    def random_window(rng):
+        """A random c, from small to near 2^61, and a window [m, n] of width 1 to 61."""
+        c = rng.choice([rng.randint(1, 50), rng.randint(1, 2**61 - 1)])
+        m = rng.randint(1, 200)
+        return c, m, m + rng.randint(1, 60)
+
+    def test_leave_undoes_join(self):
+        # `_leave` of `_join` gives the state back, witness included, with no remainder, for a term joined at
+        # either end; and `_leave` of an end term of the state from scratch at [m, n] gives the one at the
+        # window without it
+        rng = random.Random(30)
+        for _ in range(300):
+            c, m, n = self.random_window(rng)
+            state = bounds._row_start(c, m, n)
+            for k, d in ((m - 1, n - m + 1), (n + 1, n + 1 - m)):
+                joined = divisor._join(state, c, k, d)
+                assert divisor._leave(joined, c, k, d, joined[0] // state[0]) == (state, 0), (c, m, n, k)
+            for k, rest in ((m, (m + 1, n)), (n, (m, n - 1))):
+                want = bounds._row_start(c, *rest)
+                assert divisor._leave(state, c, k, n - m, state[0] // want[0]) == (want, 0), (c, m, n, k)
+
+    def test_join_equals_the_state_from_scratch(self):
+        # the fold's step down from [m+1, n] and the window's push from [m, n-1] both reach the state
+        # `_row_start` builds at [m, n], witness included
+        rng = random.Random(31)
+        for _ in range(300):
+            c, m, n = self.random_window(rng)
+            want = bounds._row_start(c, m, n)
+            assert divisor._join(bounds._row_start(c, m + 1, n), c, m, n - m) == want, (c, m, n)
+            assert divisor._join(bounds._row_start(c, m, n - 1), c, n, n - m) == want, (c, m, n)
 
     @pytest.mark.parametrize("field", range(5), ids=["D_num", "D_den", "quotient", "star_x", "star_y"])
     def test_forged_witness_gives_way_to_the_direct_route(self, field, monkeypatch):
-        # each entry of the witness off by one fails an identity, so the triple's values and messages are the
-        # oracle records', from `_divisor_checks`; the fold below it carries that triple's witness on
-        def forged(witness):
-            return witness[:field] + (witness[field] + 1,) + witness[field + 1:]
+        # each entry of the witness off by one fails an identity, so the proof rebuilds the witness with
+        # `_witness`, and the triple's values and messages are the oracle records'; the fold below it carries
+        # that triple's witness on
+        def forged(state):
+            witness = state[4]
+            return (*state[:4], witness[:field] + (witness[field] + 1,) + witness[field + 1:])
 
-        calls, real = [], divisor._divisor_checks
-        monkeypatch.setattr(divisor, "_divisor_checks", lambda c, m, n, *args: calls.append((c, m, n))
-                            or real(c, m, n, *args))
         c, n, want = 2, 9, [pass_tuple(triple_report(2, m, 9)) for m in range(1, 10)]
+        begun, at = forged(bounds._row_start(c, 5, n)), {}
+        for m, top in ((4, n - 1), (5, n)):  # the witness's arguments at the tops of the window's two rows
+            at[m, top] = (c, *bounds._row_start(c, m, top)[:4])
+        calls, real = [], divisor._witness
+        monkeypatch.setattr(divisor, "_witness", lambda *args: calls.append(args) or real(*args))
         # in a start: the row's top m, 5, reads the forged witness
-        begun = bounds._row_start(c, 5, n)
-        witness = forged(divisor._carried_checks(c, 5, n, *begun, None)[4])
-        calls.clear()
-        assert bounds.row_checks(c, n, range(1, 6), lambda c, m, n: (*begun, witness)) == want[:5]
-        assert calls == [(c, 5, n)]
+        assert bounds.row_checks(c, n, range(1, 6), lambda c, m, n: begun) == want[:5]
+        assert calls == [(c, *begun[:4])]
         # in a window, read where it stands, and carried by one pop and one push to the next row
         window = Window()
-        window(c, 4, n - 1)
-        window.witness = forged(window.witness)
+        window.move(c, 4, n - 1)
+        window.state = forged(window.state)
         calls.clear()
-        assert bounds.row_checks(c, n - 1, range(4, 5), window) == [pass_tuple(triple_report(c, 4, n - 1))]
-        assert bounds.row_checks(c, n, range(5, 6), window) == want[4:5]
+        assert bounds.row_checks(c, n - 1, range(4, 5), window.move) == [pass_tuple(triple_report(c, 4, n - 1))]
+        assert bounds.row_checks(c, n, range(5, 6), window.move) == want[4:5]
         # a floored step may mend the entry (the quotient's here), which the identities then prove
-        assert calls in ([(c, 4, n - 1), (c, 5, n)], [(c, 4, n - 1)])
+        assert calls in ([at[4, n - 1], at[5, n]], [at[4, n - 1]])
 
     def test_lowest_terms_by_construction(self):
         # `_times` from a fraction in lowest terms gives num_d * up / (den_d * down), again in lowest terms

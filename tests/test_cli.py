@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import bounds, fixedlog, poly
+from quadlcm import bounds, divisor, fixedlog, poly
 from quadlcm.window import Window
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -388,7 +389,8 @@ class TestSweepWindowFailure:
         def forging(self, c, m, n):
             moved = real(self, c, m, n)
             if (self.c, self.m, self.n) == (1, 1, 2):
-                self.a += 1
+                big_l, (a, b), *rest = self.state
+                self.state = (big_l, (a + 1, b), *rest)
             return moved
 
         real, rebuilds = Window.move, []
@@ -473,6 +475,21 @@ class TestBezout:
         code, out, err = run(["bezout", "--c", "3", "--k", "501", "--out", str(target)], capsys)
         assert (code, out, asked) == (1, "", [500])
         assert err.splitlines() == ["quadlcm: error: need k <= 500, got 501"]
+        assert not target.exists()
+
+    def test_c_past_the_limit_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # c < 2^61 as for the other commands: 2^61 - 1 gives a certificate whose big integers, c included,
+        # are the schema's decimal strings; 2^61 exits 1 in one line before anything is built and before
+        # --out is opened
+        asked, real = [], poly.bezout_certificate
+        monkeypatch.setattr(poly, "bezout_certificate", lambda c, k: asked.append(c) or real(c, k))
+        code, out, err = run(["bezout", "--c", str(2**61 - 1), "--k", "2"], capsys)
+        assert (code, asked, err) == (0, [2**61 - 1], "")
+        jsonschema.validate(json.loads(out), load_schema("bezout_certificate.schema.json"))
+        target = tmp_path / "cert.json"
+        code, out, err = run(["bezout", "--c", str(2**61), "--k", "2", "--out", str(target)], capsys)
+        assert (code, out, asked) == (1, "", [2**61 - 1])
+        assert err.splitlines() == [f"quadlcm: error: need c < 2^61, got {2**61}"]
         assert not target.exists()
 
 
@@ -834,7 +851,7 @@ class TestForkedWorkers:
     def test_same_streams_and_exit_code_as_serial(self, argv, forged, capsys, monkeypatch):
         if forged:  # the TestForgedLcm seams
             monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
-            monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+            monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (2, 1))
         argv = ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1"] + argv
         code, out, err = run(argv, capsys)
         assert run(argv + ["--parallelism", "3"], capsys) == (code, out, err)
@@ -916,7 +933,7 @@ class TestForgedLcm:
     ], ids=["verify", "sweep", "sweep-json", "table"])
     def test_exit_2_with_the_row_written(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
-        monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+        monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (2, 1))
         code, out, err = run(argv, capsys)
         assert code == 2
         lines = out.strip().split("\n")
@@ -954,7 +971,7 @@ def _projected_row(row):
 def _forge_lcm(monkeypatch):
     """The TestForgedLcm seams: L = 2 everywhere, so L/D is not integral at most triples."""
     monkeypatch.setattr(bounds, "lcm_range", lambda c, m, n: 2)
-    monkeypatch.setattr(bounds, "_lcm_step", lambda big_l, c, m: 2)
+    monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (2, 1))
 
 
 class TestSweepRowWriter:
@@ -1025,7 +1042,7 @@ class TestSweepRowWriter:
         else:
             row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
             row_text = cli._sweep_formatter(cli._json_line(columns) if fmt == "json" else None)
-            text = lambda c: row_text((c, n, range(1, n + 1), Window()))[0]
+            text = lambda c: row_text((c, n, range(1, n + 1), Window().move))[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
         printed, real, seen = [], cli.fmt_log, set()
@@ -1048,10 +1065,10 @@ class TestSweepRowWriter:
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
         # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
         columns, ms = cli.sweep_columns(), cli._m_policy(policy)
-        row_text, window, quoted = cli._sweep_formatter(cli._json_line(columns)), Window(), 0
+        row_text, start, quoted = cli._sweep_formatter(cli._json_line(columns)), Window().move, 0
         for c in (1, 2, 3):
             for n in range(1, 61):
-                text, _ = row_text((c, n, ms(n), window))
+                text, _ = row_text((c, n, ms(n), start))
                 logs = cli._Logs({None: None})
                 expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
                             for values, *_ in bounds.row_checks(c, n, ms(n))]
@@ -1107,6 +1124,30 @@ def probe(argv, block_mpmath=False):
 
 def loaded_modules(argv):
     return set(probe(argv)["modules"])
+
+
+class TestSourceTokens:
+    """Every module of the package stays below a batch of its parser's token structs.
+
+    Each launch compiles the package from source when no bytecode is cached
+    (PYTHONDONTWRITEBYTECODE=1, as the benchmark runs it), and Python 3.11's
+    parser allocates its token structs in doubling batches of 2048: a module
+    past 2048 tokens raised every bound command's peak RSS by about 0.11 MiB,
+    and past 4096 it would raise it again.  The count is tokenize's, without
+    COMMENT, NL and ENCODING tokens, which the parser never sees.  `cli` is
+    already past 2048 and stays below 4096; every other module stays below
+    2048.
+    """
+
+    SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+    def test_each_module_below_its_token_batch(self):
+        counts = {}
+        for path in sorted((SRC_DIR / "quadlcm").glob("*.py")):
+            with open(path, "rb") as handle:
+                counts[path.stem] = sum(tok.type not in self.SKIPPED for tok in tokenize.tokenize(handle.readline))
+        assert {"bounds", "cli", "divisor", "window"} <= set(counts)
+        assert {name: count for name, count in counts.items() if count >= (4096 if name == "cli" else 2048)} == {}
 
 
 class TestColdStart:
