@@ -28,11 +28,12 @@ k <= 500.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import zip_longest
+from math import gcd
 from operator import getitem
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -130,11 +131,15 @@ def certificate_to_json(cert: BezoutCertificate) -> dict:
     def ints(coeffs):
         return [js_int(v) for v in coeffs] if coeffs else [0]
 
-    alpha = [
-        [js_int(co.a.numerator), js_int(co.a.denominator),
-         js_int(co.b.numerator), js_int(co.b.denominator)]
-        for co in cert.alpha.coeffs
-    ] or [[0, 1, 0, 1]]
+    two_d = 2 * cert.d
+
+    def part(v):  # v / 2d in lowest terms, sign on the numerator, as Fraction(v, 2d) has it
+        g = gcd(v, two_d)
+        return js_int(v // g), js_int(two_d // g)
+
+    # alpha = (r + s*sqrt(-c)) / 2d, each coefficient [a_num, a_den, b_num, b_den]
+    alpha = [[*part(a), *part(b)]
+             for a, b in zip_longest(cert.r.coeffs, cert.s.coeffs, fillvalue=0)] or [[0, 1, 0, 1]]
     return {
         "c": cert.c,
         "k": cert.k,
@@ -193,6 +198,7 @@ def _bounds():
 
 def _json_line(columns: Sequence[str]) -> str:
     """The `%` template of a JSON sweep line: each key as `json.dumps` writes it, then a cell's JSON text."""
+    import json  # only the commands that write JSON load it
     return "{" + ", ".join(f"{json.dumps(col)}: %s" for col in columns) + "}\n"
 
 
@@ -268,6 +274,7 @@ def cmd_verify(args) -> int:
     _require(1 <= args.m <= args.n, f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     _require_n_capped(args.n)
     _require(args.n - args.m <= _MAX_VERIFY_WIDTH, f"need n - m <= 2*10^4, got {args.n - args.m}", RunError)
+    import json
     from .bounds import row_checks
     with _open_out(args.out) as out:
         row = row_checks(args.c, args.n, range(args.m, args.m + 1))[0]
@@ -317,6 +324,7 @@ def cmd_bezout(args) -> int:
     _require(args.c < C_LIMIT, f"need c < 2^61, got {args.c}", RunError)
     _require(args.k >= 0, f"need k >= 0, got {args.k}")
     _require(args.k <= _MAX_BEZOUT_K, f"need k <= {_MAX_BEZOUT_K}, got {args.k}", RunError)
+    import json
     from .poly import CertificateError, bezout_certificate  # only bezout pays for loading poly
     try:
         cert = bezout_certificate(args.c, args.k)

@@ -4,7 +4,8 @@ A QuadPoly is (A + B*sqrt(-c)) / den, built from exactly these fields: A
 and B are IntPoly numerators and den >= 1 is one common denominator, and
 construction divides out gcd(den, A_i, B_i), so equality is structural and
 the zero polynomial is ((), (), 1).  A QuadPoly is read, not computed with:
-it holds P, and its `coeffs` read alpha for the JSON document.
+it holds P.  No command builds a Fraction, QuadRat or QuadPoly reader of
+alpha: the JSON document reads it off the integers r, s and 2d.
 
 Builds the monic shift-product polynomials P whose values are the products
 (n-k + sqrt(-c)) ... (n + sqrt(-c)), and the certificate of the unique
@@ -33,12 +34,11 @@ is an exact ring quantity defined there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .ring import QuadRat, _check_same_ring, _Record, _set, content_multiple
+from .ring import _check_same_ring, _Record, _set, content_multiple
 
 
 class CertificateError(RuntimeError):
@@ -85,8 +85,7 @@ class QuadPoly(_Record):
     """Dense polynomial (A + B*sqrt(-c)) / den over Q(sqrt(-c)), built from its fields.
 
     QuadPoly(c, A, B, den) needs den >= 1 and normalises, dividing out
-    gcd(den, A_i, B_i); QuadPoly(c) is zero.  `coeffs` reads the QuadRat
-    coefficients in ascending degree, each in lowest terms.
+    gcd(den, A_i, B_i); QuadPoly(c) is zero.
     """
 
     __slots__ = ("c", "A", "B", "den")
@@ -106,11 +105,6 @@ class QuadPoly(_Record):
         _set(self, "A", A)
         _set(self, "B", B)
         _set(self, "den", den)
-
-    @property
-    def coeffs(self) -> tuple[QuadRat, ...]:
-        return tuple(QuadRat(Fraction(a, self.den), Fraction(b, self.den), self.c)
-                     for a, b in zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0))
 
     def __mul__(self, other: QuadPoly) -> QuadPoly:
         # no command multiplies polynomials: this stays because perfbench/tracer.py counts it by name.
@@ -179,11 +173,6 @@ class BezoutCertificate(_Record):
     r: IntPoly
     s: IntPoly
     d: int
-
-    @property
-    def alpha(self) -> QuadPoly:
-        """The Bezout cofactor (r + s*sqrt(-c)) / 2d."""
-        return QuadPoly(self.c, self.r, self.s, 2 * self.d)
 
     def verify(self) -> None:
         """Re-check every certificate invariant exactly; raise CertificateError.

@@ -29,9 +29,9 @@ class _Record:
     never assigned to.  Equality (within one class only) and the repr use the
     fields outside `_hidden`; a record defines no hash, so it is unhashable.
     `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
-    of the shown fields.  `BezoutCertificate` uses this __init__; the types
-    built most often (`IntPoly`, and `QuadRat` for `bezout`'s alpha) and
-    `QuadInt`, which no command builds, have their own.
+    of the shown fields.  `BezoutCertificate` uses this __init__; `IntPoly`,
+    the type built most often, and `QuadInt` and `QuadRat`, which no command
+    builds, have their own.
     """
 
     __slots__ = ()
@@ -108,7 +108,7 @@ class QuadRat(_Quad):
 
     def __init__(self, a, b, c: int) -> None:
         # Accept ints so call sites stay readable; Fraction keeps canonical form.  Imported here, so
-        # that `verify`, `sweep` and `table`, which build no QuadRat, never load `fractions`.
+        # that no command, as none builds a QuadRat, loads `fractions`.
         from fractions import Fraction
         super().__init__(a if isinstance(a, Fraction) else Fraction(a),
                          b if isinstance(b, Fraction) else Fraction(b), c)

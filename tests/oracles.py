@@ -6,9 +6,10 @@ API, that no command runs; the tests compare the library against them.
 * The arithmetic no command runs, as plain functions on the public fields:
   `replace` for records, `quad_add`, `quad_sub`, `quad_neg`, `quad_conj`,
   `quad_inverse`, `quad_norm`, `quad_is_zero` and `content` for QuadInt
-  and QuadRat, and `from_coeffs`, `poly_add`, `poly_sub`, `poly_neg`,
-  `poly_mul`, `poly_scale`, `poly_conj`, `poly_degree`, `poly_is_zero`,
-  `poly_leading`, `poly_horner` and `poly_eval` for QuadPoly.
+  and QuadRat, and `from_coeffs`, `poly_coeffs`, `poly_add`, `poly_sub`,
+  `poly_neg`, `poly_mul`, `poly_scale`, `poly_conj`, `poly_degree`,
+  `poly_is_zero`, `poly_leading`, `poly_horner` and `poly_eval` for
+  QuadPoly, and `cert_alpha`, a certificate's alpha as a QuadPoly.
 * The per-triple records `DivisorReport`, `BoundReport` and `TripleReport`,
   each with its own `failures()`: the independent re-check of
   `bounds.row_checks`, which builds no record.  A `BoundReport`'s values
@@ -95,12 +96,23 @@ def quad_inverse(x: QuadRat) -> QuadRat:
 
 
 def from_coeffs(c: int, coeffs) -> QuadPoly:
-    """The polynomial with QuadRat coefficients `coeffs`, ascending degree; the inverse of `QuadPoly.coeffs`."""
+    """The polynomial with QuadRat coefficients `coeffs`, ascending degree; the inverse of `poly_coeffs`."""
     for co in coeffs:
         if co.c != c:
             raise RingMismatchError(f"coefficient ring {co.c} != polynomial ring {c}")
     den = lcm(*(f.denominator for co in coeffs for f in (co.a, co.b)))
     return QuadPoly(c, IntPoly([int(co.a * den) for co in coeffs]), IntPoly([int(co.b * den) for co in coeffs]), den)
+
+
+def poly_coeffs(p: QuadPoly) -> tuple[QuadRat, ...]:
+    """The QuadRat coefficients of `p` in ascending degree, each in lowest terms."""
+    return tuple(QuadRat(Fraction(a, p.den), Fraction(b, p.den), p.c)
+                 for a, b in zip_longest(p.A.coeffs, p.B.coeffs, fillvalue=0))
+
+
+def cert_alpha(cert) -> QuadPoly:
+    """The Bezout cofactor (r + s*sqrt(-c)) / 2d of a `BezoutCertificate`."""
+    return QuadPoly(cert.c, cert.r, cert.s, 2 * cert.d)
 
 
 def poly_add(p: QuadPoly, q: QuadPoly) -> QuadPoly:
@@ -153,7 +165,7 @@ def poly_is_zero(p: QuadPoly) -> bool:
 def poly_leading(p: QuadPoly) -> QuadRat:
     if poly_is_zero(p):
         raise ValueError("zero polynomial has no leading coefficient")
-    return p.coeffs[-1]
+    return poly_coeffs(p)[-1]
 
 
 def poly_horner(p: QuadPoly, z: QuadRat) -> tuple[int, int, int]:
@@ -699,7 +711,7 @@ def shift(p: QuadPoly, h: int) -> QuadPoly:
     """p(X + h), composed by Horner's rule in QuadPoly arithmetic."""
     x_plus_h = from_coeffs(p.c, (QuadRat(h, 0, p.c), QuadRat(1, 0, p.c)))
     acc = QuadPoly(p.c)
-    for co in reversed(p.coeffs):
+    for co in reversed(poly_coeffs(p)):
         acc = poly_add(poly_mul(acc, x_plus_h), from_coeffs(p.c, (co,)))
     return acc
 

@@ -18,6 +18,7 @@ from quadlcm.ring import QuadInt, QuadRat
 from oracles import (
     alternating_sums,
     bezout_pair,
+    cert_alpha,
     closed_forms,
     lemma_instance,
     multiples_by_criterion,
@@ -92,7 +93,7 @@ def test_criterion_3_bezout_suite():
     for c in range(1, C_MAX + 1):
         for k in range(0, 26):
             cert = bezout_certificate(c, k)  # verifies r*A - c*s*B = d exactly
-            alpha = cert.alpha
+            alpha = cert_alpha(cert)
             p = shift_product_poly(c, k)
             assert poly_add(poly_mul(alpha, p), poly_mul(poly_conj(alpha), poly_conj(p))) == one_poly(c)
             assert sum_form_alpha(c, k) == alpha

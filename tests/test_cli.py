@@ -19,6 +19,8 @@ import quadlcm.cli as cli
 from quadlcm import bounds, divisor, fixedlog, poly
 from quadlcm.window import Window
 
+from oracles import cert_alpha, poly_coeffs
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -507,6 +509,20 @@ class TestBezout:
                 doc = cli.certificate_to_json(poly.bezout_certificate(c, k))
                 digest.update((json.dumps(doc, indent=2) + "\n").encode())
         assert digest.hexdigest() == BEZOUT_GRID_SHA256
+
+    @pytest.mark.parametrize("c, ks", [*((c, range(41)) for c in range(1, 6)), (1000003, [20]), (2**61 - 1, [2])],
+                             ids=[*(f"c={c}" for c in range(1, 6)), "c=1000003", "c=2^61-1"])
+    def test_integer_alpha_equals_the_fraction_route(self, c, ks):
+        # each row [a_num, a_den, b_num, b_den] of alpha, written from r, s and 2d, is what the
+        # QuadRat coefficients of (r + s*sqrt(-c)) / 2d read in lowest terms
+        wide = False
+        for k in ks:
+            cert = poly.bezout_certificate(c, k)
+            rows = [[cli.js_int(v) for v in (co.a.numerator, co.a.denominator, co.b.numerator, co.b.denominator)]
+                    for co in poly_coeffs(cert_alpha(cert))] or [[0, 1, 0, 1]]
+            assert cli.certificate_to_json(cert)["alpha"] == rows
+            wide |= any(isinstance(v, str) for row in rows for v in row)
+        assert wide  # every case has parts beyond int64, which js_int writes as strings
 
 
 class TestCertifiedC:
@@ -1096,16 +1112,19 @@ class TestSweepRowWriter:
 
 
 # runs one command in a fresh interpreter and prints its exit code, its
-# stdout and every module it loaded; with "block" first, importing mpmath fails
+# stdout and every module it loaded, taken before the probe imports json;
+# with "block" first, importing mpmath fails
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 if sys.argv[1] == "block":
     sys.modules["mpmath"] = None
 import quadlcm.cli as cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[2:])
-print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": modules}))
 """
 
 
@@ -1174,10 +1193,22 @@ class TestColdStart:
         ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6"],
         ["table", "--c", "2", "--n-max", "6"],
         ["verify", "--c", "3", "--m", "5", "--n", "60"],
-    ], ids=["sweep", "table", "verify"])
+        ["bezout", "--c", "3", "--k", "5"],
+    ], ids=["sweep", "table", "verify", "bezout"])
     def test_bound_commands_load_neither_fractions_nor_decimal(self, argv):
-        # every claim is decided in integers, Farhi's bound as 25 * 500^n * L >= 8 * 721^n
+        # every claim is decided in integers, Farhi's bound as 25 * 500^n * L >= 8 * 721^n,
+        # and bezout writes alpha from the integers r, s and 2d
         assert not {"fractions", "decimal", "numbers"} & loaded_modules(argv)
+
+    @pytest.mark.parametrize("argv, loads_json", [
+        (["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6"], False),
+        (["table", "--c", "2", "--n-max", "6"], False),
+        (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3", "--format", "json"], True),
+        (["verify", "--c", "3", "--m", "5", "--n", "60"], True),
+        (["bezout", "--c", "3", "--k", "5"], True),
+    ], ids=["sweep", "table", "sweep-json", "verify", "bezout"])
+    def test_only_the_json_writers_load_json(self, argv, loads_json):
+        assert ("json" in loaded_modules(argv)) is loads_json
 
     def test_forked_sweep_loads_neither_futures_nor_multiprocessing(self):
         modules = loaded_modules(["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6",
@@ -1191,6 +1222,7 @@ class TestColdStart:
         assert "quadlcm.bounds" not in modules  # the commands that use it load it
         assert "dataclasses" not in modules
         assert "quadlcm.poly" not in modules
+        assert "json" not in modules  # the commands that write JSON load it
 
     def test_only_bezout_loads_poly(self):
         assert "quadlcm.poly" not in loaded_modules(["table", "--c", "1", "--n-max", "3"])
@@ -1266,7 +1298,11 @@ class TestDeadCode:
                "quadlcm.fixedlog")
     # the methods no successful command runs that stay, each for its reason
     UNRUN_METHODS = {
-        "quadlcm.ring": ["_Quad.__mul__",  # perfbench/tracer.py counts it by name for ring.quadint_mul
+        # perfbench/tracer.py counts `__mul__` by name, so the classes stay until that counter is re-mapped;
+        # no command builds a QuadInt or QuadRat
+        "quadlcm.ring": ["QuadRat.__init__",
+                         "_Quad.__init__",
+                         "_Quad.__mul__",  # perfbench/tracer.py counts it by name for ring.quadint_mul
                          "_Record.__delattr__",  # the frozen guard, with __setattr__: safety code
                          "_Record.__repr__",  # pytest's failure messages read it
                          "_Record.__setattr__"],
@@ -1311,7 +1347,7 @@ class TestDeadCode:
     def test_every_method_is_run_by_a_command(self, reached):
         # every class of the package, properties and dunder methods included
         methods = {module: report["methods"] for module, report in reached.items()}
-        assert {"Window.move", "QuadPoly.coeffs", "BezoutCertificate.alpha", "_Record.__init_subclass__",
+        assert {"Window.move", "BezoutCertificate.verify", "_Record.__init_subclass__",
                 "_Record.__eq__"} <= set().union(*methods.values())
         unreached = {module: self.unreached(found) for module, found in methods.items()}
         assert {module: names for module, names in unreached.items() if names} == self.UNRUN_METHODS
