@@ -29,14 +29,15 @@ in its bound's interval: the logs of oon_2n, c5 and farhi, the terms t7, t9
 and final share, and the exact thresholds of oon_2n and farhi.  Then one
 descending fold over m checks every claim of each m once, in integers, as
 it steps.  It starts from the state of `divisor` at the row's largest m,
-(L, (A, B), (n-m)!, content multiple, witness) with P = A + B*sqrt(-c),
+(L, (A, B), content multiple, witness) with P = A + B*sqrt(-c),
 and steps down by `divisor._join`, the step a sweep's window pushes with.
 That start is `_row_start`, which builds the state from scratch from
 `lcm_range`, the integer pair of `ring.shifted_product` and
 `divisor._witness`, or a sweep's `window.Window.move`; a row without a
 start (`table`) folds L alone by `divisor._lcm_step`, the L step of
 `_join`, and checks only the bounds.  The divisor claims of each m are
-proved once, by `divisor._divisor_checks` from the witness of its state.
+proved once, by `divisor._divisor_checks` from the witness of its state and
+the one factorial(n - m) it takes per triple.
 The seven bounds of an m are one straight-line pass in BOUND_NAMES order,
 whose m-dependent logs are integer expressions and whose failure messages
 are built only when a verdict is False; `tests/oracles.py` keeps the bounds
@@ -83,9 +84,9 @@ def lcm_range(c: int, m: int, n: int) -> int:
 
 
 def _row_start(c: int, m: int, n: int) -> tuple:
-    """The state of `divisor` at (c, m, n) from scratch: (L, (A, B), (n-m)!, content_multiple(c, n-m), witness)."""
-    begun = lcm_range(c, m, n), shifted_product(c, m, n), factorial(n - m), content_multiple(c, n - m)
-    return (*begun, divisor._witness(c, *begun))
+    """The state of `divisor` at (c, m, n) from scratch: (L, (A, B), content_multiple(c, n-m), witness)."""
+    begun = lcm_range(c, m, n), shifted_product(c, m, n), content_multiple(c, n - m)
+    return (*begun, divisor._witness(c, *begun, factorial(n - m)))
 
 
 def icbrt(x: int) -> int:
@@ -129,11 +130,11 @@ _EXACT_TEXT = {"oon_2n": "2^n", "binom": "m * C(n, m)", "farhi": "0.32 * 1.442^n
 def _frontier_gates(n: int) -> tuple[int, int]:
     """(last, first): c5 applies at m <= last, 8*(n-m)^3 >= n^2, and final at m >= first, 8*(n-m)^3 <= n^2.
 
-    Exact, from one cube root: 8d^3 <= n^2 iff d^3 <= n^2 // 8, so t = icbrt(n^2 // 8) is the largest d
-    with 8d^3 <= n^2; the least d with 8d^3 >= n^2 is t on a tie, 8t^3 = n^2, where both apply, and t + 1
-    otherwise.
+    Exact, from one cube root: 8d^3 <= n^2 iff 2d <= icbrt(n^2), so t = floor_half_frontier(n), the frontier
+    width of the `frontier` m-policy, is the largest d with 8d^3 <= n^2; the least d with 8d^3 >= n^2 is t on
+    a tie, 8t^3 = n^2, where both apply, and t + 1 otherwise.
     """
-    t = icbrt(n * n // 8)
+    t = floor_half_frontier(n)
     return n - t - (8 * t**3 != n * n), n - t
 
 
@@ -162,7 +163,7 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     m-dependent logs as integer expressions and its messages built only
     when some verdict is False.
 
-    The largest m's state, (L, (A, B), (n-m)!, multiple, witness) as
+    The largest m's state, (L, (A, B), multiple, witness) as
     `divisor` defines it, comes from `start(c, m, n)`: `_row_start` by
     default, a sweep's `window.Window.move`.  Each lower m steps it by
     `divisor._join` with d = n - m, and `divisor._divisor_checks` proves

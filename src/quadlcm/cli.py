@@ -4,25 +4,19 @@ Exit codes: 0 all checks pass, 1 usage or configuration error (or an input
 past a limit, a sweep worker that raised or died, a failed sweep window, or
 an output that cannot be written), 2 a mathematical invariant failed, in a
 record or in a Bezout certificate, 130 interrupted (SIGINT).  `sweep` and
-`table` work row by row: one formatter per command turns a row into one
-record (text, violation text), printing each distinct log of the row once
-from a memo that lives for that row only, and one loop writes the records
-and exits 2 if any violation text is non-empty.  A sweep's (m, n)-only
-columns oon_2n, binom and farhi share one memo per process instead: 10490
-strings, 1.4 MB, at c <= 5, n <= 200, all.  A sweep row (c, n) is one fold over m that computes every m the --m-policy wants in that row, from its
-process's `window.Window`, moved by its `move`.  With --parallelism p above 1, p forked workers (at most
-64, at most one per row) take rows w, w+p, w+2p, ... each, slide their own
-copy of the window and write each row's record to their own pipe; the
-parent reads the pipes round-robin, and a full pipe blocks its worker.  So
-the output is in (c, n, m) lexicographic order and byte-identical for a
-given configuration at any parallelism level.  A JSON sweep line is built
-straight from the row's integers, by one `%` template with the keys built in;
-`_cells`, the JSON cells of a triple, serves `verify` only.  `verify`, `sweep`
-and `table` take c < 2^61, the range in which the log bounds are certified,
-and n <= 10^6 (`verify --n`, `sweep --n-max`, `table --n-max`), past which a
-run would first spend minutes growing its log table; `verify` takes
-n - m <= 2*10^4, as its work grows about as (n - m)^2.1; `bezout` takes c < 2^61, the same cap, and
-k <= 500.
+`table` work row by row, a row being one (c, n) with the m its command
+wants: one writer turns a row into its lines and its VIOLATION lines, and
+one loop writes them and exits 2 if there were any VIOLATION lines.  With
+--parallelism p above 1, p forked workers (at most 64, at most one per row)
+take rows w, w+p, w+2p, ... each and write each row's text to their own
+pipe; the parent reads the pipes round-robin, and a full pipe blocks its
+worker.  So the output is in (c, n, m) lexicographic order and
+byte-identical for a given configuration at any parallelism level.
+`verify`, `sweep` and `table` take c < 2^61, the range in which the log
+bounds are certified, and n <= 10^6 (`verify --n`, `sweep --n-max`, `table
+--n-max`), past which a run would first spend minutes growing its log
+table; `verify` takes n - m <= 2*10^4, as its work grows about as
+(n - m)^2.1; `bezout` takes c < 2^61, the same cap, and k <= 500.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 from operator import getitem
@@ -88,18 +81,12 @@ def sweep_columns() -> tuple[str, ...]:
 
 
 class _Logs(dict):
-    """One row's printed logs, {fixed-point log: fmt_log of it}, each printed on its first lookup."""
+    """Printed logs, {fixed-point log: fmt_log of it, put in `form`}, each printed on its first lookup."""
+
+    form = "%s"  # a JSON sweep's memos quote their logs
 
     def __missing__(self, v: int) -> str:
-        self[v] = text = fmt_log(v)
-        return text
-
-
-class _JsonLogs(dict):
-    """One JSON row's log cells, {fixed-point log: fmt_log of it in quotes}, each printed on its first lookup."""
-
-    def __missing__(self, v: int) -> str:
-        self[v] = text = f'"{fmt_log(v)}"'
+        self[v] = text = self.form % fmt_log(v)
         return text
 
 
@@ -178,22 +165,10 @@ def _only(m: int, n: int) -> range:
 def _cells(values: tuple, logs: _Logs) -> tuple:
     """One triple's values from `bounds.row_checks` as JSON cells in `sweep_columns()` order, logs from `logs`.
 
-    Only `verify` reads them; `_sweep_formatter` writes the same text from the integers.
+    Only `verify` reads them; `_row_writer` writes the same text from the integers.
     """
     return (tuple(None if v is None else js_int(v) for v in values[:_LOG_CELL])
             + tuple(logs[v] for v in values[_LOG_CELL:]))
-
-
-def _sweep_row(row: tuple[int, int, range, Callable]) -> list[tuple]:
-    """One sweep work item, a row (c, n, ms) with its process's `Window.move`: its tuples of `bounds.row_checks`."""
-    return _bounds().row_checks(*row)
-
-
-@lru_cache(maxsize=None)
-def _bounds():
-    """The module `bounds`, imported once by the first sweep or table row that needs it: `bezout` never loads it."""
-    from . import bounds
-    return bounds
 
 
 def _json_line(columns: Sequence[str]) -> str:
@@ -202,50 +177,42 @@ def _json_line(columns: Sequence[str]) -> str:
     return "{" + ", ".join(f"{json.dumps(col)}: %s" for col in columns) + "}\n"
 
 
-def _sweep_memo(json_line: Optional[str]) -> dict:
-    """An empty memo of printed log cells, CSV (`json_line` None) or JSON."""
-    return _Logs({None: "NA"}) if json_line is None else _JsonLogs({None: "null"})
+def _row_writer(start: Optional[Callable], json_line: Optional[str] = None) -> Callable[[tuple], tuple[str, str]]:
+    """One command's writer: a row (c, n, ms) as its lines and its VIOLATION lines, from one `bounds.row_checks`.
 
-
-def _sweep_formatter(json_line: Optional[str]) -> Callable[[tuple], tuple[str, str]]:
-    """One sweep's formatter: a row's CSV lines, or JSON lines filled into `json_line`, and its VIOLATION lines.
-
-    A JSON cell is null, a decimal within int64, or a quoted decimal or log, as `json.dumps` of `_cells` writes it.
-    The memos and which column reads which are built once per command: the logs of the c-free columns come
-    from one memo for the process, made before any fork so that each worker fills its own copy, and the
-    others from one that each row empties.
+    `start` is the row's start.  A sweep's is its process's `Window().move`, and its lines are CSV, or JSON
+    filled into `json_line`, a cell being null, a decimal within int64, or a quoted decimal or log, as
+    `json.dumps` of `_cells` writes it.  `table`'s is None, and its line per m is c, n, m, log L and each
+    bound's ratio log(bound) / log(L), itself in fixed point.  Each distinct log is printed once per memo:
+    a sweep's c-free columns share one memo for the process, made with the writer before any fork so that
+    each worker fills its own copy, and each row empties the one of its other logs and ratios.
     """
-    shared, logs = _sweep_memo(json_line), _sweep_memo(json_line)
-    memos, none = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]], logs[None]
+    from . import bounds  # `bezout` never loads it
 
-    def row_text(row: tuple[int, int, range, Callable]) -> tuple[str, str]:
+    csv = json_line is None
+    none = "NA" if csv else "null"
+    shared, logs = _Logs({None: none}), _Logs({None: none})
+    shared.form = logs.form = "%s" if csv else '"%s"'
+    memos = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]]
+
+    def row_text(row: tuple[int, int, range]) -> tuple[str, str]:
         lines, bad = [], []
         logs.clear()
         logs[None] = none
-        for values, _, _, _, violations in _sweep_row(row):
-            printed = [*map(getitem, memos, values[_LOG_CELL:])]
-            if json_line is None:
-                lines.append(",".join(["NA" if v is None else str(v) for v in values[:_LOG_CELL]] + printed) + "\n")
-            else:
-                lines.append(json_line % (*["null" if v is None else str(v) if _INT64_MIN <= v <= _INT64_MAX
-                                            else f'"{v}"' for v in values[:_LOG_CELL]], *printed))
+        for values, _, _, _, violations in bounds.row_checks(*row, start):
+            if start is None:  # a table line
+                log_l = values[_LOG_CELL]
+                ratios = ["NA" if v is None else logs[(v << PRECISION_BITS) // log_l] for v in values[_LOG_CELL + 1:]]
+                lines.append(",".join([f"{values[0]},{values[2]},{values[1]}", logs[log_l], *ratios]) + "\n")
+            else:  # a sweep line; JSON quotes the integers beyond int64
+                cells = [none if v is None else str(v) if csv or _INT64_MIN <= v <= _INT64_MAX else f'"{v}"'
+                         for v in values[:_LOG_CELL]] + [*map(getitem, memos, values[_LOG_CELL:])]
+                lines.append(",".join(cells) + "\n" if csv else json_line % tuple(cells))
             if violations:
                 bad += [f"VIOLATION at (c,m,n)={values[:3]}: {v}\n" for v in violations]
         return "".join(lines), "".join(bad)
 
     return row_text
-
-
-def _table_text(c: int, n: int) -> tuple[str, str]:
-    """The record of one table row (c, n): a line per m, and the VIOLATION lines of its triples."""
-    lines, bad, logs = [], [], _Logs()  # one memo for the row's logs and ratios
-    for values, _, _, _, violations in _bounds().row_checks(c, n, range(1, n + 1), None):
-        m, log_l = values[1], values[_LOG_CELL]
-        bad += [f"VIOLATION at (c,m,n)={(c, m, n)}: {v}\n" for v in violations]
-        # the ratio log(bound) / log(L), itself in fixed point
-        ratios = ["NA" if v is None else logs[(v << PRECISION_BITS) // log_l] for v in values[_LOG_CELL + 1:]]
-        lines.append(",".join([f"{c},{n},{m}", logs[log_l], *ratios]) + "\n")
-    return "".join(lines), "".join(bad)
 
 
 def _write_rows(header: str, records: Iterable[tuple[str, str]], out: TextIO) -> int:
@@ -294,16 +261,15 @@ def cmd_sweep(args) -> int:
              f"need parallelism 1 where os.fork is missing, got {args.parallelism}", RunError)
     m_range = _m_policy(args.m_policy)  # before --out is opened
     from .window import Window, WindowError
-    start = Window().move  # made before any fork: each worker slides its own copy over its rows
     # rows in canonical (c, n) order, each ascending in m
-    rows = ((c, n, m_range(n), start) for c in range(args.c_min, args.c_max + 1)
-            for n in range(args.n_min, args.n_max + 1))
+    rows = ((c, n, m_range(n)) for c in range(args.c_min, args.c_max + 1) for n in range(args.n_min, args.n_max + 1))
     nrows = (args.c_max - args.c_min + 1) * (args.n_max - args.n_min + 1)
     workers = min(args.parallelism, nrows)
     columns = sweep_columns()
     header = ",".join(columns) + "\n" if args.format == "csv" else ""
     json_line = _json_line(columns) if args.format == "json" else None
-    row_text = _sweep_formatter(json_line)  # made before any fork: one formatter, serial or forked
+    # made before any fork, with its window: each worker slides its own copy over its rows
+    row_text = _row_writer(Window().move, json_line)
     with _open_out(args.out) as out:
         if workers == 1:
             try:
@@ -341,10 +307,10 @@ def cmd_table(args) -> int:
     _require_c_certified(args.c)
     _require(args.n_max >= 1, f"need n_max >= 1, got {args.n_max}")
     _require_n_capped(args.n_max, "n_max")
-    from .bounds import BOUND_NAMES
+    rows = ((args.c, n, range(1, n + 1)) for n in range(1, args.n_max + 1))
     with _open_out(args.out) as out:
-        return _write_rows(",".join(("c", "n", "m", "logL") + BOUND_NAMES) + "\n",
-                           (_table_text(args.c, n) for n in range(1, args.n_max + 1)), out)
+        return _write_rows(",".join(("c", "n", "m", *sweep_columns()[_LOG_CELL:])) + "\n",
+                           map(_row_writer(None), rows), out)
 
 
 def _require(cond: bool, message: str, error: type[Exception] = UsageError) -> None:

@@ -1,9 +1,10 @@
 """A sweep's sliding window: the state of `divisor` at [m, n], moved right row by row.
 
-The state is (L, (A, B), (n-m)!, multiple, witness), as `bounds._row_start`
-builds it from scratch.  A push of k = n+1 steps it by `divisor._join` at
-width k - m, the step a row's fold takes down in m; a pop of m undoes one
-by `divisor._leave` at width n - m, whose every division is a divmod: a
+The state is (L, (A, B), multiple, witness), as `bounds._row_start` builds
+it from scratch; (n-m)! is not in it, as the proof takes factorial(n - m)
+once per triple.  A push of k = n+1 steps it by `divisor._join` at width
+k - m, the step a row's fold takes down in m; a pop of m undoes one by
+`divisor._leave` at width n - m, whose every division is a divmod: a
 remainder raises WindowError, never a silent start over.
 
 The window keeps only what a pop of L needs, the queue of q_k = k^2 + c in

@@ -74,11 +74,11 @@ def bound_line(row):
 
 
 def forged_state(state, field):
-    """A state of `divisor` with one of A, B, (n-m)! and the multiple, named by `field`, off by one."""
-    big_l, (a, b), fact, multiple, witness = state
-    entries = {"a": a, "b": b, "fact": fact, "multiple": multiple}
+    """A state of `divisor` with one of A, B and the multiple, named by `field`, off by one."""
+    big_l, (a, b), multiple, witness = state
+    entries = {"a": a, "b": b, "multiple": multiple}
     entries[field] += 1
-    return big_l, (entries["a"], entries["b"]), entries["fact"], entries["multiple"], witness
+    return big_l, (entries["a"], entries["b"]), entries["multiple"], witness
 
 
 class TestLcmRange:
@@ -131,9 +131,6 @@ class TestRationalDivisor:
                     assert r.D == Fraction(num, den)
 
 
-STAR_MESSAGE = "(star_x + star_y*sqrt(-c)) * product != L * (n-m)!"
-
-
 class TestVerifyDivisor:
     def test_1_1_3(self):
         r = checked_triple(1, 1, 3).divisor
@@ -161,36 +158,18 @@ class TestVerifyDivisor:
         assert replace(good, star_x=1).failures()
 
     @pytest.mark.parametrize("field, forged_record", [
-        ("fact", {"star_x": 1}),
         ("multiple", {"hc_bound": 41, "quotient_check": None}),
-    ], ids=["fact", "multiple"])
+    ], ids=["multiple"])
     def test_forged_window_field_detected_by_the_pass(self, field, forged_record, monkeypatch):
-        # the window [1, 3] of c = 1 holds P = 10i, (n-m)! = 2 and the multiple 40.  (n-m)! forged to 3
-        # leaves L/D = 12 integral, but the star witness then misses L * 2!, which the pass takes afresh
-        # from m and n; the multiple forged to 41 is not a multiple of the content 10, and L/D = 8.2
+        # the window [1, 3] of c = 1 holds P = 10i and the multiple 40; the multiple forged to 41 is not a
+        # multiple of the content 10, and L/D = 8.2
         window = Window()
         window.move(1, 1, 3)
         window.state = forged_state(window.state, field)
         row = bounds.row_checks(1, 3, range(1, 2), window.move)[0]
         bad = replace(checked_triple(1, 1, 3).divisor, **forged_record)
         assert row[4] == (failure_message("divisor", bad),)
-        assert bad.failures() == ([STAR_MESSAGE] if field == "fact" else
-                                  ["L/D is not an integer", "hc_value does not divide hc_bound"])
-
-    @pytest.mark.parametrize("c, m, n", [(1, 1, 3), (2, 3, 9), (3, 130, 260)])
-    def test_fold_factorial_doubled_gives_the_star_violation(self, c, m, n):
-        # (n-m)! doubled halves D and doubles the witness, so L/D stays integral and the witness meets
-        # 2 * L * (n-m)!: only the comparison of the fold's (n-m)! with factorial(n - m) exposes it.  The
-        # state's witness, built for the true (n-m)!, fails its identities, so the proof rebuilds it
-        big_l, pair, fact, multiple, witness = bounds._row_start(c, m, n)
-        doubled = (big_l, pair, 2 * fact, multiple, witness)
-        values, num, den, bad, _ = divisor._divisor_checks(c, m, n, doubled)
-        assert bad == [STAR_MESSAGE]
-        assert values[3] == 2 * checked_triple(c, m, n).divisor.quotient_check and den == 2 * fact * multiple
-        # in the fold, every m below a forged start carries the doubled (n-m)!
-        start, ms = (lambda c, m, n: doubled), range(max(1, m - 3), m + 1)
-        assert [row[4] for row in bounds.row_checks(c, n, ms, start)] == [
-            (f"divisor invariants failed at (c={c}, m={k}, n={n}): {[STAR_MESSAGE]}",) for k in ms]
+        assert bad.failures() == ["L/D is not an integer", "hc_value does not divide hc_bound"]
 
     @pytest.mark.parametrize("g, failure", [
         (lambda g: 2 * g, "quotient_check * D != L"),  # D_num/D_den = 2/2: 10 * 2 / 2 is integral
@@ -755,6 +734,16 @@ class TestRowPlan:
             n = 8 * s**3
             assert bounds._frontier_gates(n) == (n - 2 * s * s, n - 2 * s * s), n
 
+    def test_frontier_policy_and_gates_share_one_width(self):
+        # the `frontier` m-policy's m is the first m at which final applies, and the gates equal those of
+        # the cube root of n^2 // 8: 8d^3 <= n^2 iff 2d <= icbrt(n^2), so both widths are floor_half_frontier
+        policy = _m_policy("frontier")
+        for n in range(1, 10**4 + 1):
+            assert list(policy(n)) == [max(1, bounds._frontier_gates(n)[1])], n
+        for n in range(1, 10**5 + 1):
+            t = icbrt(n * n // 8)
+            assert bounds._frontier_gates(n) == (n - t - (8 * t**3 != n * n), n - t), n
+
     def test_every_gate_at_each_interval_edge(self):
         # each bound's applicability in the pass against its exact integer gate, at the m on both sides of
         # every interval edge: m <= (n+1)//2, m < n, 8d^3 >= n^2, 8d^3 <= n^2 and c = 1, m = 1
@@ -870,8 +859,8 @@ class TestRowFold:
 class TestWindow:
     @staticmethod
     def expected(c, m, n):
-        begun = lcm_range(c, m, n), shifted_product(c, m, n), math.factorial(n - m), content_multiple(c, n - m)
-        return (*begun, divisor._witness(c, *begun))
+        begun = lcm_range(c, m, n), shifted_product(c, m, n), content_multiple(c, n - m)
+        return (*begun, divisor._witness(c, *begun, math.factorial(n - m)))
 
     def test_moves_equal_the_rebuild(self, monkeypatch):
         # random monotone windows with strides 1-4 (a forked worker's view), repeated moves, c changes,
@@ -912,8 +901,8 @@ class TestWindow:
                     assert bounds.row_checks(c, n, m_range(n), start) == bounds.row_checks(c, n, m_range(n))
 
     # window [4, 6] of c = 1 after a pop of 3 that filled the front: the pop of 4 divides P by
-    # 4 + i (norm 17), (n-m)! = 2 by 2, the multiple 40 by 2^2 + 4, and front_l by r_4 = 17
-    @pytest.mark.parametrize("field", ["a", "b", "fact", "multiple", "front_l"])
+    # 4 + i (norm 17), the multiple 40 by 2^2 + 4, and front_l by r_4 = 17
+    @pytest.mark.parametrize("field", ["a", "b", "multiple", "front_l"])
     def test_forged_state_raises_on_the_next_pop(self, field, monkeypatch):
         window = Window()
         window.move(1, 3, 6)
@@ -931,8 +920,8 @@ POLICIES = ("all", "half_ceil", "frontier", "fixed:7")
 
 
 class TestWitness:
-    # the state (L, (A, B), (n-m)!, multiple, witness) of `divisor`, whose witness (D_num, D_den, quotient,
-    # star_x, star_y) the fold and the window carry by the one step rule `_join` and its inverse `_leave`
+    # the state (L, (A, B), multiple, witness) of `divisor`, whose witness (D_num, D_den, quotient, star_x,
+    # star_y) the fold and the window carry by the one step rule `_join` and its inverse `_leave`
 
     @staticmethod
     def strides(rng, stride):
@@ -973,7 +962,7 @@ class TestWitness:
 
         def start(c, m, n):
             state = real_start(c, m, n)
-            starts.append((c, *state[:4]))
+            starts.append((c, *state[:3], math.factorial(n - m)))
             return state
 
         monkeypatch.setattr(bounds, "_row_start", start)
@@ -1048,18 +1037,18 @@ class TestWitness:
         # `_witness`, and the triple's values and messages are the oracle records'; the fold below it carries
         # that triple's witness on
         def forged(state):
-            witness = state[4]
-            return (*state[:4], witness[:field] + (witness[field] + 1,) + witness[field + 1:])
+            witness = state[3]
+            return (*state[:3], witness[:field] + (witness[field] + 1,) + witness[field + 1:])
 
         c, n, want = 2, 9, [pass_tuple(triple_report(2, m, 9)) for m in range(1, 10)]
         begun, at = forged(bounds._row_start(c, 5, n)), {}
         for m, top in ((4, n - 1), (5, n)):  # the witness's arguments at the tops of the window's two rows
-            at[m, top] = (c, *bounds._row_start(c, m, top)[:4])
+            at[m, top] = (c, *bounds._row_start(c, m, top)[:3], math.factorial(top - m))
         calls, real = [], divisor._witness
         monkeypatch.setattr(divisor, "_witness", lambda *args: calls.append(args) or real(*args))
         # in a start: the row's top m, 5, reads the forged witness
         assert bounds.row_checks(c, n, range(1, 6), lambda c, m, n: begun) == want[:5]
-        assert calls == [(c, *begun[:4])]
+        assert calls == [(c, *begun[:3], math.factorial(n - 5))]
         # in a window, read where it stands, and carried by one pop and one push to the next row
         window = Window()
         window.move(c, 4, n - 1)

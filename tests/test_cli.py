@@ -711,19 +711,18 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[c]
 
 
-# sweep rows that fail in a forked worker
-def _raising_row(row):
-    c, n, ms, _ = row  # the row and its process's `Window`
+# sweep rows that fail in a forked worker, as `bounds.row_checks` of a row and its process's `Window.move`
+def _raising_row(c, n, ms, start):
     raise RuntimeError(f"forged worker failure at {(c, ms[0], n)}")
 
 
-def _dying_row(row):
+def _dying_row(c, n, ms, start):
     os._exit(3)
 
 
-def _first_row_raises(row):
-    if row[1] == 1:
-        _raising_row(row)
+def _first_row_raises(c, n, ms, start):
+    if n == 1:
+        _raising_row(c, n, ms, start)
     time.sleep(60)  # the other rows outlast the sweep unless their workers are killed
 
 
@@ -739,7 +738,7 @@ class TestSweepWorkerFailure:
         (_dying_row, "worker 0 exited with status 3 before it finished"),
     ])
     def test_exit_1_with_one_line(self, row, reason, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_sweep_row", row)
+        monkeypatch.setattr(bounds, "row_checks", row)
         code, _, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
              "--parallelism", "2"],
@@ -750,7 +749,7 @@ class TestSweepWorkerFailure:
         assert_no_child_left()
 
     def test_busy_workers_are_killed(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_sweep_row", _first_row_raises)
+        monkeypatch.setattr(bounds, "row_checks", _first_row_raises)
         started = time.monotonic()
         code, _, err = run(
             ["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
@@ -786,7 +785,7 @@ class TestInterrupt:
             real(pid, options)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_sweep_row", _dying_row)
+        monkeypatch.setattr(bounds, "row_checks", _dying_row)
         monkeypatch.setattr(os, "waitpid", wait_then_interrupt)
         code, _, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "4",
                             "--parallelism", "2"], capsys)
@@ -1053,12 +1052,12 @@ class TestSweepRowWriter:
             c_free = []
             row_logs = lambda c: [[v[11]] + [None if x is None else (x << bounds.PRECISION_BITS) // v[11]
                                              for x in v[12:]] for v, *_ in bounds.row_checks(c, n, range(1, n + 1), None)]
-            text = lambda c: cli._table_text(c, n)[0]
+            text = lambda c: cli._row_writer(None)((c, n, range(1, n + 1)))[0]
             cells = lambda line: line.split(",")[3:]
         else:
             row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
-            row_text = cli._sweep_formatter(cli._json_line(columns) if fmt == "json" else None)
-            text = lambda c: row_text((c, n, range(1, n + 1), Window().move))[0]
+            row_text = cli._row_writer(Window().move, cli._json_line(columns) if fmt == "json" else None)
+            text = lambda c: row_text((c, n, range(1, n + 1)))[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
         printed, real, seen = [], cli.fmt_log, set()
@@ -1081,10 +1080,10 @@ class TestSweepRowWriter:
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
         # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
         columns, ms = cli.sweep_columns(), cli._m_policy(policy)
-        row_text, start, quoted = cli._sweep_formatter(cli._json_line(columns)), Window().move, 0
+        row_text, quoted = cli._row_writer(Window().move, cli._json_line(columns)), 0
         for c in (1, 2, 3):
             for n in range(1, 61):
-                text, _ = row_text((c, n, ms(n), start))
+                text, _ = row_text((c, n, ms(n)))
                 logs = cli._Logs({None: None})
                 expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
                             for values, *_ in bounds.row_checks(c, n, ms(n))]
@@ -1099,9 +1098,9 @@ class TestSweepRowWriter:
         tuples = [(tuple(edges[(i + j) % len(edges)] for j in range(11))
                    + tuple(logs[(i + j) % len(logs)] for j in range(8)), None, None, (), ())
                   for i in range(len(edges))]
-        monkeypatch.setattr(cli, "_sweep_row", lambda row: tuples)
+        monkeypatch.setattr(bounds, "row_checks", lambda *row: tuples)
         columns = cli.sweep_columns()
-        text, bad = cli._sweep_formatter(cli._json_line(columns))((1, 3, range(1, 4), None))
+        text, bad = cli._row_writer(Window().move, cli._json_line(columns))((1, 3, range(1, 4)))
         oracle = cli._Logs({None: None})
         assert text == "".join(json.dumps(dict(zip(columns, cli._cells(values, oracle)))) + "\n"
                                for values, *_ in tuples)
@@ -1341,7 +1340,7 @@ class TestDeadCode:
     def test_every_cli_function_is_run_by_a_command(self, reached):
         # private helpers too, so that no writer outlives its caller
         functions = reached["quadlcm.cli"]["functions"]
-        assert {"main", "_open_out", "_sweep_row"} <= set(functions)
+        assert {"main", "_open_out", "_row_writer"} <= set(functions)
         assert self.unreached(functions) == []
 
     def test_every_method_is_run_by_a_command(self, reached):
