@@ -31,13 +31,12 @@ descending fold over m checks every claim of each m once, in integers, as
 it steps.  It starts from the state of `divisor` at the row's largest m,
 (L, (A, B), content multiple, witness) with P = A + B*sqrt(-c),
 and steps down by `divisor._join`, the step a sweep's window pushes with.
-That start is `_row_start`, which builds the state from scratch from
-`lcm_range`, the integer pair of `ring.shifted_product` and
-`divisor._witness`, or a sweep's `window.Window.move`; a row without a
-start (`table`) folds L alone by `divisor._lcm_step`, the L step of
-`_join`, and checks only the bounds.  The divisor claims of each m are
-proved once, by `divisor._divisor_checks` from the witness of its state and
-the one factorial(n - m) it takes per triple.
+The caller names that start: `window._start`, which builds the state from
+scratch, for `verify`, or a sweep's `window.Window.move`; a row without a
+start (`table`) folds L alone from `lcm_range` by `divisor._lcm_step`, the
+L step of `_join`, and checks only the bounds.  The divisor claims of each
+m are proved once, by `divisor._divisor_checks` from the witness of its
+state and the one factorial(n - m) it takes per triple.
 The seven bounds of an m are one straight-line pass in BOUND_NAMES order,
 whose m-dependent logs are integer expressions and whose failure messages
 are built only when a verdict is False; `tests/oracles.py` keeps the bounds
@@ -49,20 +48,18 @@ log L is not folded: each is floor(2^128 log L) of its own L, where a sum
 of floored logs could change a printed digit; an m whose L equals the
 previous m's reuses that log, as the same integer has the same floor.  The
 record classes `DivisorReport`, `BoundReport` and `TripleReport` of
-`tests/oracles.py` re-check every claim independently.  The exact quantity
-content_multiple lives in `ring`; it is imported here too.
+`tests/oracles.py` re-check every claim independently.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Callable, Optional
 
 from . import divisor
 from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
-from .ring import content_multiple, shifted_product
 
 _ONE = 1 << PRECISION_BITS
 
@@ -81,12 +78,6 @@ def lcm_range(c: int, m: int, n: int) -> int:
     while len(terms) > 1:  # each level joins neighbours, so no big lcm meets many small terms one by one
         terms = [*map(lcm, terms[::2], terms[1::2]), *terms[len(terms) & ~1:]]
     return terms[0]
-
-
-def _row_start(c: int, m: int, n: int) -> tuple:
-    """The state of `divisor` at (c, m, n) from scratch: (L, (A, B), content_multiple(c, n-m), witness)."""
-    begun = lcm_range(c, m, n), shifted_product(c, m, n), content_multiple(c, n - m)
-    return (*begun, divisor._witness(c, *begun, factorial(n - m)))
 
 
 def icbrt(x: int) -> int:
@@ -143,7 +134,7 @@ def _farhi_bound(n: int) -> int:
     return -(-8 * 721**n // (25 * 500**n))
 
 
-def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start) -> list[tuple]:
+def row_checks(c: int, n: int, ms: range, start: Optional[Callable]) -> list[tuple]:
     """Every claim at (c, m, n) for each m of ms, ascending, each checked once in one descending fold.
 
     Each m gives (values, numerator, denominator, holds, violations).  The
@@ -164,13 +155,14 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     when some verdict is False.
 
     The largest m's state, (L, (A, B), multiple, witness) as
-    `divisor` defines it, comes from `start(c, m, n)`: `_row_start` by
-    default, a sweep's `window.Window.move`.  Each lower m steps it by
-    `divisor._join` with d = n - m, and `divisor._divisor_checks` proves
-    the claims of each m from it, handing down the witness that stood.  With
-    start None, L alone comes from `lcm_range` and is folded by
-    `divisor._lcm_step`: only the bounds are checked, and the divisor values
-    but L are None.  An empty ms gives [] and calls no start.
+    `divisor` defines it, comes from `start(c, m, n)`: `window._start`,
+    which builds it from scratch, or a sweep's `window.Window.move`.  Each
+    lower m steps it by `divisor._join` with d = n - m, and
+    `divisor._divisor_checks` proves the claims of each m from it, handing
+    down the witness that stood.  With start None, L alone comes from
+    `lcm_range` and is folded by `divisor._lcm_step`: only the bounds are
+    checked, and the divisor values but L are None.  An empty ms gives []
+    and calls no start.
     """
     if not ms:
         return []
@@ -189,10 +181,8 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable] = _row_start
     v_farhi, farhi = ((_fixed_consts()[1] + n * _fixed_consts()[2], _farhi_bound(n)) if bottom <= farhi_last
                       else (None, None))
     rows, last_l = [], None
-    if start is None:  # L alone
-        big_l, state = lcm_range(c, top, n), None
-    else:
-        state = start(c, top, n)
+    state = None if start is None else start(c, top, n)  # without a start, L alone
+    big_l = lcm_range(c, top, n) if state is None else None
     lcm_step, join, checks = divisor._lcm_step, divisor._join, divisor._divisor_checks
     for m in reversed(ms):
         d, violations = n - m, ()

@@ -177,15 +177,16 @@ def _json_line(columns: Sequence[str]) -> str:
     return "{" + ", ".join(f"{json.dumps(col)}: %s" for col in columns) + "}\n"
 
 
-def _row_writer(start: Optional[Callable], json_line: Optional[str] = None) -> Callable[[tuple], tuple[str, str]]:
+def _row_writer(start: Optional[Callable], json_line: Optional[str] = None,
+                many_c: bool = False) -> Callable[[tuple], tuple[str, str]]:
     """One command's writer: a row (c, n, ms) as its lines and its VIOLATION lines, from one `bounds.row_checks`.
 
     `start` is the row's start.  A sweep's is its process's `Window().move`, and its lines are CSV, or JSON
     filled into `json_line`, a cell being null, a decimal within int64, or a quoted decimal or log, as
     `json.dumps` of `_cells` writes it.  `table`'s is None, and its line per m is c, n, m, log L and each
     bound's ratio log(bound) / log(L), itself in fixed point.  Each distinct log is printed once per memo:
-    a sweep's c-free columns share one memo for the process, made with the writer before any fork so that
-    each worker fills its own copy, and each row empties the one of its other logs and ratios.
+    each row empties the one of its logs and ratios, and a sweep over `many_c` keeps its c-free columns' for
+    the process, made with the writer before any fork so that each worker fills its own copy.
     """
     from . import bounds  # `bezout` never loads it
 
@@ -193,7 +194,8 @@ def _row_writer(start: Optional[Callable], json_line: Optional[str] = None) -> C
     none = "NA" if csv else "null"
     shared, logs = _Logs({None: none}), _Logs({None: none})
     shared.form = logs.form = "%s" if csv else '"%s"'
-    memos = [shared if col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]]
+    # over one c no (m, n) comes back, so a shared memo would only grow
+    memos = [shared if many_c and col in _C_FREE else logs for col in sweep_columns()[_LOG_CELL:]]
 
     def row_text(row: tuple[int, int, range]) -> tuple[str, str]:
         lines, bad = [], []
@@ -243,8 +245,9 @@ def cmd_verify(args) -> int:
     _require(args.n - args.m <= _MAX_VERIFY_WIDTH, f"need n - m <= 2*10^4, got {args.n - args.m}", RunError)
     import json
     from .bounds import row_checks
+    from .window import _start
     with _open_out(args.out) as out:
-        row = row_checks(args.c, args.n, range(args.m, args.m + 1))[0]
+        row = row_checks(args.c, args.n, range(args.m, args.m + 1), _start)[0]
         out.write(json.dumps(report_to_json(row), indent=2) + "\n")
     return EXIT_VIOLATION if row[-1] else EXIT_OK
 
@@ -269,7 +272,7 @@ def cmd_sweep(args) -> int:
     header = ",".join(columns) + "\n" if args.format == "csv" else ""
     json_line = _json_line(columns) if args.format == "json" else None
     # made before any fork, with its window: each worker slides its own copy over its rows
-    row_text = _row_writer(Window().move, json_line)
+    row_text = _row_writer(Window().move, json_line, args.c_min < args.c_max)
     with _open_out(args.out) as out:
         if workers == 1:
             try:

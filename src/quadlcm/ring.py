@@ -26,23 +26,22 @@ class _Record:
     """Frozen value semantics, defined once; a class's fields are its own annotations.
 
     A record is built once from its fields, positionally or by keyword, and
-    never assigned to.  Equality (within one class only) and the repr use the
-    fields outside `_hidden`; a record defines no hash, so it is unhashable.
+    never assigned to.  Equality (within one class only) and the repr use
+    its fields; a record defines no hash, so it is unhashable.
     `__init_subclass__` precomputes the field set and `_key`, an `attrgetter`
-    of the shown fields.  `BezoutCertificate` uses this __init__; `IntPoly`,
-    the type built most often, and `QuadInt` and `QuadRat`, which no command
+    of the fields.  `BezoutCertificate` uses this __init__; `IntPoly`, the
+    type built most often, and `QuadInt` and `QuadRat`, which no command
     builds, have their own.
     """
 
     __slots__ = ()
-    _fields = _shown = _hidden = ()
+    _fields = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(vars(cls).get("__annotations__", cls._fields))
         cls._field_set = frozenset(cls._fields)
-        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
-        if cls._shown:  # not a descriptor, so `self._key(x)` is the key of any x of this class
-            cls._key = attrgetter(*cls._shown)
+        if cls._fields:  # not a descriptor, so `self._key(x)` is the key of any x of this class
+            cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         values = vars(self)
@@ -54,7 +53,7 @@ class _Record:
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")

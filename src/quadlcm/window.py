@@ -1,11 +1,12 @@
-"""A sweep's sliding window: the state of `divisor` at [m, n], moved right row by row.
+"""A row's start: the state of `divisor` at [m, n], built from scratch or slid right row by row.
 
-The state is (L, (A, B), multiple, witness), as `bounds._row_start` builds
-it from scratch; (n-m)! is not in it, as the proof takes factorial(n - m)
-once per triple.  A push of k = n+1 steps it by `divisor._join` at width
-k - m, the step a row's fold takes down in m; a pop of m undoes one by
-`divisor._leave` at width n - m, whose every division is a divmod: a
-remainder raises WindowError, never a silent start over.
+The state is (L, (A, B), multiple, witness); (n-m)! is not in it, as the
+proof takes factorial(n - m) once per triple.  `_start`, `verify`'s start,
+builds it from scratch, and `Window.move`, a sweep's, slides it.  A push of
+k = n+1 steps it by `divisor._join` at width k - m, the step a row's fold
+takes down in m; a pop of m undoes one by `divisor._leave` at width n - m,
+whose every division is a divmod: a remainder raises WindowError, never a
+silent start over.
 
 The window keeps only what a pop of L needs, the queue of q_k = k^2 + c in
 two stacks, O(window) memory: the back, k = s..n, is its lcm back_l; the
@@ -20,13 +21,20 @@ with the others.
 
 The witness that a start over builds is carried by every push and pop;
 `bounds.row_checks` proves it at the row's top m, where one that fails its
-identities is rebuilt for that triple.  Only `sweep` loads this module,
-and makes one window before any worker forks.
+identities is rebuilt for that triple.  `sweep` and `verify` load this
+module; a sweep makes one window before any worker forks.  `_start` looks
+its builders up on their modules, so a wrapper set there wraps them here.
 """
 
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
-from . import bounds, divisor
+from . import bounds, divisor, ring
+
+
+def _start(c: int, m: int, n: int) -> tuple:
+    """The state of `divisor` at (c, m, n) from scratch: (L, (A, B), content_multiple(c, n-m), witness)."""
+    begun = bounds.lcm_range(c, m, n), ring.shifted_product(c, m, n), ring.content_multiple(c, n - m)
+    return (*begun, divisor._witness(c, *begun, factorial(n - m)))
 
 
 class WindowError(ArithmeticError):
@@ -39,13 +47,12 @@ class Window:
     c = None  # no window yet: the first `move` starts over
 
     def move(self, c: int, m: int, n: int) -> tuple:
-        """The state at [m, n] of c, as `bounds._row_start` gives it: a sweep's start for `bounds.row_checks`.
+        """The state at [m, n] of c, as `_start` gives it: a sweep's start for `bounds.row_checks`.
 
-        A new c, a move left or a jump past the window starts over from `bounds._row_start`, the default
-        start, which builds the state from scratch.
+        A new c, a move left or a jump past the window starts over from `_start`.
         """
         if c != self.c or m < self.m or n < self.n or m > self.n:
-            self.state = bounds._row_start(c, m, n)
+            self.state = _start(c, m, n)
             self.c, self.m, self.n, self.front, self.front_l, self.back_l = c, m, n, [], 1, self.state[0]
         state = self.state
         for k in range(self.m, m):  # pop k

@@ -53,19 +53,24 @@ from quadlcm.ring import QuadInt, QuadRat, RingMismatchError, _Record, content_m
 from quadlcm.bounds import floor_half_frontier
 from quadlcm.fixedlog import PRECISION_BITS, _E, _LOG_FACT, _LOG_INT, _extend_logs, _log_fixed, _log_str
 from quadlcm.poly import IntPoly, QuadPoly, shift_product_poly
+from quadlcm.window import _start
 
 
 # --- the arithmetic no command runs -----------------------------------------
 
 
 def fields(record) -> dict:
-    """Field name -> value of a record, hidden fields included."""
+    """Field name -> value of a record."""
     return {name: getattr(record, name) for name in record._fields}
 
 
 def replace(record, **changes):
-    """A copy of `record` with `changes`, rebuilt through its __init__, so nothing derived from the old fields carries over."""
-    return type(record)(**{**fields(record), **changes})
+    """A copy of `record` with `changes`, rebuilt through its __init__, so nothing derived from the old fields carries over.
+
+    A change to a property is dropped, as the copy derives its own: `DivisorReport.product` is one.
+    """
+    kept = {name: v for name, v in changes.items() if not isinstance(getattr(type(record), name, None), property)}
+    return type(record)(**{**fields(record), **kept})
 
 
 def _same_ring(x, y) -> None:
@@ -214,7 +219,6 @@ def content(z: QuadInt) -> int:
 class DivisorReport(_Record):
     """Exact verification record of the divisor claims at one (c, m, n)."""
 
-    _hidden = ("product",)  # kept for the star check; not compared, shown or serialized
     c: int
     m: int
     n: int
@@ -227,7 +231,11 @@ class DivisorReport(_Record):
     hc_bound: int
     star_x: int
     star_y: int
-    product: QuadInt  # (m + sqrt(-c)) ... (n + sqrt(-c))
+
+    @property
+    def product(self) -> QuadInt:
+        """(m + sqrt(-c)) ... (n + sqrt(-c)), for the star check: derived from (c, m, n), so not a field."""
+        return QuadInt(*shifted_product(self.c, self.m, self.n), self.c)
 
     def failures(self) -> list[str]:
         """All violated invariants, empty when the record is consistent."""
@@ -320,7 +328,7 @@ def divisor_report(c: int, m: int, n: int, big_l: int) -> DivisorReport:
     quotient, rem = divmod(big_l * den, num)
     scaled = big_l * fact
     return DivisorReport(c, m, n, big_l, num, den, Fraction(num, den), None if rem else quotient,
-                         content(product), multiple, scaled * product.a // num, -scaled * product.b // num, product)
+                         content(product), multiple, scaled * product.a // num, -scaled * product.b // num)
 
 
 # One row per lower bound, in `bounds.BOUND_NAMES` order: (name, applies(c, m, n, d), log_value(c, m, n, d))
@@ -398,7 +406,7 @@ def checked_triple(c: int, m: int, n: int) -> TripleReport:
     """`triple_report(c, m, n)`, with every claim asserted to hold and the library's pass asserted to agree."""
     report = triple_report(c, m, n)
     assert report.violations == (), report.violations
-    assert bounds.row_checks(c, n, range(m, m + 1)) == [pass_tuple(report)]
+    assert bounds.row_checks(c, n, range(m, m + 1), _start) == [pass_tuple(report)]
     return report
 
 

@@ -14,6 +14,7 @@ import quadlcm.cli as cli
 from quadlcm.bounds import lcm_range, row_checks
 from quadlcm.poly import IntPoly, bezout_certificate, shift_product_poly
 from quadlcm.ring import QuadInt, QuadRat
+from quadlcm.window import _start
 
 from oracles import (
     alternating_sums,
@@ -60,7 +61,7 @@ def divisor_sweep():
     cells = {}
     for c in range(1, C_MAX + 1):
         for n, ls in _lcms_by_n(c, N_MAX_EXACT):
-            rows = row_checks(c, n, range(1, n + 1))
+            rows = row_checks(c, n, range(1, n + 1), _start)
             assert [values[3] for values, *_ in rows] == ls
             for values, *_, violations in rows:
                 assert violations == ()

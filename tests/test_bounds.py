@@ -17,7 +17,7 @@ from quadlcm.bounds import (
     lcm_range,
 )
 from quadlcm.ring import QuadInt, content_multiple, shifted_product
-from quadlcm.window import Window, WindowError
+from quadlcm.window import Window, WindowError, _start
 from quadlcm.cli import _m_policy, fmt_log, main
 
 from oracles import (
@@ -53,7 +53,7 @@ def _mpf(v: int) -> mpmath.mpf:
     return mpmath.ldexp(v, -PRECISION_BITS)
 
 
-def forged_pass(monkeypatch, c, m, n, big_l=None, log_l=None, start=bounds._row_start):
+def forged_pass(monkeypatch, c, m, n, big_l=None, log_l=None, start=_start):
     """The library's pass at one triple with its inputs forged: L from `lcm_range`, log L from `_log_fixed`."""
     with monkeypatch.context() as patch:
         if big_l is not None:
@@ -180,24 +180,26 @@ class TestVerifyDivisor:
         # is caught by the division of the reduced form or by its unreduced cross-check.  The start's witness
         # and the proof's rebuild of it both take the forged reduction
         monkeypatch.setattr(divisor, "gcd", lambda x, y: g(math.gcd(x, y)) if (x, y) == (100, 80) else math.gcd(x, y))
-        assert divisor._divisor_checks(1, 1, 3, bounds._row_start(1, 1, 3))[3] == [failure]
+        assert divisor._divisor_checks(1, 1, 3, _start(1, 1, 3))[3] == [failure]
 
     def test_forged_quotient_is_detected_by_the_unreduced_cross_check(self, monkeypatch):
         # a division that returns L/D + 1 with no remainder misses quotient * norm(P) == L * denominator, in
         # the start's witness and in the proof's rebuild of it
         quotient = checked_triple(2, 3, 9).divisor.quotient_check
         monkeypatch.setattr(divisor, "divmod", lambda x, y: (x // y + 1, 0), raising=False)
-        values, _, _, bad, _ = divisor._divisor_checks(2, 3, 9, bounds._row_start(2, 3, 9))
+        values, _, _, bad, _ = divisor._divisor_checks(2, 3, 9, _start(2, 3, 9))
         assert bad == ["quotient_check * D != L"] and values[3] == quotient + 1
 
     def test_equality_and_repr_ignore_the_product(self):
+        # the product is derived from (c, m, n) for the star check, not a field, so a copy derives its own
         good = checked_triple(1, 1, 3).divisor
         other = replace(good, product=QuadInt(7, 7, 1))
-        assert other == good
+        assert other == good and other.product == good.product == QuadInt(*shifted_product(1, 1, 3), 1)
         assert repr(other) == repr(good)
         assert "product" not in repr(good) and repr(good).startswith("DivisorReport(c=1, m=1, n=3, L=10, ")
         assert replace(good, L=20) != good
-        assert other.failures()  # the star check still reads the product
+        # the star check reads the derived product
+        assert replace(good, star_y=good.star_y + 1).failures() == ["(star_x + star_y*sqrt(-c)) * product != L * (n-m)!"]
 
     def test_cross_consistency(self):
         # L * (n-m)! * hc is a multiple of prod(k^2 + c)
@@ -225,8 +227,10 @@ class TestContentHelpers:
     def test_content_multiple_is_the_ring_quantity(self):
         from quadlcm import poly, ring
 
-        assert content_multiple is ring.content_multiple is bounds.content_multiple
-        # poly takes nothing from bounds
+        assert content_multiple is ring.content_multiple
+        # bounds holds nothing of ring, as `window._start` looks the ring quantities up there; poly takes
+        # nothing from bounds
+        assert not [v for v in vars(bounds).values() if v is ring or getattr(v, "__module__", None) == ring.__name__]
         assert all(getattr(v, "__module__", None) != bounds.__name__ for v in vars(poly).values())
 
     def test_content_multiple_examples(self):
@@ -259,7 +263,7 @@ class TestCombinatorialChecks:
             for n in range(1, 31):
                 for m in range(1, n + 1):
                     big_l = math.lcm(*(k * k + c for k in range(m, n + 1)))
-                    checks = report_to_json(bounds.row_checks(c, n, range(m, m + 1))[0])["checks"]
+                    checks = report_to_json(bounds.row_checks(c, n, range(m, m + 1), _start)[0])["checks"]
                     assert checks == {
                         "binom_ok": big_l >= m * math.comb(n, m),
                         "two_n_ok": big_l >= 2**n if m <= (n + 1) // 2 else None,
@@ -607,14 +611,14 @@ class TestTripleReport:
         assert calls == triples
         del calls[:]
         for c, m, n in triples:  # the library's pass at one m, as `verify` runs it
-            bounds.row_checks(c, n, range(m, m + 1))
+            bounds.row_checks(c, n, range(m, m + 1), _start)
         assert calls == triples
 
     def test_parts_match_separate_builders(self):
         # each m of a row's pass against the oracle records, which take their own lcm_range
         for c in (1, 2, 5):
             for n in range(1, 13):
-                for row in bounds.row_checks(c, n, range(1, n + 1)):
+                for row in bounds.row_checks(c, n, range(1, n + 1), _start):
                     m, big_l = row[0][1], row[0][3]
                     assert row == pass_tuple(triple_report(c, m, n))
                     assert holds(row)["binom"] is (big_l >= m * math.comb(n, m))
@@ -646,7 +650,7 @@ class TestTripleReport:
         assert r.violations[1].startswith("bound invariants failed at (c=1, m=1, n=3)")
         assert "L < m * C(n, m)" in r.violations[1] and "L < 2^n" in r.violations[1]
         # the pass keeps the same two lines with every value of the triple
-        row = bounds.row_checks(1, 3, range(1, 2))[0]
+        row = bounds.row_checks(1, 3, range(1, 2), _start)[0]
         assert row == pass_tuple(r)
         assert row[4] == r.violations and row[0][6] is None
 
@@ -658,7 +662,7 @@ class TestRowChecks:
         for c in range(1, 6):
             for n in range(1, 41):
                 reports = [triple_report(c, m, n) for m in range(1, n + 1)]
-                assert bounds.row_checks(c, n, range(1, n + 1)) == [pass_tuple(r) for r in reports]
+                assert bounds.row_checks(c, n, range(1, n + 1), _start) == [pass_tuple(r) for r in reports]
                 assert bounds.row_checks(c, n, range(1, n + 1), None) == [pass_tuple(r, divisor=False) for r in reports]
 
     def test_equal_the_oracle_records_with_a_forged_lcm(self, monkeypatch):
@@ -670,7 +674,7 @@ class TestRowChecks:
             for n in range(1, 13):
                 reports = [triple_report(c, m, n) for m in range(1, n + 1)]
                 failing += sum(bool(r.violations) for r in reports)
-                assert bounds.row_checks(c, n, range(1, n + 1)) == [pass_tuple(r) for r in reports]
+                assert bounds.row_checks(c, n, range(1, n + 1), _start) == [pass_tuple(r) for r in reports]
                 assert bounds.row_checks(c, n, range(1, n + 1), None) == [pass_tuple(r, divisor=False) for r in reports]
         assert failing >= 150  # of the 156 triples
 
@@ -694,7 +698,7 @@ class TestRowChecks:
                 for n in range(1, 41):
                     triples += len(bounds.row_checks(c, n, m_range(n), start))  # a sweep row
                     triples += len(bounds.row_checks(c, n, range(1, n + 1), None))  # a table row
-        triples += len(bounds.row_checks(3, 60, range(5, 6)))  # verify's row
+        triples += len(bounds.row_checks(3, 60, range(5, 6), _start))  # verify's row
         assert triples > 3000 and built == []
         triple_report(1, 1, 3)  # the counters see what the oracle builds
         assert {RealFraction, TripleReport} <= set(built)
@@ -708,7 +712,7 @@ class TestRowChecks:
         repeats = 0
         for c in range(1, 6):
             for n in range(1, 61):
-                for start in (bounds._row_start, None):
+                for start in (_start, None):
                     calls.clear()
                     rows = bounds.row_checks(c, n, range(1, n + 1), start)
                     ls = [values[3] for values, *_ in rows]
@@ -793,7 +797,7 @@ class TestRowFold:
             for n in range(1, 61):
                 want = [(lcm_range(c, m, n), math.prod(k * k + c for k in range(m, n + 1)),
                          math.factorial(n - m) * content_multiple(c, n - m)) for m in range(1, n + 1)]
-                for start in (bounds._row_start, window.move):
+                for start in (_start, window.move):
                     rows = bounds.row_checks(c, n, range(1, n + 1), start)
                     assert [row[0][1] for row in rows] == list(range(1, n + 1))
                     assert [(row[0][3], row[1], row[2]) for row in rows] == want
@@ -803,10 +807,10 @@ class TestRowFold:
     @pytest.mark.parametrize("start", ["row_start", "window", None])
     def test_empty_row_calls_no_start(self, start, monkeypatch):
         # fixed:9 below n = 9: no m, so no start is called and the window keeps [7, 9] of c = 2 as it was
-        window, calls, real = Window(), [], bounds._row_start
+        window, calls, real = Window(), [], _start
         window.move(2, 7, 9)
         state = repr(vars(window))
-        monkeypatch.setattr(bounds, "_row_start", None)  # a window that starts over fails
+        monkeypatch.setattr("quadlcm.window._start", None)  # a window that starts over fails
         starts = {"row_start": lambda c, m, n: calls.append((c, m, n)) or real(c, m, n),
                   "window": lambda c, m, n: calls.append((c, m, n)) or window.move(c, m, n), None: None}
         m_range = _m_policy("fixed:9")
@@ -825,7 +829,7 @@ class TestRowFold:
         for c in (1, 2, 3):
             for n in range(1, 61):
                 ms = m_range(n)
-                rows = bounds.row_checks(c, n, ms)
+                rows = bounds.row_checks(c, n, ms, _start)
                 assert [row[0][1] for row in rows] == list(ms)
                 for row in rows:
                     assert row == pass_tuple(checked_triple(c, row[0][1], n))
@@ -841,14 +845,14 @@ class TestRowFold:
 
     def test_bound_rows_fold_only_l(self, monkeypatch):
         # table reads no P, (n-m)! or content multiple, so its fold builds none of them
-        for name in ("_row_start", "shifted_product", "content_multiple"):
-            monkeypatch.setattr(bounds, name, None)
+        for name in ("quadlcm.window._start", "quadlcm.ring.shifted_product", "quadlcm.ring.content_multiple"):
+            monkeypatch.setattr(name, None)
         assert [row[0][3] for row in bounds.row_checks(2, 9, range(1, 10), None)] == [
             lcm_range(2, m, 9) for m in range(1, 10)]
 
     def test_forged_step_reaches_each_lower_m(self, monkeypatch):
         monkeypatch.setattr(divisor, "_lcm_step", lambda big_l, u: (1, 1))
-        rows = bounds.row_checks(1, 3, range(1, 4))
+        rows = bounds.row_checks(1, 3, range(1, 4), _start)
         assert [row[0][3] for row in rows] == [1, 1, lcm_range(1, 3, 3)]
         assert [bool(row[4]) for row in rows] == [True, True, False]
         # the same messages as the oracle records with that L
@@ -864,9 +868,9 @@ class TestWindow:
 
     def test_moves_equal_the_rebuild(self, monkeypatch):
         # random monotone windows with strides 1-4 (a forked worker's view), repeated moves, c changes,
-        # moves to the left and jumps past the window; only a slide skips `_row_start`
-        rebuilds, real = [], bounds._row_start
-        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: rebuilds.append((c, m, n)) or real(c, m, n))
+        # moves to the left and jumps past the window; only a slide skips `_start`
+        rebuilds, real = [], _start
+        monkeypatch.setattr("quadlcm.window._start", lambda c, m, n: rebuilds.append((c, m, n)) or real(c, m, n))
         rng, kinds = random.Random(21), set()
         for _ in range(120):
             window, c, m, n = Window(), rng.randint(1, 9), 1, rng.randint(1, 30)
@@ -898,7 +902,7 @@ class TestWindow:
             m_range, start = _m_policy(policy), Window().move
             for c in (1, 2):
                 for n in range(2, 120, 3):
-                    assert bounds.row_checks(c, n, m_range(n), start) == bounds.row_checks(c, n, m_range(n))
+                    assert bounds.row_checks(c, n, m_range(n), start) == bounds.row_checks(c, n, m_range(n), _start)
 
     # window [4, 6] of c = 1 after a pop of 3 that filled the front: the pop of 4 divides P by
     # 4 + i (norm 17), the multiple 40 by 2^2 + 4, and front_l by r_4 = 17
@@ -911,7 +915,7 @@ class TestWindow:
             window.front_l += 1
         else:
             window.state = forged_state(window.state, field)
-        monkeypatch.setattr(bounds, "_row_start", None)  # no silent rebuild
+        monkeypatch.setattr("quadlcm.window._start", None)  # no silent rebuild
         with pytest.raises(WindowError, match=r"^pop of m=4 from the window \[4, 6\] of c=1 left a remainder$"):
             window.move(1, 5, 6)
 
@@ -935,14 +939,14 @@ class TestWitness:
 
     @pytest.mark.parametrize("stride", [None, "random"], ids=["serial", "strides"])
     def test_carried_values_equal_the_direct_route(self, stride):
-        # every triple with c <= 5 and n <= 90, under each policy, as a one-m row whose state `_row_start`
+        # every triple with c <= 5 and n <= 90, under each policy, as a one-m row whose state `_start`
         # builds from scratch; the window's state after each move, witness included, equals the one built
         # from scratch at its [m, n]
         rng, direct = random.Random(29), {}
         for c in range(1, 6):
             for n in range(1, 91):
                 for m in range(1, n + 1):
-                    direct[c, m, n] = bounds.row_checks(c, n, range(m, m + 1))[0]
+                    direct[c, m, n] = bounds.row_checks(c, n, range(m, m + 1), _start)[0]
         for policy in POLICIES:
             ms = _m_policy(policy)
             for c in range(1, 6):
@@ -952,20 +956,20 @@ class TestWitness:
                     assert rows == [direct[c, m, n] for m in ms(n)], (policy, c, n)
                     if rows:
                         m = ms(n)[-1]
-                        assert window.state == bounds._row_start(c, m, n), (policy, c, m, n)
+                        assert window.state == _start(c, m, n), (policy, c, m, n)
 
     def test_direct_route_once_per_start_over(self, monkeypatch):
         # a serial sweep's window builds the witness from scratch at each start over, and every other triple,
         # at the top of a row or below it in the fold, reads the carried one
         starts, built = [], []
-        real_start, real_witness = bounds._row_start, divisor._witness
+        real_start, real_witness = _start, divisor._witness
 
         def start(c, m, n):
             state = real_start(c, m, n)
             starts.append((c, *state[:3], math.factorial(n - m)))
             return state
 
-        monkeypatch.setattr(bounds, "_row_start", start)
+        monkeypatch.setattr("quadlcm.window._start", start)
         monkeypatch.setattr(divisor, "_witness", lambda *args: built.append(args) or real_witness(*args))
         triples = 0
         for policy in POLICIES:
@@ -976,7 +980,7 @@ class TestWitness:
         assert built == starts and 10 * len(starts) < triples
 
     def test_factorial_and_content_once_per_triple(self, monkeypatch):
-        # a sweep's rows under each policy, and rows from `_row_start` as `verify` runs them: the proof takes
+        # a sweep's rows under each policy, and rows from `_start` as `verify` runs them: the proof takes
         # factorial(n - m) and the content gcd(A, B) once per triple, at a window's start over too
         facts, gcds = [], []
         real_factorial, real_gcd = math.factorial, math.gcd
@@ -989,7 +993,7 @@ class TestWitness:
             ms, window = _m_policy(policy), Window()
             for c in (1, 2, 3):
                 for n in range(1, 61):
-                    for start in (window.move, bounds._row_start):
+                    for start in (window.move, _start):
                         facts.clear(), gcds.clear()
                         rows = bounds.row_checks(c, n, ms(n), start)
                         pairs = [shifted_product(c, m, n) for m in ms(n)]
@@ -1013,23 +1017,23 @@ class TestWitness:
         rng = random.Random(30)
         for _ in range(300):
             c, m, n = self.random_window(rng)
-            state = bounds._row_start(c, m, n)
+            state = _start(c, m, n)
             for k, d in ((m - 1, n - m + 1), (n + 1, n + 1 - m)):
                 joined = divisor._join(state, c, k, d)
                 assert divisor._leave(joined, c, k, d, joined[0] // state[0]) == (state, 0), (c, m, n, k)
             for k, rest in ((m, (m + 1, n)), (n, (m, n - 1))):
-                want = bounds._row_start(c, *rest)
+                want = _start(c, *rest)
                 assert divisor._leave(state, c, k, n - m, state[0] // want[0]) == (want, 0), (c, m, n, k)
 
     def test_join_equals_the_state_from_scratch(self):
         # the fold's step down from [m+1, n] and the window's push from [m, n-1] both reach the state
-        # `_row_start` builds at [m, n], witness included
+        # `_start` builds at [m, n], witness included
         rng = random.Random(31)
         for _ in range(300):
             c, m, n = self.random_window(rng)
-            want = bounds._row_start(c, m, n)
-            assert divisor._join(bounds._row_start(c, m + 1, n), c, m, n - m) == want, (c, m, n)
-            assert divisor._join(bounds._row_start(c, m, n - 1), c, n, n - m) == want, (c, m, n)
+            want = _start(c, m, n)
+            assert divisor._join(_start(c, m + 1, n), c, m, n - m) == want, (c, m, n)
+            assert divisor._join(_start(c, m, n - 1), c, n, n - m) == want, (c, m, n)
 
     @pytest.mark.parametrize("field", range(5), ids=["D_num", "D_den", "quotient", "star_x", "star_y"])
     def test_forged_witness_gives_way_to_the_direct_route(self, field, monkeypatch):
@@ -1041,9 +1045,9 @@ class TestWitness:
             return (*state[:3], witness[:field] + (witness[field] + 1,) + witness[field + 1:])
 
         c, n, want = 2, 9, [pass_tuple(triple_report(2, m, 9)) for m in range(1, 10)]
-        begun, at = forged(bounds._row_start(c, 5, n)), {}
+        begun, at = forged(_start(c, 5, n)), {}
         for m, top in ((4, n - 1), (5, n)):  # the witness's arguments at the tops of the window's two rows
-            at[m, top] = (c, *bounds._row_start(c, m, top)[:3], math.factorial(top - m))
+            at[m, top] = (c, *_start(c, m, top)[:3], math.factorial(top - m))
         calls, real = [], divisor._witness
         monkeypatch.setattr(divisor, "_witness", lambda *args: calls.append(args) or real(*args))
         # in a start: the row's top m, 5, reads the forged witness

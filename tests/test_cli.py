@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import bounds, divisor, fixedlog, poly
+from quadlcm import bounds, divisor, fixedlog, poly, window
 from quadlcm.window import Window
 
 from oracles import cert_alpha, poly_coeffs
@@ -150,8 +150,8 @@ class TestVerify:
         assert "usage:" in err
 
     def test_violation_exit_2(self, capsys, monkeypatch):
-        def forged(c, n, ms):
-            [(values, numerator, denominator, holds, _)] = real(c, n, ms)
+        def forged(c, n, ms, start):
+            [(values, numerator, denominator, holds, _)] = real(c, n, ms, start)
             return [(values[:6] + (None,) + values[7:], numerator, denominator, holds, ("forged failure",))]
 
         real = bounds.row_checks
@@ -357,7 +357,7 @@ class TestSweep:
             target = tmp_path / f"sweep_{workers}.json"
             assert cli.main(argv + ["--parallelism", str(workers), "--out", str(target)]) == 0
             outputs.append(target.read_bytes())
-        # every row's start rebuilt by `bounds._row_start`, as `verify` computes it
+        # every row's start rebuilt by `window._start`, as `verify` computes it
         real_move = Window.move
         monkeypatch.setattr(Window, "move", lambda self, c, m, n: real_move(Window(), c, m, n))
         target = tmp_path / "rebuilt.json"
@@ -397,8 +397,8 @@ class TestSweepWindowFailure:
 
         real, rebuilds = Window.move, []
         monkeypatch.setattr(Window, "move", forging)
-        start = bounds._row_start
-        monkeypatch.setattr(bounds, "_row_start", lambda c, m, n: rebuilds.append((c, m, n)) or start(c, m, n))
+        start = window._start
+        monkeypatch.setattr(window, "_start", lambda c, m, n: rebuilds.append((c, m, n)) or start(c, m, n))
         code, out, err = run(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "6",
                               "--m-policy", "half_ceil", "--parallelism", str(workers)], capsys)
         assert code == 1
@@ -1000,7 +1000,7 @@ class TestSweepRowWriter:
             _forge_lcm(monkeypatch)
         code, written, err = run(["sweep", "--c-min", "1", "--c-max", "3", "--n-min", "1", "--n-max", "12",
                                   "--format", fmt, "--parallelism", "1"], capsys)
-        rows = [row for c in (1, 2, 3) for n in range(1, 13) for row in bounds.row_checks(c, n, range(1, n + 1))]
+        rows = [row for c in (1, 2, 3) for n in range(1, 13) for row in bounds.row_checks(c, n, range(1, n + 1), window._start)]
         projected = [_projected_row(row) for row in rows]
         expected = io.StringIO()
         if fmt == "csv":
@@ -1043,9 +1043,9 @@ class TestSweepRowWriter:
     def test_each_printed_log_is_fmt_log_once_per_row(self, fmt, monkeypatch):
         # every log cell of a row is fmt_log of its value, each distinct value printed once per memo.  A table
         # row's memo lives for that row only, so the same row formatted again prints its logs again.  A sweep
-        # keeps the columns oon_2n, binom and farhi, c-free, in one memo for the process, and the others in
-        # one per row: formatted again, or at another c, a row prints its other logs again, and of its
-        # c-free ones only those that no earlier row printed
+        # over more than one c keeps the columns oon_2n, binom and farhi, c-free, in one memo for the process,
+        # and the others in one per row: formatted again, or at another c, a row prints its other logs again,
+        # and of its c-free ones only those that no earlier row printed
         n, columns = 30, cli.sweep_columns()
         c_free = [i for i, col in enumerate(columns[11:]) if col in ("oon_2n", "binom", "farhi")]
         if fmt == "table":
@@ -1055,8 +1055,8 @@ class TestSweepRowWriter:
             text = lambda c: cli._row_writer(None)((c, n, range(1, n + 1)))[0]
             cells = lambda line: line.split(",")[3:]
         else:
-            row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1))]
-            row_text = cli._row_writer(Window().move, cli._json_line(columns) if fmt == "json" else None)
+            row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1), window._start)]
+            row_text = cli._row_writer(Window().move, cli._json_line(columns) if fmt == "json" else None, True)
             text = lambda c: row_text((c, n, range(1, n + 1)))[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
@@ -1076,6 +1076,39 @@ class TestSweepRowWriter:
                 assert common and (common <= seen) is bool(seen)
             seen |= common
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_c_sweep_writer_holds_one_rows_logs(self, fmt, monkeypatch, tmp_path):
+        # over one c no (m, n) comes back, so the writer `sweep` makes keeps no memo past a row: after each
+        # row of an `all` sweep its memos hold that row's distinct logs and None, nothing more.  Over two c's
+        # the c-free memo outlives its row, as the second c's rows read it
+        held = []
+
+        def writer(*args):
+            row_text = real(*args)
+            cells = [cell.cell_contents for cell in row_text.__closure__]
+            reached = cells + [x for cell in cells if isinstance(cell, list) for x in cell]
+            memos = list({id(x): x for x in reached if isinstance(x, cli._Logs)}.values())
+
+            def text(row):
+                done = row_text(row)
+                logs = {v for values, *_ in bounds.row_checks(*row, window._start) for v in values[11:]}
+                held.append((sum(map(len, memos)), len(logs | {None})))
+                return done
+
+            return text
+
+        real = cli._row_writer
+        monkeypatch.setattr(cli, "_row_writer", writer)
+        for c_max in (1, 2):
+            held.clear()
+            assert cli.main(["sweep", "--c-min", "1", "--c-max", str(c_max), "--n-min", "1", "--n-max", "40",
+                             "--format", fmt, "--out", str(tmp_path / "out")]) == 0
+            assert len(held) == 40 * c_max
+            if c_max == 1:
+                assert [memo for memo, row in held] == [row for memo, row in held]
+            else:
+                assert all(memo > row for memo, row in held[1:])
+
     @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
         # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
@@ -1086,7 +1119,7 @@ class TestSweepRowWriter:
                 text, _ = row_text((c, n, ms(n)))
                 logs = cli._Logs({None: None})
                 expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
-                            for values, *_ in bounds.row_checks(c, n, ms(n))]
+                            for values, *_ in bounds.row_checks(c, n, ms(n), window._start)]
                 assert text == "".join(expected), (c, n)
                 quoted += text.count('"L": "')
         assert quoted  # some L lies beyond int64
@@ -1237,10 +1270,12 @@ class TestColdStart:
     def test_only_the_bound_commands_load_bounds(self, argv, loads_bounds):
         assert ("quadlcm.bounds" in loaded_modules(argv)) is loads_bounds
 
-    def test_only_sweep_loads_the_window(self):
-        assert "quadlcm.window" in loaded_modules(["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3"])
-        for argv in (["verify", "--c", "1", "--m", "2", "--n", "9"], ["table", "--c", "1", "--n-max", "3"]):
-            assert "quadlcm.window" not in loaded_modules(argv)
+    def test_only_the_divisor_commands_load_the_window(self):
+        # `window` makes every row's divisor state; `table` folds L alone and loads neither it nor `ring`
+        assert not {"quadlcm.window", "quadlcm.ring"} & loaded_modules(["table", "--c", "1", "--n-max", "3"])
+        for argv in (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3"],
+                     ["verify", "--c", "1", "--m", "2", "--n", "9"]):
+            assert "quadlcm.window" in loaded_modules(argv)
 
 
 # runs each command line in one fresh interpreter under a profiler, set before
@@ -1328,7 +1363,7 @@ class TestDeadCode:
         report = {module: {name: entered for name, entered in reached[module]["functions"].items()
                            if name.startswith("_")}
                   for module in self.LIBRARY}
-        assert {"_row_start", "_lcm_step", "_divisor_checks", "_times_linear", "_scaled_newton_terms", "_value",
+        assert {"_start", "_lcm_step", "_divisor_checks", "_times_linear", "_scaled_newton_terms", "_value",
                 "_check_same_ring", "_ln", "_log_str"} <= set().union(*report.values())
         assert {module: self.unreached(found) for module, found in report.items()
                 if self.unreached(found)} == self.UNRUN_PRIVATE
