@@ -57,8 +57,8 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Optional
 
-from . import divisor
-from .fixedlog import (C_LIMIT, PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
+from . import C_LIMIT, divisor
+from .fixedlog import (PRECISION_BITS, _E, _GUARD, _LOG_FACT, _LOG_INT, _W, _extend_logs,
                        _fixed_consts, _ln, _log_consts, _log_fixed, _log_str)
 
 _ONE = 1 << PRECISION_BITS
@@ -138,7 +138,7 @@ def row_checks(c: int, n: int, ms: range, start: Optional[Callable]) -> list[tup
     """Every claim at (c, m, n) for each m of ms, ascending, each checked once in one descending fold.
 
     Each m gives (values, numerator, denominator, holds, violations).  The
-    values are exact, in the order of `cli.sweep_columns()`: c, m, n, L,
+    values are exact, in the order of `rows.sweep_columns()`: c, m, n, L,
     D_num, D_den, quotient, hc, hc_bound, star_x, star_y, then the
     fixed-point log L and each bound's log value v, None where a value is
     absent.  numerator and denominator are norm(P) and (n-m)! * multiple,

@@ -24,8 +24,10 @@ below that scale; its error budget, in units u = 2^-192:
 * log k! is the prefix sum of the floored log j, within 2k.
 
 `bounds` builds and checks every bound from these sources.  This is a module
-of its own so that none the CLI compiles at start is larger than `cli`: with
-no cached bytecode, the largest compile sets a launch's peak memory.
+of its own so that `bezout`, which prints no log, never compiles it, and so
+that no module passes 2048 parser tokens, past which, with no cached
+bytecode, a launch's peak memory rose.  C_LIMIT lives in the package's
+`__init__`, where `bezout` reads it too.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ import threading
 from functools import lru_cache
 from math import log
 
+from . import C_LIMIT
+
 PRECISION_BITS = 128  # fixed-point scale: the int v stands for the log v / 2^128
 _GUARD = 64  # guard bits of the log engine over PRECISION_BITS
 _W = PRECISION_BITS + _GUARD  # the log engine's scale: its int v stands for v / 2^192
 _TABLE_GUARD = 16  # extra bits at which the engine's constants are summed before flooring
 _E = 2  # error bound of one floored source, in units of 2^-128
-C_LIMIT = 1 << 61  # the prefactor logs of c are within _E only for c below this
 
 
 # Floored sources of the log tables: _LOG_INT[j] = floor(2^128 log j) for
@@ -141,10 +144,24 @@ def _log_consts(c: int) -> tuple[int, int, int]:
 _LOG2_10 = log(10, 2)  # a float on purpose: see _log_str
 
 
-# (shift, fixprec, fixdps, 10^fixdps) of `_log_str` by the bit length of |v|, up to PRECISION_BITS + 69
-_SCALES = [(fixprec - PRECISION_BITS, fixprec, fixdps, 10**fixdps)
-           for fixprec in (max(69 - (bits - PRECISION_BITS), 0) for bits in range(PRECISION_BITS + 70))
-           for fixdps in (int(fixprec / _LOG2_10 + 0.5),)]
+def _scale(bits: int) -> tuple:
+    """`_log_str`'s scale for an |x| of `bits` bits, below PRECISION_BITS + 70.
+
+    (a, 10^fixdps, b, ten, low, high): N = (x >> a) * 10^fixdps >> b is |x| floored to 69 bits, times
+    10^fixdps / 2^fixprec, floored, in one shift when no bit is floored off.  That mantissa lies in
+    [2^68, 2^69), so N has one of two digit counts, the larger one exactly when N >= ten; `low` and `high`
+    are (10^(digits - 15), half of it, the decimal exponent) for each.
+    """
+    fixprec = PRECISION_BITS + 69 - bits
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    power = 10**fixdps
+    digits = len(str((power << 68) >> fixprec))  # of the least N
+    unit = 10 ** (digits - 15)
+    return (max(bits - 69, 0), power, fixprec - max(69 - bits, 0), unit * 10**15,
+            (unit, unit // 2, digits - fixdps - 1), (unit * 10, unit * 5, digits - fixdps))
+
+
+_SCALES = [_scale(bits) for bits in range(PRECISION_BITS + 70)]
 
 
 def _log_str(v: int) -> str:
@@ -153,28 +170,32 @@ def _log_str(v: int) -> str:
     mpmath's `to_str(x, 15)` in integers only: |x| floored to 69 significant
     bits (mpmath's working precision for 18 digits; its decimal count uses
     log2(10) as a float, as mpmath's to_digits_exp does), then to a decimal
-    integer, rounded half-up at its 16th digit with the carry through a run
-    of 9s; fixed notation for decimal exponents -4..14, `e` notation
+    integer N, rounded half-up at its 16th digit with the carry through a
+    run of 9s; fixed notation for decimal exponents -4..14, `e` notation
     otherwise; trailing zeros stripped.  Equal to mpmath's string for every
     |x| below 2^3500, beyond which mpmath first divides by a power of ten.
     The scale depends only on the bit length of |x|: `_SCALES` holds it, in
-    198 entries, as fixprec is 0 from PRECISION_BITS + 69 = 197 bits on.
+    198 entries, with N's digit count decided by one comparison; from
+    PRECISION_BITS + 69 = 197 bits on fixprec is 0, and N, the integer part
+    of |x|, has as many digits as its string.
     """
     if v == 0:
         return "0.0"
     sign, x = ("-", -v) if v < 0 else ("", v)
     bits = x.bit_length()
-    shift, fixprec, fixdps, power = _SCALES[-1] if bits >= len(_SCALES) else _SCALES[bits]
-    fixed = x << shift if shift >= 0 else x >> -shift
-    digits = str(fixed * power >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if digits[15] >= "5":
-        digits = str(int(digits[:15]) + 1)
-        if len(digits) > 15:  # 999...9 carried into a new leading digit
-            digits = digits[:15]
-            exponent += 1
+    if bits < len(_SCALES):
+        a, power, b, ten, low, high = _SCALES[bits]
+        n = (x >> a) * power >> b
+        unit, half, exponent = high if n >= ten else low
     else:
+        n = x >> PRECISION_BITS
+        exponent = len(str(n)) - 1
+        unit = 10 ** (exponent - 14)
+        half = unit // 2
+    digits = str((n + half) // unit)
+    if len(digits) > 15:  # 999...9 carried into a new leading digit
         digits = digits[:15]
+        exponent += 1
     if -5 < exponent < 15:
         if exponent < 0:
             digits = "0." + "0" * (-exponent - 1) + digits

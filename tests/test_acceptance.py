@@ -14,6 +14,7 @@ import quadlcm.cli as cli
 from quadlcm.bounds import lcm_range, row_checks
 from quadlcm.poly import IntPoly, bezout_certificate, shift_product_poly
 from quadlcm.ring import QuadInt, QuadRat
+from quadlcm.rows import sweep_columns
 from quadlcm.window import _start
 
 from oracles import (
@@ -65,7 +66,7 @@ def divisor_sweep():
             assert [values[3] for values, *_ in rows] == ls
             for values, *_, violations in rows:
                 assert violations == ()
-                cells[(c, values[1], n)] = dict(zip(cli.sweep_columns(), values))
+                cells[(c, values[1], n)] = dict(zip(sweep_columns(), values))
     return cells
 
 

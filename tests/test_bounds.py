@@ -18,7 +18,8 @@ from quadlcm.bounds import (
 )
 from quadlcm.ring import QuadInt, content_multiple, shifted_product
 from quadlcm.window import Window, WindowError, _start
-from quadlcm.cli import _m_policy, fmt_log, main
+from quadlcm.cli import fmt_log, main
+from quadlcm.rows import _m_policy
 
 from oracles import (
     TripleReport,
@@ -257,7 +258,7 @@ class TestCombinatorialChecks:
         assert r["binom"] and r["oon_2n"] is None
 
     def test_checks_keys_are_integer_comparisons(self):
-        from quadlcm.cli import report_to_json
+        from quadlcm.rows import report_to_json
 
         for c in (1, 2):
             for n in range(1, 31):

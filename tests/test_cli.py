@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import quadlcm.cli as cli
-from quadlcm import bounds, divisor, fixedlog, poly, window
+from quadlcm import bounds, divisor, fixedlog, poly, rows, window
 from quadlcm.window import Window
 
 from oracles import cert_alpha, poly_coeffs
@@ -212,11 +212,11 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == ",".join(cli.sweep_columns())
+        assert lines[0] == ",".join(rows.sweep_columns())
         assert len(lines) == 1 + 6  # header + pairs m <= n for n <= 3
         row_113 = [ln for ln in lines[1:] if ln.startswith("1,1,3,")]
         assert len(row_113) == 1
-        cells = dict(zip(cli.sweep_columns(), row_113[0].split(",")))
+        cells = dict(zip(rows.sweep_columns(), row_113[0].split(",")))
         assert cells["quotient"] == "8"
         assert cells["hc"] == "10"
         assert cells["final"] == "NA"
@@ -501,6 +501,18 @@ class TestBezout:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BEZOUT_SHA256[(c, k)]
 
+    @pytest.mark.parametrize("c, ks", [*((c, range(61)) for c in range(1, 6)), (3, [100]), (5, [100]),
+                                       (1000003, [20]), (2**61 - 1, [2])],
+                             ids=[*(f"c={c}" for c in range(1, 6)), "c=3-k=100", "c=5-k=100", "c=1000003", "c=2^61-1"])
+    def test_text_equals_json_dumps(self, c, ks, capsys, monkeypatch):
+        # `bezout` writes its document by hand; json.dumps of certificate_to_json is its oracle
+        made, real = [], poly.bezout_certificate
+        monkeypatch.setattr(poly, "bezout_certificate", lambda *ck: made.append(real(*ck)) or made[-1])
+        for k in ks:
+            code, out, err = run(["bezout", "--c", str(c), "--k", str(k)], capsys)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(cli.certificate_to_json(made[-1]), indent=2) + "\n", (c, k)
+
     def test_golden_grid_digest(self):
         # one sha256 over the `bezout` documents of every c <= 5, k <= 40, in process
         digest = hashlib.sha256()
@@ -583,7 +595,7 @@ class TestCappedN:
     def test_verify_width_cap_passes_and_the_next_exits_1(self, tmp_path, capsys, monkeypatch):
         # verify's exact work grows about as (n - m)^2.1, so n - m is capped at 2*10^4: past it, the command
         # exits 1 with one line before --out opens or the log table grows; at it, it reaches its row pass
-        cap, target, logged = cli._MAX_VERIFY_WIDTH, tmp_path / "out.txt", len(fixedlog._LOG_FACT)
+        cap, target, logged = rows._MAX_VERIFY_WIDTH, tmp_path / "out.txt", len(fixedlog._LOG_FACT)
         assert cap == 2 * 10**4
         code, out, err = run(["verify", "--c", "1", "--m", "1", "--n", str(cap + 2), "--out", str(target)], capsys)
         assert (code, out) == (1, "")
@@ -977,10 +989,10 @@ class TestForgedLcm:
 
 def _projected_row(row):
     """The sweep row of one triple as the `verify` document projected onto the sweep columns."""
-    doc = cli.report_to_json(row)
+    doc = rows.report_to_json(row)
     cells = {**doc["bounds"], **doc["divisor"]}
     cells.update((name, bv["log_value"]) for name, bv in doc["bounds"]["bounds"].items())
-    return {col: cells.get(col) for col in cli.sweep_columns()}
+    return {col: cells.get(col) for col in rows.sweep_columns()}
 
 
 def _forge_lcm(monkeypatch):
@@ -1000,18 +1012,18 @@ class TestSweepRowWriter:
             _forge_lcm(monkeypatch)
         code, written, err = run(["sweep", "--c-min", "1", "--c-max", "3", "--n-min", "1", "--n-max", "12",
                                   "--format", fmt, "--parallelism", "1"], capsys)
-        rows = [row for c in (1, 2, 3) for n in range(1, 13) for row in bounds.row_checks(c, n, range(1, n + 1), window._start)]
-        projected = [_projected_row(row) for row in rows]
+        checked = [row for c in (1, 2, 3) for n in range(1, 13) for row in bounds.row_checks(c, n, range(1, n + 1), window._start)]
+        projected = [_projected_row(row) for row in checked]
         expected = io.StringIO()
         if fmt == "csv":
             writer = csv.writer(expected, lineterminator="\n")
-            writer.writerow(cli.sweep_columns())
+            writer.writerow(rows.sweep_columns())
             writer.writerows(["NA" if v is None else str(v) for v in cells.values()] for cells in projected)
         else:
             expected.writelines(json.dumps(cells) + "\n" for cells in projected)
         assert written == expected.getvalue()
         assert err == "".join(f"VIOLATION at (c,m,n)={values[:3]}: {v}\n"
-                              for values, *_, violations in rows for v in violations)
+                              for values, *_, violations in checked for v in violations)
         assert len(projected) == 3 * 12 * 13 // 2
         assert any(cells["farhi"] is None for cells in projected)  # an inapplicable bound
         assert any(cells["quotient"] is None for cells in projected) is forged
@@ -1046,17 +1058,17 @@ class TestSweepRowWriter:
         # over more than one c keeps the columns oon_2n, binom and farhi, c-free, in one memo for the process,
         # and the others in one per row: formatted again, or at another c, a row prints its other logs again,
         # and of its c-free ones only those that no earlier row printed
-        n, columns = 30, cli.sweep_columns()
+        n, columns = 30, rows.sweep_columns()
         c_free = [i for i, col in enumerate(columns[11:]) if col in ("oon_2n", "binom", "farhi")]
         if fmt == "table":
             c_free = []
             row_logs = lambda c: [[v[11]] + [None if x is None else (x << bounds.PRECISION_BITS) // v[11]
                                              for x in v[12:]] for v, *_ in bounds.row_checks(c, n, range(1, n + 1), None)]
-            text = lambda c: cli._row_writer(None)((c, n, range(1, n + 1)))[0]
+            text = lambda c: rows._row_writer(None)((c, n, range(1, n + 1)))[0]
             cells = lambda line: line.split(",")[3:]
         else:
             row_logs = lambda c: [list(v[11:]) for v, *_ in bounds.row_checks(c, n, range(1, n + 1), window._start)]
-            row_text = cli._row_writer(Window().move, cli._json_line(columns) if fmt == "json" else None, True)
+            row_text = rows._row_writer(Window().move, rows._json_line(columns) if fmt == "json" else None, True)
             text = lambda c: row_text((c, n, range(1, n + 1)))[0]
             cells = ((lambda line: line.split(",")[11:]) if fmt == "csv" else
                      (lambda line: [json.loads(line)[col] for col in columns[11:]]))
@@ -1087,7 +1099,7 @@ class TestSweepRowWriter:
             row_text = real(*args)
             cells = [cell.cell_contents for cell in row_text.__closure__]
             reached = cells + [x for cell in cells if isinstance(cell, list) for x in cell]
-            memos = list({id(x): x for x in reached if isinstance(x, cli._Logs)}.values())
+            memos = list({id(x): x for x in reached if isinstance(x, rows._Logs)}.values())
 
             def text(row):
                 done = row_text(row)
@@ -1097,8 +1109,8 @@ class TestSweepRowWriter:
 
             return text
 
-        real = cli._row_writer
-        monkeypatch.setattr(cli, "_row_writer", writer)
+        real = rows._row_writer
+        monkeypatch.setattr(rows, "_row_writer", writer)
         for c_max in (1, 2):
             held.clear()
             assert cli.main(["sweep", "--c-min", "1", "--c-max", str(c_max), "--n-min", "1", "--n-max", "40",
@@ -1112,13 +1124,13 @@ class TestSweepRowWriter:
     @pytest.mark.parametrize("policy", ["all", "half_ceil", "frontier", "fixed:7"])
     def test_json_lines_equal_json_dumps_of_the_cells(self, policy):
         # a JSON line is filled in from the integers; json.dumps of the `verify` cells is its oracle
-        columns, ms = cli.sweep_columns(), cli._m_policy(policy)
-        row_text, quoted = cli._row_writer(Window().move, cli._json_line(columns)), 0
+        columns, ms = rows.sweep_columns(), rows._m_policy(policy)
+        row_text, quoted = rows._row_writer(Window().move, rows._json_line(columns)), 0
         for c in (1, 2, 3):
             for n in range(1, 61):
                 text, _ = row_text((c, n, ms(n)))
-                logs = cli._Logs({None: None})
-                expected = [json.dumps(dict(zip(columns, cli._cells(values, logs)))) + "\n"
+                logs = rows._Logs({None: None})
+                expected = [json.dumps(dict(zip(columns, rows._cells(values, logs)))) + "\n"
                             for values, *_ in bounds.row_checks(c, n, ms(n), window._start)]
                 assert text == "".join(expected), (c, n)
                 quoted += text.count('"L": "')
@@ -1132,10 +1144,10 @@ class TestSweepRowWriter:
                    + tuple(logs[(i + j) % len(logs)] for j in range(8)), None, None, (), ())
                   for i in range(len(edges))]
         monkeypatch.setattr(bounds, "row_checks", lambda *row: tuples)
-        columns = cli.sweep_columns()
-        text, bad = cli._row_writer(Window().move, cli._json_line(columns))((1, 3, range(1, 4)))
-        oracle = cli._Logs({None: None})
-        assert text == "".join(json.dumps(dict(zip(columns, cli._cells(values, oracle)))) + "\n"
+        columns = rows.sweep_columns()
+        text, bad = rows._row_writer(Window().move, rows._json_line(columns))((1, 3, range(1, 4)))
+        oracle = rows._Logs({None: None})
+        assert text == "".join(json.dumps(dict(zip(columns, rows._cells(values, oracle)))) + "\n"
                                for values, *_ in tuples)
         assert bad == ""
         assert '"c": -9223372036854775808, ' in text and '"c": 9223372036854775807, ' in text
@@ -1183,11 +1195,9 @@ class TestSourceTokens:
     Each launch compiles the package from source when no bytecode is cached
     (PYTHONDONTWRITEBYTECODE=1, as the benchmark runs it), and Python 3.11's
     parser allocates its token structs in doubling batches of 2048: a module
-    past 2048 tokens raised every bound command's peak RSS by about 0.11 MiB,
-    and past 4096 it would raise it again.  The count is tokenize's, without
-    COMMENT, NL and ENCODING tokens, which the parser never sees.  `cli` is
-    already past 2048 and stays below 4096; every other module stays below
-    2048.
+    past 2048 tokens raised every bound command's peak RSS by about 0.11 MiB.
+    The count is tokenize's, without COMMENT, NL and ENCODING tokens, which
+    the parser never sees.  Every module stays below 2048.
     """
 
     SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
@@ -1197,8 +1207,8 @@ class TestSourceTokens:
         for path in sorted((SRC_DIR / "quadlcm").glob("*.py")):
             with open(path, "rb") as handle:
                 counts[path.stem] = sum(tok.type not in self.SKIPPED for tok in tokenize.tokenize(handle.readline))
-        assert {"bounds", "cli", "divisor", "window"} <= set(counts)
-        assert {name: count for name, count in counts.items() if count >= (4096 if name == "cli" else 2048)} == {}
+        assert {"bounds", "cli", "divisor", "rows", "window"} <= set(counts)
+        assert {name: count for name, count in counts.items() if count >= 2048} == {}
 
 
 class TestColdStart:
@@ -1207,6 +1217,18 @@ class TestColdStart:
         assert "mpmath.ctx_mp" not in modules
         assert not [name for name in modules if name.startswith("mpmath.")]
         assert "concurrent.futures.process" not in modules
+
+    def test_bezout_loads_neither_the_log_engine_json_nor_the_row_commands(self):
+        # bezout caps c with the package's C_LIMIT and writes its document by hand
+        assert not {"quadlcm.fixedlog", "json", "quadlcm.rows"} & loaded_modules(["bezout", "--c", "3", "--k", "5"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6"],
+        ["table", "--c", "2", "--n-max", "6"],
+        ["verify", "--c", "3", "--m", "5", "--n", "60"],
+    ], ids=["sweep", "table", "verify"])
+    def test_the_row_commands_load_rows(self, argv):
+        assert {"quadlcm.rows", "quadlcm.fixedlog"} <= loaded_modules(argv)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--c-min", "1", "--c-max", "2", "--n-min", "1", "--n-max", "6", "--parallelism", "1"],
@@ -1237,7 +1259,7 @@ class TestColdStart:
         (["table", "--c", "2", "--n-max", "6"], False),
         (["sweep", "--c-min", "1", "--c-max", "1", "--n-min", "1", "--n-max", "3", "--format", "json"], True),
         (["verify", "--c", "3", "--m", "5", "--n", "60"], True),
-        (["bezout", "--c", "3", "--k", "5"], True),
+        (["bezout", "--c", "3", "--k", "5"], False),
     ], ids=["sweep", "table", "sweep-json", "verify", "bezout"])
     def test_only_the_json_writers_load_json(self, argv, loads_json):
         assert ("json" in loaded_modules(argv)) is loads_json
@@ -1250,8 +1272,9 @@ class TestColdStart:
 
     def test_import_loads_neither_dataclasses_nor_poly(self):
         modules = _python("import sys, quadlcm.cli; print(' '.join(sys.modules))").split()
-        assert "quadlcm.cli" in modules and "quadlcm.fixedlog" in modules
-        assert "quadlcm.bounds" not in modules  # the commands that use it load it
+        assert "quadlcm.cli" in modules
+        # the commands that use them load them
+        assert not {"quadlcm.bounds", "quadlcm.fixedlog", "quadlcm.rows"} & set(modules)
         assert "dataclasses" not in modules
         assert "quadlcm.poly" not in modules
         assert "json" not in modules  # the commands that write JSON load it
@@ -1292,14 +1315,14 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     assert code == 0, (argv, code)
 sys.setprofile(None)
-from quadlcm import bounds, divisor, fixedlog, poly, ring, window, workers
+from quadlcm import bounds, divisor, fixedlog, poly, ring, rows, window, workers
 
 def own(value, module):
     value = inspect.unwrap(value) if callable(value) else value
     return value if inspect.isfunction(value) and value.__module__ == module.__name__ else None
 
 report = {}
-for module in (ring, poly, bounds, divisor, window, fixedlog, cli, workers):
+for module in (ring, poly, bounds, divisor, window, fixedlog, cli, rows, workers):
     functions, methods = {}, {}
     for name, value in vars(module).items():
         if own(value, module):
@@ -1373,10 +1396,12 @@ class TestDeadCode:
         assert not {"_closed_forms", "_alternating_sums", "_newton_series", "PoleError"} & set(vars(poly))
 
     def test_every_cli_function_is_run_by_a_command(self, reached):
-        # private helpers too, so that no writer outlives its caller
-        functions = reached["quadlcm.cli"]["functions"]
-        assert {"main", "_open_out", "_row_writer"} <= set(functions)
-        assert self.unreached(functions) == []
+        # private helpers too, so that no writer outlives its caller; `rows` holds the row commands' writers
+        functions = {module: reached[module]["functions"] for module in ("quadlcm.cli", "quadlcm.rows")}
+        assert {"main", "_open_out", "_json_text", "__getattr__"} <= set(functions["quadlcm.cli"])
+        assert {"cmd_sweep", "_row_writer", "_write_rows"} <= set(functions["quadlcm.rows"])
+        assert {module: self.unreached(found) for module, found in functions.items()} == {
+            "quadlcm.cli": [], "quadlcm.rows": []}
 
     def test_every_method_is_run_by_a_command(self, reached):
         # every class of the package, properties and dunder methods included
